@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import harness, theory
 from .processes import derive_stream, sample_path
@@ -127,38 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str) -> None:
-    if out == "-":
-        sys.stdout.write(text)
-        return
-    try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise OSError(f"cannot write to {out!r}: {exc}") from exc
-
-
 def _emit_records(records, config, args) -> None:
     if args.format == "csv":
-        if args.out == "-":
-            cols = harness._columns_for(records)
-            lines = [",".join(h for h, _ in cols)]
-            lines += [
-                ",".join(harness._format_cell(getattr(r, a)) for _, a in cols) for r in records
-            ]
-            _emit("\n".join(lines) + "\n", "-")
-        else:
-            harness.write_csv(records, args.out)
+        harness.write_csv(records, args.out)
     else:
-        if args.out == "-":
-            doc = {
-                "config": asdict(config) if config is not None else None,
-                "kind": type(records[0]).__name__ if records else "CurveRecord",
-                "records": [asdict(r) for r in records],
-            }
-            _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", "-")
-        else:
-            harness.write_json(config, records, args.out)
+        harness.write_json(config, records, args.out)
 
 
 def _cmd_simulate(args) -> int:
@@ -174,13 +146,13 @@ def _cmd_simulate(args) -> int:
             "jump_times": list(map(float, path.jump_times)),
             "jump_heights": list(map(float, path.jump_heights)),
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        harness.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out, "JSON")
     else:
         lines = ["jump_time,jump_height"]
         lines += [
             f"{t:.17g},{h:.17g}" for t, h in zip(path.jump_times, path.jump_heights)
         ]
-        _emit("\n".join(lines) + "\n", args.out)
+        harness.write_text("\n".join(lines) + "\n", args.out, "CSV")
     return _EXIT_OK
 
 
@@ -196,7 +168,6 @@ def _cmd_mse_curve(args) -> int:
         grid_log2=args.grid_log2,
         trials=args.trials,
         master_seed=args.seed,
-        output_path=None if args.out == "-" else args.out,
     )
     records = harness.run_mse_curve(config, workers=args.workers)
     _emit_records(records, config, args)

@@ -7,13 +7,13 @@ the same scale as the continuum mean squared errors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .processes import SampledPath
+from .schemes import best_errors_discrete
 
 __all__ = ["DctCoeffs", "dct2_forward", "dct2_inverse", "dct_best_m_error"]
 
@@ -68,7 +68,4 @@ def dct_best_m_error(samples, m: int) -> float:
     n = values.size
     if not isinstance(m, (int, np.integer)) or not (0 <= m <= n):
         raise ValueError(f"M must be an integer in [0, {n}], got {m}")
-    coeffs = scipy.fft.dct(values, type=2, norm="ortho")
-    sq = np.sort(coeffs**2)  # ascending: the dropped ones come first
-    dropped = sq[: n - m]
-    return float(math.fsum(dropped)) / n
+    return best_errors_discrete(scipy.fft.dct(values, type=2, norm="ortho"), [m])[0] / n

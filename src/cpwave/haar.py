@@ -7,7 +7,8 @@ a sum of point evaluations of a piecewise-linear "jump weight" kernel at
 the jump locations. That makes every coefficient exact, and makes the
 zero/nonzero structure purely combinatorial: a coefficient vanishes exactly
 when no jump lands in the atom's support, so zero detection never touches a
-floating-point threshold.
+floating-point threshold. Float jump times are dyadic rationals, so the
+nonzero coefficients are also finitely many: `ladder` lists them all.
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.
@@ -15,9 +16,10 @@ Atoms are enumerated by a single index: 0 for the scaling function, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,16 +39,16 @@ __all__ = [
     "coeff",
     "coeff_envelope",
     "expand",
-    "scale_table",
+    "Ladder",
+    "ladder",
+    "atoms_past",
     "nonzero_counts_by_scale",
     "discrete_haar_forward",
     "discrete_haar_inverse",
     "MAX_EXPAND_SCALE",
-    "MAX_SCALE",
 ]
 
 MAX_EXPAND_SCALE = 30  # dense enumeration of 2^(J+1) atoms gets silly past this
-MAX_SCALE = 1020  # beyond this 2.0**j overflows and dyadic bucketing breaks down
 
 
 @dataclass(frozen=True)
@@ -186,30 +188,70 @@ def coeff_envelope(j: int, path: CompoundPoissonPath) -> float:
     return float(np.abs(path.jump_heights).sum()) * 2.0 ** (-j / 2.0 - 1.0)
 
 
-def scale_table(path: CompoundPoissonPath, j: int) -> list[tuple[int, float, int]]:
-    """All atoms at scale j whose support contains a jump, in shift order.
+class Ladder(NamedTuple):
+    """Every occupied wavelet atom at scales below a path's dyadic resolution,
+    in atom-index order, as parallel arrays. Shifts are exact integers held
+    as floats, because a shift at scale j reaches 2^j."""
 
-    Returns (k, value, count) triples. Atoms absent from the table have
-    jump count 0 and coefficient exactly 0. Only occupied atoms are ever
-    materialized, so the cost is O(N) per scale regardless of j.
+    resolution: int
+    scale: np.ndarray
+    shift: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
+
+
+def ladder(path: CompoundPoissonPath) -> Ladder:
+    """The path's finite coefficient ladder.
+
+    Every jump time is exactly m * 2^-e with m odd; the path's resolution is
+    the largest such e. At every scale j >= resolution each jump sits alone
+    at the left edge of its own atom, so those coefficients are exactly 0.0
+    and the ladder holds every nonzero coefficient. Each value is the
+    left-to-right sum, in jump order, of height * tent weight.
     """
-    if j < 0:
-        raise ValueError(f"scale must be nonnegative, got {j}")
-    if j > MAX_SCALE:
-        raise ValueError(f"scale {j} exceeds the dyadic bucketing limit {MAX_SCALE}")
-    times = path.jump_times
-    heights = path.jump_heights
-    scale = 2.0**j
-    amp = 2.0 ** (-j / 2.0)
-    buckets: dict[int, tuple[float, int]] = {}
-    for t, a in zip(times, heights):
-        x = t * scale  # exact: multiplying a float by a power of two
-        k = int(x)
-        u = x - k
-        w = -amp * min(u, 1.0 - u)
-        value, count = buckets.get(k, (0.0, 0))
-        buckets[k] = (value + a * w, count + 1)
-    return [(k, value, count) for k, (value, count) in sorted(buckets.items())]
+    times, heights = path.jump_times, path.jump_heights
+    n = times.size
+    # t = bits * 2^(exponent - 53) with a 53-bit integer mantissa; its lowest
+    # set bit, 2^(frexp exponent - 1), gives e = 54 - exponent - frexp exponent
+    mantissa, exponent = np.frexp(times)
+    bits = np.ldexp(mantissa, 53).astype(np.int64)
+    e = int((54 - exponent - np.frexp(bits & -bits)[1]).max(initial=0))
+    if e > 1023:  # t * 2^j overflows at j = 1024
+        raise ValueError(
+            f"jump times need {e} dyadic scales; a float path can be scaled to at most 1023"
+        )
+    # One (scale, jump) block. Temporaries are computed in place and freed
+    # early: a path with 500 jumps makes blocks of about 200 KB.
+    x = np.ldexp(times, np.arange(e)[:, None])  # t * 2^j, exact
+    k = np.floor(x)
+    new = np.empty((e, n), dtype=bool)
+    new[:, :1] = True
+    np.not_equal(k[:, 1:], k[:, :-1], out=new[:, 1:])  # the shift changes: a new atom
+    new = new.ravel()
+    starts = np.flatnonzero(new)
+    shift = k.ravel()[starts]
+    x -= k  # position u within the atom, exact
+    np.subtract(1.0, x, out=k)
+    np.minimum(x, k, out=x)
+    del k
+    x *= np.array([-(2.0 ** (-j / 2.0)) for j in range(e)])[:, None]
+    x *= heights
+    atom = np.cumsum(new)
+    atom -= 1
+    value = np.zeros(starts.size)
+    np.add.at(value, atom, x.ravel())  # sequential per atom, unlike reduceat
+    del x, atom
+    return Ladder(e, starts // n, shift, value, np.diff(starts, append=new.size))
+
+
+def atoms_past(path: CompoundPoissonPath, resolution: int) -> Iterator[Atom]:
+    """The occupied atoms at scales >= resolution, in index order: one per
+    jump and scale, each with coefficient exactly 0.0. Endless for N >= 1."""
+    lefts = [int(k) for k in np.ldexp(path.jump_times, resolution)]
+    j = resolution
+    while lefts:
+        yield from (Atom.wavelet(j, k << (j - resolution)) for k in lefts)
+        j += 1
 
 
 def nonzero_counts_by_scale(path: CompoundPoissonPath, target: int) -> list[int]:
@@ -220,21 +262,17 @@ def nonzero_counts_by_scale(path: CompoundPoissonPath, target: int) -> list[int]
     the convention that the coarsest level carries two coefficients.
     """
     n = path.num_jumps
+    if n == 0:
+        return [0] if target > 0 else []
+    lad = ladder(path)
+    per_scale = np.bincount(lad.scale, minlength=lad.resolution).tolist()
+    per_scale[0] += 1
+    scales = iter(per_scale)
     counts: list[int] = []
     total = 0
-    j = 0
     while total < target:
-        if j == 0:
-            c = 2 if n >= 1 else 0
-        else:
-            c = len({int(t * 2.0**j) for t in path.jump_times})
-        counts.append(c)
-        total += c
-        if n == 0:
-            break
-        if j >= MAX_SCALE:
-            raise RuntimeError(f"nonzero count target {target} not reached by scale {MAX_SCALE}")
-        j += 1
+        counts.append(next(scales, n))  # n atoms at every scale past the ladder
+        total += counts[-1]
     return counts
 
 
@@ -280,9 +318,15 @@ def expand(path: CompoundPoissonPath, max_scale: int) -> Expansion:
     scaling = coeff(path, SCALING)
     if scaling.jump_count:
         table[0] = scaling
-    for j in range(max_scale + 1):
-        for k, value, count in scale_table(path, j):
-            table[(1 << j) + k] = Coefficient(atom=Atom.wavelet(j, k), value=value, jump_count=count)
+    lad = ladder(path)
+    rungs = zip(lad.scale.tolist(), lad.shift.tolist(), lad.value.tolist(), lad.count.tolist())
+    for j, k, value, count in rungs:
+        if j > max_scale:
+            break
+        table[(1 << j) + int(k)] = Coefficient(Atom.wavelet(j, int(k)), value, count)
+    past = path.num_jumps * max(0, max_scale + 1 - lad.resolution)
+    for atom in itertools.islice(atoms_past(path, lad.resolution), past):
+        table[atom_index(atom)] = Coefficient(atom, 0.0, 1)
     return Expansion(
         max_scale=max_scale,
         lam=path.lam,

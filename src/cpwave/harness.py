@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
@@ -33,6 +34,7 @@ __all__ = [
     "run_spacing_check",
     "run_envelope_check",
     "run_dict_compare",
+    "write_text",
     "write_csv",
     "write_json",
     "read_json",
@@ -59,7 +61,6 @@ class ExperimentConfig:
     grid_log2: int = 10
     trials: int = 1000
     master_seed: int = 0
-    output_path: str | None = None
 
     def validate(self) -> None:
         if self.process not in PROCESSES:
@@ -489,35 +490,39 @@ def _columns_for(records) -> list[tuple[str, str]]:
         raise ValueError(f"no CSV schema for records of type {type(records[0]).__name__}")
 
 
-def write_csv(records, path: str, columns=None) -> None:
-    """Write records as CSV: a header row plus one line per record, floats
-    rendered with 17 significant digits (a zero mean shows up as mse_db
-    '-inf')."""
-    cols = columns if columns is not None else _columns_for(records)
-    lines = [",".join(header for header, _ in cols)]
-    for rec in records:
-        lines.append(",".join(_format_cell(getattr(rec, attr)) for _, attr in cols))
-    text = "\n".join(lines) + "\n"
+def write_text(text: str, path: str, what: str) -> None:
+    """Write text to a file, or to stdout for path '-'; what names the
+    content in the error raised when the file cannot be written."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write CSV to {path!r}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
+
+
+def write_csv(records, path: str, columns=None) -> None:
+    """Write records as CSV to a file, or to stdout for path '-': a header
+    row plus one line per record, floats rendered with 17 significant
+    digits (a zero mean shows up as mse_db '-inf')."""
+    cols = columns if columns is not None else _columns_for(records)
+    lines = [",".join(header for header, _ in cols)]
+    for rec in records:
+        lines.append(",".join(_format_cell(getattr(rec, attr)) for _, attr in cols))
+    write_text("\n".join(lines) + "\n", path, "CSV")
 
 
 def write_json(config, records, path: str) -> None:
-    """Write config plus records as one JSON document (full provenance)."""
+    """Write config plus records as one JSON document (full provenance) to
+    a file, or to stdout for path '-'."""
     doc = {
         "config": asdict(config) if config is not None else None,
         "kind": type(records[0]).__name__ if records else "CurveRecord",
         "records": [asdict(rec) for rec in records],
     }
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write JSON to {path!r}: {exc}") from exc
+    write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", path, "JSON")
 
 
 _KINDS = {
@@ -526,6 +531,13 @@ _KINDS = {
     "SpacingRow": SpacingRow,
     "TheoryPoint": theory.TheoryPoint,
 }
+
+
+def _from_dict(cls, raw: dict):
+    """Build cls from the keys it knows; keys it does not know are dropped,
+    so files written by earlier versions still load."""
+    names = {f.name for f in fields(cls)}
+    return cls(**{k: v for k, v in raw.items() if k in names})
 
 
 def read_json(path: str):
@@ -540,8 +552,7 @@ def read_json(path: str):
         raw = dict(doc["config"])
         raw["schemes"] = tuple(raw["schemes"])
         raw["m_values"] = tuple(raw["m_values"])
-        config = ExperimentConfig(**raw)
+        config = _from_dict(ExperimentConfig, raw)
     cls = _KINDS[doc.get("kind", "CurveRecord")]
-    field_names = {f.name for f in fields(cls)}
-    records = [cls(**{k: v for k, v in rec.items() if k in field_names}) for rec in doc["records"]]
+    records = [_from_dict(cls, rec) for rec in doc["records"]]
     return config, records

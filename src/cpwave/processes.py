@@ -47,14 +47,12 @@ def derive_stream(master_seed: int, stream_index: int = 0) -> np.random.Generato
 
 @dataclass(frozen=True)
 class JumpLaw:
-    """Law of the jump heights: zero mean, finite variance, admits a density."""
+    """Gaussian law of the jump heights: zero mean, finite variance, so it
+    admits a density."""
 
     variance: float
-    kind: str = "gaussian"
 
     def __post_init__(self) -> None:
-        if self.kind != "gaussian":
-            raise ValueError(f"unsupported jump law kind {self.kind!r}")
         if not (math.isfinite(self.variance) and self.variance > 0):
             raise ValueError(f"jump variance must be positive and finite, got {self.variance}")
 

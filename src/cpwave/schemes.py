@@ -5,32 +5,28 @@ Three ways of keeping M coefficients of the Haar expansion:
 * linear  - the first M atoms in index order, zeros included;
 * greedy  - the first M atoms, in index order, whose support contains a
   jump (a structural test, never a floating-point threshold);
-* best    - the M largest-magnitude coefficients over the full infinite
-  expansion, certified exact by an envelope stopping rule.
+* best    - the M largest-magnitude coefficients of the full infinite
+  expansion, ties to the smaller index. The path's coefficient ladder
+  holds every nonzero coefficient, so this needs no stopping rule.
 
-Squared errors come from Parseval: path energy minus kept energy for exact
-paths, sum of dropped squares for finite discrete coefficient lists. On
-every path and every M the schemes obey best <= greedy <= linear, and each
-scheme's error is non-increasing in M.
+Every analytic scheme reads one ladder per path (haar.ladder): its
+candidates are the scaling coefficient followed by the ladder in index
+order, and a scheme is an order over them plus a kept count per M. Squared
+errors come from Parseval: path energy minus kept energy for exact paths,
+sum of dropped squares for finite discrete coefficient lists. On every path
+and every M the schemes obey best <= greedy <= linear, and each scheme's
+error is non-increasing in M.
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import (
-    MAX_SCALE,
-    SCALING,
-    Atom,
-    atom_from_index,
-    coeff,
-    coeff_envelope,
-    scale_table,
-)
+from .haar import SCALING, Atom, Ladder, atom_from_index, atom_index, atoms_past, coeff, ladder
 from .processes import CompoundPoissonPath
 
 __all__ = [
@@ -92,38 +88,64 @@ def _check_m(m: int) -> None:
         raise ValueError(f"M must be a nonnegative integer, got {m}")
 
 
-def _nonzero_stream(path: CompoundPoissonPath):
-    """Structurally nonzero coefficients in atom-index order: the scaling
-    atom, then every occupied atom scale by scale. Endless for N >= 1."""
-    c0 = coeff(path, SCALING)
-    yield 0, c0.value, c0.jump_count
-    j = 0
-    while True:
-        if j > MAX_SCALE:
-            raise RuntimeError(f"nonzero coefficient stream ran past scale {MAX_SCALE}")
-        base = 1 << j
-        for k, value, count in scale_table(path, j):
-            yield base + k, value, count
-        j += 1
+def _candidates(path: CompoundPoissonPath, scheme: str):
+    """The path's ladder, its candidate values (the scaling coefficient, then
+    the ladder), and the candidate positions in the scheme's keep order."""
+    lad = ladder(path)
+    values = lad.value
+    if path.num_jumps:
+        values = np.concatenate(([coeff(path, SCALING).value], values))
+    if scheme == "best":
+        order = np.argsort(-np.abs(values), kind="stable")  # ties to the smaller index
+    else:
+        order = np.arange(values.size)
+    return lad, values, order
+
+
+def _kept_count(lad: Ladder, scheme: str, size: int, m: int) -> int:
+    """How many of the size candidates, in keep order, the scheme keeps at M.
+    Past the candidates every coefficient is 0.0, so only these count."""
+    if scheme != "linear":
+        return min(int(m), size)
+    if m == 0 or size == 0:
+        return 0
+    j = int(m).bit_length() - 1  # atom m sits at scale j, shift m - 2^j
+    # the float shifts compare exactly with every shift below 2^53
+    lo, hi = np.searchsorted(lad.scale, [j, j + 1])
+    return 1 + int(lo + np.searchsorted(lad.shift[lo:hi], int(m) - (1 << j)))
+
+
+def _errors(path: CompoundPoissonPath, scheme: str, m_values) -> list[float]:
+    lad, values, order = _candidates(path, scheme)
+    counts = [_kept_count(lad, scheme, values.size, m) for m in m_values]
+    sq = (values[order[: max(counts, default=0)]] ** 2).tolist()
+    total = path.l2_norm_sq()
+    # fsum keeps each kept energy correctly rounded, so the scheme-ordering
+    # and monotonicity relations of the true sums carry over to floats
+    return [_finish_error(total, math.fsum(sq[:c])) for c in counts]
+
+
+def _select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
+    _check_m(m)
+    lad, values, order = _candidates(path, scheme)
+    picked = np.sort(order[: _kept_count(lad, scheme, values.size, m)]).tolist()
+    kept = []
+    for p in picked:
+        atom = Atom.wavelet(int(lad.scale[p - 1]), int(lad.shift[p - 1])) if p else SCALING
+        kept.append((atom, float(values[p])))
+    if scheme == "linear":
+        given = {atom_index(atom): v for atom, v in kept}
+        kept = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
+    else:
+        past = itertools.islice(atoms_past(path, lad.resolution), m - len(kept))
+        kept += [(atom, 0.0) for atom in past]
+    error = _finish_error(path.l2_norm_sq(), math.fsum(v * v for _, v in kept))
+    return Selection(scheme=scheme, m=m, kept=tuple(kept), error_sq=error, certified=True)
 
 
 def select_linear(path: CompoundPoissonPath, m: int) -> Selection:
     """Keep the first m atoms in index order, zero-valued ones included."""
-    _check_m(m)
-    values: dict[int, float] = {}
-    if m >= 1 and path.num_jumps:
-        values[0] = coeff(path, SCALING).value
-        j = 0
-        while (1 << j) < m:
-            for k, value, _ in scale_table(path, j):
-                index = (1 << j) + k
-                if index < m:
-                    values[index] = value
-            j += 1
-    kept = tuple((atom_from_index(i), values.get(i, 0.0)) for i in range(m))
-    energy_kept = math.fsum(v * v for _, v in kept)
-    error = _finish_error(path.l2_norm_sq(), energy_kept)
-    return Selection(scheme="linear", m=m, kept=kept, error_sq=error, certified=True)
+    return _select(path, "linear", m)
 
 
 def select_greedy(path: CompoundPoissonPath, m: int) -> Selection:
@@ -132,141 +154,28 @@ def select_greedy(path: CompoundPoissonPath, m: int) -> Selection:
     A jump-free path has no nonzero coefficients at all, so it yields an
     empty selection with zero error.
     """
-    _check_m(m)
-    kept: list[tuple[Atom, float]] = []
-    if path.num_jumps and m:
-        for index, value, _ in _nonzero_stream(path):
-            kept.append((atom_from_index(index), value))
-            if len(kept) == m:
-                break
-    energy_kept = math.fsum(v * v for _, v in kept)
-    error = _finish_error(path.l2_norm_sq(), energy_kept)
-    return Selection(scheme="greedy", m=m, kept=tuple(kept), error_sq=error, certified=True)
-
-
-def _best_candidates(path: CompoundPoissonPath, m: int) -> list[tuple[int, float]]:
-    """Scan scales until no unseen atom can reach the current m-th largest
-    magnitude, then return the certified top m as (index, value), ordered by
-    magnitude descending with ties to the smaller index.
-
-    A bounded min-heap keyed on (|value|, -index) holds the running top m;
-    on a magnitude tie the larger index is evicted first, which is exactly
-    the smaller-index-wins rule.
-    """
-    heap: list[tuple[float, int, float]] = []
-
-    def offer(index: int, value: float) -> None:
-        item = (abs(value), -index, value)
-        if len(heap) < m:
-            heapq.heappush(heap, item)
-        elif item > heap[0]:
-            heapq.heapreplace(heap, item)
-
-    # beyond the finest dyadic resolution of the jump positions every
-    # coefficient is an exact float zero, so nothing there can displace
-    # (or even tie ahead of) anything already kept
-    resolution = 0
-    for t in path.jump_times:
-        den = float(t).as_integer_ratio()[1]
-        resolution = max(resolution, den.bit_length() - 1)
-
-    c0 = coeff(path, SCALING)
-    if c0.jump_count:
-        offer(0, c0.value)
-    j = 0
-    while True:
-        for k, value, _ in scale_table(path, j):
-            offer((1 << j) + k, value)
-        if len(heap) == m:
-            mth = heap[0][0]
-            envelope = coeff_envelope(j + 1, path)
-            if envelope < mth or envelope == 0.0:
-                break
-        if j >= resolution or j >= MAX_SCALE:
-            break
-        j += 1
-    out = [(-neg_index, value) for _, neg_index, value in heap]
-    out.sort(key=lambda iv: (-abs(iv[1]), iv[0]))
-    return out
+    return _select(path, "greedy", m)
 
 
 def select_best(path: CompoundPoissonPath, m: int) -> Selection:
-    """Keep the m largest-magnitude coefficients of the full expansion.
-
-    The scan is certified exact: it stops at the first scale whose
-    coefficient envelope falls below the m-th largest magnitude found, so
-    no unexamined atom could displace a kept one.
-    """
-    _check_m(m)
-    if m == 0 or path.num_jumps == 0:
-        return Selection(
-            scheme="best",
-            m=m,
-            kept=(),
-            error_sq=_finish_error(path.l2_norm_sq(), 0.0),
-            certified=True,
-        )
-    top = _best_candidates(path, m)
-    top.sort(key=lambda iv: iv[0])
-    kept = tuple((atom_from_index(i), v) for i, v in top)
-    energy_kept = math.fsum(v * v for _, v in kept)
-    error = _finish_error(path.l2_norm_sq(), energy_kept)
-    return Selection(scheme="best", m=m, kept=kept, error_sq=error, certified=True)
-
-
-# ---------------------------------------------------------------------------
-# error profiles: one scan shared by a whole list of M values
-
-
-def _profile_errors(total: float, kept_values: list[float], m_values) -> list[float]:
-    # fsum keeps each kept-energy correctly rounded, so the scheme-ordering
-    # and monotonicity relations of the true sums carry over to floats
-    out = []
-    for m in m_values:
-        energy = math.fsum(v * v for v in kept_values[: min(m, len(kept_values))])
-        out.append(_finish_error(total, energy))
-    return out
+    """Keep the m largest-magnitude coefficients of the full expansion, ties
+    to the smaller index; exact, since the ladder holds every nonzero one."""
+    return _select(path, "best", m)
 
 
 def linear_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact linear squared errors at each M in m_values (one path scan)."""
-    m_values = list(m_values)
-    m_max = max(m_values, default=0)
-    values: dict[int, float] = {}
-    if m_max >= 1 and path.num_jumps:
-        values[0] = coeff(path, SCALING).value
-        j = 0
-        while (1 << j) < m_max:
-            for k, value, _ in scale_table(path, j):
-                index = (1 << j) + k
-                if index < m_max:
-                    values[index] = value
-            j += 1
-    kept = [values.get(i, 0.0) for i in range(m_max)]
-    return _profile_errors(path.l2_norm_sq(), kept, m_values)
+    """Exact linear squared errors at each M in m_values (one ladder)."""
+    return _errors(path, "linear", m_values)
 
 
 def greedy_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact greedy squared errors at each M in m_values (one path scan)."""
-    m_values = list(m_values)
-    m_max = max(m_values, default=0)
-    kept: list[float] = []
-    if path.num_jumps and m_max:
-        for _, value, _ in _nonzero_stream(path):
-            kept.append(value)
-            if len(kept) == m_max:
-                break
-    return _profile_errors(path.l2_norm_sq(), kept, m_values)
+    """Exact greedy squared errors at each M in m_values (one ladder)."""
+    return _errors(path, "greedy", m_values)
 
 
 def best_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact best-M squared errors at each M in m_values (one certified scan)."""
-    m_values = list(m_values)
-    m_max = max(m_values, default=0)
-    kept: list[float] = []
-    if path.num_jumps and m_max:
-        kept = [v for _, v in _best_candidates(path, m_max)]
-    return _profile_errors(path.l2_norm_sq(), kept, m_values)
+    """Exact best-M squared errors at each M in m_values (one ladder)."""
+    return _errors(path, "best", m_values)
 
 
 # ---------------------------------------------------------------------------
@@ -281,41 +190,29 @@ def _check_discrete(coeffs, m: int) -> np.ndarray:
     return c
 
 
-def _dropped_energy(c: np.ndarray, kept_idx) -> float:
-    dropped = np.ones(c.size, dtype=bool)
-    dropped[list(kept_idx)] = False
-    return float(math.fsum(np.sort(c[dropped] ** 2)))
+def _discrete_selection(scheme: str, c: np.ndarray, m: int, kept_idx, error: float) -> Selection:
+    kept = tuple((atom_from_index(int(i)), float(c[i])) for i in kept_idx)
+    return Selection(scheme=scheme, m=m, kept=kept, error_sq=error, certified=False)
 
 
 def select_linear_discrete(coeffs, m: int) -> Selection:
     """Keep the first m entries of a finite coefficient list."""
     c = _check_discrete(coeffs, m)
-    kept_idx = range(m)
-    kept = tuple((atom_from_index(i), float(c[i])) for i in kept_idx)
-    return Selection(
-        scheme="linear", m=m, kept=kept, error_sq=_dropped_energy(c, kept_idx), certified=False
-    )
+    return _discrete_selection("linear", c, m, range(m), linear_errors_discrete(c, [m])[0])
 
 
 def select_greedy_discrete(coeffs, m: int) -> Selection:
     """Keep the first m entries that are not exactly zero."""
     c = _check_discrete(coeffs, m)
-    kept_idx = [int(i) for i in np.flatnonzero(c != 0.0)[:m]]
-    kept = tuple((atom_from_index(i), float(c[i])) for i in kept_idx)
-    return Selection(
-        scheme="greedy", m=m, kept=kept, error_sq=_dropped_energy(c, kept_idx), certified=False
-    )
+    kept_idx = np.flatnonzero(c != 0.0)[:m]
+    return _discrete_selection("greedy", c, m, kept_idx, greedy_errors_discrete(c, [m])[0])
 
 
 def select_best_discrete(coeffs, m: int) -> Selection:
     """Keep the m largest magnitudes; ties go to the smaller index."""
     c = _check_discrete(coeffs, m)
-    order = sorted(range(c.size), key=lambda i: (-abs(c[i]), i))[:m]
-    kept_idx = sorted(order)
-    kept = tuple((atom_from_index(i), float(c[i])) for i in kept_idx)
-    return Selection(
-        scheme="best", m=m, kept=kept, error_sq=_dropped_energy(c, kept_idx), certified=False
-    )
+    kept_idx = np.sort(np.argsort(-np.abs(c), kind="stable")[:m])
+    return _discrete_selection("best", c, m, kept_idx, best_errors_discrete(c, [m])[0])
 
 
 def _suffix_errors(sq: np.ndarray, counts: list[int]) -> list[float]:

@@ -12,7 +12,7 @@ import numpy as np
 
 import cpwave as cw
 from cpwave import cli
-from cpwave.haar import SCALING, coeff, discrete_haar_forward, scale_table
+from cpwave.haar import SCALING, atom_index, coeff, discrete_haar_forward, ladder
 from cpwave.harness import (
     ExperimentConfig,
     run_dict_compare,
@@ -20,17 +20,15 @@ from cpwave.harness import (
     run_mse_curve,
     run_spacing_check,
 )
-from cpwave.schemes import (
-    _best_candidates,
-    select_greedy_discrete,
-    select_linear_discrete,
-)
+from cpwave.schemes import select_best, select_greedy_discrete, select_linear_discrete
 from cpwave.theory import (
     exp_weighted_decay,
     linear_mse,
     nonzero_scale_bounds,
     poly_weighted_decay,
 )
+
+from test_haar import scale_table
 
 SEED = 20250810
 LAW10 = cw.JumpLaw(variance=0.1)
@@ -153,11 +151,12 @@ def test_criterion_6_zero_structure_and_scale_bounds():
         scaling = coeff(path, SCALING)
         if (scaling.value == 0.0) != (n == 0):
             bad_zero += 1
+        lad = ladder(path)
         for j in range(11):
-            table = scale_table(path, j)
-            if sum(c for _, _, c in table) != n:  # every jump in exactly one atom
+            at = lad.scale == j
+            if lad.count[at].sum() != n:  # every jump in exactly one atom
                 bad_zero += 1
-            bad_zero += sum(1 for _, v, c in table if v == 0.0 or c == 0)
+            bad_zero += int(np.count_nonzero((lad.value[at] == 0.0) | (lad.count[at] == 0)))
     # (b) the scale of the M-th nonzero obeys the two-sided bound
     bad_jm = paths = 0
     for t in range(100_000):
@@ -196,8 +195,9 @@ def test_criterion_7_coefficient_second_moment():
     cp_sums = np.zeros(top_scale + 1)
     for t in range(trials):
         path = cw.sample_path(10.0, LAW10, cw.derive_stream(SEED, t))
+        lad = ladder(path)
         for j in range(top_scale + 1):
-            cp_sums[j] += math.fsum(v * v for _, v, _ in scale_table(path, j))
+            cp_sums[j] += math.fsum(lad.value[lad.scale == j] ** 2)
     bm_sums = np.zeros(top_scale + 1)
     for t in range(trials):
         grid = cw.brownian_grid(1.0, 10, cw.derive_stream(SEED + 1, t))
@@ -269,7 +269,8 @@ def test_criterion_9_certified_best_equals_brute_force():
             thin_paths += 1  # would need scales beyond the brute-force cap
             continue
         for m in (1, 2, 4, 8, 16, 32):
-            if sorted(_best_candidates(path, m)) != brute_force(path, m):
+            kept = sorted((atom_index(a), v) for a, v in select_best(path, m).kept)
+            if kept != brute_force(path, m):
                 mismatches += 1
     report(
         9,

@@ -1,10 +1,11 @@
 """Tests for Haar bookkeeping, exact coefficients, and the discrete transform."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cpwave import (
     SCALING,
@@ -24,11 +25,39 @@ from cpwave import (
     sample_grid,
     sample_path,
 )
-from cpwave.haar import scale_table, support
+from cpwave.haar import atoms_past, ladder, nonzero_counts_by_scale, support
 
 from test_processes import make_path
 
 LAW10 = JumpLaw(variance=0.1)
+
+
+def scale_table(path, j):
+    """Reference: the occupied atoms at scale j as (k, value, count) triples
+    in shift order, one jump at a time. Each value is the left-to-right sum
+    of height * tent weight over the atom's jumps."""
+    times = path.jump_times
+    heights = path.jump_heights
+    scale = 2.0**j
+    amp = 2.0 ** (-j / 2.0)
+    buckets = {}
+    for t, a in zip(times, heights):
+        x = t * scale  # exact: multiplying a float by a power of two
+        k = int(x)
+        u = x - k
+        w = -amp * min(u, 1.0 - u)
+        value, count = buckets.get(k, (0.0, 0))
+        buckets[k] = (value + a * w, count + 1)
+    return [(k, value, count) for k, (value, count) in sorted(buckets.items())]
+
+
+def ladder_at(path, j):
+    """The ladder's atoms at scale j as (k, value, count) triples; j must lie
+    below the path's resolution, where the ladder holds every occupied atom."""
+    lad = ladder(path)
+    assert j < lad.resolution
+    at = lad.scale == j
+    return list(zip(map(int, lad.shift[at]), lad.value[at].tolist(), lad.count[at].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +194,7 @@ def test_coeff_matches_brute_force_integration():
     for seed in range(6):
         path = sample_path(8.0, JumpLaw(variance=0.125), derive_stream(20, seed))
         for j in range(0, 6):
-            for k, value, count in scale_table(path, j):
+            for k, value, count in ladder_at(path, j):
                 atom = Atom.wavelet(j, k)
                 assert value == pytest.approx(brute_force_coeff(path, atom), rel=1e-10, abs=1e-14)
                 assert count == jumps_in_support(path, atom)
@@ -177,7 +206,7 @@ def test_coeff_zero_iff_no_jump_in_support():
     for seed in range(40):
         path = sample_path(10.0, LAW10, derive_stream(21, seed))
         for j in range(0, 11):
-            occupied = {k: (v, c) for k, v, c in scale_table(path, j)}
+            occupied = {k: (v, c) for k, v, c in ladder_at(path, j)}
             per_scale_total = sum(c for _, c in occupied.values())
             assert per_scale_total == path.num_jumps  # no jump lost or double-counted
             for k, (v, c) in occupied.items():
@@ -195,10 +224,95 @@ def test_coeff_envelope_examples_and_bound():
         path = sample_path(10.0, LAW10, derive_stream(22, seed))
         for j in range(0, 9):
             env = coeff_envelope(j, path)
-            for k, value, _ in scale_table(path, j):
+            for k, value, _ in ladder_at(path, j):
                 assert abs(value) <= env + 1e-15
         envs = [coeff_envelope(j, path) for j in range(12)]
         assert all(a >= b for a, b in zip(envs, envs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# the coefficient ladder
+
+
+@st.composite
+def hand_paths(draw):
+    """Paths with arbitrary, dyadic (few-bit) or tightly clustered jump times."""
+    times = draw(
+        st.one_of(
+            st.lists(st.floats(min_value=1e-9, max_value=1 - 1e-9), min_size=1, max_size=12),
+            st.lists(st.integers(1, 2**12 - 1), min_size=1, max_size=12).map(
+                lambda ks: [k / 2**12 for k in ks]
+            ),
+            st.tuples(st.floats(0.1, 0.9), st.integers(2, 8), st.integers(20, 50)).map(
+                lambda c: [c[0] + i * 2.0 ** -c[2] for i in range(c[1])]
+            ),
+        )
+    )
+    times = sorted(set(times))
+    heights = draw(
+        st.lists(
+            st.floats(min_value=-4, max_value=4).filter(lambda h: h != 0.0),
+            min_size=len(times),
+            max_size=len(times),
+        )
+    )
+    return make_path(times, heights)
+
+
+@given(hand_paths())
+@example(make_path([0.37], [1.3]))
+@example(make_path([0.375, 0.5], [1.0, -2.0]))
+@settings(max_examples=150, deadline=None)
+def test_ladder_equals_per_jump_reference(path):
+    lad = ladder(path)
+    e = lad.resolution
+    assert e == max(float(t).as_integer_ratio()[1].bit_length() - 1 for t in path.jump_times)
+    for j in range(e):
+        ref = scale_table(path, j)
+        at = lad.scale == j
+        assert lad.shift[at].tolist() == [float(k) for k, _, _ in ref]
+        assert lad.value[at].tobytes() == np.array([v for _, v, _ in ref]).tobytes()
+        assert lad.count[at].tolist() == [c for _, _, c in ref]
+    assert lad.scale.size == sum(len(scale_table(path, j)) for j in range(e))
+    # past the resolution every jump sits alone in its atom, coefficient 0.0
+    n = path.num_jumps
+    past = list(itertools.islice(atoms_past(path, e), 3 * n))
+    expected = []
+    for j in range(e, e + 3):
+        ref = scale_table(path, j)
+        assert [(v, c) for _, v, c in ref] == [(0.0, 1)] * n
+        expected += [Atom.wavelet(j, k) for k, _, _ in ref]
+    assert past == expected
+
+
+def test_ladder_empty_path():
+    lad = ladder(make_path([], []))
+    assert lad.resolution == 0 and lad.value.size == 0
+    assert list(atoms_past(make_path([], []), 0)) == []
+
+
+def test_ladder_refuses_jumps_finer_than_scale_1023():
+    # 2^-1000 alone needs 1000 scales; 2^-1000 + 2^-1050 needs 1050, and
+    # t * 2^j overflows at j = 1024
+    assert ladder(make_path([2.0**-1000, 0.5], [1.0, -1.0])).resolution == 1000
+    with pytest.raises(ValueError, match="1023"):
+        ladder(make_path([2.0**-1000 + 2.0**-1050, 0.5], [1.0, -1.0]))
+
+
+def test_nonzero_counts_by_scale_reach_any_target():
+    # a single jump occupies one atom per scale: 1023 scales to reach 1024
+    counts = nonzero_counts_by_scale(make_path([0.37], [1.3]), 1024)
+    assert counts == [2] + [1] * 1022
+    assert nonzero_counts_by_scale(make_path([], []), 5) == [0]
+    assert nonzero_counts_by_scale(make_path([0.37], [1.3]), 0) == []
+    for seed in range(30):
+        path = sample_path(10.0, LAW10, derive_stream(29, seed))
+        if path.num_jumps == 0:
+            continue
+        counts = nonzero_counts_by_scale(path, 400)
+        distinct = [len({int(t * 2.0**j) for t in path.jump_times}) for j in range(len(counts))]
+        assert counts == [2] + distinct[1:]
+        assert sum(counts[:-1]) < 400 <= sum(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +372,7 @@ def test_per_scale_counts_exact_bounds():
             continue
         spacing = path.min_spacing()
         for j in range(1, 14):
-            n_j = len(scale_table(path, j))
+            n_j = len(ladder_at(path, j))
             assert n_j <= n
             ratio = 2.0**j * spacing
             if ratio >= 1.0:
@@ -278,7 +392,7 @@ def test_per_scale_counts_typical_lower_bound():
         total += 1
         spacing = path.min_spacing()
         ok += all(
-            len(scale_table(path, j)) >= n * min(1.0, 2.0**j * spacing) - 1e-12
+            len(ladder_at(path, j)) >= n * min(1.0, 2.0**j * spacing) - 1e-12
             for j in range(1, 14)
         )
     assert ok / total > 0.95
@@ -362,7 +476,7 @@ def test_analytic_coeffs_match_grid_transform():
         assert abs(d[0] - c0) <= 2.0**-12 * max(abs(c0), coeff_envelope(0, path))
         for j in range(0, 4):
             env = coeff_envelope(j, path)
-            table = {k: v for k, v, _ in scale_table(path, j)}
+            table = {k: v for k, v, _ in ladder_at(path, j)}
             for k in range(2**j):
                 value = table.get(k, 0.0)
                 assert abs(d[(1 << j) + k] - value) <= 2.0**-12 * max(abs(value), env)

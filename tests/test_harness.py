@@ -1,11 +1,12 @@
 """Tests for the Monte Carlo harness, file output, and the CLI."""
 
+import hashlib
 import json
 import math
 
 import pytest
 
-from cpwave import cli
+from cpwave import cli, harness
 from cpwave.harness import (
     CurveRecord,
     ExperimentConfig,
@@ -215,6 +216,18 @@ def test_json_reload_byte_identical_on_rewrite(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_read_json_drops_unknown_config_keys(tmp_path):
+    # files written before output_path left the config still load
+    cfg = small_config(schemes=("linear",), m_values=(4,), trials=3)
+    records = run_mse_curve(cfg)
+    out = tmp_path / "old.json"
+    write_json(cfg, records, str(out))
+    doc = json.loads(out.read_text())
+    doc["config"]["output_path"] = "curves.csv"
+    out.write_text(json.dumps(doc))
+    assert read_json(str(out)) == (cfg, records)
+
+
 def test_write_csv_bad_path_raises_oserror():
     with pytest.raises(OSError, match="cannot write"):
         write_csv([], "/nonexistent-dir/x.csv")
@@ -342,6 +355,63 @@ def test_cli_mse_curve_bm_discrete(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == CURVE_HEADER
     assert lines[1].startswith("bm,linear,haar_discrete,,1,8,")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_cli_stdout_bytes_equal_file_bytes(tmp_path, capsys, fmt):
+    args = ["mse-curve", "--process", "cp", "--lambda", "10", "--m", "4,16", "--trials", "5",
+            "--format", fmt]
+    out = tmp_path / f"curve.{fmt}"
+    assert run_cli(*args, "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli(*args, "--out", "-") == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
+# sha256 of mse-curve CSVs written before the coefficient ladder replaced the
+# per-scale scans; the curves must stay byte-identical
+@pytest.mark.parametrize(
+    "lam, digest",
+    [
+        ("10", "a6b7cd1bded059c4e0a51133df258c725409aaabb27b4ece1d633b8c92dee10c"),
+        ("500", "31ad5c2503d866556f9e27730bf4013bd425ca7431003aeff80d75bb734769c2"),
+    ],
+)
+def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
+    out = tmp_path / "golden.csv"
+    assert run_cli(
+        "mse-curve",
+        "--process", "cp",
+        "--lambda", lam,
+        "--schemes", "linear,greedy,best",
+        "--m", "4,16,64,256,1024",
+        "--trials", "6",
+        "--seed", "20250810",
+        "--out", str(out),
+    ) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_single_jump_paths_at_m_1024(tmp_path):
+    # at lambda = 1 about a third of the paths have exactly one jump
+    out = tmp_path / "thin.csv"
+    assert run_cli(
+        "mse-curve", "--process", "cp", "--lambda", "1", "--m", "1024", "--trials", "50",
+        "--seed", "3", "--out", str(out),
+    ) == 0
+    by_scheme = {line.split(",")[1]: float(line.split(",")[7])
+                 for line in out.read_text().splitlines()[1:]}
+    assert by_scheme["best"] <= by_scheme["greedy"] <= by_scheme["linear"]
+
+
+def test_cli_path_beyond_scale_1023_is_config_error(monkeypatch, capsys):
+    from test_processes import make_path
+
+    fine = make_path([2.0**-1000 + 2.0**-1050, 0.5], [1.0, -1.0])
+    monkeypatch.setattr(harness, "sample_path", lambda *_args: fine)
+    code = run_cli("mse-curve", "--process", "cp", "--lambda", "10", "--trials", "2")
+    assert code == 2
+    assert "1023" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(capsys):

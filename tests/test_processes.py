@@ -280,8 +280,6 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         JumpLaw(variance=0.0)
     with pytest.raises(ValueError):
-        JumpLaw(variance=1.0, kind="cauchy")
-    with pytest.raises(ValueError):
         brownian_grid(-1.0, 10, derive_stream(18, 0))
     with pytest.raises(ValueError):
         derive_stream(-1, 0)

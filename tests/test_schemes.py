@@ -18,7 +18,7 @@ from cpwave import (
     select_linear,
     select_linear_discrete,
 )
-from cpwave.haar import scale_table, support, coeff
+from cpwave.haar import support, coeff
 from cpwave.schemes import (
     best_errors,
     best_errors_discrete,
@@ -29,6 +29,7 @@ from cpwave.schemes import (
 )
 from cpwave.theory import nonzero_scale_bounds
 
+from test_haar import scale_table
 from test_processes import make_path
 
 LAW10 = JumpLaw(variance=0.1)
@@ -208,6 +209,18 @@ def test_greedy_error_by_integration():
             sel = select_greedy(path, m)
             oracle = reconstruction_error_by_integration(path, sel)
             assert sel.error_sq == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+
+
+def test_single_jump_greedy_reaches_m_1024():
+    # one jump occupies one atom per scale, so M = 1024 reaches scale 1022;
+    # past the path's resolution every kept coefficient is exactly 0.0
+    path = make_path([0.37], [1.3])
+    assert greedy_errors(path, [1024]) == best_errors(path, [1024])
+    for select in (select_greedy, select_best):
+        sel = select(path, 1024)
+        assert len(sel.kept) == 1024
+        assert sel.kept[-1][0] == Atom.wavelet(1022, int(0.37 * 2.0**1022))
+        assert sel.error_sq == greedy_errors(path, [1024])[0]
 
 
 def test_near_zero_error_clamped_not_negative():
