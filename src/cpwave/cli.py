@@ -134,13 +134,12 @@ def _emit_records(records, config, args) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    stream = derive_stream(args.seed, 0)
-    variance = args.jump_variance if args.jump_variance is not None else args.sigma0_sq / args.lam
-    path = sample_path(args.lam, harness.JumpLaw(variance=variance), stream)
+    law = harness.JumpLaw.for_rate(args.lam, args.sigma0_sq, args.jump_variance)
+    path = sample_path(args.lam, law, derive_stream(args.seed, 0))
     if args.format == "json":
         doc = {
             "lambda": args.lam,
-            "jump_variance": variance,
+            "jump_variance": law.variance,
             "seed": args.seed,
             "num_jumps": path.num_jumps,
             "jump_times": list(map(float, path.jump_times)),

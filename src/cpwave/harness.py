@@ -21,7 +21,7 @@ from . import dct as dct_mod
 from . import schemes, theory
 from .processes import JumpLaw, brownian_grid, derive_stream, sample_grid, sample_path
 from .haar import discrete_haar_forward
-from .schemes import InvariantViolation
+from .schemes import SCHEMES, InvariantViolation
 
 __all__ = [
     "ExperimentConfig",
@@ -41,7 +41,6 @@ __all__ = [
 ]
 
 PROCESSES = ("cp", "bm")
-SCHEMES = ("linear", "greedy", "best")
 DICTIONARIES = ("haar_analytic", "haar_discrete", "dct")
 
 _CI_Z = 1.96  # normal-approximation 95% interval
@@ -104,10 +103,7 @@ class ExperimentConfig:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
 
     def jump_law(self) -> JumpLaw:
-        variance = self.jump_variance
-        if variance is None:
-            variance = self.sigma0_sq / self.lam
-        return JumpLaw(variance=variance)
+        return JumpLaw.for_rate(self.lam, self.sigma0_sq, self.jump_variance)
 
 
 @dataclass(frozen=True)
@@ -167,27 +163,13 @@ class SpacingCheckResult:
 # per-trial work
 
 
-_ANALYTIC_PROFILES = {
-    "linear": schemes.linear_errors,
-    "greedy": schemes.greedy_errors,
-    "best": schemes.best_errors,
-}
-_DISCRETE_PROFILES = {
-    "linear": schemes.linear_errors_discrete,
-    "greedy": schemes.greedy_errors_discrete,
-    "best": schemes.best_errors_discrete,
-}
-
-
 def _trial_errors(config: ExperimentConfig, trial: int) -> tuple[tuple[float, ...], ...]:
     """Squared errors for one trial: one tuple per scheme, one entry per M."""
     stream = derive_stream(config.master_seed, trial)
     ms = config.m_values
     if config.dictionary == "haar_analytic":
         path = sample_path(config.lam, config.jump_law(), stream)
-        rows = tuple(
-            tuple(_ANALYTIC_PROFILES[scheme](path, ms)) for scheme in config.schemes
-        )
+        rows = tuple(map(tuple, schemes.errors(path, config.schemes, ms)))
     else:
         if config.process == "cp":
             path = sample_path(config.lam, config.jump_law(), stream)
@@ -200,8 +182,8 @@ def _trial_errors(config: ExperimentConfig, trial: int) -> tuple[tuple[float, ..
             coeffs = dct_mod.dct2_forward(samples).values
         norm = float(2**config.grid_log2)
         rows = tuple(
-            tuple(e / norm for e in _DISCRETE_PROFILES[scheme](coeffs, ms))
-            for scheme in config.schemes
+            tuple(e / norm for e in errs)
+            for errs in schemes.errors_discrete(coeffs, config.schemes, ms)
         )
     _assert_trial_invariants(config, trial, rows)
     return rows
@@ -257,6 +239,8 @@ def run_mse_curve(config: ExperimentConfig, workers: int = 1) -> list[CurveRecor
     derived stream and the reduction is done in trial order.
     """
     config.validate()
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers}")
     per_trial = _run_trials(config, workers)
     records = []
     for si, scheme in enumerate(config.schemes):
@@ -282,6 +266,13 @@ def run_mse_curve(config: ExperimentConfig, workers: int = 1) -> list[CurveRecor
     return records
 
 
+def _min_spacings(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
+    """Minimum jump spacing, the first gap from 0 included, of each of rows
+    paths with n jumps at sorted uniform times."""
+    u = np.sort(rng.random((rows, n)), axis=1)
+    return np.diff(u, axis=1, prepend=0.0).min(axis=1)
+
+
 def run_spacing_check(
     lam: float,
     n_values=(1, 2, 5),
@@ -301,10 +292,7 @@ def run_spacing_check(
         raise ValueError(f"samples must be at least 1000, got {samples}")
     rows: list[SpacingRow] = []
     for n in n_values:
-        rng = derive_stream(seed, int(n))
-        u = np.sort(rng.random((samples, int(n))), axis=1)
-        gaps = np.diff(u, axis=1, prepend=0.0)
-        delta = gaps.min(axis=1)
+        delta = _min_spacings(derive_stream(seed, int(n)), samples, int(n))
         grid = delta_grid if delta_grid is not None else [0.05, 0.1, 1.0 / (2 * n)]
         for d in grid:
             if not (0.0 <= d <= 1.0 / n):
@@ -327,10 +315,7 @@ def run_spacing_check(
     for n in np.unique(counts):
         if n == 0:
             continue  # spacing is 1 by convention; no bound applies
-        block = int((counts == n).sum())
-        u = np.sort(rng.random((block, int(n))), axis=1)
-        gaps = np.diff(u, axis=1, prepend=0.0)
-        delta = gaps.min(axis=1)
+        delta = _min_spacings(rng, int((counts == n).sum()), int(n))
         violations += int((delta > 1.0 / n).sum())
     return SpacingCheckResult(rows=rows, paths_checked=int(samples), bound_violations=violations)
 
@@ -413,60 +398,10 @@ def run_dict_compare(
 # flat-file output
 
 
-_CURVE_COLUMNS = [
-    ("process", "process"),
-    ("scheme", "scheme"),
-    ("dictionary", "dictionary"),
-    ("lambda", "lam"),
-    ("sigma0_sq", "sigma0_sq"),
-    ("M", "m"),
-    ("log2_M", "log2_m"),
-    ("mse_mean", "mse_mean"),
-    ("mse_db", "mse_db"),
-    ("ci_lo", "ci_lo"),
-    ("ci_hi", "ci_hi"),
-    ("trials", "trials"),
-    ("seed", "seed"),
-]
-
-_ENVELOPE_COLUMNS = [
-    ("lambda", "lam"),
-    ("M", "m"),
-    ("mse_mean", "mse_mean"),
-    ("ci_lo", "ci_lo"),
-    ("ci_hi", "ci_hi"),
-    ("envelope_lo", "envelope_lo"),
-    ("envelope_hi", "envelope_hi"),
-    ("two_pow_mean", "two_pow_mean"),
-    ("mean_inside", "mean_inside"),
-    ("ci_overlap", "ci_overlap"),
-]
-
-_SPACING_COLUMNS = [
-    ("n", "n"),
-    ("delta", "delta"),
-    ("empirical", "empirical"),
-    ("exact", "exact"),
-    ("abs_dev", "abs_dev"),
-]
-
-_THEORY_COLUMNS = [
-    ("M", "m"),
-    ("linear_mse", "linear_mse"),
-    ("two_pow_mean", "two_pow_mean"),
-    ("two_pow_tail", "two_pow_tail"),
-    ("envelope_lo", "envelope_lo"),
-    ("envelope_hi", "envelope_hi"),
-    ("c_lower", "c_lower"),
-    ("c_upper", "c_upper"),
-]
-
-_COLUMNS_BY_TYPE = {
-    CurveRecord: _CURVE_COLUMNS,
-    EnvelopeRow: _ENVELOPE_COLUMNS,
-    SpacingRow: _SPACING_COLUMNS,
-    theory.TheoryPoint: _THEORY_COLUMNS,
-}
+# every record type writes its fields in declaration order; CSV headers
+# rename three of them
+_RECORD_TYPES = (CurveRecord, EnvelopeRow, SpacingRow, theory.TheoryPoint)
+_HEADER = {"lam": "lambda", "m": "M", "log2_m": "log2_M"}
 
 
 def _format_cell(value) -> str:
@@ -479,15 +414,6 @@ def _format_cell(value) -> str:
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
     return str(value)
-
-
-def _columns_for(records) -> list[tuple[str, str]]:
-    if not records:
-        return _CURVE_COLUMNS
-    try:
-        return _COLUMNS_BY_TYPE[type(records[0])]
-    except KeyError:
-        raise ValueError(f"no CSV schema for records of type {type(records[0]).__name__}")
 
 
 def write_text(text: str, path: str, what: str) -> None:
@@ -503,14 +429,17 @@ def write_text(text: str, path: str, what: str) -> None:
         raise OSError(f"cannot write {what} to {path!r}: {exc}") from exc
 
 
-def write_csv(records, path: str, columns=None) -> None:
+def write_csv(records, path: str) -> None:
     """Write records as CSV to a file, or to stdout for path '-': a header
     row plus one line per record, floats rendered with 17 significant
     digits (a zero mean shows up as mse_db '-inf')."""
-    cols = columns if columns is not None else _columns_for(records)
-    lines = [",".join(header for header, _ in cols)]
+    cls = type(records[0]) if records else CurveRecord
+    if cls not in _RECORD_TYPES:
+        raise ValueError(f"no CSV schema for records of type {cls.__name__}")
+    names = [f.name for f in fields(cls)]
+    lines = [",".join(_HEADER.get(name, name) for name in names)]
     for rec in records:
-        lines.append(",".join(_format_cell(getattr(rec, attr)) for _, attr in cols))
+        lines.append(",".join(_format_cell(getattr(rec, name)) for name in names))
     write_text("\n".join(lines) + "\n", path, "CSV")
 
 
@@ -523,14 +452,6 @@ def write_json(config, records, path: str) -> None:
         "records": [asdict(rec) for rec in records],
     }
     write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", path, "JSON")
-
-
-_KINDS = {
-    "CurveRecord": CurveRecord,
-    "EnvelopeRow": EnvelopeRow,
-    "SpacingRow": SpacingRow,
-    "TheoryPoint": theory.TheoryPoint,
-}
 
 
 def _from_dict(cls, raw: dict):
@@ -553,6 +474,6 @@ def read_json(path: str):
         raw["schemes"] = tuple(raw["schemes"])
         raw["m_values"] = tuple(raw["m_values"])
         config = _from_dict(ExperimentConfig, raw)
-    cls = _KINDS[doc.get("kind", "CurveRecord")]
+    cls = {c.__name__: c for c in _RECORD_TYPES}[doc.get("kind", "CurveRecord")]
     records = [_from_dict(cls, rec) for rec in doc["records"]]
     return config, records

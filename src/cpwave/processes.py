@@ -56,6 +56,14 @@ class JumpLaw:
         if not (math.isfinite(self.variance) and self.variance > 0):
             raise ValueError(f"jump variance must be positive and finite, got {self.variance}")
 
+    @classmethod
+    def for_rate(cls, lam: float, sigma0_sq: float = 1.0, variance: float | None = None) -> JumpLaw:
+        """The jump law of a rate-lam process: the given variance, or by
+        default sigma0_sq / lam, which gives the process variance sigma0_sq."""
+        if not (math.isfinite(lam) and lam > 0):
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
+        return cls(variance=sigma0_sq / lam if variance is None else variance)
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw n i.i.d. heights. Exact float zeros are redrawn: the law has
         a density, so a zero height is a floating-point artifact that would

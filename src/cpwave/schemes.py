@@ -9,9 +9,12 @@ Three ways of keeping M coefficients of the Haar expansion:
   expansion, ties to the smaller index. The path's coefficient ladder
   holds every nonzero coefficient, so this needs no stopping rule.
 
-Every analytic scheme reads one ladder per path (haar.ladder): its
-candidates are the scaling coefficient followed by the ladder in index
-order, and a scheme is an order over them plus a kept count per M. Squared
+errors(path, schemes, m_values) builds one ladder per path (haar.ladder),
+so one per trial whatever the number of schemes, and reads every requested
+scheme's errors from it: the candidates are the
+scaling coefficient followed by the ladder in index order, and a scheme is
+an order over their squares plus a kept count per M. errors_discrete does
+the same for a finite coefficient list, with one set of squares. Squared
 errors come from Parseval: path energy minus kept energy for exact paths,
 sum of dropped squares for finite discrete coefficient lists. On every path
 and every M the schemes obey best <= greedy <= linear, and each scheme's
@@ -30,6 +33,7 @@ from .haar import SCALING, Atom, Ladder, atom_from_index, atom_index, atoms_past
 from .processes import CompoundPoissonPath
 
 __all__ = [
+    "SCHEMES",
     "Selection",
     "InvariantViolation",
     "select_linear",
@@ -41,10 +45,12 @@ __all__ = [
     "linear_errors",
     "greedy_errors",
     "best_errors",
-    "linear_errors_discrete",
-    "greedy_errors_discrete",
+    "errors",
+    "errors_discrete",
     "best_errors_discrete",
 ]
+
+SCHEMES = ("linear", "greedy", "best")
 
 # Parseval subtraction of nearly equal sums can land a hair below zero;
 # anything further below is a genuine accounting bug.
@@ -88,18 +94,14 @@ def _check_m(m: int) -> None:
         raise ValueError(f"M must be a nonnegative integer, got {m}")
 
 
-def _candidates(path: CompoundPoissonPath, scheme: str):
-    """The path's ladder, its candidate values (the scaling coefficient, then
-    the ladder), and the candidate positions in the scheme's keep order."""
+def _candidates(path: CompoundPoissonPath):
+    """The path's ladder and its candidate values: the scaling coefficient,
+    then the ladder, in index order."""
     lad = ladder(path)
     values = lad.value
     if path.num_jumps:
         values = np.concatenate(([coeff(path, SCALING).value], values))
-    if scheme == "best":
-        order = np.argsort(-np.abs(values), kind="stable")  # ties to the smaller index
-    else:
-        order = np.arange(values.size)
-    return lad, values, order
+    return lad, values
 
 
 def _kept_count(lad: Ladder, scheme: str, size: int, m: int) -> int:
@@ -115,20 +117,49 @@ def _kept_count(lad: Ladder, scheme: str, size: int, m: int) -> int:
     return 1 + int(lo + np.searchsorted(lad.shift[lo:hi], int(m) - (1 << j)))
 
 
-def _errors(path: CompoundPoissonPath, scheme: str, m_values) -> list[float]:
-    lad, values, order = _candidates(path, scheme)
-    counts = [_kept_count(lad, scheme, values.size, m) for m in m_values]
-    sq = (values[order[: max(counts, default=0)]] ** 2).tolist()
+def _check_schemes(schemes) -> None:
+    if any(s not in SCHEMES for s in schemes):
+        raise ValueError(f"schemes must be a subset of {SCHEMES}, got {tuple(schemes)}")
+
+
+def _keep_order(scheme: str, sq: np.ndarray) -> np.ndarray:
+    """Squares in the scheme's keep order: largest first for best, index
+    order for the others."""
+    return np.sort(sq)[::-1] if scheme == "best" else sq
+
+
+def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
+    """Exact squared errors of every scheme in schemes at each M in m_values,
+    one list per scheme, all read from one ladder.
+
+    Linear and greedy keep candidates in index order; best keeps the largest
+    squares first, and since the top-c squares form one multiset whatever
+    the tie order, their correctly rounded sum is the selection's.
+    """
+    _check_schemes(schemes)
+    lad, values = _candidates(path)
+    sq = values**2
+    del values
     total = path.l2_norm_sq()
-    # fsum keeps each kept energy correctly rounded, so the scheme-ordering
-    # and monotonicity relations of the true sums carry over to floats
-    return [_finish_error(total, math.fsum(sq[:c])) for c in counts]
+    rows = []
+    for scheme in schemes:
+        counts = [_kept_count(lad, scheme, sq.size, m) for m in m_values]
+        ordered = _keep_order(scheme, sq)
+        kept_sq = ordered[: max(counts, default=0)].tolist()
+        # fsum keeps each kept energy correctly rounded, so the scheme-ordering
+        # and monotonicity relations of the true sums carry over to floats
+        rows.append([_finish_error(total, math.fsum(kept_sq[:c])) for c in counts])
+    return rows
 
 
 def _select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     _check_m(m)
-    lad, values, order = _candidates(path, scheme)
-    picked = np.sort(order[: _kept_count(lad, scheme, values.size, m)]).tolist()
+    lad, values = _candidates(path)
+    count = _kept_count(lad, scheme, values.size, m)
+    if scheme == "best":  # a stable sort sends ties to the smaller index
+        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[:count]).tolist()
+    else:
+        picked = range(count)
     kept = []
     for p in picked:
         atom = Atom.wavelet(int(lad.scale[p - 1]), int(lad.shift[p - 1])) if p else SCALING
@@ -164,18 +195,18 @@ def select_best(path: CompoundPoissonPath, m: int) -> Selection:
 
 
 def linear_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact linear squared errors at each M in m_values (one ladder)."""
-    return _errors(path, "linear", m_values)
+    """Exact linear squared errors at each M in m_values."""
+    return errors(path, ("linear",), m_values)[0]
 
 
 def greedy_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact greedy squared errors at each M in m_values (one ladder)."""
-    return _errors(path, "greedy", m_values)
+    """Exact greedy squared errors at each M in m_values."""
+    return errors(path, ("greedy",), m_values)[0]
 
 
 def best_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact best-M squared errors at each M in m_values (one ladder)."""
-    return _errors(path, "best", m_values)
+    """Exact best-M squared errors at each M in m_values."""
+    return errors(path, ("best",), m_values)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -190,53 +221,46 @@ def _check_discrete(coeffs, m: int) -> np.ndarray:
     return c
 
 
-def _discrete_selection(scheme: str, c: np.ndarray, m: int, kept_idx, error: float) -> Selection:
+def _discrete_selection(scheme: str, c: np.ndarray, m: int, kept_idx) -> Selection:
     kept = tuple((atom_from_index(int(i)), float(c[i])) for i in kept_idx)
+    error = errors_discrete(c, (scheme,), [m])[0][0]
     return Selection(scheme=scheme, m=m, kept=kept, error_sq=error, certified=False)
 
 
 def select_linear_discrete(coeffs, m: int) -> Selection:
     """Keep the first m entries of a finite coefficient list."""
-    c = _check_discrete(coeffs, m)
-    return _discrete_selection("linear", c, m, range(m), linear_errors_discrete(c, [m])[0])
+    return _discrete_selection("linear", _check_discrete(coeffs, m), m, range(m))
 
 
 def select_greedy_discrete(coeffs, m: int) -> Selection:
     """Keep the first m entries that are not exactly zero."""
     c = _check_discrete(coeffs, m)
-    kept_idx = np.flatnonzero(c != 0.0)[:m]
-    return _discrete_selection("greedy", c, m, kept_idx, greedy_errors_discrete(c, [m])[0])
+    return _discrete_selection("greedy", c, m, np.flatnonzero(c != 0.0)[:m])
 
 
 def select_best_discrete(coeffs, m: int) -> Selection:
     """Keep the m largest magnitudes; ties go to the smaller index."""
     c = _check_discrete(coeffs, m)
-    kept_idx = np.sort(np.argsort(-np.abs(c), kind="stable")[:m])
-    return _discrete_selection("best", c, m, kept_idx, best_errors_discrete(c, [m])[0])
+    return _discrete_selection("best", c, m, np.sort(np.argsort(-np.abs(c), kind="stable")[:m]))
 
 
-def _suffix_errors(sq: np.ndarray, counts: list[int]) -> list[float]:
-    """Sum of all squares past the first `count` entries.
-
-    fsum makes each value the correctly rounded true sum, so the ordering
-    between schemes and the monotonicity in M survive in floating point.
-    """
-    n = sq.size
-    return [float(math.fsum(sq[c:])) if c < n else 0.0 for c in counts]
-
-
-def linear_errors_discrete(coeffs, m_values) -> list[float]:
+def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
+    """Sums of dropped squares of a finite coefficient list for every scheme
+    in schemes at each M in m_values, one list per scheme. Linear keeps
+    entries in index order, greedy the entries that are not exactly zero,
+    best the largest squares first."""
+    _check_schemes(schemes)
     c = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
-    return _suffix_errors(c**2, [min(m, c.size) for m in m_values])
-
-
-def greedy_errors_discrete(coeffs, m_values) -> list[float]:
-    c = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
-    nz_sq = c[c != 0.0] ** 2
-    return _suffix_errors(nz_sq, [min(m, nz_sq.size) for m in m_values])
+    sq = c**2
+    rows = []
+    for scheme in schemes:
+        ordered = _keep_order(scheme, sq[c != 0.0] if scheme == "greedy" else sq).tolist()
+        # each fsum is the correctly rounded true sum, so the ordering between
+        # schemes and the monotonicity in M survive in floating point
+        rows.append([math.fsum(ordered[m:]) for m in m_values])
+    return rows
 
 
 def best_errors_discrete(coeffs, m_values) -> list[float]:
-    c = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
-    sq_desc = np.sort(c**2)[::-1]
-    return _suffix_errors(sq_desc, [min(m, c.size) for m in m_values])
+    """Sum of all but the M largest squares at each M in m_values."""
+    return errors_discrete(coeffs, ("best",), m_values)[0]

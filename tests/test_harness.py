@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from cpwave import cli, harness
+from cpwave import cli, harness, schemes
 from cpwave.harness import (
     CurveRecord,
     ExperimentConfig,
@@ -84,6 +84,22 @@ def test_rerun_identical_records():
 def test_worker_count_independent():
     cfg = small_config(trials=24)
     assert run_mse_curve(cfg, workers=1) == run_mse_curve(cfg, workers=3)
+
+
+def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
+    built = []
+    real_ladder = schemes.ladder
+
+    def counting_ladder(path):
+        built.append(path)
+        return real_ladder(path)
+
+    monkeypatch.setattr(schemes, "ladder", counting_ladder)
+    cfg = small_config()
+    assert len(cfg.schemes) == 3
+    for t in range(cfg.trials):
+        _trial_errors(cfg, t)
+    assert len(built) == cfg.trials
 
 
 def test_mean_is_fsum_of_trial_errors():
@@ -390,6 +406,53 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
         "--out", str(out),
     ) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of small outputs of the other subcommands, written before the CSV
+# schemas were derived from the record dataclasses and before the spacing
+# check shared one minimum-gap helper; every byte must stay the same
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["lemma-check", "--lambda", "10", "--n", "1,2,5", "--samples", "2000", "--seed", "4"],
+         "a109e56181d48941867250bcaf15b681b0818439022d9988fb783c247235040a"),
+        (["theorem1-check", "--lambda", "10", "--m", "4,16,64", "--trials", "20", "--seed", "5"],
+         "1bd065cc23dbaf48e2d87aa50cc8a67e20cffd771ef055c38fd0c9be9ddb2c2a"),
+        (["theory-table", "--lambda", "10", "--m", "4,8,16,64"],
+         "a57adf68e0639f55560732ed63fb71ad8254116ce699f4d3c7b22be52a952a63"),
+        (["dict-compare", "--lambda", "10", "--m", "16,64", "--grid-log2", "6", "--trials", "5",
+          "--seed", "6"],
+         "3af44950880b751257de1c87fe551f19d95de50b14aa9462e22a6a323910fedd"),
+        (["mse-curve", "--process", "cp", "--lambda", "10", "--m", "4,16,64", "--trials", "5",
+          "--seed", "8", "--format", "json"],
+         "2855e4e4dbc2d148cdb33bf446d9106f1b2cd912240d493106cf99751f6be7b9"),
+    ],
+    ids=["lemma-check", "theorem1-check", "theory-table", "dict-compare", "mse-curve-json"],
+)
+def test_cli_subcommand_golden_bytes(tmp_path, argv, digest):
+    out = tmp_path / "golden.out"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("lam", ["0", "-1"])
+def test_cli_simulate_rejects_nonpositive_lambda(capsys, lam):
+    assert run_cli("simulate", "--lambda", lam) == 2
+    err = capsys.readouterr().err
+    assert "lambda" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+# only invalid counts: a valid large count would start that many processes
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_cli_rejects_workers_below_one(capsys, workers):
+    code = run_cli(
+        "mse-curve", "--process", "cp", "--lambda", "10", "--trials", "2", "--workers", workers
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "workers" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_cli_single_jump_paths_at_m_1024(tmp_path):

@@ -1,8 +1,10 @@
 """Tests for the linear / greedy / best selection schemes and their errors."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cpwave import (
     Atom,
@@ -20,12 +22,13 @@ from cpwave import (
 )
 from cpwave.haar import support, coeff
 from cpwave.schemes import (
+    SCHEMES,
     best_errors,
     best_errors_discrete,
+    errors,
+    errors_discrete,
     greedy_errors,
-    greedy_errors_discrete,
     linear_errors,
-    linear_errors_discrete,
 )
 from cpwave.theory import nonzero_scale_bounds
 
@@ -268,6 +271,72 @@ def test_profiles_match_single_selections():
     assert best_errors(path, ms) == [select_best(path, m).error_sq for m in ms]
 
 
+TIE_PRONE_HEIGHTS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def tie_prone_paths(draw):
+    """Paths with jumps on a dyadic grid and heights from a small set, so many
+    coefficients share one magnitude."""
+    ticks = sorted(draw(st.lists(st.integers(1, 255), max_size=10, unique=True)))
+    heights = draw(st.lists(TIE_PRONE_HEIGHTS, min_size=len(ticks), max_size=len(ticks)))
+    return make_path([k / 256 for k in ticks], heights)
+
+
+@st.composite
+def arbitrary_paths(draw):
+    times = sorted(draw(st.lists(st.floats(1e-3, 0.999), max_size=10, unique=True)))
+    heights = draw(st.lists(st.floats(-4, 4).filter(lambda h: abs(h) > 1e-6),
+                            min_size=len(times), max_size=len(times)))
+    return make_path(times, heights)
+
+
+@given(st.one_of(tie_prone_paths(), arbitrary_paths()))
+@example(make_path([0.125, 0.375, 0.625, 0.875], [1.0, -1.0, 1.0, -1.0]))  # mirrored heights
+@example(make_path([0.25, 0.75], [1.0, -1.0]))
+@settings(max_examples=50, deadline=None)
+def test_errors_rows_equal_views_and_selections(path):
+    ms = [0, 1, 2, 3, 5, 8, 13, 21, 64]
+    rows = errors(path, SCHEMES, ms)
+    assert rows == [linear_errors(path, ms), greedy_errors(path, ms), best_errors(path, ms)]
+    for row, select in zip(rows, (select_linear, select_greedy, select_best)):
+        assert row == [select(path, m).error_sq for m in ms]
+
+
+def reference_errors_discrete(coeffs, scheme, ms):
+    """Sum of the dropped squares, with the keep order written out: index
+    order, nonzero entries first, or magnitude with ties to the smaller index."""
+    c = [float(v) for v in coeffs]
+    order = list(range(len(c)))
+    if scheme == "greedy":
+        order = [i for i in order if c[i] != 0.0] + [i for i in order if c[i] == 0.0]
+    elif scheme == "best":
+        order.sort(key=lambda i: (-abs(c[i]), i))
+    return [math.fsum(c[i] * c[i] for i in order[m:]) for m in ms]
+
+
+@given(
+    st.lists(st.one_of(st.floats(min_value=-10, max_value=10), TIE_PRONE_HEIGHTS, st.just(0.0)),
+             min_size=1, max_size=40),
+    st.sets(st.integers(min_value=0, max_value=42), min_size=1),
+)
+@example([1.0, -1.0, 0.0, 1.0, -1.0, 0.5], {0, 1, 2, 3, 4, 5, 6, 8})  # mirrored entries
+@settings(max_examples=60, deadline=None)
+def test_errors_discrete_rows_equal_reference(coeffs, m_set):
+    ms = sorted(m_set)
+    rows = errors_discrete(np.array(coeffs), SCHEMES, ms)
+    assert rows == [reference_errors_discrete(coeffs, scheme, ms) for scheme in SCHEMES]
+    assert rows[2] == best_errors_discrete(coeffs, ms)
+
+
+def test_errors_reject_unknown_scheme():
+    path = make_path([0.5], [1.0])
+    with pytest.raises(ValueError):
+        errors(path, ("linear", "bogus"), [1])
+    with pytest.raises(ValueError):
+        errors_discrete([1.0, 2.0], ("bogus",), [1])
+
+
 # ---------------------------------------------------------------------------
 # discrete variants
 
@@ -331,9 +400,7 @@ def test_discrete_m_validation():
 def test_discrete_ordering_and_profiles(coeffs, data):
     arr = np.array(coeffs)
     ms = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=len(coeffs)), min_size=1)))
-    lin = linear_errors_discrete(arr, ms)
-    gre = greedy_errors_discrete(arr, ms)
-    bst = best_errors_discrete(arr, ms)
+    lin, gre, bst = errors_discrete(arr, SCHEMES, ms)
     for b, g, l in zip(bst, gre, lin):
         assert b <= g <= l
     for errs in (lin, gre, bst):
