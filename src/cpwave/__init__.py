@@ -21,14 +21,11 @@ from .haar import (
     SCALING,
     Atom,
     Coefficient,
-    Expansion,
     atom_from_index,
     atom_index,
     coeff,
-    coeff_envelope,
     discrete_haar_forward,
     discrete_haar_inverse,
-    expand,
     jump_weight_scaling,
     jump_weight_wavelet,
     jumps_in_support,

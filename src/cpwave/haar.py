@@ -8,7 +8,8 @@ the jump locations. That makes every coefficient exact, and makes the
 zero/nonzero structure purely combinatorial: a coefficient vanishes exactly
 when no jump lands in the atom's support, so zero detection never touches a
 floating-point threshold. Float jump times are dyadic rationals, so the
-nonzero coefficients are also finitely many: `ladder` lists them all.
+nonzero coefficients are also finitely many: `ladder` lists them all. The
+dense listing up to scale J is schemes.select_linear(path, 2**(J + 1)).
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.
@@ -16,9 +17,8 @@ Atoms are enumerated by a single index: 0 for the scaling function, and
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -29,7 +29,6 @@ __all__ = [
     "Atom",
     "SCALING",
     "Coefficient",
-    "Expansion",
     "atom_index",
     "atom_from_index",
     "support",
@@ -37,19 +36,13 @@ __all__ = [
     "jump_weight_wavelet",
     "jumps_in_support",
     "coeff",
-    "coeff_envelope",
-    "expand",
     "Ladder",
     "ladder",
     "atoms_past",
     "nonzero_counts_by_scale",
     "discrete_haar_forward",
     "discrete_haar_inverse",
-    "MAX_EXPAND_SCALE",
 ]
-
-MAX_EXPAND_SCALE = 30  # dense enumeration of 2^(J+1) atoms gets silly past this
-
 
 @dataclass(frozen=True)
 class Atom:
@@ -178,16 +171,6 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
     return Coefficient(atom=atom, value=value, jump_count=b - a)
 
 
-def coeff_envelope(j: int, path: CompoundPoissonPath) -> float:
-    """Upper bound on |coefficient| for every atom at scale j: total absolute
-    jump mass times the peak tent magnitude 2^(-j/2 - 1). Decreasing in j."""
-    if j < 0:
-        raise ValueError(f"scale must be nonnegative, got {j}")
-    if path.num_jumps == 0:
-        return 0.0
-    return float(np.abs(path.jump_heights).sum()) * 2.0 ** (-j / 2.0 - 1.0)
-
-
 class Ladder(NamedTuple):
     """Every occupied wavelet atom at scales below a path's dyadic resolution,
     in atom-index order, as parallel arrays. Shifts are exact integers held
@@ -274,65 +257,6 @@ def nonzero_counts_by_scale(path: CompoundPoissonPath, target: int) -> list[int]
         counts.append(next(scales, n))  # n atoms at every scale past the ladder
         total += counts[-1]
     return counts
-
-
-@dataclass(frozen=True)
-class Expansion:
-    """Wavelet expansion of a path up to max_scale.
-
-    Only structurally nonzero coefficients are stored; the dense iterator
-    fills in exact zeros for every absent atom, in index order.
-    """
-
-    max_scale: int
-    lam: float
-    sigma0_sq: float
-    _nonzero: dict[int, Coefficient] = field(repr=False)
-
-    def nonzero(self) -> list[Coefficient]:
-        return [self._nonzero[i] for i in sorted(self._nonzero)]
-
-    def coefficients(self) -> Iterator[Coefficient]:
-        """Dense index-ordered iteration over every atom with scale <= max_scale."""
-        for index in range(2 ** (self.max_scale + 1)):
-            c = self._nonzero.get(index)
-            yield c if c is not None else Coefficient(
-                atom=atom_from_index(index), value=0.0, jump_count=0
-            )
-
-    def energy(self) -> float:
-        """Sum of squared coefficients up to max_scale."""
-        return math.fsum(c.value**2 for c in self._nonzero.values())
-
-
-def expand(path: CompoundPoissonPath, max_scale: int) -> Expansion:
-    """All coefficients with scale <= max_scale, stored sparsely."""
-    if max_scale < 0:
-        raise ValueError(f"max_scale must be nonnegative, got {max_scale}")
-    if max_scale > MAX_EXPAND_SCALE:
-        raise ValueError(
-            f"max_scale {max_scale} exceeds {MAX_EXPAND_SCALE}; dense enumeration "
-            "of that many atoms is not supported"
-        )
-    table: dict[int, Coefficient] = {}
-    scaling = coeff(path, SCALING)
-    if scaling.jump_count:
-        table[0] = scaling
-    lad = ladder(path)
-    rungs = zip(lad.scale.tolist(), lad.shift.tolist(), lad.value.tolist(), lad.count.tolist())
-    for j, k, value, count in rungs:
-        if j > max_scale:
-            break
-        table[(1 << j) + int(k)] = Coefficient(Atom.wavelet(j, int(k)), value, count)
-    past = path.num_jumps * max(0, max_scale + 1 - lad.resolution)
-    for atom in itertools.islice(atoms_past(path, lad.resolution), past):
-        table[atom_index(atom)] = Coefficient(atom, 0.0, 1)
-    return Expansion(
-        max_scale=max_scale,
-        lam=path.lam,
-        sigma0_sq=path.lam * path.law.variance,
-        _nonzero=table,
-    )
 
 
 def _as_values(samples) -> np.ndarray:

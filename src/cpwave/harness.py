@@ -19,7 +19,14 @@ import numpy as np
 
 from . import dct as dct_mod
 from . import schemes, theory
-from .processes import JumpLaw, brownian_grid, derive_stream, sample_grid, sample_path
+from .processes import (
+    MAX_GRID_LOG2,
+    JumpLaw,
+    brownian_grid,
+    derive_stream,
+    sample_grid,
+    sample_path,
+)
 from .haar import discrete_haar_forward
 from .schemes import SCHEMES, InvariantViolation
 
@@ -84,8 +91,8 @@ class ExperimentConfig:
             raise ValueError(f"m_values must be integers >= 1, got {self.m_values}")
         if any(b <= a for a, b in zip(self.m_values, self.m_values[1:])):
             raise ValueError(f"m_values must be strictly increasing, got {self.m_values}")
-        if not (1 <= self.grid_log2 <= 24):
-            raise ValueError(f"grid_log2 must lie in [1, 24], got {self.grid_log2}")
+        if not (1 <= self.grid_log2 <= MAX_GRID_LOG2):
+            raise ValueError(f"grid_log2 must lie in [1, {MAX_GRID_LOG2}], got {self.grid_log2}")
         if self.dictionary != "haar_analytic" and max(self.m_values) > 2**self.grid_log2:
             raise ValueError(
                 f"largest M {max(self.m_values)} exceeds the {2 ** self.grid_log2} "
@@ -288,6 +295,10 @@ def run_spacing_check(
     that, `samples` unconditioned paths at rate lam are checked against the
     hard bound spacing <= 1/N.
     """
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    if any(not isinstance(n, (int, np.integer)) or n < 1 for n in n_values):
+        raise ValueError(f"jump counts n must be integers >= 1, got {tuple(n_values)}")
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples}")
     rows: list[SpacingRow] = []
@@ -344,10 +355,12 @@ def run_envelope_check(
         trials=int(trials),
         master_seed=int(seed),
     )
+    # the envelope refuses some inputs (lambda past MAX_ENVELOPE_LAMBDA), so
+    # evaluate it before any trial runs
+    points = [theory.greedy_mse_envelope(m, lam, sigma0_sq) for m in config.m_values]
     records = run_mse_curve(config, workers=workers)
     rows = []
-    for rec in records:
-        point = theory.greedy_mse_envelope(rec.m, lam, sigma0_sq)
+    for rec, point in zip(records, points):
         rows.append(
             EnvelopeRow(
                 lam=float(lam),

@@ -13,12 +13,14 @@ errors(path, schemes, m_values) builds one ladder per path (haar.ladder),
 so one per trial whatever the number of schemes, and reads every requested
 scheme's errors from it: the candidates are the
 scaling coefficient followed by the ladder in index order, and a scheme is
-an order over their squares plus a kept count per M. errors_discrete does
-the same for a finite coefficient list, with one set of squares. Squared
-errors come from Parseval: path energy minus kept energy for exact paths,
-sum of dropped squares for finite discrete coefficient lists. On every path
-and every M the schemes obey best <= greedy <= linear, and each scheme's
-error is non-increasing in M.
+an order over their squares plus a kept count per M. It is the one place an
+exact path's error is computed; select_* list the kept atoms and take their
+error from the same code. errors_discrete does the same for a finite
+coefficient list, with one set of squares. Squared errors come from
+Parseval: path energy minus kept energy for exact paths (exactly 0.0 once
+every candidate is kept), sum of dropped squares for finite discrete
+coefficient lists. On every path and every M the schemes obey
+best <= greedy <= linear, and each scheme's error is non-increasing in M.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ __all__ = [
 SCHEMES = ("linear", "greedy", "best")
 
 # Parseval subtraction of nearly equal sums can land a hair below zero;
-# anything further below is a genuine accounting bug.
+# anything further below, relative to the path energy, is an accounting bug.
 _NEGATIVE_ERROR_TOL = 1e-12
 
 
@@ -77,16 +79,21 @@ class Selection:
     certified: bool
 
 
-def _finish_error(energy_total: float, energy_kept: float) -> float:
-    err = energy_total - energy_kept
-    if err < 0.0:
-        if err < -_NEGATIVE_ERROR_TOL:
-            raise InvariantViolation(
-                f"kept energy exceeds path energy by {-err:.3e}; "
-                "coefficient accounting is inconsistent"
-            )
-        err = 0.0
-    return err
+def _finish_error(energy_total: float, kept_sq: list[float], count: int, size: int) -> float:
+    """Squared error of keeping the first count of size candidate squares:
+    exactly 0.0 when all are kept, since they hold every nonzero
+    coefficient, and the Parseval remainder otherwise."""
+    if count == size:
+        return 0.0
+    # fsum keeps each kept energy correctly rounded, so the scheme-ordering
+    # and monotonicity relations of the true sums carry over to floats
+    err = energy_total - math.fsum(kept_sq[:count])
+    if err < -_NEGATIVE_ERROR_TOL * energy_total:
+        raise InvariantViolation(
+            f"kept energy exceeds path energy {energy_total:.17g} by {-err:.3e}; "
+            "coefficient accounting is inconsistent"
+        )
+    return max(err, 0.0)
 
 
 def _check_m(m: int) -> None:
@@ -137,18 +144,18 @@ def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
     the tie order, their correctly rounded sum is the selection's.
     """
     _check_schemes(schemes)
-    lad, values = _candidates(path)
+    return _error_rows(path, *_candidates(path), schemes, m_values)
+
+
+def _error_rows(path, lad: Ladder, values: np.ndarray, schemes, m_values) -> list[list[float]]:
+    """One error list per scheme from the path's ladder and candidates."""
     sq = values**2
-    del values
     total = path.l2_norm_sq()
     rows = []
     for scheme in schemes:
         counts = [_kept_count(lad, scheme, sq.size, m) for m in m_values]
-        ordered = _keep_order(scheme, sq)
-        kept_sq = ordered[: max(counts, default=0)].tolist()
-        # fsum keeps each kept energy correctly rounded, so the scheme-ordering
-        # and monotonicity relations of the true sums carry over to floats
-        rows.append([_finish_error(total, math.fsum(kept_sq[:c])) for c in counts])
+        kept_sq = _keep_order(scheme, sq)[: max(counts, default=0)].tolist()
+        rows.append([_finish_error(total, kept_sq, c, sq.size) for c in counts])
     return rows
 
 
@@ -170,7 +177,7 @@ def _select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     else:
         past = itertools.islice(atoms_past(path, lad.resolution), m - len(kept))
         kept += [(atom, 0.0) for atom in past]
-    error = _finish_error(path.l2_norm_sq(), math.fsum(v * v for _, v in kept))
+    error = _error_rows(path, lad, values, (scheme,), [m])[0][0]
     return Selection(scheme=scheme, m=m, kept=tuple(kept), error_sq=error, certified=True)
 
 

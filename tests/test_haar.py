@@ -14,18 +14,18 @@ from cpwave import (
     atom_from_index,
     atom_index,
     coeff,
-    coeff_envelope,
     derive_stream,
     discrete_haar_forward,
     discrete_haar_inverse,
-    expand,
     jump_weight_scaling,
     jump_weight_wavelet,
     jumps_in_support,
     sample_grid,
     sample_path,
+    select_linear,
 )
 from cpwave.haar import atoms_past, ladder, nonzero_counts_by_scale, support
+from cpwave.schemes import linear_errors
 
 from test_processes import make_path
 
@@ -217,19 +217,6 @@ def test_coeff_zero_iff_no_jump_in_support():
             assert (c.value == 0.0) == (c.jump_count == 0)
 
 
-def test_coeff_envelope_examples_and_bound():
-    assert coeff_envelope(0, make_path([], [])) == 0.0
-    assert coeff_envelope(0, make_path([0.5], [2.0])) == pytest.approx(1.0)
-    for seed in range(10):
-        path = sample_path(10.0, LAW10, derive_stream(22, seed))
-        for j in range(0, 9):
-            env = coeff_envelope(j, path)
-            for k, value, _ in ladder_at(path, j):
-                assert abs(value) <= env + 1e-15
-        envs = [coeff_envelope(j, path) for j in range(12)]
-        assert all(a >= b for a, b in zip(envs, envs[1:]))
-
-
 # ---------------------------------------------------------------------------
 # the coefficient ladder
 
@@ -316,30 +303,34 @@ def test_nonzero_counts_by_scale_reach_any_target():
 
 
 # ---------------------------------------------------------------------------
-# expansion
+# expansion up to scale J: the first 2^(J+1) atoms, select_linear(path, 2**(J+1))
 
 
 def test_expand_zero_path():
-    exp = expand(make_path([], []), 4)
-    assert all(c.value == 0.0 and c.jump_count == 0 for c in exp.coefficients())
+    path = make_path([], [])
+    kept = select_linear(path, 2**5).kept
+    assert len(kept) == 2**5
+    assert all(v == 0.0 and jumps_in_support(path, atom) == 0 for atom, v in kept)
 
 
 def test_expand_dense_iterator_indexed_and_complete():
     path = make_path([0.3, 0.6], [1.0, -1.0])
-    exp = expand(path, 3)
-    coeffs = list(exp.coefficients())
-    assert len(coeffs) == 2**4
-    assert [atom_index(c.atom) for c in coeffs] == list(range(16))
-    for c in coeffs:
-        ref = coeff(path, c.atom)
-        assert c.value == ref.value and c.jump_count == ref.jump_count
+    kept = select_linear(path, 2**4).kept
+    assert len(kept) == 2**4
+    assert [atom_index(atom) for atom, _ in kept] == list(range(16))
+    lad = ladder(path)
+    counts = {(1 << int(j)) + int(k): int(c) for j, k, c in zip(lad.scale, lad.shift, lad.count)}
+    counts[0] = path.num_jumps
+    for atom, value in kept:
+        ref = coeff(path, atom)
+        assert value == ref.value and counts.get(atom_index(atom), 0) == ref.jump_count
 
 
 def test_expand_partial_energy_below_norm():
     for seed in range(20):
         path = sample_path(10.0, LAW10, derive_stream(23, seed))
-        exp = expand(path, 10)
-        assert exp.energy() <= path.l2_norm_sq() + 1e-12
+        energy = math.fsum(v * v for _, v in select_linear(path, 2**11).kept)
+        assert energy <= path.l2_norm_sq() + 1e-12
 
 
 def test_expand_tail_deficit_matches_geometric_sum():
@@ -348,18 +339,10 @@ def test_expand_tail_deficit_matches_geometric_sum():
     deficits = []
     for seed in range(10_000):
         path = sample_path(10.0, LAW10, derive_stream(24, seed))
-        deficits.append(path.l2_norm_sq() - expand(path, big_j).energy())
+        deficits.append(linear_errors(path, [2 ** (big_j + 1)])[0])
     assert all(d >= -1e-12 for d in deficits)
     expected = 2.0**-big_j / 12.0
     assert np.mean(deficits) == pytest.approx(expected, rel=0.10)
-
-
-def test_expand_guards():
-    path = make_path([0.3], [1.0])
-    with pytest.raises(ValueError):
-        expand(path, 31)
-    with pytest.raises(ValueError):
-        expand(path, -1)
 
 
 def test_per_scale_counts_exact_bounds():
@@ -473,9 +456,10 @@ def test_analytic_coeffs_match_grid_transform():
         grid = sample_grid(path, 16)
         d = discrete_haar_forward(grid) * 2.0**-8.0
         c0 = coeff(path, SCALING).value
-        assert abs(d[0] - c0) <= 2.0**-12 * max(abs(c0), coeff_envelope(0, path))
+        mass = float(np.abs(path.jump_heights).sum())  # envelope: mass * 2^(-j/2 - 1)
+        assert abs(d[0] - c0) <= 2.0**-12 * max(abs(c0), mass * 2.0**-1.0)
         for j in range(0, 4):
-            env = coeff_envelope(j, path)
+            env = mass * 2.0 ** (-j / 2.0 - 1.0)
             table = {k: v for k, v, _ in ladder_at(path, j)}
             for k in range(2**j):
                 value = table.get(k, 0.0)

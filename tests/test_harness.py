@@ -276,6 +276,16 @@ def test_spacing_check_rejects_tiny_sample():
         run_spacing_check(10.0, samples=10)
 
 
+@pytest.mark.parametrize("lam, n_values", [(10.0, (1, 0)), (-1.0, (1, 2)), (0.0, (1,))])
+def test_spacing_check_refuses_before_sampling(monkeypatch, lam, n_values):
+    def no_sampling(*args):
+        raise AssertionError("sampled before the input was checked")
+
+    monkeypatch.setattr(harness, "derive_stream", no_sampling)
+    with pytest.raises(ValueError, match="lambda|jump counts"):
+        run_spacing_check(lam, n_values=n_values, samples=1000)
+
+
 # ---------------------------------------------------------------------------
 # envelope check
 
@@ -288,6 +298,15 @@ def test_envelope_check_rows():
         assert row.envelope_hi == point.envelope_hi
         assert row.envelope_lo <= row.envelope_hi
         assert row.mean_inside and row.ci_overlap
+
+
+def test_envelope_check_refuses_before_simulating(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the envelope was evaluated")
+
+    monkeypatch.setattr(harness, "run_mse_curve", no_trials)
+    with pytest.raises(ValueError, match="exceeds"):
+        run_envelope_check(400.0, m_values=(4, 16), trials=10, seed=1)
 
 
 def test_envelope_check_lambda_ordering_at_m64():
@@ -385,11 +404,14 @@ def test_cli_stdout_bytes_equal_file_bytes(tmp_path, capsys, fmt):
 
 
 # sha256 of mse-curve CSVs written before the coefficient ladder replaced the
-# per-scale scans; the curves must stay byte-identical
+# per-scale scans; the curves must stay byte-identical. The lambda = 10 digest
+# was retaken when a selection that keeps every candidate began to report an
+# exact 0.0: only the greedy and best rows at M = 256 and 1024 changed, each
+# by the Parseval residue of those trials.
 @pytest.mark.parametrize(
     "lam, digest",
     [
-        ("10", "a6b7cd1bded059c4e0a51133df258c725409aaabb27b4ece1d633b8c92dee10c"),
+        ("10", "0e2cc6e8c77cb07a6d2c32ec67b65d5513c9a31794a56ea7c43ddf03290991ec"),
         ("500", "31ad5c2503d866556f9e27730bf4013bd425ca7431003aeff80d75bb734769c2"),
     ],
 )
@@ -453,6 +475,28 @@ def test_cli_rejects_workers_below_one(capsys, workers):
     err = capsys.readouterr().err
     assert "workers" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [(["--lambda", "10", "--n", "0"], "jump counts"), (["--lambda", "-1", "--n", "1,2"], "lambda")],
+)
+def test_cli_lemma_check_refuses_bad_input(capsys, argv, word):
+    assert run_cli("lemma-check", *argv, "--samples", "1000") == 2
+    err = capsys.readouterr().err
+    assert word in err and "numpy" not in err and "zero-size" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_gate_scales_with_path_energy(tmp_path):
+    # at sigma0^2 = 1e8 the Parseval remainder rounds about 1e-7 below zero,
+    # which is 1e-15 of the path energy: rounding, not an accounting bug
+    out = tmp_path / "loud.csv"
+    assert run_cli(
+        "mse-curve", "--process", "cp", "--lambda", "100", "--sigma0-sq", "1e8",
+        "--schemes", "greedy", "--m", "4096", "--trials", "50", "--seed", "1",
+        "--out", str(out),
+    ) == 0
 
 
 def test_cli_single_jump_paths_at_m_1024(tmp_path):

@@ -224,11 +224,13 @@ def test_single_jump_greedy_reaches_m_1024():
         assert len(sel.kept) == 1024
         assert sel.kept[-1][0] == Atom.wavelet(1022, int(0.37 * 2.0**1022))
         assert sel.error_sq == greedy_errors(path, [1024])[0]
+    # every candidate is kept, and they hold every nonzero coefficient
+    assert greedy_errors(path, [1024]) == [0.0]
 
 
 def test_near_zero_error_clamped_not_negative():
     # a single-jump path is fully captured once every occupied atom down to
-    # float resolution is kept; the Parseval remainder is then pure noise
+    # float resolution is kept; the error is then exactly 0.0, never negative
     path = make_path([0.5], [1.0])
     sel = select_greedy(path, 80)
     assert 0.0 <= sel.error_sq < 1e-12
