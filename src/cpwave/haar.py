@@ -159,7 +159,7 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
     heights = path.jump_heights
     if atom.kind == "scaling":
         count = path.num_jumps
-        value = float(math.fsum(heights * (1.0 - times))) if count else 0.0
+        value = math.fsum((heights * (1.0 - times)).tolist()) if count else 0.0
         return Coefficient(atom=atom, value=value, jump_count=count)
     lo, hi = support(atom)
     a = int(np.searchsorted(times, lo, side="left"))
@@ -172,9 +172,11 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
 
 
 class Ladder(NamedTuple):
-    """Every occupied wavelet atom at scales below a path's dyadic resolution,
-    in atom-index order, as parallel arrays. Shifts are exact integers held
-    as floats, because a shift at scale j reaches 2^j."""
+    """The occupied wavelet atoms at the scales a ladder was built for, in
+    atom-index order, as parallel arrays; `ladder(path)` builds every scale
+    below the path's dyadic resolution, `ladder(path, lo, hi)` only those in
+    [lo, hi). Shifts are exact integers held as floats, because a shift at
+    scale j reaches 2^j."""
 
     resolution: int
     scale: np.ndarray
@@ -182,32 +184,49 @@ class Ladder(NamedTuple):
     value: np.ndarray
     count: np.ndarray
 
+    def indices(self, stop: int) -> np.ndarray:
+        """Atom indices 2^scale + shift of the first stop atoms, as floats;
+        exact wherever they lie below 2^53."""
+        return _POW2[self.scale[:stop]] + self.shift[:stop]
 
-def ladder(path: CompoundPoissonPath) -> Ladder:
-    """The path's finite coefficient ladder.
+
+# per-scale factors of the ladder kernel: 2^j exactly, and the wavelet
+# amplitude -2^(-j/2) as `-(2.0 ** (-j / 2.0))` rounds it
+_POW2 = np.array([math.ldexp(1.0, j) for j in range(1024)])
+_AMPLITUDE = np.array([-(2.0 ** (-j / 2.0)) for j in range(1024)])
+
+
+def ladder(path: CompoundPoissonPath, lo: int = 0, hi: int | None = None) -> Ladder:
+    """The path's finite coefficient ladder, or only its scales lo <= j < hi.
 
     Every jump time is exactly m * 2^-e with m odd; the path's resolution is
     the largest such e. At every scale j >= resolution each jump sits alone
     at the left edge of its own atom, so those coefficients are exactly 0.0
-    and the ladder holds every nonzero coefficient. Each value is the
-    left-to-right sum, in jump order, of height * tent weight.
+    and the whole ladder, scales [0, e), holds every nonzero coefficient.
+    The built scales are [lo, min(hi, e)) for 0 <= lo; `resolution` is e
+    whatever the range. Each value is the left-to-right sum, in jump order,
+    of height * tent weight, so a scale's rows are the same whichever range
+    is built.
     """
+    if lo < 0:
+        raise ValueError(f"the lowest scale must be nonnegative, got {lo}")
     times, heights = path.jump_times, path.jump_heights
     n = times.size
     # t = bits * 2^(exponent - 53) with a 53-bit integer mantissa; its lowest
     # set bit, 2^(frexp exponent - 1), gives e = 54 - exponent - frexp exponent
     mantissa, exponent = np.frexp(times)
-    bits = np.ldexp(mantissa, 53).astype(np.int64)
+    bits = (mantissa * 2.0**53).astype(np.int64)
     e = int((54 - exponent - np.frexp(bits & -bits)[1]).max(initial=0))
     if e > 1023:  # t * 2^j overflows at j = 1024
         raise ValueError(
             f"jump times need {e} dyadic scales; a float path can be scaled to at most 1023"
         )
+    hi = max(lo, e if hi is None else min(hi, e))
     # One (scale, jump) block. Temporaries are computed in place and freed
     # early: a path with 500 jumps makes blocks of about 200 KB.
-    x = np.ldexp(times, np.arange(e)[:, None])  # t * 2^j, exact
+    x = times * _POW2[lo:hi, None]  # t * 2^j, exact
     k = np.floor(x)
-    new = np.empty((e, n), dtype=bool)
+    new = np.empty(x.shape, dtype=bool)
     new[:, :1] = True
     np.not_equal(k[:, 1:], k[:, :-1], out=new[:, 1:])  # the shift changes: a new atom
     new = new.ravel()
@@ -217,14 +236,15 @@ def ladder(path: CompoundPoissonPath) -> Ladder:
     np.subtract(1.0, x, out=k)
     np.minimum(x, k, out=x)
     del k
-    x *= np.array([-(2.0 ** (-j / 2.0)) for j in range(e)])[:, None]
+    x *= _AMPLITUDE[lo:hi, None]
     x *= heights
-    atom = np.cumsum(new)
-    atom -= 1
-    value = np.zeros(starts.size)
-    np.add.at(value, atom, x.ravel())  # sequential per atom, unlike reduceat
+    count = np.diff(starts, append=new.size)
+    # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
+    # no atoms at all it returns integers, hence the cast
+    atom = np.repeat(np.arange(starts.size), count)
+    value = np.bincount(atom, weights=x.ravel(), minlength=starts.size).astype(float, copy=False)
     del x, atom
-    return Ladder(e, starts // n, shift, value, np.diff(starts, append=new.size))
+    return Ladder(e, starts // n + lo, shift, value, count)
 
 
 def atoms_past(path: CompoundPoissonPath, resolution: int) -> Iterator[Atom]:

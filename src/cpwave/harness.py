@@ -23,6 +23,7 @@ from .processes import (
     MAX_GRID_LOG2,
     JumpLaw,
     brownian_grid,
+    check_expected_jumps,
     derive_stream,
     sample_grid,
     sample_path,
@@ -108,6 +109,8 @@ class ExperimentConfig:
             raise ValueError(f"jump_variance must be positive, got {self.jump_variance}")
         if not (0 <= int(self.master_seed) < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
+        if self.process == "cp":
+            self.jump_law()  # refuses a lambda with too many expected jumps
 
     def jump_law(self) -> JumpLaw:
         return JumpLaw.for_rate(self.lam, self.sigma0_sq, self.jump_variance)
@@ -273,11 +276,20 @@ def run_mse_curve(config: ExperimentConfig, workers: int = 1) -> list[CurveRecor
     return records
 
 
+_SPACING_BLOCK = 2**22  # uniforms drawn at once: 32 MB
+
+
 def _min_spacings(rng: np.random.Generator, rows: int, n: int) -> np.ndarray:
     """Minimum jump spacing, the first gap from 0 included, of each of rows
-    paths with n jumps at sorted uniform times."""
-    u = np.sort(rng.random((rows, n)), axis=1)
-    return np.diff(u, axis=1, prepend=0.0).min(axis=1)
+    paths with n jumps at sorted uniform times. Rows are drawn in blocks of
+    about _SPACING_BLOCK uniforms; the generator fills them in row order, so
+    the draws do not depend on the block size."""
+    out = np.empty(rows)
+    step = max(1, _SPACING_BLOCK // n)
+    for start in range(0, rows, step):
+        u = np.sort(rng.random((min(step, rows - start), n)), axis=1)
+        out[start : start + step] = np.diff(u, axis=1, prepend=0.0).min(axis=1)
+    return out
 
 
 def run_spacing_check(
@@ -299,6 +311,8 @@ def run_spacing_check(
         raise ValueError(f"lambda must be positive and finite, got {lam}")
     if any(not isinstance(n, (int, np.integer)) or n < 1 for n in n_values):
         raise ValueError(f"jump counts n must be integers >= 1, got {tuple(n_values)}")
+    check_expected_jumps(lam)
+    check_expected_jumps(max(n_values, default=0), "jump count n")
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples}")
     rows: list[SpacingRow] = []

@@ -24,9 +24,17 @@ __all__ = [
     "sample_grid",
     "brownian_grid",
     "MAX_GRID_LOG2",
+    "MAX_EXPECTED_JUMPS",
+    "check_expected_jumps",
 ]
 
 MAX_GRID_LOG2 = 24  # 2^24 samples is the largest grid we allow in memory
+
+# Sampled jump times are multiples of 2^-53, so a path's whole coefficient
+# ladder is a (53 x N) block of 8-byte cells, and building it keeps about
+# five such temporaries alive at once (measured at N = 10^5: 4.9 blocks).
+# Paths whose expected jump count would take that past 2 GiB are refused.
+MAX_EXPECTED_JUMPS = 2**31 // (53 * 8 * 5)
 
 
 def derive_stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -43,6 +51,16 @@ def derive_stream(master_seed: int, stream_index: int = 0) -> np.random.Generato
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(stream_index),))
     return np.random.default_rng(seq)
+
+
+def check_expected_jumps(count: float, name: str = "lambda") -> None:
+    """Refuse an expected jump count whose coefficient ladder cannot fit in
+    memory, before anything of that size is allocated."""
+    if count > MAX_EXPECTED_JUMPS:
+        raise ValueError(
+            f"{name} {count:g} exceeds {MAX_EXPECTED_JUMPS} expected jumps, "
+            "the most whose coefficient ladder fits in memory"
+        )
 
 
 @dataclass(frozen=True)
@@ -62,6 +80,7 @@ class JumpLaw:
         default sigma0_sq / lam, which gives the process variance sigma0_sq."""
         if not (math.isfinite(lam) and lam > 0):
             raise ValueError(f"lambda must be positive and finite, got {lam}")
+        check_expected_jumps(lam)
         return cls(variance=sigma0_sq / lam if variance is None else variance)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -142,7 +161,7 @@ class CompoundPoissonPath:
         # the path sits at cumsum(heights)[i] on [tau_i, tau_{i+1}) and at 0 before tau_1
         levels = np.cumsum(self.jump_heights)
         lengths = np.diff(np.concatenate((self.jump_times, [1.0])))
-        return float(math.fsum((levels * levels) * lengths))
+        return math.fsum(((levels * levels) * lengths).tolist())
 
 
 @dataclass(frozen=True, eq=False)

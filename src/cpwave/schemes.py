@@ -7,20 +7,29 @@ Three ways of keeping M coefficients of the Haar expansion:
   jump (a structural test, never a floating-point threshold);
 * best    - the M largest-magnitude coefficients of the full infinite
   expansion, ties to the smaller index. The path's coefficient ladder
-  holds every nonzero coefficient, so this needs no stopping rule.
+  holds every nonzero coefficient, and a certificate says when its first
+  scales already hold the M largest.
 
 errors(path, schemes, m_values) builds one ladder per path (haar.ladder),
 so one per trial whatever the number of schemes, and reads every requested
-scheme's errors from it: the candidates are the
-scaling coefficient followed by the ladder in index order, and a scheme is
-an order over their squares plus a kept count per M. It is the one place an
-exact path's error is computed; select_* list the kept atoms and take their
-error from the same code. errors_discrete does the same for a finite
-coefficient list, with one set of squares. Squared errors come from
+scheme's errors from it: the candidates are the scaling coefficient
+followed by the ladder in index order, and a scheme is an order over their
+squares plus a kept count per M. The ladder is first built only down to a
+depth d and is extended once, by the scales [d, resolution), unless a
+certificate shows that the scales below d already give every requested
+scheme its exact errors up to K = max M: linear keeps only atoms of index
+below K, all at scales below bit_length(K); greedy needs K candidates; and
+best needs a bound on every coefficient at scales >= d, from the jump
+counts at scale d - 1 and the largest jump height, to lie strictly below
+the K-th largest built square. No scale is built twice. errors is the one
+place an exact path's error is computed; select_* list the kept atoms and
+take their error from the same code. errors_discrete does the same for a
+finite coefficient list, with one set of squares. Squared errors come from
 Parseval: path energy minus kept energy for exact paths (exactly 0.0 once
-every candidate is kept), sum of dropped squares for finite discrete
-coefficient lists. On every path and every M the schemes obey
-best <= greedy <= linear, and each scheme's error is non-increasing in M.
+every candidate of the whole ladder is kept), sum of dropped squares for
+finite discrete coefficient lists. On every path and every M the schemes
+obey best <= greedy <= linear, and each scheme's error is non-increasing
+in M.
 """
 
 from __future__ import annotations
@@ -79,11 +88,11 @@ class Selection:
     certified: bool
 
 
-def _finish_error(energy_total: float, kept_sq: list[float], count: int, size: int) -> float:
-    """Squared error of keeping the first count of size candidate squares:
-    exactly 0.0 when all are kept, since they hold every nonzero
-    coefficient, and the Parseval remainder otherwise."""
-    if count == size:
+def _finish_error(energy_total: float, kept_sq: list[float], count: int, every: bool) -> float:
+    """Squared error of keeping the first count candidate squares: exactly
+    0.0 when every candidate of a whole ladder is kept, since they hold
+    every nonzero coefficient, and the Parseval remainder otherwise."""
+    if every:
         return 0.0
     # fsum keeps each kept energy correctly rounded, so the scheme-ordering
     # and monotonicity relations of the true sums carry over to floats
@@ -101,27 +110,25 @@ def _check_m(m: int) -> None:
         raise ValueError(f"M must be a nonnegative integer, got {m}")
 
 
-def _candidates(path: CompoundPoissonPath):
-    """The path's ladder and its candidate values: the scaling coefficient,
-    then the ladder, in index order."""
-    lad = ladder(path)
-    values = lad.value
-    if path.num_jumps:
-        values = np.concatenate(([coeff(path, SCALING).value], values))
-    return lad, values
+def _candidates(path: CompoundPoissonPath, lad: Ladder) -> np.ndarray:
+    """Candidate values: the scaling coefficient, then the ladder, in index
+    order."""
+    if not path.num_jumps:
+        return lad.value
+    return np.concatenate(([coeff(path, SCALING).value], lad.value))
 
 
-def _kept_count(lad: Ladder, scheme: str, size: int, m: int) -> int:
-    """How many of the size candidates, in keep order, the scheme keeps at M.
-    Past the candidates every coefficient is 0.0, so only these count."""
+def _kept_counts(lad: Ladder, scheme: str, size: int, m_values) -> list[int]:
+    """How many of the size candidates, in keep order, the scheme keeps at
+    each M. Past the candidates every coefficient is 0.0, so only these
+    count; linear keeps the candidates whose atom index is below M."""
     if scheme != "linear":
-        return min(int(m), size)
-    if m == 0 or size == 0:
-        return 0
-    j = int(m).bit_length() - 1  # atom m sits at scale j, shift m - 2^j
-    # the float shifts compare exactly with every shift below 2^53
-    lo, hi = np.searchsorted(lad.scale, [j, j + 1])
-    return 1 + int(lo + np.searchsorted(lad.shift[lo:hi], int(m) - (1 << j)))
+        return [min(int(m), size) for m in m_values]
+    # every atom at a scale of at least bit_length(max M) has an index past
+    # every M, and the indices below are exact for every M up to 2^53
+    stop = np.searchsorted(lad.scale, int(max(m_values, default=0)).bit_length())
+    below = np.searchsorted(lad.indices(stop), np.asarray(m_values, dtype=float)).tolist()
+    return [int(m > 0 and size > 0) + c for m, c in zip(m_values, below)]
 
 
 def _check_schemes(schemes) -> None:
@@ -129,40 +136,94 @@ def _check_schemes(schemes) -> None:
         raise ValueError(f"schemes must be a subset of {SCHEMES}, got {tuple(schemes)}")
 
 
-def _keep_order(scheme: str, sq: np.ndarray) -> np.ndarray:
-    """Squares in the scheme's keep order: largest first for best, index
-    order for the others."""
-    return np.sort(sq)[::-1] if scheme == "best" else sq
+def _kept_prefix(scheme: str, sq: np.ndarray, k: int) -> np.ndarray:
+    """The first k squares (all, when there are fewer) in the scheme's keep
+    order: largest first for best, index order for the others."""
+    if scheme != "best" or k == 0:
+        return sq[:k]
+    if k >= sq.size:
+        return np.sort(sq)[::-1]
+    return np.sort(np.partition(sq, sq.size - k)[sq.size - k :])[::-1]
+
+
+def _certified(path: CompoundPoissonPath, lad: Ladder, depth: int, k: int, kept) -> bool:
+    """Whether a ladder built below depth (>= 1) serves every scheme in kept
+    exactly as the whole ladder would, at every M <= k.
+
+    Linear keeps only atoms of index below k, all at scales below
+    bit_length(k); greedy keeps the first k candidates in index order. An
+    atom at scale j >= depth holds at most the c jumps of its ancestor at
+    scale depth - 1, each weighted by at most 2^(-j/2-1) in magnitude, so its
+    square is at most (c * max|h|)^2 * 2^(-depth-2); best's top k is already
+    built when that bound, widened for rounding, is below the k-th largest
+    built square.
+    """
+    if "linear" in kept and depth < k.bit_length():
+        return False
+    if any(kept[s].size < k for s in ("greedy", "best") if s in kept):
+        return False
+    if "best" not in kept or k == 0:
+        return True
+    c = int(lad.count[np.searchsorted(lad.scale, depth - 1) :].max())
+    a = c * float(np.abs(path.jump_heights).max())
+    # the relative margin covers the rounding of c-term sums and their
+    # squares; the absolute one covers squares that underflow
+    bound = a * a * 2.0 ** (-depth - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
+    return bound < kept["best"][-1]
+
+
+def _first_depth(n: int, k: int) -> int:
+    """The depth errors first builds a path with n jumps to, for M <= k.
+
+    Atoms start to hold single jumps near scale bit_length(n), and the k
+    largest squares sit about k / n scales below it; the certificate's
+    worst-case bound falls below them about 8 scales further down (on
+    sampled paths at rates 30 to 2000 and k up to 4096, 8 was the least
+    margin that never extended). The depth is also at least
+    bit_length(k), which linear needs.
+    """
+    return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
 def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
     """Exact squared errors of every scheme in schemes at each M in m_values,
     one list per scheme, all read from one ladder.
 
-    Linear and greedy keep candidates in index order; best keeps the largest
-    squares first, and since the top-c squares form one multiset whatever
-    the tie order, their correctly rounded sum is the selection's.
+    The ladder is built to a first depth, and extended once to the path's
+    resolution unless the certificate in the module docstring holds there
+    for every requested scheme up to the largest M. Linear and greedy keep
+    candidates in index order; best keeps the largest squares first, and
+    since the top-c squares form one multiset whatever the tie order, their
+    correctly rounded sum is the selection's.
     """
     _check_schemes(schemes)
-    return _error_rows(path, *_candidates(path), schemes, m_values)
-
-
-def _error_rows(path, lad: Ladder, values: np.ndarray, schemes, m_values) -> list[list[float]]:
-    """One error list per scheme from the path's ladder and candidates."""
-    sq = values**2
+    k = int(max(m_values, default=0))
+    depth = _first_depth(path.num_jumps, k)
+    lad = ladder(path, 0, depth)
+    e = lad.resolution
+    depth = min(depth, e)
+    sq = _candidates(path, lad) ** 2
+    kept = {s: _kept_prefix(s, sq, k) for s in schemes}
+    if depth < e and not _certified(path, lad, depth, k, kept):
+        rest = ladder(path, depth)
+        lad = Ladder(e, *map(np.concatenate, zip(lad[1:], rest[1:])))
+        sq = np.concatenate((sq, rest.value**2))
+        kept = {s: _kept_prefix(s, sq, k) for s in schemes}
+        depth = e
     total = path.l2_norm_sq()
     rows = []
     for scheme in schemes:
-        counts = [_kept_count(lad, scheme, sq.size, m) for m in m_values]
-        kept_sq = _keep_order(scheme, sq)[: max(counts, default=0)].tolist()
-        rows.append([_finish_error(total, kept_sq, c, sq.size) for c in counts])
+        counts = _kept_counts(lad, scheme, sq.size, m_values)
+        prefix = kept[scheme].tolist()
+        rows.append([_finish_error(total, prefix, c, depth == e and c == sq.size) for c in counts])
     return rows
 
 
 def _select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     _check_m(m)
-    lad, values = _candidates(path)
-    count = _kept_count(lad, scheme, values.size, m)
+    lad = ladder(path)
+    values = _candidates(path, lad)
+    (count,) = _kept_counts(lad, scheme, values.size, [m])
     if scheme == "best":  # a stable sort sends ties to the smaller index
         picked = np.sort(np.argsort(-np.abs(values), kind="stable")[:count]).tolist()
     else:
@@ -177,7 +238,7 @@ def _select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     else:
         past = itertools.islice(atoms_past(path, lad.resolution), m - len(kept))
         kept += [(atom, 0.0) for atom in past]
-    error = _error_rows(path, lad, values, (scheme,), [m])[0][0]
+    error = errors(path, (scheme,), [m])[0][0]
     return Selection(scheme=scheme, m=m, kept=tuple(kept), error_sq=error, certified=True)
 
 
@@ -261,7 +322,8 @@ def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
     sq = c**2
     rows = []
     for scheme in schemes:
-        ordered = _keep_order(scheme, sq[c != 0.0] if scheme == "greedy" else sq).tolist()
+        pool = sq[c != 0.0] if scheme == "greedy" else sq
+        ordered = _kept_prefix(scheme, pool, pool.size).tolist()
         # each fsum is the correctly rounded true sum, so the ordering between
         # schemes and the monotonicity in M survive in floating point
         rows.append([math.fsum(ordered[m:]) for m in m_values])

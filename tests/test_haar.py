@@ -272,6 +272,22 @@ def test_ladder_equals_per_jump_reference(path):
     assert past == expected
 
 
+@given(hand_paths(), st.integers(0, 60), st.integers(0, 60))
+@example(make_path([], []), 0, 5)
+@example(make_path([0.375, 0.5], [1.0, -2.0]), 3, 0)  # lo at the resolution
+@settings(max_examples=150, deadline=None)
+def test_ladder_range_equals_rows_of_whole_ladder(path, lo, width):
+    whole = ladder(path)
+    for hi in (lo + width, None):
+        part = ladder(path, lo, hi)
+        top = whole.resolution if hi is None else hi
+        rows = (whole.scale >= lo) & (whole.scale < top)
+        assert part.resolution == whole.resolution
+        for got, full in zip(part[1:], whole[1:]):
+            assert got.dtype == full.dtype
+            assert got.tobytes() == full[rows].tobytes()
+
+
 def test_ladder_empty_path():
     lad = ladder(make_path([], []))
     assert lad.resolution == 0 and lad.value.size == 0

@@ -90,16 +90,33 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
     built = []
     real_ladder = schemes.ladder
 
-    def counting_ladder(path):
-        built.append(path)
-        return real_ladder(path)
+    def counting_ladder(path, lo=0, hi=None):
+        lad = real_ladder(path, lo, hi)
+        built.append((path, lo, lad.resolution if hi is None else min(hi, lad.resolution), lad))
+        return lad
 
     monkeypatch.setattr(schemes, "ladder", counting_ladder)
-    cfg = small_config()
-    assert len(cfg.schemes) == 3
-    for t in range(cfg.trials):
-        _trial_errors(cfg, t)
-    assert len(built) == cfg.trials
+    truncated = 0
+    for cfg in (small_config(), small_config(lam=500.0, m_values=(4, 64, 1024))):
+        assert len(cfg.schemes) == 3
+        k = max(cfg.m_values)
+        for t in range(cfg.trials):
+            built.clear()
+            rows = _trial_errors(cfg, t)
+            assert [len(row) for row in rows] == [len(cfg.m_values)] * 3
+            # the calls build consecutive scale ranges from 0, none twice
+            path, lo, hi, lad = built[0]
+            assert lo == 0
+            assert [b[1] for b in built[1:]] == [a[2] for a in built[:-1]]
+            assert all(b[0] is path for b in built)
+            # one call when the first ladder is whole or its certificate holds
+            sq = schemes._candidates(path, lad) ** 2
+            kept = {s: schemes._kept_prefix(s, sq, k) for s in cfg.schemes}
+            holds = hi == lad.resolution or schemes._certified(path, lad, hi, k, kept)
+            assert len(built) == (1 if holds else 2)
+            assert built[-1][2] == lad.resolution or holds
+            truncated += holds and hi < lad.resolution
+    assert truncated > 0
 
 
 def test_mean_is_fsum_of_trial_errors():
@@ -485,6 +502,33 @@ def test_cli_lemma_check_refuses_bad_input(capsys, argv, word):
     assert run_cli("lemma-check", *argv, "--samples", "1000") == 2
     err = capsys.readouterr().err
     assert word in err and "numpy" not in err and "zero-size" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mse-curve", "--process", "cp", "--lambda", "1e9", "--trials", "1"],
+        ["mse-curve", "--process", "cp", "--lambda", "1e9", "--trials", "4", "--workers", "2"],
+        ["simulate", "--lambda", "1e9"],
+        ["dict-compare", "--lambda", "1e9", "--trials", "1"],
+        ["lemma-check", "--lambda", "1e9", "--samples", "1000"],
+        ["lemma-check", "--n", "1,100000000", "--samples", "1000"],
+    ],
+    ids=["mse-curve", "mse-curve-pool", "simulate", "dict-compare", "lemma-lambda", "lemma-n"],
+)
+def test_cli_refuses_jump_counts_beyond_memory(monkeypatch, capsys, argv):
+    # a regression must fail here at once, not allocate a billion jumps
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the expected jump count was checked")
+
+    for module in (harness, cli):
+        monkeypatch.setattr(module, "sample_path", no_sampling)
+        monkeypatch.setattr(module, "derive_stream", no_sampling)
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_sampling)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "expected jumps" in err
     assert len(err.strip().splitlines()) == 1
 
 

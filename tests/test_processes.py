@@ -16,6 +16,7 @@ from cpwave import (
     sample_grid,
     sample_path,
 )
+from cpwave.processes import MAX_EXPECTED_JUMPS
 
 LAW10 = JumpLaw(variance=0.1)
 
@@ -283,3 +284,11 @@ def test_constructor_validation():
         brownian_grid(-1.0, 10, derive_stream(18, 0))
     with pytest.raises(ValueError):
         derive_stream(-1, 0)
+
+
+def test_jump_law_refuses_rates_beyond_memory():
+    assert JumpLaw.for_rate(float(MAX_EXPECTED_JUMPS)).variance == 1.0 / MAX_EXPECTED_JUMPS
+    with pytest.raises(ValueError, match="expected jumps"):
+        JumpLaw.for_rate(MAX_EXPECTED_JUMPS * 1.0001)
+    with pytest.raises(ValueError, match="expected jumps"):
+        JumpLaw.for_rate(1e9, variance=1.0)

@@ -20,7 +20,8 @@ from cpwave import (
     select_linear,
     select_linear_discrete,
 )
-from cpwave.haar import support, coeff
+from cpwave import schemes as schemes_module
+from cpwave.haar import coeff, ladder, support
 from cpwave.schemes import (
     SCHEMES,
     best_errors,
@@ -32,7 +33,7 @@ from cpwave.schemes import (
 )
 from cpwave.theory import nonzero_scale_bounds
 
-from test_haar import scale_table
+from test_haar import hand_paths, scale_table
 from test_processes import make_path
 
 LAW10 = JumpLaw(variance=0.1)
@@ -303,6 +304,111 @@ def test_errors_rows_equal_views_and_selections(path):
     assert rows == [linear_errors(path, ms), greedy_errors(path, ms), best_errors(path, ms)]
     for row, select in zip(rows, (select_linear, select_greedy, select_best)):
         assert row == [select(path, m).error_sq for m in ms]
+
+
+def reference_errors(path, scheme, ms):
+    """Errors read from the whole ladder with no depth bound: the scaling
+    coefficient and every ladder atom as candidates, best by a full sort,
+    linear by comparing each atom index with M, 0.0 once every candidate is
+    kept and the Parseval remainder otherwise."""
+    lad = ladder(path)
+    values = ([coeff(path, SCALING).value] if path.num_jumps else []) + lad.value.tolist()
+    sq = (np.array(values) ** 2).tolist()
+    index = [0] + [(1 << int(j)) + int(k) for j, k in zip(lad.scale, lad.shift)]
+    order = sorted(sq, reverse=True) if scheme == "best" else sq
+    total = path.l2_norm_sq()
+    out = []
+    for m in ms:
+        if scheme == "linear":
+            count = sum(i < m for i in index[: len(sq)])
+        else:
+            count = min(m, len(sq))
+        out.append(0.0 if count == len(sq) else max(total - math.fsum(order[:count]), 0.0))
+    return out
+
+
+@st.composite
+def spiked_paths(draw):
+    """A tight cluster of jumps with one height 10^6 times the others, so the
+    depth certificate's worst-case bound is far above most squares."""
+    centre = draw(st.floats(0.1, 0.9))
+    size = draw(st.integers(2, 8))
+    gap = draw(st.integers(20, 50))
+    heights = draw(st.lists(st.floats(0.5, 2.0), min_size=size, max_size=size))
+    heights[draw(st.integers(0, size - 1))] *= 1e6
+    return make_path([centre + i * 2.0**-gap for i in range(size)], heights)
+
+
+LAW500 = JumpLaw.for_rate(500.0)
+M_1024 = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
+
+
+def test_errors_equal_whole_ladder_reference():
+    branches = set()
+
+    @given(
+        st.one_of(
+            hand_paths(),
+            tie_prone_paths(),
+            spiked_paths(),
+            st.integers(0, 2**20).map(lambda s: sample_path(500.0, LAW500, derive_stream(36, s))),
+        ),
+        st.lists(st.integers(0, 2000), min_size=1, max_size=6),
+        st.sampled_from([SCHEMES, ("best",), ("greedy",), ("linear",), ("best", "linear")]),
+    )
+    @example(sample_path(500.0, LAW500, derive_stream(36, 0)), M_1024 + [4096], SCHEMES)
+    @example(make_path([0.3 + i * 2.0**-40 for i in range(4)], [1.0, 1e6, -1.5, 0.7]), [0, 5, 21], SCHEMES)
+    @example(make_path([0.3 + i * 2.0**-40 for i in range(4)], [1.0, 1e6, -1.5, 0.7]), [3], ("best",))
+    # the coarse atoms of the +-10^6 pair nearly cancel; it separates near
+    # scale 44, so best's top 10 lies far below the first depth
+    @example(make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]), [1, 10], ("best",))
+    # two equal jumps 2^-50 apart near 2^-17 share their atoms well past the
+    # first depth, where their summed value beats a one-jump bound
+    @example(
+        make_path(
+            [6.607284542294633e-06, 6.607284542294633e-06 + 2.0**-50, 0.5699306398490204,
+             0.8982919661062986],
+            [1.0, 1.0, 0.3846932332327875, -0.8087581900334564],
+        ),
+        [19],
+        ("best",),
+    )
+    @example(make_path([0.25, 0.75], [1.0, -1.0]), [0], SCHEMES)
+    @example(make_path([], []), [0, 7], SCHEMES)
+    @settings(max_examples=100, deadline=None)
+    def check(path, ms, chosen):
+        calls = []
+        real_ladder = schemes_module.ladder
+
+        def counting_ladder(path, lo=0, hi=None):
+            lad = real_ladder(path, lo, hi)
+            calls.append(lad.resolution if hi is None else min(hi, lad.resolution))
+            return lad
+
+        schemes_module.ladder = counting_ladder
+        try:
+            rows = errors(path, chosen, ms)
+        finally:
+            schemes_module.ladder = real_ladder
+        expected = [reference_errors(path, scheme, ms) for scheme in chosen]
+        assert rows == expected
+        e = real_ladder(path, 0, 0).resolution
+        if len(calls) == 2:
+            branches.add("extended")
+        elif calls[0] < e:
+            branches.add("truncated")
+        # the certificate, not the first depth, makes the errors exact: any
+        # first depth gives the same rows
+        real_first_depth = schemes_module._first_depth
+        try:
+            for depth in range(e + 2):
+                schemes_module._first_depth = lambda n, k: depth
+                assert errors(path, chosen, ms) == expected
+        finally:
+            schemes_module._first_depth = real_first_depth
+
+    check()
+    assert branches == {"truncated", "extended"}
 
 
 def reference_errors_discrete(coeffs, scheme, ms):
