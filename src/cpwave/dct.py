@@ -13,7 +13,7 @@ import numpy as np
 import scipy.fft
 
 from .processes import SampledPath
-from .schemes import best_errors_discrete
+from .schemes import errors_discrete
 
 __all__ = ["DctCoeffs", "dct2_forward", "dct2_inverse", "dct_best_m_error"]
 
@@ -68,4 +68,5 @@ def dct_best_m_error(samples, m: int) -> float:
     n = values.size
     if not isinstance(m, (int, np.integer)) or not (0 <= m <= n):
         raise ValueError(f"M must be an integer in [0, {n}], got {m}")
-    return best_errors_discrete(scipy.fft.dct(values, type=2, norm="ortho"), [m])[0] / n
+    coeffs = scipy.fft.dct(values, type=2, norm="ortho")
+    return errors_discrete(coeffs, ("best",), [m])[0][0] / n

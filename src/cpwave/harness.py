@@ -173,30 +173,37 @@ class SpacingCheckResult:
 # per-trial work
 
 
-def _trial_errors(config: ExperimentConfig, trial: int) -> tuple[tuple[float, ...], ...]:
-    """Squared errors for one trial: one tuple per scheme, one entry per M."""
+def _trial_errors(
+    config: ExperimentConfig, trial: int, dictionaries: tuple[str, ...] = ()
+) -> tuple[tuple[float, ...], ...]:
+    """Squared errors for one trial: one tuple per (dictionary, scheme) pair,
+    dictionary-major, one entry per M. The dictionaries default to the
+    config's own; all of them read the trial's one path or grid."""
+    dictionaries = dictionaries or (config.dictionary,)
     stream = derive_stream(config.master_seed, trial)
     ms = config.m_values
-    if config.dictionary == "haar_analytic":
-        path = sample_path(config.lam, config.jump_law(), stream)
-        rows = tuple(map(tuple, schemes.errors(path, config.schemes, ms)))
-    else:
-        if config.process == "cp":
-            path = sample_path(config.lam, config.jump_law(), stream)
+    path = sample_path(config.lam, config.jump_law(), stream) if config.process == "cp" else None
+    samples = None
+    if dictionaries != ("haar_analytic",):
+        if path is not None:
             samples = sample_grid(path, config.grid_log2)
         else:
             samples = brownian_grid(config.sigma0_sq, config.grid_log2, stream)
-        if config.dictionary == "haar_discrete":
-            coeffs = discrete_haar_forward(samples)
+    norm = float(2**config.grid_log2)
+    rows = []
+    for dictionary in dictionaries:
+        if dictionary == "haar_analytic":
+            errs = tuple(map(tuple, schemes.errors(path, config.schemes, ms)))
         else:
-            coeffs = dct_mod.dct2_forward(samples).values
-        norm = float(2**config.grid_log2)
-        rows = tuple(
-            tuple(e / norm for e in errs)
-            for errs in schemes.errors_discrete(coeffs, config.schemes, ms)
-        )
-    _assert_trial_invariants(config, trial, rows)
-    return rows
+            if dictionary == "haar_discrete":
+                coeffs = discrete_haar_forward(samples)
+            else:
+                coeffs = dct_mod.dct2_forward(samples).values
+            discrete = schemes.errors_discrete(coeffs, config.schemes, ms)
+            errs = tuple(tuple(e / norm for e in row) for row in discrete)
+        _assert_trial_invariants(config, trial, errs)
+        rows.extend(errs)
+    return tuple(rows)
 
 
 def _assert_trial_invariants(
@@ -219,13 +226,18 @@ def _assert_trial_invariants(
                     )
 
 
-def _run_trials(config: ExperimentConfig, workers: int) -> list[tuple[tuple[float, ...], ...]]:
+def _run_trials(
+    config: ExperimentConfig, dictionaries: tuple[str, ...], workers: int
+) -> list[tuple[tuple[float, ...], ...]]:
     trials = range(config.trials)
     if workers <= 1:
-        return [_trial_errors(config, t) for t in trials]
+        return [_trial_errors(config, t, dictionaries) for t in trials]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         chunk = max(1, config.trials // (workers * 8))
-        return list(pool.map(_trial_errors, [config] * config.trials, trials, chunksize=chunk))
+        n = config.trials
+        return list(
+            pool.map(_trial_errors, [config] * n, trials, [dictionaries] * n, chunksize=chunk)
+        )
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float, float]:
@@ -233,8 +245,17 @@ def _mean_ci(values: list[float]) -> tuple[float, float, float]:
     mean = math.fsum(values) / n
     if n == 1:
         return mean, mean, mean
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-    half = _CI_Z * math.sqrt(var / n)
+    try:
+        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        half = _CI_Z * math.sqrt(var / n)
+    except OverflowError:
+        # a squared deviation or their sum passed the float max: scale the
+        # deviations into [1/2, 1) by a power of two, which is exact for
+        # normal values, as is the square root of its square
+        top = max(abs(v - mean) for v in values)
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        var = math.fsum(((v - mean) * scale) ** 2 for v in values) / (n - 1)
+        half = _CI_Z * math.sqrt(var / n) / scale
     return mean, mean - half, mean + half
 
 
@@ -242,25 +263,25 @@ def _db(mean: float) -> float:
     return 10.0 * math.log10(mean) if mean > 0.0 else float("-inf")
 
 
-def run_mse_curve(config: ExperimentConfig, workers: int = 1) -> list[CurveRecord]:
-    """Monte Carlo MSE curve for every (scheme, M) in the config.
-
-    Deterministic for a fixed master seed: each trial draws from its own
-    derived stream and the reduction is done in trial order.
-    """
+def _run_curves(
+    config: ExperimentConfig, dictionaries: tuple[str, ...], workers: int
+) -> list[CurveRecord]:
+    """Monte Carlo MSE curves for every (dictionary, scheme, M), in that
+    order, with every dictionary read from the same trials."""
     config.validate()
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers}")
-    per_trial = _run_trials(config, workers)
+    per_trial = _run_trials(config, dictionaries, workers)
+    curves = [(dictionary, scheme) for dictionary in dictionaries for scheme in config.schemes]
     records = []
-    for si, scheme in enumerate(config.schemes):
+    for ci, (dictionary, scheme) in enumerate(curves):
         for mi, m in enumerate(config.m_values):
-            mean, ci_lo, ci_hi = _mean_ci([per_trial[t][si][mi] for t in range(config.trials)])
+            mean, ci_lo, ci_hi = _mean_ci([per_trial[t][ci][mi] for t in range(config.trials)])
             records.append(
                 CurveRecord(
                     process=config.process,
                     scheme=scheme,
-                    dictionary=config.dictionary,
+                    dictionary=dictionary,
                     lam=config.lam,
                     sigma0_sq=config.sigma0_sq,
                     m=int(m),
@@ -274,6 +295,15 @@ def run_mse_curve(config: ExperimentConfig, workers: int = 1) -> list[CurveRecor
                 )
             )
     return records
+
+
+def run_mse_curve(config: ExperimentConfig, workers: int = 1) -> list[CurveRecord]:
+    """Monte Carlo MSE curve for every (scheme, M) in the config.
+
+    Deterministic for a fixed master seed: each trial draws from its own
+    derived stream and the reduction is done in trial order.
+    """
+    return _run_curves(config, (config.dictionary,), workers)
 
 
 _SPACING_BLOCK = 2**22  # uniforms drawn at once: 32 MB
@@ -315,6 +345,10 @@ def run_spacing_check(
     check_expected_jumps(max(n_values, default=0), "jump count n")
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples}")
+    # a delta past 1/n for some n is skipped for that n; outside [0, 1] it
+    # fits no n at all
+    if delta_grid is not None and not all(0.0 <= d <= 1.0 for d in delta_grid):
+        raise ValueError(f"delta must lie in [0, 1], got {tuple(delta_grid)}")
     rows: list[SpacingRow] = []
     for n in n_values:
         delta = _min_spacings(derive_stream(seed, int(n)), samples, int(n))
@@ -402,22 +436,22 @@ def run_dict_compare(
     workers: int = 1,
 ) -> list[CurveRecord]:
     """Best-M error curves for {cp, bm} x {haar_discrete, dct} on one grid
-    and one seed set."""
+    and one seed set: each trial samples one path or grid per process and
+    reads both dictionaries from it."""
     records = []
     for process in ("cp", "bm"):
-        for dictionary in ("haar_discrete", "dct"):
-            config = ExperimentConfig(
-                process=process,
-                schemes=("best",),
-                dictionary=dictionary,
-                m_values=tuple(int(m) for m in m_values),
-                lam=float(lam) if process == "cp" else None,
-                sigma0_sq=float(sigma0_sq),
-                grid_log2=int(grid_log2),
-                trials=int(trials),
-                master_seed=int(seed),
-            )
-            records.extend(run_mse_curve(config, workers=workers))
+        config = ExperimentConfig(
+            process=process,
+            schemes=("best",),
+            dictionary="haar_discrete",
+            m_values=tuple(int(m) for m in m_values),
+            lam=float(lam) if process == "cp" else None,
+            sigma0_sq=float(sigma0_sq),
+            grid_log2=int(grid_log2),
+            trials=int(trials),
+            master_seed=int(seed),
+        )
+        records.extend(_run_curves(config, ("haar_discrete", "dct"), workers))
     return records
 
 

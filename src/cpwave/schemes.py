@@ -24,12 +24,15 @@ counts at scale d - 1 and the largest jump height, to lie strictly below
 the K-th largest built square. No scale is built twice. errors is the one
 place an exact path's error is computed; select_* list the kept atoms and
 take their error from the same code. errors_discrete does the same for a
-finite coefficient list, with one set of squares. Squared errors come from
-Parseval: path energy minus kept energy for exact paths (exactly 0.0 once
-every candidate of the whole ladder is kept), sum of dropped squares for
-finite discrete coefficient lists. On every path and every M the schemes
-obey best <= greedy <= linear, and each scheme's error is non-increasing
-in M.
+finite coefficient list, with one set of squares. Squared errors of exact
+paths come from Parseval: path energy minus kept energy (exactly 0.0 once
+every candidate of the whole ladder is kept). The error of a finite
+discrete coefficient list at M is the sum of its dropped squares, correctly
+rounded: one vectorized error-free extraction (_cut_sums) sums the squares
+between consecutive cuts exactly, and each M's error is one fsum of the
+segment sums past its cut, so no tail is summed again for every M. On
+every path and every M the schemes obey best <= greedy <= linear, and each
+scheme's error is non-increasing in M.
 """
 
 from __future__ import annotations
@@ -147,16 +150,16 @@ def _kept_prefix(scheme: str, sq: np.ndarray, k: int) -> np.ndarray:
 
 
 def _certified(path: CompoundPoissonPath, lad: Ladder, depth: int, k: int, kept) -> bool:
-    """Whether a ladder built below depth (>= 1) serves every scheme in kept
-    exactly as the whole ladder would, at every M <= k.
+    """Whether a ladder built below depth serves every scheme in kept exactly
+    as the whole ladder would, at every M <= k.
 
     Linear keeps only atoms of index below k, all at scales below
     bit_length(k); greedy keeps the first k candidates in index order. An
     atom at scale j >= depth holds at most the c jumps of its ancestor at
-    scale depth - 1, each weighted by at most 2^(-j/2-1) in magnitude, so its
-    square is at most (c * max|h|)^2 * 2^(-depth-2); best's top k is already
-    built when that bound, widened for rounding, is below the k-th largest
-    built square.
+    scale depth - 1 (at depth 0, all N jumps of [0, 1)), each weighted by at
+    most 2^(-j/2-1) in magnitude, so its square is at most
+    (c * max|h|)^2 * 2^(-depth-2); best's top k is already built when that
+    bound, widened for rounding, is below the k-th largest built square.
     """
     if "linear" in kept and depth < k.bit_length():
         return False
@@ -164,7 +167,10 @@ def _certified(path: CompoundPoissonPath, lad: Ladder, depth: int, k: int, kept)
         return False
     if "best" not in kept or k == 0:
         return True
-    c = int(lad.count[np.searchsorted(lad.scale, depth - 1) :].max())
+    if depth == 0:  # the ancestor is [0, 1), and the ladder is empty
+        c = path.num_jumps
+    else:
+        c = int(lad.count[np.searchsorted(lad.scale, depth - 1) :].max())
     a = c * float(np.abs(path.jump_heights).max())
     # the relative margin covers the rounding of c-term sums and their
     # squares; the absolute one covers squares that underflow
@@ -312,24 +318,92 @@ def select_best_discrete(coeffs, m: int) -> Selection:
     return _discrete_selection("best", c, m, np.sort(np.argsort(-np.abs(c), kind="stable")[:m]))
 
 
+def _largest_first(sq: np.ndarray, m_values) -> np.ndarray:
+    """sq reordered so that, at each M in m_values, its first M entries are
+    the M largest as a multiset: one multi-kth partition, no full sort."""
+    kth = sorted({sq.size - int(m) for m in m_values if 0 < m < sq.size})
+    return np.partition(sq, kth)[::-1] if kth else sq
+
+
 def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
     """Sums of dropped squares of a finite coefficient list for every scheme
     in schemes at each M in m_values, one list per scheme. Linear keeps
     entries in index order, greedy the entries that are not exactly zero,
-    best the largest squares first."""
+    best the largest squares first. Each sum is the correctly rounded sum of
+    the dropped squares, so the ordering between schemes and the
+    monotonicity in M survive in floating point."""
     _check_schemes(schemes)
+    for m in m_values:
+        _check_m(m)
     c = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
     sq = c**2
     rows = []
     for scheme in schemes:
-        pool = sq[c != 0.0] if scheme == "greedy" else sq
-        ordered = _kept_prefix(scheme, pool, pool.size).tolist()
-        # each fsum is the correctly rounded true sum, so the ordering between
-        # schemes and the monotonicity in M survive in floating point
-        rows.append([math.fsum(ordered[m:]) for m in m_values])
+        if scheme == "linear":
+            ordered = sq
+        elif scheme == "greedy":
+            ordered = sq[c != 0.0]
+        else:
+            ordered = _largest_first(sq, m_values)
+        rows.append(_cut_sums(ordered, m_values))
     return rows
 
 
 def best_errors_discrete(coeffs, m_values) -> list[float]:
-    """Sum of all but the M largest squares at each M in m_values."""
+    """Sum of all but the M largest squares at each M in m_values. The
+    package calls errors_discrete; the benchmark's traced replay
+    (perfbench/child.py) still calls this by name."""
     return errors_discrete(coeffs, ("best",), m_values)[0]
+
+
+# ---------------------------------------------------------------------------
+# exact sums
+
+
+_TINY = 2.0**-1022  # the least normal float; every float is a multiple of 2^-1074
+
+
+def _cut_sums(x: np.ndarray, cuts) -> list[float]:
+    """The correctly rounded sum of x[m:] at each cut m (0.0 at or past the
+    end) for a nonnegative float array x, the value math.fsum gives, from
+    one vectorized loop of error-free extraction (Rump, Ogita and Oishi,
+    "Accurate floating-point summation, part I", 2008).
+
+    The cuts split x into segments. With every |p| <= 2^-L sigma, where
+    sigma is a power of two >= 2^-1022 and 2^L >= 2(n + 2) for n entries,
+    q = (p + sigma) - sigma is p rounded to a multiple of 2^-53 sigma, the
+    remainder p - q is exact and at most 2^-53 sigma, and |q| <= 2^-L sigma.
+    So any partial sum of a segment's q is a multiple of 2^-53 sigma below
+    sigma / 2, which is exact in any order. Each round adds one exact sum
+    per segment and scales sigma by 2^(L-53); once sigma is 2^-1022 the
+    remainder is below 2^-1075, hence zero. A cut's sum is one fsum over
+    the exact segment sums at or past it. An array whose largest entry is
+    not finite, or too large for sigma to be a float, is summed by fsum per
+    cut instead, which returns inf or nan, or raises OverflowError.
+    """
+    n = x.size
+    ends = [min(int(m), n) for m in cuts]
+    starts = sorted(set(ends) - {n})
+    if not starts:
+        return [0.0] * len(ends)
+    p = x[starts[0] :].copy()
+    top = float(p.max())
+    width = (2 * (p.size + 2) - 1).bit_length()  # L, the least with 2^L >= 2(n + 2)
+    if not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
+        return [math.fsum(x[m:].tolist()) for m in ends]
+    sigma = max(math.ldexp(1.0, math.frexp(top)[1] + width), _TINY)
+    shrink = math.ldexp(1.0, width - 53)
+    segments = np.array([s - starts[0] for s in starts])
+    q = np.empty_like(p)
+    parts = [[0.0] * len(starts)]
+    while np.count_nonzero(p):
+        np.add(p, sigma, out=q)
+        q -= sigma
+        parts.append(np.add.reduceat(q, segments).tolist())
+        p -= q
+        sigma = max(sigma * shrink, _TINY)
+    sums, terms = {n: 0.0}, []
+    for start, column in zip(starts[::-1], list(zip(*parts))[::-1]):
+        terms += column
+        sums[start] = math.fsum(terms)
+    return [sums[m] for m in ends]

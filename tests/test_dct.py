@@ -16,7 +16,7 @@ from cpwave import (
     sample_grid,
     sample_path,
 )
-from cpwave.schemes import best_errors_discrete
+from cpwave.schemes import errors_discrete
 
 
 def naive_dct2(x):
@@ -108,6 +108,6 @@ def test_jump_path_haar_beats_dct():
     path = sample_path(10.0, JumpLaw(variance=0.1), derive_stream(55, 0))
     grid = sample_grid(path, 10)
     m = 64
-    haar_err = best_errors_discrete(discrete_haar_forward(grid), [m])[0] / grid.values.size
+    haar_err = errors_discrete(discrete_haar_forward(grid), ("best",), [m])[0][0] / grid.values.size
     dct_err = dct_best_m_error(grid, m)
     assert haar_err < dct_err

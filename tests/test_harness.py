@@ -349,6 +349,27 @@ def test_dict_compare_haar_wins_for_jumps():
     assert by[("cp", "haar_discrete")] < by[("cp", "dct")]
 
 
+def test_dict_compare_samples_once_per_process_and_trial(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("derive_stream", "sample_path", "brownian_grid"):
+        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    records = run_dict_compare(10.0, m_values=(4, 16), grid_log2=6, trials=5, seed=3)
+    assert [(r.process, r.dictionary) for r in records[::2]] == [
+        ("cp", "haar_discrete"), ("cp", "dct"), ("bm", "haar_discrete"), ("bm", "dct"),
+    ]
+    # one stream and one path or grid per (process, trial), read by both dictionaries
+    per_trial = ["derive_stream", "sample_path"] * 5 + ["derive_stream", "brownian_grid"] * 5
+    assert calls == per_trial
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -390,6 +411,38 @@ def test_cli_mse_curve_byte_identical_and_worker_invariant(tmp_path):
     assert run_cli(*args, "--out", str(b)) == 0
     assert run_cli(*args, "--out", str(c), "--workers", "2") == 0
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
+
+
+def test_cli_dict_compare_worker_invariant(tmp_path):
+    args = ["dict-compare", "--lambda", "10", "--m", "4,16,64", "--grid-log2", "7",
+            "--trials", "30", "--seed", "9"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(*args, "--out", str(a)) == 0
+    assert run_cli(*args, "--out", str(b), "--workers", "2") == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dict-compare", "--lambda", "10", "--sigma0-sq", "1e200", "--m", "16,64",
+         "--grid-log2", "6", "--trials", "3"],
+        ["dict-compare", "--lambda", "10", "--sigma0-sq", "1e306", "--m", "16,64",
+         "--grid-log2", "6", "--trials", "3"],
+        ["mse-curve", "--process", "cp", "--lambda", "10", "--jump-variance", "1e300",
+         "--trials", "3", "--m", "4"],
+    ],
+    ids=["dict-compare-1e200", "dict-compare-1e306", "mse-curve-jump-variance-1e300"],
+)
+def test_cli_huge_variances_give_finite_intervals(tmp_path, argv):
+    # the squared deviations of these errors overflow unless they are scaled
+    out = tmp_path / "huge.csv"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert rows
+    for row in rows:
+        mean, lo, hi = (float(row[i]) for i in (7, 9, 10))
+        assert all(math.isfinite(v) for v in (mean, lo, hi)) and lo <= mean <= hi
 
 
 def test_cli_mse_curve_bm_discrete(tmp_path):
@@ -496,7 +549,13 @@ def test_cli_rejects_workers_below_one(capsys, workers):
 
 @pytest.mark.parametrize(
     "argv, word",
-    [(["--lambda", "10", "--n", "0"], "jump counts"), (["--lambda", "-1", "--n", "1,2"], "lambda")],
+    [
+        (["--lambda", "10", "--n", "0"], "jump counts"),
+        (["--lambda", "-1", "--n", "1,2"], "lambda"),
+        (["--delta", "-1"], "delta"),
+        (["--delta", "nan"], "delta"),
+        (["--delta", "0.1,1.5"], "delta"),
+    ],
 )
 def test_cli_lemma_check_refuses_bad_input(capsys, argv, word):
     assert run_cli("lemma-check", *argv, "--samples", "1000") == 2

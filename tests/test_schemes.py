@@ -25,7 +25,6 @@ from cpwave.haar import coeff, ladder, support
 from cpwave.schemes import (
     SCHEMES,
     best_errors,
-    best_errors_discrete,
     errors,
     errors_discrete,
     greedy_errors,
@@ -357,6 +356,8 @@ def test_errors_equal_whole_ladder_reference():
         st.sampled_from([SCHEMES, ("best",), ("greedy",), ("linear",), ("best", "linear")]),
     )
     @example(sample_path(500.0, LAW500, derive_stream(36, 0)), M_1024 + [4096], SCHEMES)
+    # forced to depth 0 the ladder is empty; the certificate must still hold
+    @example(sample_path(500.0, LAW500, derive_stream(36, 0)), [1], ("best",))
     @example(make_path([0.3 + i * 2.0**-40 for i in range(4)], [1.0, 1e6, -1.5, 0.7]), [0, 5, 21], SCHEMES)
     @example(make_path([0.3 + i * 2.0**-40 for i in range(4)], [1.0, 1e6, -1.5, 0.7]), [3], ("best",))
     # the coarse atoms of the +-10^6 pair nearly cancel; it separates near
@@ -423,18 +424,44 @@ def reference_errors_discrete(coeffs, scheme, ms):
     return [math.fsum(c[i] * c[i] for i in order[m:]) for m in ms]
 
 
+# magnitudes 2^-560 to 2^451, so squares span 2^+-900 and reach the
+# subnormals and underflow to 0.0
+WIDE_COEFFS = st.builds(
+    lambda f, e, sign: sign * math.ldexp(f, e),
+    st.floats(0.5, 1.0, exclude_max=True),
+    st.integers(-560, 451),
+    st.sampled_from([-1.0, 1.0]),
+)
+# coefficients whose squares are subnormal, or underflow to 0.0 (5e-324)
+SUBNORMAL_SQUARES = [2.0**-520, -(2.0**-530), 2.0**-537, 5e-324]
+
+
 @given(
-    st.lists(st.one_of(st.floats(min_value=-10, max_value=10), TIE_PRONE_HEIGHTS, st.just(0.0)),
-             min_size=1, max_size=40),
+    st.lists(
+        st.one_of(st.floats(min_value=-10, max_value=10), TIE_PRONE_HEIGHTS, st.just(0.0),
+                  WIDE_COEFFS, st.sampled_from(SUBNORMAL_SQUARES)),
+        min_size=1, max_size=40),
     st.sets(st.integers(min_value=0, max_value=42), min_size=1),
 )
 @example([1.0, -1.0, 0.0, 1.0, -1.0, 0.5], {0, 1, 2, 3, 4, 5, 6, 8})  # mirrored entries
-@settings(max_examples=60, deadline=None)
+@example([2.0**450, -(2.0**-450), 2.0**-520, 0.0, 2.0**450, 5e-324, 3.0, -(2.0**-537)], {1, 3})
+@example([1.0, math.inf, 0.0, -2.0, 1e-300], {0, 1, 2, 4})  # fsum's inf, for every scheme
+@settings(max_examples=100, deadline=None)
 def test_errors_discrete_rows_equal_reference(coeffs, m_set):
-    ms = sorted(m_set)
+    # M = 0, M = n and M > n always; the exact cut sums must be the per-M fsum
+    ms = sorted(m_set | {0, len(coeffs), len(coeffs) + 1})
     rows = errors_discrete(np.array(coeffs), SCHEMES, ms)
     assert rows == [reference_errors_discrete(coeffs, scheme, ms) for scheme in SCHEMES]
-    assert rows[2] == best_errors_discrete(coeffs, ms)
+    assert rows[2] == errors_discrete(coeffs, ("best",), ms)[0]
+
+
+def test_errors_discrete_overflow_raises_like_fsum():
+    coeffs = [1e154] * 50 + [1.0]
+    for scheme in SCHEMES:
+        with pytest.raises(OverflowError):
+            reference_errors_discrete(coeffs, scheme, [0])
+        with pytest.raises(OverflowError):
+            errors_discrete(coeffs, (scheme,), [0, 3])
 
 
 def test_errors_reject_unknown_scheme():
