@@ -238,7 +238,9 @@ def ladder(path: CompoundPoissonPath, lo: int = 0, hi: int | None = None) -> Lad
     del k
     x *= _AMPLITUDE[lo:hi, None]
     x *= heights
-    count = np.diff(starts, append=new.size)
+    count = np.empty_like(starts)  # each atom's jumps: to the next start, or the end
+    np.subtract(starts[1:], starts[:-1], out=count[:-1])
+    count[-1:] = new.size - starts[-1:]
     # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
     # no atoms at all it returns integers, hence the cast
     atom = np.repeat(np.arange(starts.size), count)

@@ -53,6 +53,13 @@ DICTIONARIES = ("haar_analytic", "haar_discrete", "dct")
 
 _CI_Z = 1.96  # normal-approximation 95% interval
 
+# The energy scale of a run: lambda * jump variance for cp (sigma0_sq by
+# default) or sigma0_sq for bm, times 2^grid_log2 for a discrete
+# dictionary, whose coefficients hold the energy of 2^grid_log2 samples.
+# A path's mean energy is half its scale; past 2^1023 the mean sits within
+# a factor of four of the float max, and energies and squares overflow.
+MAX_ENERGY_SCALE = 2.0**1023
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -111,6 +118,16 @@ class ExperimentConfig:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         if self.process == "cp":
             self.jump_law()  # refuses a lambda with too many expected jumps
+        scale = self.sigma0_sq
+        if self.process == "cp" and self.jump_variance is not None:
+            scale = self.lam * self.jump_variance
+        if self.dictionary != "haar_analytic":
+            scale *= 2.0**self.grid_log2
+        if not scale <= MAX_ENERGY_SCALE:
+            raise ValueError(
+                f"energy scale {scale:g} exceeds {MAX_ENERGY_SCALE:g}; path energies "
+                "would overflow (lower sigma0_sq or the jump variance)"
+            )
 
     def jump_law(self) -> JumpLaw:
         return JumpLaw.for_rate(self.lam, self.sigma0_sq, self.jump_variance)

@@ -117,7 +117,7 @@ class CompoundPoissonPath:
         if times.size:
             if times[0] <= 0.0 or times[-1] >= 1.0:
                 raise ValueError("jump times must lie strictly inside (0, 1)")
-            if np.any(np.diff(times) <= 0.0):
+            if np.any(times[1:] <= times[:-1]):
                 raise ValueError("jump times must be strictly increasing")
         times.setflags(write=False)
         heights.setflags(write=False)
@@ -160,7 +160,10 @@ class CompoundPoissonPath:
             return 0.0
         # the path sits at cumsum(heights)[i] on [tau_i, tau_{i+1}) and at 0 before tau_1
         levels = np.cumsum(self.jump_heights)
-        lengths = np.diff(np.concatenate((self.jump_times, [1.0])))
+        times = self.jump_times
+        lengths = np.empty_like(times)
+        np.subtract(times[1:], times[:-1], out=lengths[:-1])
+        lengths[-1] = 1.0 - times[-1]
         return math.fsum(((levels * levels) * lengths).tolist())
 
 
@@ -207,8 +210,8 @@ def sample_path(lam: float, law: JumpLaw, stream: np.random.Generator) -> Compou
     times = np.sort(stream.random(n))
     # collisions and exact zeros have probability zero; redraw the offending
     # entries so the strict-ordering invariant holds even then
-    while n and (times[0] == 0.0 or np.any(np.diff(times) == 0.0)):
-        bad = np.concatenate(([times[0] == 0.0], np.diff(times) == 0.0))
+    while n and (times[0] == 0.0 or np.any(times[1:] == times[:-1])):
+        bad = np.concatenate(([times[0] == 0.0], times[1:] == times[:-1]))
         times[bad] = stream.random(int(bad.sum()))
         times = np.sort(times)
     heights = law.sample(stream, n)

@@ -27,12 +27,16 @@ take their error from the same code. errors_discrete does the same for a
 finite coefficient list, with one set of squares. Squared errors of exact
 paths come from Parseval: path energy minus kept energy (exactly 0.0 once
 every candidate of the whole ladder is kept). The error of a finite
-discrete coefficient list at M is the sum of its dropped squares, correctly
-rounded: one vectorized error-free extraction (_cut_sums) sums the squares
-between consecutive cuts exactly, and each M's error is one fsum of the
-segment sums past its cut, so no tail is summed again for every M. On
-every path and every M the schemes obey best <= greedy <= linear, and each
-scheme's error is non-increasing in M.
+discrete coefficient list at M is the sum of its dropped squares. Both
+sums come from one exact kernel, _exact_terms: one vectorized error-free
+extraction splits an array at its cuts and gives each segment's exact sum
+as a few terms. errors runs it once per path over the kept prefixes of
+every scheme (linear and greedy share the index-order one) and
+accumulates the terms from the front; errors_discrete accumulates them
+from the back. Each M's sum is then one fsum over a few terms, correctly
+rounded, so no prefix or tail is summed again for every M. On every path
+and every M the schemes obey best <= greedy <= linear, and each scheme's
+error is non-increasing in M.
 """
 
 from __future__ import annotations
@@ -91,15 +95,16 @@ class Selection:
     certified: bool
 
 
-def _finish_error(energy_total: float, kept_sq: list[float], count: int, every: bool) -> float:
-    """Squared error of keeping the first count candidate squares: exactly
-    0.0 when every candidate of a whole ladder is kept, since they hold
-    every nonzero coefficient, and the Parseval remainder otherwise."""
+def _finish_error(energy_total: float, kept: float, every: bool) -> float:
+    """Squared error of a kept energy, the correctly rounded sum of the kept
+    squares: exactly 0.0 when every candidate of a whole ladder is kept,
+    since they hold every nonzero coefficient, and the Parseval remainder
+    otherwise."""
     if every:
         return 0.0
-    # fsum keeps each kept energy correctly rounded, so the scheme-ordering
-    # and monotonicity relations of the true sums carry over to floats
-    err = energy_total - math.fsum(kept_sq[:count])
+    # the kept energy is correctly rounded, so the scheme-ordering and
+    # monotonicity relations of the true sums carry over to floats
+    err = energy_total - kept
     if err < -_NEGATIVE_ERROR_TOL * energy_total:
         raise InvariantViolation(
             f"kept energy exceeds path energy {energy_total:.17g} by {-err:.3e}; "
@@ -217,12 +222,20 @@ def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
         kept = {s: _kept_prefix(s, sq, k) for s in schemes}
         depth = e
     total = path.l2_norm_sq()
-    rows = []
-    for scheme in schemes:
-        counts = _kept_counts(lad, scheme, sq.size, m_values)
-        prefix = kept[scheme].tolist()
-        rows.append([_finish_error(total, prefix, c, depth == e and c == sq.size) for c in counts])
-    return rows
+    every = sq.size if depth == e else -1  # the count whose error is exactly 0.0
+    # linear and greedy keep one index-order prefix; a cut is a positive
+    # count whose error is not exactly 0.0
+    orders = ["best" if s == "best" else "index" for s in schemes]
+    counts = [_kept_counts(lad, s, sq.size, m_values) for s in schemes]
+    cuts = {}
+    for order, row in zip(orders, counts):
+        cuts.setdefault(order, set()).update(c for c in row if 0 < c != every)
+    prefix = {"index": sq, "best": kept.get("best")}
+    sums = dict(zip(cuts, _prefix_sums([(prefix[o], cs) for o, cs in cuts.items()])))
+    return [
+        [_finish_error(total, sums[o].get(c, 0.0), c == every) for c in row]
+        for o, row in zip(orders, counts)
+    ]
 
 
 def _select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
@@ -363,47 +376,80 @@ def best_errors_discrete(coeffs, m_values) -> list[float]:
 _TINY = 2.0**-1022  # the least normal float; every float is a multiple of 2^-1074
 
 
-def _cut_sums(x: np.ndarray, cuts) -> list[float]:
-    """The correctly rounded sum of x[m:] at each cut m (0.0 at or past the
-    end) for a nonnegative float array x, the value math.fsum gives, from
-    one vectorized loop of error-free extraction (Rump, Ogita and Oishi,
-    "Accurate floating-point summation, part I", 2008).
+def _exact_terms(x: np.ndarray, starts: list[int]) -> list[list[float]]:
+    """Per segment of a nonempty nonnegative float array x, a short list of
+    floats whose exact sum is the segment's, from one vectorized loop of
+    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, part I", 2008). The starts are strictly increasing, the
+    first is 0 and the last below x.size; a segment runs to the next start
+    or to the end. fsum over the terms of any run of segments is the run's
+    correctly rounded sum, the value fsum over its entries gives.
 
-    The cuts split x into segments. With every |p| <= 2^-L sigma, where
-    sigma is a power of two >= 2^-1022 and 2^L >= 2(n + 2) for n entries,
-    q = (p + sigma) - sigma is p rounded to a multiple of 2^-53 sigma, the
-    remainder p - q is exact and at most 2^-53 sigma, and |q| <= 2^-L sigma.
-    So any partial sum of a segment's q is a multiple of 2^-53 sigma below
-    sigma / 2, which is exact in any order. Each round adds one exact sum
-    per segment and scales sigma by 2^(L-53); once sigma is 2^-1022 the
-    remainder is below 2^-1075, hence zero. A cut's sum is one fsum over
-    the exact segment sums at or past it. An array whose largest entry is
-    not finite, or too large for sigma to be a float, is summed by fsum per
-    cut instead, which returns inf or nan, or raises OverflowError.
+    With every |p| <= 2^-L sigma, where sigma is a power of two >= 2^-1022
+    and 2^L >= 2(n + 2) for n entries, q = (p + sigma) - sigma is p rounded
+    to a multiple of 2^-53 sigma, the remainder p - q is exact and at most
+    2^-53 sigma, and |q| <= 2^-L sigma. So any partial sum of a segment's q
+    is a multiple of 2^-53 sigma below sigma / 2, which is exact in any
+    order. Each round adds one exact sum per segment and scales sigma by
+    2^(L-53); once sigma is 2^-1022 the remainder is below 2^-1075, hence
+    zero. When the largest entry is not finite, or too large for sigma to
+    be a float, each segment's terms are its entries, so fsum returns inf
+    or nan, or raises OverflowError, as it does over the entries.
     """
     n = x.size
-    ends = [min(int(m), n) for m in cuts]
-    starts = sorted(set(ends) - {n})
-    if not starts:
-        return [0.0] * len(ends)
-    p = x[starts[0] :].copy()
-    top = float(p.max())
-    width = (2 * (p.size + 2) - 1).bit_length()  # L, the least with 2^L >= 2(n + 2)
+    top = float(x.max())
+    width = (2 * (n + 2) - 1).bit_length()  # L, the least with 2^L >= 2(n + 2)
     if not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
-        return [math.fsum(x[m:].tolist()) for m in ends]
+        return [x[a:b].tolist() for a, b in zip(starts, starts[1:] + [n])]
     sigma = max(math.ldexp(1.0, math.frexp(top)[1] + width), _TINY)
     shrink = math.ldexp(1.0, width - 53)
-    segments = np.array([s - starts[0] for s in starts])
+    p = x.copy()
     q = np.empty_like(p)
     parts = [[0.0] * len(starts)]
     while np.count_nonzero(p):
         np.add(p, sigma, out=q)
         q -= sigma
-        parts.append(np.add.reduceat(q, segments).tolist())
+        parts.append(np.add.reduceat(q, starts).tolist())
         p -= q
         sigma = max(sigma * shrink, _TINY)
-    sums, terms = {n: 0.0}, []
-    for start, column in zip(starts[::-1], list(zip(*parts))[::-1]):
-        terms += column
-        sums[start] = math.fsum(terms)
+    return [list(column) for column in zip(*parts)]
+
+
+def _cut_sums(x: np.ndarray, cuts) -> list[float]:
+    """The correctly rounded sum of x[m:] at each cut m (0.0 at or past the
+    end) for a nonnegative float array x: the segment terms accumulated from
+    the back, one fsum per distinct cut."""
+    n = x.size
+    ends = [min(int(m), n) for m in cuts]
+    starts = sorted(set(ends) - {n})
+    if not starts:
+        return [0.0] * len(ends)
+    terms = _exact_terms(x[starts[0] :], [s - starts[0] for s in starts])
+    sums, acc = {n: 0.0}, []
+    for start, segment in zip(starts[::-1], terms[::-1]):
+        acc[:0] = segment  # in index order, as fsum over x[start:] would see it
+        sums[start] = math.fsum(acc)
     return [sums[m] for m in ends]
+
+
+def _prefix_sums(groups) -> list[dict[int, float]]:
+    """For each (x, cuts) in groups, the correctly rounded sum of x[:c] at
+    each cut c, with 0 < c <= x.size: one exact extraction over every
+    group's used prefix laid end to end, the segment terms accumulated from
+    the front, one fsum per cut."""
+    cuts = [sorted(set(c)) for _, c in groups]
+    pieces, starts, offset = [], [], 0
+    for (x, _), cs in zip(groups, cuts):
+        if cs:
+            pieces.append(x[: cs[-1]])
+            starts += [offset] + [offset + c for c in cs[:-1]]
+            offset += cs[-1]
+    terms = iter(_exact_terms(np.concatenate(pieces), starts) if pieces else ())
+    out = []
+    for cs in cuts:
+        acc, sums = [], {}
+        for c in cs:
+            acc += next(terms)
+            sums[c] = math.fsum(acc)
+        out.append(sums)
+    return out

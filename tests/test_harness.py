@@ -445,6 +445,29 @@ def test_cli_huge_variances_give_finite_intervals(tmp_path, argv):
         assert all(math.isfinite(v) for v in (mean, lo, hi)) and lo <= mean <= hi
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mse-curve", "--process", "cp", "--lambda", "100", "--sigma0-sq", "1e308",
+         "--trials", "3", "--m", "4,64", "--seed", "2"],
+        ["mse-curve", "--process", "cp", "--lambda", "10", "--jump-variance", "1e307",
+         "--trials", "3", "--m", "4,64", "--seed", "2"],
+        # 1.5e306 times the 2^6 samples of the grid
+        ["dict-compare", "--lambda", "10", "--sigma0-sq", "1.5e306", "--m", "16,64",
+         "--grid-log2", "6", "--trials", "3"],
+    ],
+    ids=["mse-curve-sigma0-sq-1e308", "mse-curve-jump-variance-1e307", "dict-compare-grid"],
+)
+def test_cli_refuses_energy_scales_near_float_max(monkeypatch, capsys, argv):
+    # these once wrote inf and nan rows with exit 0; refused before sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the energy scale was checked")
+
+    monkeypatch.setattr(harness, "derive_stream", no_sampling)
+    assert run_cli(*argv) == 2
+    assert "energy scale" in capsys.readouterr().err
+
+
 def test_cli_mse_curve_bm_discrete(tmp_path):
     out = tmp_path / "bm.csv"
     assert run_cli(

@@ -1,5 +1,6 @@
 """Tests for the linear / greedy / best selection schemes and their errors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -410,6 +411,49 @@ def test_errors_equal_whole_ladder_reference():
 
     check()
     assert branches == {"truncated", "extended"}
+
+
+def row_bits(rows):
+    """Rows as bit patterns, so that nan and the sign of a zero count."""
+    return [np.array(row, dtype=float).view(np.uint64).tolist() for row in rows]
+
+
+RATES = (3.0, 10.0, 100.0, 500.0)
+SCHEME_SUBSETS = [s for r in (1, 2, 3) for s in itertools.combinations(SCHEMES, r)]
+
+
+@given(
+    st.one_of(
+        hand_paths(),  # arbitrary, dyadic and clustered jump times
+        st.tuples(st.sampled_from(RATES), st.integers(0, 2**20)).map(
+            lambda a: sample_path(a[0], JumpLaw.for_rate(a[0]), derive_stream(38, a[1]))
+        ),
+    ),
+    st.lists(st.integers(0, 2000), min_size=1, max_size=8),
+    st.booleans(),
+    st.sampled_from(SCHEME_SUBSETS),
+)
+# squares that overflow to inf, and finite squares too large for the exact
+# sums, whose kept energies then come from fsum over the squares themselves
+@example(make_path([0.3, 0.6], [1e200, -1e200]), [0, 1, 2, 5], True, SCHEMES)
+@example(make_path([0.25, 0.5, 0.75], [1.2e154, 1.2e154, -1.3e154]), [1, 3, 8], False, SCHEMES)
+@example(make_path([0.25, 0.75], [1e154, -1e154]), [1, 2, 4], True, ("best", "linear"))
+@example(sample_path(500.0, LAW500, derive_stream(38, 0)), M_1024, True, SCHEMES)
+@example(make_path([], []), [0, 3], True, SCHEMES)
+@settings(max_examples=100, deadline=None)
+def test_errors_kept_sums_equal_per_m_fsum(path, ms, past_total, chosen):
+    # the reference re-sums every kept prefix with fsum: total - fsum(kept[:c]),
+    # or 0.0 once every candidate of the whole ladder is kept
+    size = ladder(path).value.size + (1 if path.num_jumps else 0)
+    ms = sorted(set(ms) | ({size, size + 1} if past_total else set()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            expected = row_bits([reference_errors(path, scheme, ms) for scheme in chosen])
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                errors(path, chosen, ms)
+            return
+        assert row_bits(errors(path, chosen, ms)) == expected
 
 
 def reference_errors_discrete(coeffs, scheme, ms):
