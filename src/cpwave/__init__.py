@@ -33,12 +33,8 @@ from .haar import (
 from .schemes import (
     InvariantViolation,
     Selection,
-    select_best,
-    select_best_discrete,
-    select_greedy,
-    select_greedy_discrete,
-    select_linear,
-    select_linear_discrete,
+    select,
+    select_discrete,
 )
 from .theory import (
     TheoryPoint,

@@ -9,7 +9,7 @@ zero/nonzero structure purely combinatorial: a coefficient vanishes exactly
 when no jump lands in the atom's support, so zero detection never touches a
 floating-point threshold. Float jump times are dyadic rationals, so the
 nonzero coefficients are also finitely many: `ladder` lists them all. The
-dense listing up to scale J is schemes.select_linear(path, 2**(J + 1)).
+dense listing up to scale J is schemes.select(path, "linear", 2**(J + 1)).
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.

@@ -118,16 +118,21 @@ class ExperimentConfig:
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         if self.process == "cp":
             self.jump_law()  # refuses a lambda with too many expected jumps
-        scale = self.sigma0_sq
-        if self.process == "cp" and self.jump_variance is not None:
-            scale = self.lam * self.jump_variance
-        if self.dictionary != "haar_analytic":
-            scale *= 2.0**self.grid_log2
+        scale = self.energy_scale()
         if not scale <= MAX_ENERGY_SCALE:
             raise ValueError(
                 f"energy scale {scale:g} exceeds {MAX_ENERGY_SCALE:g}; path energies "
                 "would overflow (lower sigma0_sq or the jump variance)"
             )
+
+    def energy_scale(self) -> float:
+        """The run's energy scale, as MAX_ENERGY_SCALE defines it."""
+        scale = self.sigma0_sq
+        if self.process == "cp" and self.jump_variance is not None:
+            scale = self.lam * self.jump_variance
+        if self.dictionary != "haar_analytic":
+            scale *= 2.0**self.grid_log2
+        return scale
 
     def jump_law(self) -> JumpLaw:
         return JumpLaw.for_rate(self.lam, self.sigma0_sq, self.jump_variance)
@@ -288,29 +293,39 @@ def _run_curves(
     config.validate()
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers}")
-    per_trial = _run_trials(config, dictionaries, workers)
     curves = [(dictionary, scheme) for dictionary in dictionaries for scheme in config.schemes]
     records = []
-    for ci, (dictionary, scheme) in enumerate(curves):
-        for mi, m in enumerate(config.m_values):
-            mean, ci_lo, ci_hi = _mean_ci([per_trial[t][ci][mi] for t in range(config.trials)])
-            records.append(
-                CurveRecord(
-                    process=config.process,
-                    scheme=scheme,
-                    dictionary=dictionary,
-                    lam=config.lam,
-                    sigma0_sq=config.sigma0_sq,
-                    m=int(m),
-                    log2_m=math.log2(m),
-                    mse_mean=mean,
-                    mse_db=_db(mean),
-                    ci_lo=ci_lo,
-                    ci_hi=ci_hi,
-                    trials=config.trials,
-                    seed=int(config.master_seed),
+    try:
+        per_trial = _run_trials(config, dictionaries, workers)
+        for ci, (dictionary, scheme) in enumerate(curves):
+            for mi, m in enumerate(config.m_values):
+                mean, ci_lo, ci_hi = _mean_ci([per_trial[t][ci][mi] for t in range(config.trials)])
+                if not math.isfinite(mean):
+                    raise OverflowError(f"the {scheme} mean at M={m} is {mean}")
+                records.append(
+                    CurveRecord(
+                        process=config.process,
+                        scheme=scheme,
+                        dictionary=dictionary,
+                        lam=config.lam,
+                        sigma0_sq=config.sigma0_sq,
+                        m=int(m),
+                        log2_m=math.log2(m),
+                        mse_mean=mean,
+                        mse_db=_db(mean),
+                        ci_lo=ci_lo,
+                        ci_hi=ci_hi,
+                        trials=config.trials,
+                        seed=int(config.master_seed),
+                    )
                 )
-            )
+    except OverflowError as exc:
+        # a path below MAX_ENERGY_SCALE can still reach the float max: its
+        # squared levels reach tens of times the scale
+        raise ValueError(
+            f"energy scale {config.energy_scale():g} overflows on these paths ({exc}); "
+            "lower sigma0_sq or the jump variance"
+        ) from exc
     return records
 
 

@@ -132,11 +132,10 @@ class CompoundPoissonPath:
         """Path value s(t); right-continuous, so the jump at t is included."""
         if not (0.0 <= t <= 1.0):
             raise ValueError(f"t must lie in [0, 1], got {t}")
-        idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return float(self.jump_heights[:idx].sum())
+        return float(self.values_at(t))
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized value_at."""
+        """Vectorized value_at; both read the running sums of the heights."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
             raise ValueError("evaluation points must lie in [0, 1]")

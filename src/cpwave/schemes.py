@@ -10,33 +10,33 @@ Three ways of keeping M coefficients of the Haar expansion:
   holds every nonzero coefficient, and a certificate says when its first
   scales already hold the M largest.
 
-errors(path, schemes, m_values) builds one ladder per path (haar.ladder),
-so one per trial whatever the number of schemes, and reads every requested
-scheme's errors from it: the candidates are the scaling coefficient
+errors(path, schemes, m_values) and select(path, scheme, m) build one
+ladder per call (haar.ladder), so one per trial whatever the number of
+schemes, and read every requested scheme's errors, or one selection's kept
+atoms and error, from it: the candidates are the scaling coefficient
 followed by the ladder in index order, and a scheme is an order over their
 squares plus a kept count per M. The ladder is first built only down to a
 depth d and is extended once, by the scales [d, resolution), unless a
 certificate shows that the scales below d already give every requested
-scheme its exact errors up to K = max M: linear keeps only atoms of index
-below K, all at scales below bit_length(K); greedy needs K candidates; and
-best needs a bound on every coefficient at scales >= d, from the jump
-counts at scale d - 1 and the largest jump height, to lie strictly below
-the K-th largest built square. No scale is built twice. errors is the one
-place an exact path's error is computed; select_* list the kept atoms and
-take their error from the same code. errors_discrete does the same for a
-finite coefficient list, with one set of squares. Squared errors of exact
-paths come from Parseval: path energy minus kept energy (exactly 0.0 once
-every candidate of the whole ladder is kept). The error of a finite
-discrete coefficient list at M is the sum of its dropped squares. Both
-sums come from one exact kernel, _exact_terms: one vectorized error-free
-extraction splits an array at its cuts and gives each segment's exact sum
-as a few terms. errors runs it once per path over the kept prefixes of
-every scheme (linear and greedy share the index-order one) and
-accumulates the terms from the front; errors_discrete accumulates them
-from the back. Each M's sum is then one fsum over a few terms, correctly
-rounded, so no prefix or tail is summed again for every M. On every path
-and every M the schemes obey best <= greedy <= linear, and each scheme's
-error is non-increasing in M.
+scheme its exact kept atoms and errors up to K = max M: linear keeps only
+atoms of index below K, all at scales below bit_length(K); greedy needs K
+candidates; and best needs a bound on every coefficient at scales >= d,
+from the jump counts at scale d - 1 and the largest jump height, to lie
+strictly below the K-th largest built square. No scale is built twice.
+errors_discrete and select_discrete do the same for a finite coefficient
+list, with one set of squares. Squared errors of exact paths come from
+Parseval: path energy minus kept energy (exactly 0.0 once every candidate
+of the whole ladder is kept). The error of a finite discrete coefficient
+list at M is the sum of its dropped squares. Both are prefix sums from one
+exact kernel, _prefix_sums: one vectorized error-free extraction
+(_exact_terms) over the used prefixes of a call laid end to end gives each
+segment's exact sum as a few terms, accumulated from the front. errors
+sums every scheme's kept prefix (linear and greedy share the index-order
+one); errors_discrete sums each scheme's dropped tail as a prefix of its
+reversed keep order. Each M's sum is then one fsum over a few terms,
+correctly rounded, so no prefix or tail is summed again for every M. On
+every path and every M the schemes obey best <= greedy <= linear, and each
+scheme's error is non-increasing in M.
 """
 
 from __future__ import annotations
@@ -54,17 +54,13 @@ __all__ = [
     "SCHEMES",
     "Selection",
     "InvariantViolation",
-    "select_linear",
-    "select_greedy",
-    "select_best",
-    "select_linear_discrete",
-    "select_greedy_discrete",
-    "select_best_discrete",
+    "select",
+    "select_discrete",
+    "errors",
+    "errors_discrete",
     "linear_errors",
     "greedy_errors",
     "best_errors",
-    "errors",
-    "errors_discrete",
     "best_errors_discrete",
 ]
 
@@ -85,14 +81,12 @@ class Selection:
 
     kept holds (atom, value) pairs in atom-index order; error_sq is the
     squared L2 error of the reconstruction from exactly those values.
-    certified is True when error_sq is exact rather than grid-limited.
     """
 
     scheme: str
     m: int
     kept: tuple[tuple[Atom, float], ...]
     error_sq: float
-    certified: bool
 
 
 def _finish_error(energy_total: float, kept: float, every: bool) -> float:
@@ -196,37 +190,37 @@ def _first_depth(n: int, k: int) -> int:
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
-def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
-    """Exact squared errors of every scheme in schemes at each M in m_values,
-    one list per scheme, all read from one ladder.
-
-    The ladder is built to a first depth, and extended once to the path's
-    resolution unless the certificate in the module docstring holds there
-    for every requested scheme up to the largest M. Linear and greedy keep
-    candidates in index order; best keeps the largest squares first, and
-    since the top-c squares form one multiset whatever the tie order, their
-    correctly rounded sum is the selection's.
-    """
-    _check_schemes(schemes)
-    k = int(max(m_values, default=0))
+def _build(path: CompoundPoissonPath, schemes, k: int):
+    """The ladder certified for every scheme in schemes at every M <= k (see
+    the module docstring), its candidate values and their squares, each
+    scheme's first k squares in keep order, and whether it is whole, that
+    is, built to the path's resolution."""
     depth = _first_depth(path.num_jumps, k)
     lad = ladder(path, 0, depth)
     e = lad.resolution
-    depth = min(depth, e)
-    sq = _candidates(path, lad) ** 2
+    values = _candidates(path, lad)
+    sq = values**2
     kept = {s: _kept_prefix(s, sq, k) for s in schemes}
     if depth < e and not _certified(path, lad, depth, k, kept):
         rest = ladder(path, depth)
         lad = Ladder(e, *map(np.concatenate, zip(lad[1:], rest[1:])))
+        values = np.concatenate((values, rest.value))
         sq = np.concatenate((sq, rest.value**2))
         kept = {s: _kept_prefix(s, sq, k) for s in schemes}
         depth = e
+    return lad, values, sq, kept, depth >= e
+
+
+def _rows(path: CompoundPoissonPath, sq, kept, whole: bool, schemes, counts) -> list[list[float]]:
+    """Each scheme's squared errors at its kept counts over one build, one
+    row per scheme, from one exact pass over the kept prefixes. Since the
+    top-c squares form one multiset whatever the tie order, their correctly
+    rounded sum is best's kept energy."""
     total = path.l2_norm_sq()
-    every = sq.size if depth == e else -1  # the count whose error is exactly 0.0
+    every = sq.size if whole else -1  # the count whose error is exactly 0.0
     # linear and greedy keep one index-order prefix; a cut is a positive
     # count whose error is not exactly 0.0
     orders = ["best" if s == "best" else "index" for s in schemes]
-    counts = [_kept_counts(lad, s, sq.size, m_values) for s in schemes]
     cuts = {}
     for order, row in zip(orders, counts):
         cuts.setdefault(order, set()).update(c for c in row if 0 < c != every)
@@ -238,61 +232,63 @@ def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
     ]
 
 
-def _select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
+def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
+    """Exact squared errors of every scheme in schemes at each M in m_values,
+    one list per scheme, all read from one certified ladder. Linear and
+    greedy keep candidates in index order; best keeps the largest squares
+    first."""
+    _check_schemes(schemes)
+    lad, _, sq, kept, whole = _build(path, schemes, int(max(m_values, default=0)))
+    counts = [_kept_counts(lad, s, sq.size, m_values) for s in schemes]
+    return _rows(path, sq, kept, whole, schemes, counts)
+
+
+def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
+    """The m atoms the scheme keeps, with their values, and the exact
+    squared error, both from one certified ladder. Linear keeps the first m
+    atoms in index order, zeros included; greedy the first m structurally
+    nonzero ones (none on a jump-free path); best the m largest magnitudes
+    of the full expansion, ties to the smaller index."""
+    _check_schemes((scheme,))
     _check_m(m)
-    lad = ladder(path)
-    values = _candidates(path, lad)
-    (count,) = _kept_counts(lad, scheme, values.size, [m])
-    if scheme == "best":  # a stable sort sends ties to the smaller index
-        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[:count]).tolist()
+    lad, values, sq, kept, whole = _build(path, (scheme,), int(m))
+    counts = _kept_counts(lad, scheme, sq.size, [m])
+    if scheme == "best":
+        # the top m are built and strictly larger than every atom that is
+        # not, so a stable sort sends ties to the smaller index as over the
+        # whole ladder
+        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[: counts[0]]).tolist()
     else:
-        picked = range(count)
-    kept = []
+        picked = range(counts[0])
+    chosen = []
     for p in picked:
         atom = Atom.wavelet(int(lad.scale[p - 1]), int(lad.shift[p - 1])) if p else SCALING
-        kept.append((atom, float(values[p])))
+        chosen.append((atom, float(values[p])))
     if scheme == "linear":
-        given = {atom_index(atom): v for atom, v in kept}
-        kept = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
-    else:
-        past = itertools.islice(atoms_past(path, lad.resolution), m - len(kept))
-        kept += [(atom, 0.0) for atom in past]
-    error = errors(path, (scheme,), [m])[0][0]
-    return Selection(scheme=scheme, m=m, kept=tuple(kept), error_sq=error, certified=True)
-
-
-def select_linear(path: CompoundPoissonPath, m: int) -> Selection:
-    """Keep the first m atoms in index order, zero-valued ones included."""
-    return _select(path, "linear", m)
-
-
-def select_greedy(path: CompoundPoissonPath, m: int) -> Selection:
-    """Keep the first m structurally nonzero coefficients in index order.
-
-    A jump-free path has no nonzero coefficients at all, so it yields an
-    empty selection with zero error.
-    """
-    return _select(path, "greedy", m)
-
-
-def select_best(path: CompoundPoissonPath, m: int) -> Selection:
-    """Keep the m largest-magnitude coefficients of the full expansion, ties
-    to the smaller index; exact, since the ladder holds every nonzero one."""
-    return _select(path, "best", m)
+        given = {atom_index(atom): v for atom, v in chosen}
+        chosen = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
+    else:  # fewer than m candidates only on a whole ladder
+        past = itertools.islice(atoms_past(path, lad.resolution), m - len(chosen))
+        chosen += [(atom, 0.0) for atom in past]
+    ((error,),) = _rows(path, sq, kept, whole, (scheme,), [counts])
+    return Selection(scheme=scheme, m=m, kept=tuple(chosen), error_sq=error)
 
 
 def linear_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact linear squared errors at each M in m_values."""
+    """Exact linear squared errors at each M in m_values; the benchmark's
+    traced replay (perfbench/child.py) calls this view by name."""
     return errors(path, ("linear",), m_values)[0]
 
 
 def greedy_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact greedy squared errors at each M in m_values."""
+    """Exact greedy squared errors at each M in m_values; the benchmark's
+    traced replay (perfbench/child.py) calls this view by name."""
     return errors(path, ("greedy",), m_values)[0]
 
 
 def best_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact best-M squared errors at each M in m_values."""
+    """Exact best-M squared errors at each M in m_values; the benchmark's
+    traced replay (perfbench/child.py) calls this view by name."""
     return errors(path, ("best",), m_values)[0]
 
 
@@ -300,66 +296,56 @@ def best_errors(path: CompoundPoissonPath, m_values) -> list[float]:
 # discrete variants over a finite coefficient list (grid proxies)
 
 
-def _check_discrete(coeffs, m: int) -> np.ndarray:
-    c = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
-    _check_m(m)
-    if m > c.size:
-        raise ValueError(f"M={m} exceeds the number of coefficients {c.size}")
-    return c
-
-
-def _discrete_selection(scheme: str, c: np.ndarray, m: int, kept_idx) -> Selection:
-    kept = tuple((atom_from_index(int(i)), float(c[i])) for i in kept_idx)
-    error = errors_discrete(c, (scheme,), [m])[0][0]
-    return Selection(scheme=scheme, m=m, kept=kept, error_sq=error, certified=False)
-
-
-def select_linear_discrete(coeffs, m: int) -> Selection:
-    """Keep the first m entries of a finite coefficient list."""
-    return _discrete_selection("linear", _check_discrete(coeffs, m), m, range(m))
-
-
-def select_greedy_discrete(coeffs, m: int) -> Selection:
-    """Keep the first m entries that are not exactly zero."""
-    c = _check_discrete(coeffs, m)
-    return _discrete_selection("greedy", c, m, np.flatnonzero(c != 0.0)[:m])
-
-
-def select_best_discrete(coeffs, m: int) -> Selection:
-    """Keep the m largest magnitudes; ties go to the smaller index."""
-    c = _check_discrete(coeffs, m)
-    return _discrete_selection("best", c, m, np.sort(np.argsort(-np.abs(c), kind="stable")[:m]))
-
-
-def _largest_first(sq: np.ndarray, m_values) -> np.ndarray:
-    """sq reordered so that, at each M in m_values, its first M entries are
-    the M largest as a multiset: one multi-kth partition, no full sort."""
-    kth = sorted({sq.size - int(m) for m in m_values if 0 < m < sq.size})
-    return np.partition(sq, kth)[::-1] if kth else sq
+def _as_coeffs(coeffs) -> np.ndarray:
+    return np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
 
 
 def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
     """Sums of dropped squares of a finite coefficient list for every scheme
     in schemes at each M in m_values, one list per scheme. Linear keeps
     entries in index order, greedy the entries that are not exactly zero,
-    best the largest squares first. Each sum is the correctly rounded sum of
+    best the largest squares first. The tail a scheme drops at M is the
+    prefix of its reversed keep order of length n - M, so one exact pass
+    sums every scheme's tails. Each sum is the correctly rounded sum of
     the dropped squares, so the ordering between schemes and the
     monotonicity in M survive in floating point."""
     _check_schemes(schemes)
     for m in m_values:
         _check_m(m)
-    c = np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
+    c = _as_coeffs(coeffs)
     sq = c**2
-    rows = []
+    tails = []
     for scheme in schemes:
         if scheme == "linear":
-            ordered = sq
+            reverse = sq[::-1]
         elif scheme == "greedy":
-            ordered = sq[c != 0.0]
-        else:
-            ordered = _largest_first(sq, m_values)
-        rows.append(_cut_sums(ordered, m_values))
-    return rows
+            reverse = sq[c != 0.0][::-1]
+        else:  # at each M the last M are the M largest: one multi-kth partition
+            kth = sorted({sq.size - int(m) for m in m_values if 0 < m < sq.size})
+            reverse = np.partition(sq, kth) if kth else sq
+        tails.append((reverse, [max(reverse.size - int(m), 0) for m in m_values]))
+    sums = _prefix_sums([(x, [d for d in drops if d]) for x, drops in tails])
+    return [[s.get(d, 0.0) for d in drops] for s, (_, drops) in zip(sums, tails)]
+
+
+def select_discrete(coeffs, scheme: str, m: int) -> Selection:
+    """Keep m entries of a finite coefficient list: the first m (linear),
+    the first m that are not exactly zero (greedy), or the m largest
+    magnitudes, ties to the smaller index (best); error_sq is the sum of
+    the dropped squares, from errors_discrete."""
+    c = _as_coeffs(coeffs)
+    _check_m(m)
+    if m > c.size:
+        raise ValueError(f"M={m} exceeds the number of coefficients {c.size}")
+    ((error,),) = errors_discrete(c, (scheme,), [m])
+    if scheme == "linear":
+        picked = range(m)
+    elif scheme == "greedy":
+        picked = np.flatnonzero(c != 0.0)[:m]
+    else:
+        picked = np.sort(np.argsort(-np.abs(c), kind="stable")[:m])
+    kept = tuple((atom_from_index(int(i)), float(c[i])) for i in picked)
+    return Selection(scheme=scheme, m=m, kept=kept, error_sq=error)
 
 
 def best_errors_discrete(coeffs, m_values) -> list[float]:
@@ -415,28 +401,11 @@ def _exact_terms(x: np.ndarray, starts: list[int]) -> list[list[float]]:
     return [list(column) for column in zip(*parts)]
 
 
-def _cut_sums(x: np.ndarray, cuts) -> list[float]:
-    """The correctly rounded sum of x[m:] at each cut m (0.0 at or past the
-    end) for a nonnegative float array x: the segment terms accumulated from
-    the back, one fsum per distinct cut."""
-    n = x.size
-    ends = [min(int(m), n) for m in cuts]
-    starts = sorted(set(ends) - {n})
-    if not starts:
-        return [0.0] * len(ends)
-    terms = _exact_terms(x[starts[0] :], [s - starts[0] for s in starts])
-    sums, acc = {n: 0.0}, []
-    for start, segment in zip(starts[::-1], terms[::-1]):
-        acc[:0] = segment  # in index order, as fsum over x[start:] would see it
-        sums[start] = math.fsum(acc)
-    return [sums[m] for m in ends]
-
-
 def _prefix_sums(groups) -> list[dict[int, float]]:
-    """For each (x, cuts) in groups, the correctly rounded sum of x[:c] at
-    each cut c, with 0 < c <= x.size: one exact extraction over every
-    group's used prefix laid end to end, the segment terms accumulated from
-    the front, one fsum per cut."""
+    """For each (x, cuts) in groups, x a nonnegative float array, the
+    correctly rounded sum of x[:c] at each cut c, with 0 < c <= x.size: one
+    exact extraction over every group's used prefix laid end to end, the
+    segment terms accumulated from the front, one fsum per cut."""
     cuts = [sorted(set(c)) for _, c in groups]
     pieces, starts, offset = [], [], 0
     for (x, _), cs in zip(groups, cuts):

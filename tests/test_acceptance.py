@@ -20,7 +20,7 @@ from cpwave.harness import (
     run_mse_curve,
     run_spacing_check,
 )
-from cpwave.schemes import select_best, select_greedy_discrete, select_linear_discrete
+from cpwave.schemes import select, select_discrete
 from cpwave.theory import (
     exp_weighted_decay,
     linear_mse,
@@ -269,7 +269,7 @@ def test_criterion_9_certified_best_equals_brute_force():
             thin_paths += 1  # would need scales beyond the brute-force cap
             continue
         for m in (1, 2, 4, 8, 16, 32):
-            kept = sorted((atom_index(a), v) for a, v in select_best(path, m).kept)
+            kept = sorted((atom_index(a), v) for a, v in select(path, "best", m).kept)
             if kept != brute_force(path, m):
                 mismatches += 1
     report(
@@ -288,8 +288,8 @@ def test_criterion_10_brownian_greedy_equals_linear():
         if not np.all(coeffs != 0.0):
             all_nonzero = False
         for m in (1, 16, 256):
-            greedy = select_greedy_discrete(coeffs, m)
-            linear = select_linear_discrete(coeffs, m)
+            greedy = select_discrete(coeffs, "greedy", m)
+            linear = select_discrete(coeffs, "linear", m)
             if greedy.kept != linear.kept or greedy.error_sq != linear.error_sq:
                 selections_equal = False
     report(

@@ -22,7 +22,7 @@ from cpwave import (
     jumps_in_support,
     sample_grid,
     sample_path,
-    select_linear,
+    select,
 )
 from cpwave.haar import atoms_past, ladder, nonzero_counts_by_scale, support
 from cpwave.schemes import linear_errors
@@ -319,19 +319,19 @@ def test_nonzero_counts_by_scale_reach_any_target():
 
 
 # ---------------------------------------------------------------------------
-# expansion up to scale J: the first 2^(J+1) atoms, select_linear(path, 2**(J+1))
+# expansion up to scale J: the first 2^(J+1) atoms, select(path, "linear", 2**(J+1))
 
 
 def test_expand_zero_path():
     path = make_path([], [])
-    kept = select_linear(path, 2**5).kept
+    kept = select(path, "linear", 2**5).kept
     assert len(kept) == 2**5
     assert all(v == 0.0 and jumps_in_support(path, atom) == 0 for atom, v in kept)
 
 
 def test_expand_dense_iterator_indexed_and_complete():
     path = make_path([0.3, 0.6], [1.0, -1.0])
-    kept = select_linear(path, 2**4).kept
+    kept = select(path, "linear", 2**4).kept
     assert len(kept) == 2**4
     assert [atom_index(atom) for atom, _ in kept] == list(range(16))
     lad = ladder(path)
@@ -345,7 +345,7 @@ def test_expand_dense_iterator_indexed_and_complete():
 def test_expand_partial_energy_below_norm():
     for seed in range(20):
         path = sample_path(10.0, LAW10, derive_stream(23, seed))
-        energy = math.fsum(v * v for _, v in select_linear(path, 2**11).kept)
+        energy = math.fsum(v * v for _, v in select(path, "linear", 2**11).kept)
         assert energy <= path.l2_norm_sq() + 1e-12
 
 

@@ -468,6 +468,19 @@ def test_cli_refuses_energy_scales_near_float_max(monkeypatch, capsys, argv):
     assert "energy scale" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", ["1", "6"])
+def test_cli_refuses_run_time_overflow(capsys, seed):
+    # a scale just below MAX_ENERGY_SCALE still overflows on these paths:
+    # seed 1 once wrote nan rows with exit 0, seed 6 exited 1 with an
+    # OverflowError from the exact sums
+    argv = ["mse-curve", "--process", "cp", "--lambda", "100", "--sigma0-sq", "8e307",
+            "--trials", "20", "--m", "4,64", "--seed", seed]
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "energy scale 8e+307 overflows" in captured.err and "Traceback" not in captured.err
+
+
 def test_cli_mse_curve_bm_discrete(tmp_path):
     out = tmp_path / "bm.csv"
     assert run_cli(

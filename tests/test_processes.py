@@ -132,6 +132,11 @@ def test_values_at_matches_scalar():
     path = make_path([0.2, 0.6], [1.0, -2.0])
     ts = np.array([0.0, 0.2, 0.3, 0.6, 0.9])
     assert np.array_equal(path.values_at(ts), [path.value_at(t) for t in ts])
+    # about 100 jumps: a pairwise sum of a prefix and a running sum round
+    # differently at most grid points
+    path = sample_path(100.0, JumpLaw.for_rate(100.0), derive_stream(10, 0))
+    ts = np.arange(257) / 256
+    assert np.array_equal(path.values_at(ts), [path.value_at(t) for t in ts])
 
 
 def test_min_spacing_empty_path_is_one():

@@ -14,15 +14,11 @@ from cpwave import (
     atom_index,
     derive_stream,
     sample_path,
-    select_best,
-    select_best_discrete,
-    select_greedy,
-    select_greedy_discrete,
-    select_linear,
-    select_linear_discrete,
+    select,
+    select_discrete,
 )
 from cpwave import schemes as schemes_module
-from cpwave.haar import coeff, ladder, support
+from cpwave.haar import atom_from_index, atoms_past, coeff, ladder, support
 from cpwave.schemes import (
     SCHEMES,
     best_errors,
@@ -79,14 +75,14 @@ def reconstruction_error_by_integration(path, selection):
 
 def test_linear_m0_error_is_full_energy():
     path = make_path([0.25], [1.0])
-    sel = select_linear(path, 0)
+    sel = select(path, "linear", 0)
     assert sel.kept == ()
     assert sel.error_sq == pytest.approx(path.l2_norm_sq())
 
 
 def test_linear_single_jump_m2():
     path = make_path([0.25], [1.0])
-    sel = select_linear(path, 2)
+    sel = select(path, "linear", 2)
     assert [atom_index(a) for a, _ in sel.kept] == [0, 1]
     assert dict((atom_index(a), v) for a, v in sel.kept)[0] == pytest.approx(0.75)
     assert dict((atom_index(a), v) for a, v in sel.kept)[1] == pytest.approx(-0.25)
@@ -96,14 +92,14 @@ def test_linear_single_jump_m2():
 
 def test_linear_error_vanishes_along_dyadic_m():
     path = sample_path(10.0, LAW10, derive_stream(30, 0))
-    errors = [select_linear(path, 2**j).error_sq for j in range(11)]
+    errors = [select(path, "linear", 2**j).error_sq for j in range(11)]
     assert all(a >= b for a, b in zip(errors, errors[1:]))
     assert errors[-1] < 1e-3 * errors[0]
 
 
 def test_linear_keeps_zero_valued_atoms():
     path = make_path([0.9], [1.0])  # only the last atom of each scale is occupied
-    sel = select_linear(path, 4)
+    sel = select(path, "linear", 4)
     assert len(sel.kept) == 4
     values = dict((atom_index(a), v) for a, v in sel.kept)
     assert values[2] == 0.0  # wavelet (1, 0) has no jump in support
@@ -116,7 +112,7 @@ def test_linear_keeps_zero_valued_atoms():
 def test_greedy_zero_path_empty_and_exact():
     path = make_path([], [])
     for m in (0, 1, 5):
-        sel = select_greedy(path, m)
+        sel = select(path, "greedy", m)
         assert sel.kept == () and sel.error_sq == 0.0
 
 
@@ -125,8 +121,8 @@ def test_greedy_single_jump_equals_sparse_linear():
     # linear scheme with 2^(M-1) atoms, and the deepest kept scale is M - 2
     path = make_path([0.37], [1.3])
     for m in (2, 3, 5, 8):
-        greedy = select_greedy(path, m)
-        linear = select_linear(path, 2 ** (m - 1))
+        greedy = select(path, "greedy", m)
+        linear = select(path, "linear", 2 ** (m - 1))
         nonzero_linear = [(a, v) for a, v in linear.kept if v != 0.0]
         assert list(greedy.kept) == nonzero_linear
         assert greedy.error_sq == pytest.approx(linear.error_sq, rel=1e-12, abs=1e-15)
@@ -141,7 +137,7 @@ def test_greedy_scale_of_mth_nonzero_within_bounds():
             continue
         delta = path.min_spacing()
         for m in (2, 5, 16, 64):
-            sel = select_greedy(path, m)
+            sel = select(path, "greedy", m)
             last_atom = sel.kept[-1][0]
             j_m = 0 if last_atom.kind == "scaling" else last_atom.j
             lo, hi = nonzero_scale_bounds(m, n, delta)
@@ -150,7 +146,7 @@ def test_greedy_scale_of_mth_nonzero_within_bounds():
 
 def test_greedy_counts_structural_nonzeros():
     path = make_path([0.9], [1.0])
-    sel = select_greedy(path, 3)
+    sel = select(path, "greedy", 3)
     # scaling, wavelet (0,0), then the single occupied atom of scale 1
     assert [atom_index(a) for a, _ in sel.kept] == [0, 1, 3]
 
@@ -161,16 +157,15 @@ def test_greedy_counts_structural_nonzeros():
 
 def test_best_single_jump_m1_keeps_scaling():
     path = make_path([0.25], [1.0])
-    sel = select_best(path, 1)
+    sel = select(path, "best", 1)
     assert len(sel.kept) == 1
     assert sel.kept[0][0] == SCALING
     assert sel.kept[0][1] == pytest.approx(0.75)
-    assert sel.certified
 
 
 def test_best_m0():
     path = make_path([0.25], [1.0])
-    sel = select_best(path, 0)
+    sel = select(path, "best", 0)
     assert sel.error_sq == pytest.approx(path.l2_norm_sq())
 
 
@@ -192,7 +187,7 @@ def test_best_matches_brute_force():
         if path.num_jumps < 2:
             continue
         for m in (1, 4, 16):
-            sel = select_best(path, m)
+            sel = select(path, "best", m)
             got = sorted((atom_index(a), v) for a, v in sel.kept)
             assert got == brute_force_best(path, m)
 
@@ -201,7 +196,7 @@ def test_best_error_by_integration():
     for seed in range(4):
         path = sample_path(6.0, JumpLaw(variance=1 / 6), derive_stream(33, seed))
         for m in (3, 8, 20):
-            sel = select_best(path, m)
+            sel = select(path, "best", m)
             oracle = reconstruction_error_by_integration(path, sel)
             assert sel.error_sq == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -210,7 +205,7 @@ def test_greedy_error_by_integration():
     for seed in range(4):
         path = sample_path(6.0, JumpLaw(variance=1 / 6), derive_stream(34, seed))
         for m in (2, 9, 33, 64):
-            sel = select_greedy(path, m)
+            sel = select(path, "greedy", m)
             oracle = reconstruction_error_by_integration(path, sel)
             assert sel.error_sq == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
@@ -220,8 +215,8 @@ def test_single_jump_greedy_reaches_m_1024():
     # past the path's resolution every kept coefficient is exactly 0.0
     path = make_path([0.37], [1.3])
     assert greedy_errors(path, [1024]) == best_errors(path, [1024])
-    for select in (select_greedy, select_best):
-        sel = select(path, 1024)
+    for scheme in ("greedy", "best"):
+        sel = select(path, scheme, 1024)
         assert len(sel.kept) == 1024
         assert sel.kept[-1][0] == Atom.wavelet(1022, int(0.37 * 2.0**1022))
         assert sel.error_sq == greedy_errors(path, [1024])[0]
@@ -233,7 +228,7 @@ def test_near_zero_error_clamped_not_negative():
     # a single-jump path is fully captured once every occupied atom down to
     # float resolution is kept; the error is then exactly 0.0, never negative
     path = make_path([0.5], [1.0])
-    sel = select_greedy(path, 80)
+    sel = select(path, "greedy", 80)
     assert 0.0 <= sel.error_sq < 1e-12
 
 
@@ -269,9 +264,9 @@ def test_scheme_ordering_and_monotonicity(times, data):
 def test_profiles_match_single_selections():
     path = sample_path(10.0, LAW10, derive_stream(35, 1))
     ms = [0, 1, 3, 8, 17, 64]
-    assert linear_errors(path, ms) == [select_linear(path, m).error_sq for m in ms]
-    assert greedy_errors(path, ms) == [select_greedy(path, m).error_sq for m in ms]
-    assert best_errors(path, ms) == [select_best(path, m).error_sq for m in ms]
+    assert linear_errors(path, ms) == [select(path, "linear", m).error_sq for m in ms]
+    assert greedy_errors(path, ms) == [select(path, "greedy", m).error_sq for m in ms]
+    assert best_errors(path, ms) == [select(path, "best", m).error_sq for m in ms]
 
 
 TIE_PRONE_HEIGHTS = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
@@ -302,8 +297,8 @@ def test_errors_rows_equal_views_and_selections(path):
     ms = [0, 1, 2, 3, 5, 8, 13, 21, 64]
     rows = errors(path, SCHEMES, ms)
     assert rows == [linear_errors(path, ms), greedy_errors(path, ms), best_errors(path, ms)]
-    for row, select in zip(rows, (select_linear, select_greedy, select_best)):
-        assert row == [select(path, m).error_sq for m in ms]
+    for row, scheme in zip(rows, SCHEMES):
+        assert row == [select(path, scheme, m).error_sq for m in ms]
 
 
 def reference_errors(path, scheme, ms):
@@ -413,6 +408,73 @@ def test_errors_equal_whole_ladder_reference():
     assert branches == {"truncated", "extended"}
 
 
+def test_select_builds_each_scale_once(monkeypatch):
+    # select reads its kept atoms and its error from one certified build:
+    # consecutive scale ranges from scale 0, none built twice
+    calls = []
+    real_ladder = schemes_module.ladder
+
+    def counting_ladder(path, lo=0, hi=None):
+        lad = real_ladder(path, lo, hi)
+        calls.append((lo, lad.resolution if hi is None else max(lo, min(hi, lad.resolution))))
+        return lad
+
+    monkeypatch.setattr(schemes_module, "ladder", counting_ladder)
+    paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(39, seed))
+             for lam in (3.0, 10.0, 100.0, 500.0) for seed in range(4)]
+    # its +-10^6 pair separates near scale 44, far below the first depth
+    paths.append(make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]))
+    extended = 0
+    for path in paths:
+        for scheme, m in itertools.product(SCHEMES, (0, 1, 10, 32, 1024)):
+            calls.clear()
+            select(path, scheme, m)
+            assert 1 <= len(calls) <= 2 and calls[0][0] == 0
+            assert all(b[0] == a[1] for a, b in zip(calls, calls[1:]))
+            extended += len(calls) == 2
+    assert extended > 0
+
+
+def whole_ladder_selection(path, scheme, m):
+    """The kept atoms read from the whole ladder, with no depth bound, and
+    the error errors gives for that scheme and M."""
+    lad = ladder(path)
+    values = schemes_module._candidates(path, lad)
+    (count,) = schemes_module._kept_counts(lad, scheme, values.size, [m])
+    if scheme == "best":  # a stable sort sends ties to the smaller index
+        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[:count]).tolist()
+    else:
+        picked = range(count)
+    kept = []
+    for p in picked:
+        atom = Atom.wavelet(int(lad.scale[p - 1]), int(lad.shift[p - 1])) if p else SCALING
+        kept.append((atom, float(values[p])))
+    if scheme == "linear":
+        given = {atom_index(atom): v for atom, v in kept}
+        kept = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
+    else:
+        past = itertools.islice(atoms_past(path, lad.resolution), m - len(kept))
+        kept += [(atom, 0.0) for atom in past]
+    return kept, errors(path, (scheme,), [m])[0][0]
+
+
+@given(
+    st.one_of(tie_prone_paths(), arbitrary_paths(), spiked_paths()),
+    st.integers(0, 300),
+    st.sampled_from(SCHEMES),
+)
+@example(sample_path(500.0, LAW500, derive_stream(36, 0)), 32, "best")
+@example(sample_path(500.0, LAW500, derive_stream(36, 0)), 1024, "greedy")
+@example(make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]), 10, "best")
+@example(make_path([], []), 5, "greedy")
+@settings(max_examples=100, deadline=None)
+def test_select_equals_whole_ladder_reference(path, m, scheme):
+    sel = select(path, scheme, m)
+    kept, error = whole_ladder_selection(path, scheme, m)
+    assert [(a, v.hex()) for a, v in sel.kept] == [(a, v.hex()) for a, v in kept]
+    assert row_bits([[sel.error_sq]]) == row_bits([[error]])
+
+
 def row_bits(rows):
     """Rows as bit patterns, so that nan and the sign of a zero count."""
     return [np.array(row, dtype=float).view(np.uint64).tolist() for row in rows]
@@ -496,7 +558,8 @@ def test_errors_discrete_rows_equal_reference(coeffs, m_set):
     ms = sorted(m_set | {0, len(coeffs), len(coeffs) + 1})
     rows = errors_discrete(np.array(coeffs), SCHEMES, ms)
     assert rows == [reference_errors_discrete(coeffs, scheme, ms) for scheme in SCHEMES]
-    assert rows[2] == errors_discrete(coeffs, ("best",), ms)[0]
+    # one exact pass over every scheme's tails gives each scheme's own rows
+    assert rows == [errors_discrete(coeffs, (scheme,), ms)[0] for scheme in SCHEMES]
 
 
 def test_errors_discrete_overflow_raises_like_fsum():
@@ -521,19 +584,18 @@ def test_errors_reject_unknown_scheme():
 
 
 def test_best_discrete_example():
-    sel = select_best_discrete([3.0, -1.0, 2.0, 0.0], 2)
+    sel = select_discrete([3.0, -1.0, 2.0, 0.0], "best", 2)
     assert {atom_index(a) for a, _ in sel.kept} == {0, 2}
     assert sel.error_sq == pytest.approx(1.0)
-    assert not sel.certified
 
 
 def test_best_discrete_keep_all():
-    sel = select_best_discrete([3.0, -1.0, 2.0, 0.0], 4)
+    sel = select_discrete([3.0, -1.0, 2.0, 0.0], "best", 4)
     assert sel.error_sq == 0.0
 
 
 def test_best_discrete_tie_break_smaller_index():
-    sel = select_best_discrete([2.0, -2.0, 2.0], 2)
+    sel = select_discrete([2.0, -2.0, 2.0], "best", 2)
     assert [atom_index(a) for a, _ in sel.kept] == [0, 1]
 
 
@@ -541,15 +603,15 @@ def test_best_discrete_constant_signal_single_term():
     from cpwave import discrete_haar_forward
 
     coeffs = discrete_haar_forward(np.full(8, 3.0))
-    assert select_best_discrete(coeffs, 1).error_sq == pytest.approx(0.0, abs=1e-25)
+    assert select_discrete(coeffs, "best", 1).error_sq == pytest.approx(0.0, abs=1e-25)
 
 
 def test_greedy_linear_discrete_examples():
     coeffs = [0.0, 5.0, 0.0, 2.0]
-    greedy = select_greedy_discrete(coeffs, 2)
+    greedy = select_discrete(coeffs, "greedy", 2)
     assert [atom_index(a) for a, _ in greedy.kept] == [1, 3]
     assert greedy.error_sq == 0.0
-    linear = select_linear_discrete(coeffs, 2)
+    linear = select_discrete(coeffs, "linear", 2)
     assert [atom_index(a) for a, _ in linear.kept] == [0, 1]
     assert linear.error_sq == pytest.approx(4.0)
 
@@ -558,17 +620,17 @@ def test_greedy_equals_linear_when_all_nonzero():
     rng = derive_stream(36, 0)
     coeffs = rng.normal(0.0, 1.0, 64)
     for m in (0, 1, 7, 33, 64):
-        greedy = select_greedy_discrete(coeffs, m)
-        linear = select_linear_discrete(coeffs, m)
+        greedy = select_discrete(coeffs, "greedy", m)
+        linear = select_discrete(coeffs, "linear", m)
         assert greedy.kept == linear.kept
         assert greedy.error_sq == linear.error_sq
 
 
 def test_discrete_m_validation():
     with pytest.raises(ValueError):
-        select_best_discrete([1.0, 2.0], 3)
+        select_discrete([1.0, 2.0], "best", 3)
     with pytest.raises(ValueError):
-        select_linear_discrete([1.0], -1)
+        select_discrete([1.0], "linear", -1)
 
 
 @given(
@@ -585,6 +647,6 @@ def test_discrete_ordering_and_profiles(coeffs, data):
     for errs in (lin, gre, bst):
         assert all(a >= b for a, b in zip(errs, errs[1:]))
     for m, b, g, l in zip(ms, bst, gre, lin):
-        assert l == pytest.approx(select_linear_discrete(arr, m).error_sq, rel=1e-12, abs=1e-12)
-        assert g == pytest.approx(select_greedy_discrete(arr, m).error_sq, rel=1e-12, abs=1e-12)
-        assert b == pytest.approx(select_best_discrete(arr, m).error_sq, rel=1e-12, abs=1e-12)
+        assert l == pytest.approx(select_discrete(arr, "linear", m).error_sq, rel=1e-12, abs=1e-12)
+        assert g == pytest.approx(select_discrete(arr, "greedy", m).error_sq, rel=1e-12, abs=1e-12)
+        assert b == pytest.approx(select_discrete(arr, "best", m).error_sq, rel=1e-12, abs=1e-12)
