@@ -19,6 +19,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import harness, theory
 from .processes import derive_stream, sample_path
 from .schemes import InvariantViolation
@@ -250,7 +252,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # an overflow to inf surfaces as a refused run (exit 2); numpy's
+        # warning would only repeat it, so it is silenced once per run
+        with np.errstate(over="ignore"):
+            return _COMMANDS[args.command](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return _EXIT_INVARIANT

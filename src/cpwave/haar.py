@@ -281,47 +281,64 @@ def nonzero_counts_by_scale(path: CompoundPoissonPath, target: int) -> list[int]
     return counts
 
 
-def _as_values(samples) -> np.ndarray:
-    values = getattr(samples, "values", samples)
-    return np.asarray(values, dtype=float)
+def as_rows(x) -> np.ndarray:
+    """x, or its .values, as a float array of rows along the last axis: one
+    signal or coefficient list per row, a 1-D array being a single row."""
+    values = np.asarray(getattr(x, "values", x), dtype=float)
+    if values.ndim == 0:
+        raise ValueError("expected an array with at least one axis, got a scalar")
+    return values
+
+
+def dyadic_rows(x, what: str) -> tuple[np.ndarray, int]:
+    """as_rows(x) and the log2 of its rows' length, which must be a power
+    of two; what names the rows in the error."""
+    values = as_rows(x)
+    n = values.shape[-1]
+    if n == 0 or (n & (n - 1)) != 0:
+        raise ValueError(f"{what} length must be a power of two, got {n}")
+    return values, n.bit_length() - 1
+
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 def discrete_haar_forward(samples) -> np.ndarray:
-    """Orthonormal discrete Haar transform of a length-2^L signal.
+    """Orthonormal discrete Haar transform of a length-2^L signal, or of
+    every row of a (..., 2^L) array along its last axis.
 
     Output layout mirrors the atom enumeration: slot 0 is the scaling
     coefficient and slot 2^j + k the detail at scale j (coarsest j = 0)
-    and shift k, for 0 <= j < L.
+    and shift k, for 0 <= j < L. Each level writes its details straight
+    into the output and its sums into one of two scratch buffers, so a
+    row's bits do not depend on the rows beside it.
     """
-    x = _as_values(samples)
-    n = x.size
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ValueError(f"signal length must be a power of two, got {n}")
-    out = np.empty(n)
-    cur = x.copy()
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    while cur.size > 1:
-        half = cur.size // 2
-        even, odd = cur[0::2], cur[1::2]
-        out[half : 2 * half] = (even - odd) * inv_sqrt2
-        cur = (even + odd) * inv_sqrt2
-    out[0] = cur[0]
+    x, _ = dyadic_rows(samples, "signal")
+    out = np.empty(x.shape)
+    cur, nxt = x.copy(), np.empty(x.shape[:-1] + (x.shape[-1] // 2,))
+    half = x.shape[-1] // 2
+    while half:
+        even, odd = cur[..., 0 : 2 * half : 2], cur[..., 1 : 2 * half : 2]
+        detail, total = out[..., half : 2 * half], nxt[..., :half]
+        np.subtract(even, odd, out=detail)
+        detail *= _INV_SQRT2
+        np.add(even, odd, out=total)
+        total *= _INV_SQRT2
+        cur, nxt, half = nxt, cur, half // 2
+    out[..., 0] = cur[..., 0]
     return out
 
 
 def discrete_haar_inverse(coeffs) -> np.ndarray:
-    """Inverse of discrete_haar_forward."""
-    c = _as_values(coeffs)
+    """Inverse of discrete_haar_forward on one length-2^L coefficient list."""
+    c, _ = dyadic_rows(coeffs, "coefficient")
     n = c.size
-    if n == 0 or (n & (n - 1)) != 0:
-        raise ValueError(f"coefficient length must be a power of two, got {n}")
     cur = np.array([c[0]])
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     while cur.size < n:
         half = cur.size
         detail = c[half : 2 * half]
         nxt = np.empty(2 * half)
-        nxt[0::2] = (cur + detail) * inv_sqrt2
-        nxt[1::2] = (cur - detail) * inv_sqrt2
+        nxt[0::2] = (cur + detail) * _INV_SQRT2
+        nxt[1::2] = (cur - detail) * _INV_SQRT2
         cur = nxt
     return cur

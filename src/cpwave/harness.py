@@ -3,8 +3,12 @@
 Every trial owns a private random stream derived from (master_seed, trial
 index), and per-trial results are reduced in trial order, so curves are
 byte-for-byte reproducible regardless of how many worker processes run the
-trials. Scheme-ordering and monotonicity invariants are hard-asserted on
-every trial of every run.
+trials. Trials run in blocks of consecutive indices: each trial samples its
+own path or grid, and a discrete dictionary transforms the block's grids as
+one array and sums every row's errors in one exact pass, whose sums do not
+depend on the rows beside them, so the blocks change no byte. With several
+workers, whole blocks go to the pool. Scheme-ordering and monotonicity
+invariants are hard-asserted on every trial of every run.
 """
 
 from __future__ import annotations
@@ -195,37 +199,56 @@ class SpacingCheckResult:
 # per-trial work
 
 
+# Discrete-dictionary trials run in blocks of _BLOCK_SAMPLES >> grid_log2
+# trials (at least one): 16 trials of a 2^10 grid, one from 2^14 up. The
+# budget keeps the block's grids, coefficients and sorted squares within a
+# few MB.
+_BLOCK_SAMPLES = 2**14
+
+
+def _block_size(config: ExperimentConfig) -> int:
+    return max(1, _BLOCK_SAMPLES >> config.grid_log2)
+
+
 def _trial_errors(
-    config: ExperimentConfig, trial: int, dictionaries: tuple[str, ...] = ()
-) -> tuple[tuple[float, ...], ...]:
-    """Squared errors for one trial: one tuple per (dictionary, scheme) pair,
-    dictionary-major, one entry per M. The dictionaries default to the
-    config's own; all of them read the trial's one path or grid."""
+    config: ExperimentConfig, trials: range, dictionaries: tuple[str, ...] = ()
+) -> list[tuple[tuple[float, ...], ...]]:
+    """Squared errors for a block of trials: per trial, one tuple per
+    (dictionary, scheme) pair, dictionary-major, one entry per M. The
+    dictionaries default to the config's own; all of them read each trial's
+    one path or grid. Every trial samples from its own stream; a discrete
+    dictionary then transforms the block's grids as one (trials, 2^L)
+    array and sums every row's errors in one pass."""
     dictionaries = dictionaries or (config.dictionary,)
-    stream = derive_stream(config.master_seed, trial)
     ms = config.m_values
-    path = sample_path(config.lam, config.jump_law(), stream) if config.process == "cp" else None
-    samples = None
-    if dictionaries != ("haar_analytic",):
-        if path is not None:
-            samples = sample_grid(path, config.grid_log2)
-        else:
-            samples = brownian_grid(config.sigma0_sq, config.grid_log2, stream)
+    paths, grids = [], []
+    for trial in trials:
+        stream = derive_stream(config.master_seed, trial)
+        path = sample_path(config.lam, config.jump_law(), stream) if config.process == "cp" else None
+        paths.append(path)
+        if dictionaries != ("haar_analytic",):
+            if path is not None:
+                grids.append(sample_grid(path, config.grid_log2).values)
+            else:
+                grids.append(brownian_grid(config.sigma0_sq, config.grid_log2, stream).values)
     norm = float(2**config.grid_log2)
-    rows = []
+    per_dictionary = []
     for dictionary in dictionaries:
         if dictionary == "haar_analytic":
-            errs = tuple(map(tuple, schemes.errors(path, config.schemes, ms)))
+            block = [tuple(map(tuple, schemes.errors(p, config.schemes, ms))) for p in paths]
         else:
             if dictionary == "haar_discrete":
-                coeffs = discrete_haar_forward(samples)
+                coeffs = discrete_haar_forward(np.stack(grids))
             else:
-                coeffs = dct_mod.dct2_forward(samples).values
-            discrete = schemes.errors_discrete(coeffs, config.schemes, ms)
-            errs = tuple(tuple(e / norm for e in row) for row in discrete)
-        _assert_trial_invariants(config, trial, errs)
-        rows.extend(errs)
-    return tuple(rows)
+                coeffs = dct_mod.dct2_forward(np.stack(grids)).values
+            block = [
+                tuple(tuple(e / norm for e in row) for row in rows)
+                for rows in schemes.errors_discrete_rows(coeffs, config.schemes, ms)
+            ]
+        for trial, errs in zip(trials, block):
+            _assert_trial_invariants(config, trial, errs)
+        per_dictionary.append(block)
+    return [sum(rows, ()) for rows in zip(*per_dictionary)]
 
 
 def _assert_trial_invariants(
@@ -251,15 +274,24 @@ def _assert_trial_invariants(
 def _run_trials(
     config: ExperimentConfig, dictionaries: tuple[str, ...], workers: int
 ) -> list[tuple[tuple[float, ...], ...]]:
-    trials = range(config.trials)
+    """Every trial's error rows, in trial order, from blocks of trials run
+    in order, or mapped to a pool of workers."""
+    size = _block_size(config)
+    blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
     if workers <= 1:
-        return [_trial_errors(config, t, dictionaries) for t in trials]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunk = max(1, config.trials // (workers * 8))
-        n = config.trials
-        return list(
-            pool.map(_trial_errors, [config] * n, trials, [dictionaries] * n, chunksize=chunk)
-        )
+        per_block = [_trial_errors(config, block, dictionaries) for block in blocks]
+    else:
+        # the workers run under the caller's numpy error state whatever the
+        # start method
+        err = np.geterr()
+        state = (None, err["divide"], err["over"], err["under"], err["invalid"])
+        with ProcessPoolExecutor(max_workers=workers, initializer=np.seterr, initargs=state) as pool:
+            n = len(blocks)
+            chunk = max(1, n // (workers * 8))
+            per_block = list(
+                pool.map(_trial_errors, [config] * n, blocks, [dictionaries] * n, chunksize=chunk)
+            )
+    return [rows for block in per_block for rows in block]
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float, float]:

@@ -23,17 +23,20 @@ atoms of index below K, all at scales below bit_length(K); greedy needs K
 candidates; and best needs a bound on every coefficient at scales >= d,
 from the jump counts at scale d - 1 and the largest jump height, to lie
 strictly below the K-th largest built square. No scale is built twice.
-errors_discrete and select_discrete do the same for a finite coefficient
-list, with one set of squares. Squared errors of exact paths come from
-Parseval: path energy minus kept energy (exactly 0.0 once every candidate
-of the whole ladder is kept). The error of a finite discrete coefficient
-list at M is the sum of its dropped squares. Both are prefix sums from one
-exact kernel, _prefix_sums: one vectorized error-free extraction
-(_exact_terms) over the used prefixes of a call laid end to end gives each
-segment's exact sum as a few terms, accumulated from the front. errors
-sums every scheme's kept prefix (linear and greedy share the index-order
-one); errors_discrete sums each scheme's dropped tail as a prefix of its
-reversed keep order. Each M's sum is then one fsum over a few terms,
+errors_discrete_rows does the same for every row of a block of finite
+coefficient lists, with one set of squares and one sort for the block;
+errors_discrete is its one-row view, and select_discrete reads it. Squared
+errors of exact paths come from Parseval: path energy minus kept energy
+(exactly 0.0 once every candidate of the whole ladder is kept). The error
+of a finite discrete coefficient list at M is the sum of its dropped
+squares. Both are prefix sums from one exact kernel, _prefix_sums: one
+vectorized error-free extraction (_exact_terms) over the used prefixes of
+a call laid end to end gives each segment's exact sum as a few terms,
+accumulated from the front. errors sums every scheme's kept prefix (linear
+and greedy share the index-order one); errors_discrete_rows sums each
+dropped tail as a prefix of one of a row's two orders, reversed index
+order (linear and greedy) or ascending squares (best), over every row of
+the block in one pass. Each M's sum is then one fsum over a few terms,
 correctly rounded, so no prefix or tail is summed again for every M. On
 every path and every M the schemes obey best <= greedy <= linear, and each
 scheme's error is non-increasing in M.
@@ -47,7 +50,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import SCALING, Atom, Ladder, atom_from_index, atom_index, atoms_past, coeff, ladder
+from .haar import (
+    SCALING,
+    Atom,
+    Ladder,
+    as_rows,
+    atom_from_index,
+    atom_index,
+    atoms_past,
+    coeff,
+    ladder,
+)
 from .processes import CompoundPoissonPath
 
 __all__ = [
@@ -58,6 +71,7 @@ __all__ = [
     "select_discrete",
     "errors",
     "errors_discrete",
+    "errors_discrete_rows",
     "linear_errors",
     "greedy_errors",
     "best_errors",
@@ -296,36 +310,58 @@ def best_errors(path: CompoundPoissonPath, m_values) -> list[float]:
 # discrete variants over a finite coefficient list (grid proxies)
 
 
-def _as_coeffs(coeffs) -> np.ndarray:
-    return np.asarray(getattr(coeffs, "values", coeffs), dtype=float)
+def errors_discrete_rows(coeffs, schemes, m_values) -> list[list[list[float]]]:
+    """errors_discrete of every row of a (rows, n) coefficient array: per
+    row, one list of squared errors per scheme, one entry per M.
+
+    Each dropped tail, padded with zeros that add nothing, is a prefix of
+    one of two orders of a row's squares: reversed index order for linear
+    (the last n - M) and greedy (the entries past the M-th one that is not
+    exactly zero), ascending for best (the n - M smallest, from one sort
+    of every row). One exact pass over every row's used prefixes sums
+    them all; each sum depends only on the multiset it adds, so it is the
+    correctly rounded sum of the dropped squares whatever the rows beside
+    it or the order of ties.
+    """
+    _check_schemes(schemes)
+    for m in m_values:
+        _check_m(m)
+    c = as_rows(coeffs)
+    if c.ndim != 2:
+        raise ValueError(f"expected a (rows, n) coefficient array, got shape {c.shape}")
+    n = c.shape[-1]
+    sq = c**2
+    order = {s: "best" if s == "best" else "index" for s in schemes}
+    keyed = {"index": sq[:, ::-1], "best": np.sort(sq, axis=-1) if "best" in schemes else None}
+    cut = [max(n - int(m), 0) for m in m_values]
+    if "greedy" in schemes:
+        nonzero = np.cumsum(c != 0.0, axis=-1)
+        ms = [min(int(m), n) for m in m_values]
+    groups, drops = {}, []
+    for r in range(c.shape[0]):
+        row = {s: cut for s in schemes}
+        if "greedy" in schemes:
+            row["greedy"] = (n - np.searchsorted(nonzero[r], ms, side="right")).tolist()
+        drops.append(row)
+        for s, ds in row.items():
+            o = order[s]
+            groups.setdefault((r, o), (keyed[o][r], []))[1].extend(d for d in ds if d)
+    sums = dict(zip(groups, _prefix_sums(groups.values())))
+    return [
+        [[sums[r, order[s]].get(d, 0.0) for d in row[s]] for s in schemes]
+        for r, row in enumerate(drops)
+    ]
 
 
 def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
     """Sums of dropped squares of a finite coefficient list for every scheme
-    in schemes at each M in m_values, one list per scheme. Linear keeps
-    entries in index order, greedy the entries that are not exactly zero,
-    best the largest squares first. The tail a scheme drops at M is the
-    prefix of its reversed keep order of length n - M, so one exact pass
-    sums every scheme's tails. Each sum is the correctly rounded sum of
-    the dropped squares, so the ordering between schemes and the
-    monotonicity in M survive in floating point."""
-    _check_schemes(schemes)
-    for m in m_values:
-        _check_m(m)
-    c = _as_coeffs(coeffs)
-    sq = c**2
-    tails = []
-    for scheme in schemes:
-        if scheme == "linear":
-            reverse = sq[::-1]
-        elif scheme == "greedy":
-            reverse = sq[c != 0.0][::-1]
-        else:  # at each M the last M are the M largest: one multi-kth partition
-            kth = sorted({sq.size - int(m) for m in m_values if 0 < m < sq.size})
-            reverse = np.partition(sq, kth) if kth else sq
-        tails.append((reverse, [max(reverse.size - int(m), 0) for m in m_values]))
-    sums = _prefix_sums([(x, [d for d in drops if d]) for x, drops in tails])
-    return [[s.get(d, 0.0) for d in drops] for s, (_, drops) in zip(sums, tails)]
+    in schemes at each M in m_values, one list per scheme: the one-row view
+    of errors_discrete_rows. Linear keeps entries in index order, greedy
+    the entries that are not exactly zero, best the largest squares first.
+    Each sum is the correctly rounded sum of the dropped squares, so the
+    ordering between schemes and the monotonicity in M survive in floating
+    point."""
+    return errors_discrete_rows(as_rows(coeffs)[np.newaxis], schemes, m_values)[0]
 
 
 def select_discrete(coeffs, scheme: str, m: int) -> Selection:
@@ -333,7 +369,7 @@ def select_discrete(coeffs, scheme: str, m: int) -> Selection:
     the first m that are not exactly zero (greedy), or the m largest
     magnitudes, ties to the smaller index (best); error_sq is the sum of
     the dropped squares, from errors_discrete."""
-    c = _as_coeffs(coeffs)
+    c = as_rows(coeffs)
     _check_m(m)
     if m > c.size:
         raise ValueError(f"M={m} exceeds the number of coefficients {c.size}")

@@ -1,0 +1,103 @@
+"""Property test over command-line argv: every subcommand ends with one of
+the documented exit codes (0 success, 2 configuration error, 3 I/O error,
+4 invariant violation) and never with an uncaught exception.
+
+The argv are kept small: at most 3 trials, grids of at most 2^6 samples
+when a grid is asked for, lambda at most 50, jump counts at most 5, no
+worker pool, and the spacing check's sample size capped at 2000.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from cpwave import cli, harness
+
+# each option's values: (valid, invalid); a draw picks a valid value nine
+# times in ten, so most runs get past validation and reach the trials
+LAMBDAS = (["0.5", "10", "50", "1e-300"], ["0", "-1", "nan", "inf", "x"])
+VARIANCES = (["1", "1e-300", "1e200", "8e307"], ["0", "-2", "nan", "inf"])
+M_LISTS = (["4", "1,4,16", "64", "1024"], ["4,4", "16,4", "0", "-1", "", "x"])
+SEEDS = (["0", "7", str(2**64 - 1)], ["-1", str(2**64)])
+TRIALS = (["1", "3"], ["0", "-2", "x"])
+GRIDS = (["1", "3", "6"], ["0", "-1", "60", "x"])
+WORKERS = (["1"], ["0", "-3", "x"])
+OUTS = (["-"], ["/nonexistent-directory/out.csv"])
+FORMATS = (["csv", "json"], ["xml"])
+
+COMMON = {"--seed": SEEDS, "--out": OUTS, "--format": FORMATS}
+# per subcommand: (options it requires, options it may take); the trial
+# count is always given, so no run takes the default 1000 trials
+SUBCOMMANDS = {
+    "simulate": (
+        {"--lambda": LAMBDAS},
+        {"--sigma0-sq": VARIANCES, "--jump-variance": VARIANCES},
+    ),
+    "mse-curve": (
+        {"--process": (["cp", "bm"], ["xx"]), "--lambda": LAMBDAS, "--trials": TRIALS,
+         "--grid-log2": GRIDS},
+        {
+            "--sigma0-sq": VARIANCES,
+            "--jump-variance": VARIANCES,
+            "--schemes": (["linear", "greedy,best", "linear,greedy,best"], ["bogus", ""]),
+            "--dictionary": (["haar", "haar-discrete", "dct"], ["fourier"]),
+            "--m": M_LISTS,
+            "--workers": WORKERS,
+        },
+    ),
+    "lemma-check": (
+        {},
+        {
+            "--lambda": LAMBDAS,
+            "--n": (["1", "1,2,5"], ["0", "-1", "", "x"]),
+            "--delta": (["0.1", "0,0.5,1"], ["-0.5", "nan", "2", ""]),
+            "--samples": (["1000", "1500", "100000000"], ["10", "x"]),
+        },
+    ),
+    "theorem1-check": (
+        {"--lambda": LAMBDAS, "--trials": TRIALS},
+        {"--sigma0-sq": VARIANCES, "--m": M_LISTS, "--workers": WORKERS},
+    ),
+    "dict-compare": (
+        {"--trials": TRIALS, "--grid-log2": GRIDS},
+        {"--lambda": LAMBDAS, "--sigma0-sq": VARIANCES, "--m": M_LISTS, "--workers": WORKERS},
+    ),
+    "theory-table": (
+        {"--lambda": LAMBDAS},
+        {"--sigma0-sq": VARIANCES, "--m": M_LISTS, "--tol": (["1e-12", "0.1"], ["0", "-1", "nan"])},
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    required, optional = SUBCOMMANDS[command]
+    optional = {**optional, **COMMON}
+    chosen = draw(st.sets(st.sampled_from(sorted(optional))))
+    argv = [command]
+    for name, (valid, invalid) in [*required.items(), *((n, optional[n]) for n in sorted(chosen))]:
+        values = valid if draw(st.integers(min_value=0, max_value=9)) else invalid
+        argv += [name, draw(st.sampled_from(values))]
+    return argv
+
+
+def exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:  # argparse refuses its own input with exit 2
+        return exc.code
+
+
+real_spacing_check = harness.run_spacing_check
+
+
+def capped_spacing_check(**kwargs):
+    return real_spacing_check(**{**kwargs, "samples": min(kwargs["samples"], 2000)})
+
+
+@given(argvs())
+@settings(max_examples=150, deadline=None)
+def test_every_subcommand_exits_with_a_documented_code(argv):
+    with mock.patch.object(harness, "run_spacing_check", capped_spacing_check):
+        assert exit_code(argv) in (0, 2, 3, 4)

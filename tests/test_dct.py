@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpwave import (
+    DctCoeffs,
     JumpLaw,
     dct2_forward,
     dct2_inverse,
@@ -62,9 +63,25 @@ def test_roundtrip_and_energy(log2n, data):
     assert abs(ec - ex) <= 1e-10 * max(ex, 1e-300)
 
 
+@pytest.mark.parametrize("log2n", [1, 3, 6, 10, 12])
+def test_rows_equal_one_row_calls(log2n):
+    # rows of magnitudes 10^-200 to 10^200 side by side: each row of the 2-D
+    # transform has the bits of its own 1-D transform
+    rng = derive_stream(51, log2n)
+    rows = rng.normal(0.0, 1.0, (12, 2**log2n)) * 10.0 ** rng.integers(-200, 201, (12, 1))
+    block = dct2_forward(rows)
+    assert block.values.shape == rows.shape and block.grid_log2 == log2n
+    for got, row in zip(block.values, rows):
+        assert got.tobytes() == dct2_forward(row).values.tobytes()
+
+
 def test_rejects_non_power_of_two():
     with pytest.raises(ValueError):
         dct2_forward(np.arange(5, dtype=float))
+    with pytest.raises(ValueError):
+        dct2_forward(np.zeros((4, 6)))
+    with pytest.raises(ValueError):
+        DctCoeffs(values=np.zeros((4, 8)), grid_log2=2)
 
 
 def test_best_m_error_endpoints():

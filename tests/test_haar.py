@@ -456,9 +456,25 @@ def test_discrete_haar_roundtrip_and_energy(log2n, data):
     assert abs(ec - ex) <= 1e-10 * max(ex, 1e-300)
 
 
+@pytest.mark.parametrize("log2n", [1, 3, 6, 10, 12])
+def test_discrete_haar_rows_equal_one_row_calls(log2n):
+    # rows of magnitudes 10^-200 to 10^200 side by side: each row of the 2-D
+    # transform has the bits of its own 1-D transform
+    rng = derive_stream(29, log2n)
+    rows = rng.normal(0.0, 1.0, (12, 2**log2n)) * 10.0 ** rng.integers(-200, 201, (12, 1))
+    block = discrete_haar_forward(rows)
+    assert block.shape == rows.shape
+    for got, row in zip(block, rows):
+        assert got.tobytes() == discrete_haar_forward(row).tobytes()
+    stacked = discrete_haar_forward(rows.reshape(3, 4, -1))
+    assert stacked.tobytes() == block.tobytes()
+
+
 def test_discrete_haar_rejects_bad_length():
     with pytest.raises(ValueError):
         discrete_haar_forward(np.arange(3, dtype=float))
+    with pytest.raises(ValueError):
+        discrete_haar_forward(np.zeros((4, 6)))
     with pytest.raises(ValueError):
         discrete_haar_inverse(np.arange(5, dtype=float))
 

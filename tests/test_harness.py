@@ -3,8 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpwave import cli, harness, schemes
 from cpwave.harness import (
@@ -102,7 +107,7 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
         k = max(cfg.m_values)
         for t in range(cfg.trials):
             built.clear()
-            rows = _trial_errors(cfg, t)
+            (rows,) = _trial_errors(cfg, range(t, t + 1))
             assert [len(row) for row in rows] == [len(cfg.m_values)] * 3
             # the calls build consecutive scale ranges from 0, none twice
             path, lo, hi, lad = built[0]
@@ -122,8 +127,55 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
 def test_mean_is_fsum_of_trial_errors():
     cfg = small_config(schemes=("greedy",), m_values=(8,), trials=50)
     rec = run_mse_curve(cfg)[0]
-    errors = [_trial_errors(cfg, t)[0][0] for t in range(cfg.trials)]
+    errors = [rows[0][0] for rows in _trial_errors(cfg, range(cfg.trials))]
     assert rec.mse_mean == math.fsum(errors) / cfg.trials
+
+
+@st.composite
+def discrete_runs(draw):
+    """A small discrete-dictionary config, the dictionaries its trials read,
+    and a block length: 1, 3, 16 or every trial."""
+    grid_log2 = draw(st.integers(min_value=1, max_value=6))
+    n = 2**grid_log2
+    ms = sorted(draw(st.sets(st.integers(min_value=1, max_value=n))) | {1, n})
+    process = draw(st.sampled_from(["cp", "bm"]))
+    chosen = draw(st.sets(st.sampled_from(schemes.SCHEMES), min_size=1))
+    config = ExperimentConfig(
+        process=process,
+        schemes=tuple(s for s in schemes.SCHEMES if s in chosen),
+        dictionary="haar_discrete",
+        m_values=tuple(ms),
+        lam=draw(st.sampled_from([0.5, 10.0, 50.0])) if process == "cp" else None,
+        grid_log2=grid_log2,
+        trials=draw(st.integers(min_value=1, max_value=20)),
+        master_seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    dictionaries = draw(st.sampled_from([("haar_discrete",), ("dct",), ("haar_discrete", "dct")]))
+    return config, dictionaries, draw(st.sampled_from([1, 3, 16, config.trials]))
+
+
+def row_bits(per_trial):
+    return [[[e.hex() for e in row] for row in rows] for rows in per_trial]
+
+
+@given(discrete_runs())
+@settings(max_examples=60, deadline=None)
+def test_trial_blocks_give_the_rows_of_single_trials(run):
+    config, dictionaries, size = run
+    trials = config.trials
+    single = [_trial_errors(config, range(t, t + 1), dictionaries)[0] for t in range(trials)]
+    blocked = [
+        rows
+        for start in range(0, trials, size)
+        for rows in _trial_errors(config, range(start, min(start + size, trials)), dictionaries)
+    ]
+    assert row_bits(blocked) == row_bits(single)
+
+
+def test_block_size_follows_the_sample_budget():
+    assert [harness._block_size(small_config(grid_log2=g)) for g in (1, 10, 13, 14, 20)] == [
+        2**13, 16, 2, 1, 1,
+    ]
 
 
 def test_mse_db_formula_and_sentinel(tmp_path):
@@ -479,6 +531,35 @@ def test_cli_refuses_run_time_overflow(capsys, seed):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "energy scale 8e+307 overflows" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("workers, start", [("1", "fork"), ("2", "fork"), ("2", "spawn")])
+def test_cli_run_time_overflow_prints_only_the_refusal(workers, start):
+    # numpy's overflow warnings, in the main process or in a worker started
+    # either way, must not reach stderr ahead of the exit-2 message
+    argv = ["mse-curve", "--process", "cp", "--lambda", "100", "--sigma0-sq", "8e307",
+            "--trials", "20", "--m", "4,64", "--seed", "1", "--workers", workers]
+    code = ("import multiprocessing, sys; multiprocessing.set_start_method(sys.argv[1]); "
+            "from cpwave import cli; sys.exit(cli.main(sys.argv[2:]))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, start, *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error: energy scale 8e+307")
+
+
+def test_cli_mse_curve_bm_dct_worker_invariant(tmp_path):
+    args = ["mse-curve", "--process", "bm", "--dictionary", "dct",
+            "--schemes", "linear,greedy,best", "--m", "1,4,16,64", "--grid-log2", "10",
+            "--trials", "40", "--seed", "12"]  # three blocks of trials
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(*args, "--out", str(a)) == 0
+    assert run_cli(*args, "--out", str(b), "--workers", "2") == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_cli_mse_curve_bm_discrete(tmp_path):

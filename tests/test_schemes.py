@@ -24,6 +24,7 @@ from cpwave.schemes import (
     best_errors,
     errors,
     errors_discrete,
+    errors_discrete_rows,
     greedy_errors,
     linear_errors,
 )
@@ -560,6 +561,75 @@ def test_errors_discrete_rows_equal_reference(coeffs, m_set):
     assert rows == [reference_errors_discrete(coeffs, scheme, ms) for scheme in SCHEMES]
     # one exact pass over every scheme's tails gives each scheme's own rows
     assert rows == [errors_discrete(coeffs, (scheme,), ms)[0] for scheme in SCHEMES]
+
+
+def partition_best_errors(coeffs, ms):
+    """Best's dropped sums from a multi-kth np.partition of the squares, the
+    keep order errors_discrete used before it sorted each row."""
+    sq = np.asarray(coeffs, dtype=float) ** 2
+    kth = sorted({sq.size - m for m in ms if 0 < m < sq.size})
+    low = np.partition(sq, kth) if kth else sq
+    return [math.fsum(low[: max(sq.size - m, 0)].tolist()) for m in ms]
+
+
+def float_bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+TIES_ZEROS_SUBNORMALS = st.lists(
+    st.one_of(TIE_PRONE_HEIGHTS, st.sampled_from([0.0, -0.0]), st.sampled_from(SUBNORMAL_SQUARES),
+              WIDE_COEFFS),
+    min_size=1, max_size=64)
+
+
+@given(TIES_ZEROS_SUBNORMALS, st.sets(st.integers(min_value=0, max_value=66), min_size=1))
+@example([1.0, -1.0, 1.0, 0.0, -0.0, 2.0**-537, 5e-324, -1.0], {1, 2, 3, 5, 8})
+@example([0.0, -0.0, 0.0], {1, 2})
+@settings(max_examples=100, deadline=None)
+def test_sorted_best_equals_partition_bits(coeffs, m_set):
+    # the full sort keeps the same multiset in every dropped tail as the
+    # multi-kth partition it replaced, ties, zeros and subnormals included
+    ms = sorted(m_set)
+    assert float_bits([errors_discrete(coeffs, ("best",), ms)[0]]) == float_bits(
+        [partition_best_errors(coeffs, ms)]
+    )
+
+
+@st.composite
+def coefficient_blocks(draw):
+    """A (rows, n) block whose rows can differ in scale by up to 2^300, so a
+    row's sums must not depend on the scale of the rows beside it."""
+    n = draw(st.integers(min_value=1, max_value=32))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    block = []
+    for _ in range(rows):
+        scale = math.ldexp(1.0, draw(st.integers(min_value=-150, max_value=150)))
+        row = draw(st.lists(st.one_of(st.floats(min_value=-10, max_value=10), TIE_PRONE_HEIGHTS,
+                                      st.just(0.0), st.sampled_from(SUBNORMAL_SQUARES)),
+                            min_size=n, max_size=n))
+        block.append([v * scale for v in row])
+    return np.array(block)
+
+
+@given(
+    coefficient_blocks(),
+    st.sets(st.integers(min_value=0, max_value=34), min_size=1),
+    st.sets(st.sampled_from(SCHEMES), min_size=1),
+)
+@settings(max_examples=100, deadline=None)
+def test_errors_discrete_rows_equal_one_row_calls(block, m_set, chosen):
+    # one sort and one exact pass over every row give each row's own bits
+    ms = sorted(m_set)
+    chosen = tuple(s for s in SCHEMES if s in chosen)
+    rows = errors_discrete_rows(block, chosen, ms)
+    assert len(rows) == block.shape[0]
+    for got, coeffs in zip(rows, block):
+        assert float_bits(got) == float_bits(errors_discrete(coeffs, chosen, ms))
+
+
+def test_errors_discrete_rows_wants_a_two_dimensional_array():
+    with pytest.raises(ValueError, match="rows, n"):
+        errors_discrete_rows([1.0, 2.0], ("best",), [1])
 
 
 def test_errors_discrete_overflow_raises_like_fsum():
