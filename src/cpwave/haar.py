@@ -8,8 +8,10 @@ the jump locations. That makes every coefficient exact, and makes the
 zero/nonzero structure purely combinatorial: a coefficient vanishes exactly
 when no jump lands in the atom's support, so zero detection never touches a
 floating-point threshold. Float jump times are dyadic rationals, so the
-nonzero coefficients are also finitely many: `ladder` lists them all. The
-dense listing up to scale J is schemes.select(path, "linear", 2**(J + 1)).
+nonzero coefficients are also finitely many: `ladders` lists them all for
+a block of paths in one vectorized pass over every path's (scale, jump)
+cells, path-major, and `ladder` is its one-path view. The dense listing up
+to scale J is schemes.select(path, "linear", 2**(J + 1)).
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.
@@ -17,6 +19,7 @@ Atoms are enumerated by a single index: 0 for the scaling function, and
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -37,7 +40,9 @@ __all__ = [
     "jumps_in_support",
     "coeff",
     "Ladder",
+    "Ladders",
     "ladder",
+    "ladders",
     "atoms_past",
     "nonzero_counts_by_scale",
     "discrete_haar_forward",
@@ -184,10 +189,18 @@ class Ladder(NamedTuple):
     value: np.ndarray
     count: np.ndarray
 
-    def indices(self, stop: int) -> np.ndarray:
-        """Atom indices 2^scale + shift of the first stop atoms, as floats;
-        exact wherever they lie below 2^53."""
-        return _POW2[self.scale[:stop]] + self.shift[:stop]
+
+class Ladders(NamedTuple):
+    """The ladders of a block of paths laid end to end, path-major: path p's
+    atoms are rows bounds[p]:bounds[p + 1] of the atom arrays, in atom-index
+    order, and resolution[p] is its dyadic resolution."""
+
+    resolution: np.ndarray
+    bounds: np.ndarray
+    scale: np.ndarray
+    shift: np.ndarray
+    value: np.ndarray
+    count: np.ndarray
 
 
 # per-scale factors of the ladder kernel: 2^j exactly, and the wavelet
@@ -196,57 +209,94 @@ _POW2 = np.array([math.ldexp(1.0, j) for j in range(1024)])
 _AMPLITUDE = np.array([-(2.0 ** (-j / 2.0)) for j in range(1024)])
 
 
-def ladder(path: CompoundPoissonPath, lo: int = 0, hi: int | None = None) -> Ladder:
-    """The path's finite coefficient ladder, or only its scales lo <= j < hi.
-
-    Every jump time is exactly m * 2^-e with m odd; the path's resolution is
-    the largest such e. At every scale j >= resolution each jump sits alone
-    at the left edge of its own atom, so those coefficients are exactly 0.0
-    and the whole ladder, scales [0, e), holds every nonzero coefficient.
-    The built scales are [lo, min(hi, e)) for 0 <= lo; `resolution` is e
-    whatever the range. Each value is the left-to-right sum, in jump order,
-    of height * tent weight, so a scale's rows are the same whichever range
-    is built.
-    """
-    if lo < 0:
-        raise ValueError(f"the lowest scale must be nonnegative, got {lo}")
-    times, heights = path.jump_times, path.jump_heights
-    n = times.size
+def _resolutions(times: np.ndarray, n: list[int]) -> list[int]:
+    """The dyadic resolution of each path whose n[p] jump times lie end to
+    end in times (0 without jumps), refused past 1023."""
+    if not times.size:
+        return [0] * len(n)
     # t = bits * 2^(exponent - 53) with a 53-bit integer mantissa; its lowest
     # set bit, 2^(frexp exponent - 1), gives e = 54 - exponent - frexp exponent
     mantissa, exponent = np.frexp(times)
     bits = (mantissa * 2.0**53).astype(np.int64)
-    e = int((54 - exponent - np.frexp(bits & -bits)[1]).max(initial=0))
-    if e > 1023:  # t * 2^j overflows at j = 1024
+    exponent += np.frexp(bits & -bits)[1]
+    firsts = list(itertools.accumulate([0] + n[:-1]))
+    lowest = iter(np.minimum.reduceat(exponent, [f for f, m in zip(firsts, n) if m]).tolist())
+    e = [54 - next(lowest) if m else 0 for m in n]
+    if max(e) > 1023:  # t * 2^j overflows at j = 1024
         raise ValueError(
-            f"jump times need {e} dyadic scales; a float path can be scaled to at most 1023"
+            f"jump times need {max(e)} dyadic scales; a float path can be scaled to at most 1023"
         )
-    hi = max(lo, e if hi is None else min(hi, e))
-    # One (scale, jump) block. Temporaries are computed in place and freed
-    # early: a path with 500 jumps makes blocks of about 200 KB.
-    x = times * _POW2[lo:hi, None]  # t * 2^j, exact
+    return e
+
+
+def ladders(paths, lo: list[int], hi: list[int] | None = None) -> Ladders:
+    """The finite coefficient ladders of a block of paths, or only the
+    scales lo[p] <= j < hi[p] of path p (hi None: up to its resolution).
+
+    Every jump time is exactly m * 2^-e with m odd; a path's resolution is
+    the largest such e. At every scale j >= resolution each jump sits alone
+    at the left edge of its own atom, so those coefficients are exactly 0.0
+    and the whole ladder, scales [0, e), holds every nonzero coefficient.
+    The built scales of a path are [lo, min(hi, e)) for 0 <= lo. Each value
+    is the left-to-right sum, in jump order, of height * tent weight, so a
+    scale's rows are the same whichever range or block is built.
+    """
+    n = [p.num_jumps for p in paths]
+    times = np.concatenate([p.jump_times for p in paths]) if paths else np.empty(0)
+    e = _resolutions(times, n)
+    if min(lo, default=0) < 0:
+        raise ValueError(f"the lowest scale must be nonnegative, got {min(lo)}")
+    hi = [max(a, min(b, r)) for a, b, r in zip(lo, e if hi is None else hi, e)]
+    ends = list(itertools.accumulate(m * (j1 - j0) for m, j0, j1 in zip(n, lo, hi)))
+    firsts = [0] + ends[:-1]
+    blocks = [
+        (p, a, b, m, j0, j1) for p, a, b, m, j0, j1 in zip(paths, firsts, ends, n, lo, hi) if b > a
+    ]
+    # Each path's cells are a (scale, jump) block of one flat array, written
+    # through a view. Temporaries are computed in place and freed early.
+    cells = ends[-1] if ends else 0
+    x = np.empty(cells)
+    for p, a, b, m, j0, j1 in blocks:  # t * 2^j, exact
+        np.multiply(p.jump_times, _POW2[j0:j1, None], out=x[a:b].reshape(j1 - j0, m))
     k = np.floor(x)
-    new = np.empty(x.shape, dtype=bool)
-    new[:, :1] = True
-    np.not_equal(k[:, 1:], k[:, :-1], out=new[:, 1:])  # the shift changes: a new atom
-    new = new.ravel()
-    starts = np.flatnonzero(new)
-    shift = k.ravel()[starts]
+    new = np.empty(cells + 1, dtype=bool)  # past the last cell: the end of the last atom
+    new[-1] = True
+    np.not_equal(k[1:], k[:-1], out=new[1:-1])  # the shift changes: a new atom
+    for p, a, b, m, j0, j1 in blocks:
+        new[a:b:m] = True  # and every scale of a path starts one
+    edges = np.flatnonzero(new)
+    starts = edges[:-1]
+    shift = k[starts]
     x -= k  # position u within the atom, exact
     np.subtract(1.0, x, out=k)
     np.minimum(x, k, out=x)
     del k
-    x *= _AMPLITUDE[lo:hi, None]
-    x *= heights
-    count = np.empty_like(starts)  # each atom's jumps: to the next start, or the end
-    np.subtract(starts[1:], starts[:-1], out=count[:-1])
-    count[-1:] = new.size - starts[-1:]
+    for p, a, b, m, j0, j1 in blocks:
+        cell = x[a:b].reshape(j1 - j0, m)
+        cell *= _AMPLITUDE[j0:j1, None]
+        cell *= p.jump_heights
+    count = edges[1:] - starts  # each atom's jumps
     # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
     # no atoms at all it returns integers, hence the cast
     atom = np.repeat(np.arange(starts.size), count)
-    value = np.bincount(atom, weights=x.ravel(), minlength=starts.size).astype(float, copy=False)
+    value = np.bincount(atom, weights=x, minlength=starts.size).astype(float, copy=False)
     del x, atom
-    return Ladder(e, starts // n + lo, shift, value, count)
+    # a path's atoms start at its first cell's; an atom's scale is its row
+    bounds = np.searchsorted(edges, firsts + [cells])
+    scale = np.empty_like(starts)
+    for c, d, a, m, j0 in zip(bounds.tolist(), bounds[1:].tolist(), firsts, n, lo):
+        if d > c:  # division by one int is much faster than by an array
+            np.floor_divide(starts[c:d] - a, m, out=scale[c:d])
+            scale[c:d] += j0
+    return Ladders(np.array(e), bounds, scale, shift, value, count)
+
+
+def ladder(path: CompoundPoissonPath, lo: int = 0, hi: int | None = None) -> Ladder:
+    """The path's finite coefficient ladder, or only its scales lo <= j < hi:
+    the one-path view of ladders. `resolution` is the path's whatever the
+    range."""
+    lads = ladders([path], [lo], None if hi is None else [hi])
+    return Ladder(int(lads.resolution[0]), *lads[2:])
 
 
 def atoms_past(path: CompoundPoissonPath, resolution: int) -> Iterator[Atom]:

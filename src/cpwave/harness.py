@@ -4,11 +4,14 @@ Every trial owns a private random stream derived from (master_seed, trial
 index), and per-trial results are reduced in trial order, so curves are
 byte-for-byte reproducible regardless of how many worker processes run the
 trials. Trials run in blocks of consecutive indices: each trial samples its
-own path or grid, and a discrete dictionary transforms the block's grids as
-one array and sums every row's errors in one exact pass, whose sums do not
-depend on the rows beside them, so the blocks change no byte. With several
-workers, whole blocks go to the pool. Scheme-ordering and monotonicity
-invariants are hard-asserted on every trial of every run.
+own path or grid; the analytic dictionary then reads the block's paths in
+groups, one schemes.errors_rows call per group, and a discrete dictionary
+transforms the block's grids as one array and sums every row's errors in
+one exact pass. Every sum is exact and correctly rounded, so it does not
+depend on the paths or rows beside it, and neither blocks nor groups
+change a byte. With several workers, whole blocks go to the pool.
+Scheme-ordering and monotonicity invariants are hard-asserted on every
+trial of every run, one block at a time.
 """
 
 from __future__ import annotations
@@ -199,15 +202,26 @@ class SpacingCheckResult:
 # per-trial work
 
 
-# Discrete-dictionary trials run in blocks of _BLOCK_SAMPLES >> grid_log2
-# trials (at least one): 16 trials of a 2^10 grid, one from 2^14 up. The
-# budget keeps the block's grids, coefficients and sorted squares within a
-# few MB.
+# Trials run in blocks of _BLOCK_SAMPLES >> grid_log2 trials (at least one):
+# 16 trials of a 2^10 grid, one from 2^14 up. A block samples its trials
+# back to back; a discrete dictionary then transforms the block's grids as
+# one array, and the budget keeps the block's grids, coefficients and
+# sorted squares within a few MB. The analytic dictionary reads a block's
+# paths in groups whose first builds hold about _BLOCK_SAMPLES atoms on
+# average (theory.expected_nonzero_atoms over the scales below the first
+# depth, at most 53 for sampled jump times): 32 paths at lambda = 10 and 2
+# at lambda = 500 for M up to 1024. A group's atom arrays then stay within
+# 128 KB, and the fixed cost of its numpy calls is spread over its paths.
 _BLOCK_SAMPLES = 2**14
 
 
 def _block_size(config: ExperimentConfig) -> int:
     return max(1, _BLOCK_SAMPLES >> config.grid_log2)
+
+
+def _group_size(config: ExperimentConfig) -> int:
+    depth = schemes._first_depth(math.ceil(config.lam), max(config.m_values))
+    return max(1, int(_BLOCK_SAMPLES // theory.expected_nonzero_atoms(config.lam, min(53, depth))))
 
 
 def _trial_errors(
@@ -216,59 +230,71 @@ def _trial_errors(
     """Squared errors for a block of trials: per trial, one tuple per
     (dictionary, scheme) pair, dictionary-major, one entry per M. The
     dictionaries default to the config's own; all of them read each trial's
-    one path or grid. Every trial samples from its own stream; a discrete
-    dictionary then transforms the block's grids as one (trials, 2^L)
-    array and sums every row's errors in one pass."""
+    one path or grid. Every trial samples from its own stream; then the
+    analytic dictionary reads the block's paths in groups, one errors_rows
+    call per group, and a discrete one transforms the block's grids as one
+    (trials, 2^L) array and sums every row's errors in one pass."""
     dictionaries = dictionaries or (config.dictionary,)
     ms = config.m_values
+    law = config.jump_law() if config.process == "cp" else None
     paths, grids = [], []
     for trial in trials:
         stream = derive_stream(config.master_seed, trial)
-        path = sample_path(config.lam, config.jump_law(), stream) if config.process == "cp" else None
+        path = sample_path(config.lam, law, stream) if law else None
         paths.append(path)
         if dictionaries != ("haar_analytic",):
-            if path is not None:
-                grids.append(sample_grid(path, config.grid_log2).values)
-            else:
-                grids.append(brownian_grid(config.sigma0_sq, config.grid_log2, stream).values)
-    norm = float(2**config.grid_log2)
-    per_dictionary = []
+            grid = (
+                sample_grid(path, config.grid_log2)
+                if path
+                else brownian_grid(config.sigma0_sq, config.grid_log2, stream)
+            )
+            grids.append(grid.values)
+    blocks = []
     for dictionary in dictionaries:
         if dictionary == "haar_analytic":
-            block = [tuple(map(tuple, schemes.errors(p, config.schemes, ms))) for p in paths]
+            step = _group_size(config)
+            block = np.concatenate([
+                schemes.errors_rows(paths[a : a + step], config.schemes, ms)
+                for a in range(0, len(paths), step)
+            ])
         else:
-            if dictionary == "haar_discrete":
-                coeffs = discrete_haar_forward(np.stack(grids))
-            else:
-                coeffs = dct_mod.dct2_forward(np.stack(grids)).values
-            block = [
-                tuple(tuple(e / norm for e in row) for row in rows)
-                for rows in schemes.errors_discrete_rows(coeffs, config.schemes, ms)
-            ]
-        for trial, errs in zip(trials, block):
-            _assert_trial_invariants(config, trial, errs)
-        per_dictionary.append(block)
-    return [sum(rows, ()) for rows in zip(*per_dictionary)]
+            grid = np.stack(grids)
+            coeffs = (
+                discrete_haar_forward(grid)
+                if dictionary == "haar_discrete"
+                else dct_mod.dct2_forward(grid).values
+            )
+            block = schemes.errors_discrete_rows(coeffs, config.schemes, ms) / 2.0**config.grid_log2
+        _assert_invariants(config, trials, block)
+        blocks.append(block)
+    return [tuple(map(tuple, rows)) for rows in np.concatenate(blocks, axis=1).tolist()]
 
 
-def _assert_trial_invariants(
-    config: ExperimentConfig, trial: int, rows: tuple[tuple[float, ...], ...]
-) -> None:
-    by_scheme = dict(zip(config.schemes, rows))
-    for scheme, errs in by_scheme.items():
-        for a, b in zip(errs, errs[1:]):
-            if b > a:
-                raise InvariantViolation(
-                    f"trial {trial}: {scheme} error increased with M ({a} -> {b})"
-                )
-    for lo_scheme, hi_scheme in (("best", "greedy"), ("greedy", "linear"), ("best", "linear")):
-        if lo_scheme in by_scheme and hi_scheme in by_scheme:
-            for m, lo, hi in zip(config.m_values, by_scheme[lo_scheme], by_scheme[hi_scheme]):
-                if lo > hi:
-                    raise InvariantViolation(
-                        f"trial {trial}, M={m}: {lo_scheme} error {lo} exceeds "
-                        f"{hi_scheme} error {hi}"
-                    )
+def _assert_invariants(config: ExperimentConfig, trials: range, block: np.ndarray) -> None:
+    """Check a (trials, schemes, M) block of errors at once: each scheme's
+    error is non-increasing in M, and best <= greedy <= linear. A failure
+    is reported for the lowest failing trial: its first rise in M, scheme
+    by scheme, or else its first misordered pair."""
+    names = config.schemes
+    ordered = (("best", "greedy"), ("greedy", "linear"), ("best", "linear"))  # lower first
+    pairs = [(names.index(a), names.index(b)) for a, b in ordered if a in names and b in names]
+    rising = block[:, :, 1:] > block[:, :, :-1]
+    above = block[:, [a for a, _ in pairs]] > block[:, [b for _, b in pairs]]
+    failed = rising.any(axis=(1, 2)) | above.any(axis=(1, 2))
+    if failed.any():
+        t = np.argmax(failed)
+        if rising[t].any():
+            s, i = np.argwhere(rising[t])[0]
+            raise InvariantViolation(
+                f"trial {trials[t]}: {names[s]} error increased with M "
+                f"({block[t, s, i]} -> {block[t, s, i + 1]})"
+            )
+        p, i = np.argwhere(above[t])[0]
+        lo, hi = pairs[p]
+        raise InvariantViolation(
+            f"trial {trials[t]}, M={config.m_values[i]}: {names[lo]} error {block[t, lo, i]} "
+            f"exceeds {names[hi]} error {block[t, hi, i]}"
+        )
 
 
 def _run_trials(

@@ -10,34 +10,37 @@ Three ways of keeping M coefficients of the Haar expansion:
   holds every nonzero coefficient, and a certificate says when its first
   scales already hold the M largest.
 
-errors(path, schemes, m_values) and select(path, scheme, m) build one
-ladder per call (haar.ladder), so one per trial whatever the number of
-schemes, and read every requested scheme's errors, or one selection's kept
-atoms and error, from it: the candidates are the scaling coefficient
-followed by the ladder in index order, and a scheme is an order over their
-squares plus a kept count per M. The ladder is first built only down to a
-depth d and is extended once, by the scales [d, resolution), unless a
-certificate shows that the scales below d already give every requested
-scheme its exact kept atoms and errors up to K = max M: linear keeps only
-atoms of index below K, all at scales below bit_length(K); greedy needs K
-candidates; and best needs a bound on every coefficient at scales >= d,
-from the jump counts at scale d - 1 and the largest jump height, to lie
-strictly below the K-th largest built square. No scale is built twice.
-errors_discrete_rows does the same for every row of a block of finite
-coefficient lists, with one set of squares and one sort for the block;
-errors_discrete is its one-row view, and select_discrete reads it. Squared
-errors of exact paths come from Parseval: path energy minus kept energy
-(exactly 0.0 once every candidate of the whole ladder is kept). The error
-of a finite discrete coefficient list at M is the sum of its dropped
-squares. Both are prefix sums from one exact kernel, _prefix_sums: one
-vectorized error-free extraction (_exact_terms) over the used prefixes of
-a call laid end to end gives each segment's exact sum as a few terms,
-accumulated from the front. errors sums every scheme's kept prefix (linear
-and greedy share the index-order one); errors_discrete_rows sums each
-dropped tail as a prefix of one of a row's two orders, reversed index
-order (linear and greedy) or ascending squares (best), over every row of
-the block in one pass. Each M's sum is then one fsum over a few terms,
-correctly rounded, so no prefix or tail is summed again for every M. On
+errors_rows(paths, schemes, m_values) reads every requested scheme's errors
+of a block of paths from one build of the block (haar.ladders), so one
+per block whatever the number of schemes; errors(path, ...) is its
+one-path view, and select(path, scheme, m) reads one selection's kept
+atoms and error from a one-path build. The candidates of a path are its
+scaling coefficient followed by its ladder in index order, and a scheme is
+an order over their squares plus a kept count per M. Each ladder is first
+built only down to a depth d and is extended once, by the scales
+[d, resolution), unless a certificate shows that the scales below d
+already give every requested scheme its exact kept atoms and errors up to
+K = max M: linear keeps only atoms of index below K, all at scales below
+bit_length(K); greedy needs K candidates; and best needs a bound on every
+coefficient at scales >= d, from the jump counts at scale d - 1 and the
+largest jump height, to lie strictly below the K-th largest built square.
+One extension call builds the missing scales of every path of the block
+whose certificate fails. No scale is built twice. errors_discrete_rows
+does the same for every row of a block of finite coefficient lists, with
+one set of squares and one sort for the block; errors_discrete is its
+one-row view, and select_discrete reads it. Squared errors of exact paths
+come from Parseval: path energy minus kept energy (exactly 0.0 once every
+candidate of the whole ladder is kept). The error of a finite discrete
+coefficient list at M is the sum of its dropped squares. Both are sums of
+runs of one array from one exact kernel, _range_sums: a vectorized
+error-free extraction whose rounds each give every run's exact sum as a
+difference of running sums, so a run's correctly rounded sum is one fsum
+over a few round sums. errors_rows lays every path's kept prefixes end to
+end, its index order (linear and greedy) and its largest squares (best);
+errors_discrete_rows sums each row's dropped tail of its index order
+(linear and greedy) or of its ascending squares (best). Every sum is the
+correctly rounded sum of its multiset, so no path or row changes a bit of
+the ones beside it, and no prefix or tail is summed again for every M. On
 every path and every M the schemes obey best <= greedy <= linear, and each
 scheme's error is non-increasing in M.
 """
@@ -47,19 +50,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .haar import (
     SCALING,
     Atom,
-    Ladder,
+    Ladders,
     as_rows,
     atom_from_index,
     atom_index,
     atoms_past,
     coeff,
-    ladder,
+    ladders,
+    _POW2,
 )
 from .processes import CompoundPoissonPath
 
@@ -70,6 +75,7 @@ __all__ = [
     "select",
     "select_discrete",
     "errors",
+    "errors_rows",
     "errors_discrete",
     "errors_discrete_rows",
     "linear_errors",
@@ -103,48 +109,9 @@ class Selection:
     error_sq: float
 
 
-def _finish_error(energy_total: float, kept: float, every: bool) -> float:
-    """Squared error of a kept energy, the correctly rounded sum of the kept
-    squares: exactly 0.0 when every candidate of a whole ladder is kept,
-    since they hold every nonzero coefficient, and the Parseval remainder
-    otherwise."""
-    if every:
-        return 0.0
-    # the kept energy is correctly rounded, so the scheme-ordering and
-    # monotonicity relations of the true sums carry over to floats
-    err = energy_total - kept
-    if err < -_NEGATIVE_ERROR_TOL * energy_total:
-        raise InvariantViolation(
-            f"kept energy exceeds path energy {energy_total:.17g} by {-err:.3e}; "
-            "coefficient accounting is inconsistent"
-        )
-    return max(err, 0.0)
-
-
 def _check_m(m: int) -> None:
     if not isinstance(m, (int, np.integer)) or m < 0:
         raise ValueError(f"M must be a nonnegative integer, got {m}")
-
-
-def _candidates(path: CompoundPoissonPath, lad: Ladder) -> np.ndarray:
-    """Candidate values: the scaling coefficient, then the ladder, in index
-    order."""
-    if not path.num_jumps:
-        return lad.value
-    return np.concatenate(([coeff(path, SCALING).value], lad.value))
-
-
-def _kept_counts(lad: Ladder, scheme: str, size: int, m_values) -> list[int]:
-    """How many of the size candidates, in keep order, the scheme keeps at
-    each M. Past the candidates every coefficient is 0.0, so only these
-    count; linear keeps the candidates whose atom index is below M."""
-    if scheme != "linear":
-        return [min(int(m), size) for m in m_values]
-    # every atom at a scale of at least bit_length(max M) has an index past
-    # every M, and the indices below are exact for every M up to 2^53
-    stop = np.searchsorted(lad.scale, int(max(m_values, default=0)).bit_length())
-    below = np.searchsorted(lad.indices(stop), np.asarray(m_values, dtype=float)).tolist()
-    return [int(m > 0 and size > 0) + c for m, c in zip(m_values, below)]
 
 
 def _check_schemes(schemes) -> None:
@@ -152,47 +119,14 @@ def _check_schemes(schemes) -> None:
         raise ValueError(f"schemes must be a subset of {SCHEMES}, got {tuple(schemes)}")
 
 
-def _kept_prefix(scheme: str, sq: np.ndarray, k: int) -> np.ndarray:
-    """The first k squares (all, when there are fewer) in the scheme's keep
-    order: largest first for best, index order for the others."""
-    if scheme != "best" or k == 0:
-        return sq[:k]
-    if k >= sq.size:
-        return np.sort(sq)[::-1]
-    return np.sort(np.partition(sq, sq.size - k)[sq.size - k :])[::-1]
-
-
-def _certified(path: CompoundPoissonPath, lad: Ladder, depth: int, k: int, kept) -> bool:
-    """Whether a ladder built below depth serves every scheme in kept exactly
-    as the whole ladder would, at every M <= k.
-
-    Linear keeps only atoms of index below k, all at scales below
-    bit_length(k); greedy keeps the first k candidates in index order. An
-    atom at scale j >= depth holds at most the c jumps of its ancestor at
-    scale depth - 1 (at depth 0, all N jumps of [0, 1)), each weighted by at
-    most 2^(-j/2-1) in magnitude, so its square is at most
-    (c * max|h|)^2 * 2^(-depth-2); best's top k is already built when that
-    bound, widened for rounding, is below the k-th largest built square.
-    """
-    if "linear" in kept and depth < k.bit_length():
-        return False
-    if any(kept[s].size < k for s in ("greedy", "best") if s in kept):
-        return False
-    if "best" not in kept or k == 0:
-        return True
-    if depth == 0:  # the ancestor is [0, 1), and the ladder is empty
-        c = path.num_jumps
-    else:
-        c = int(lad.count[np.searchsorted(lad.scale, depth - 1) :].max())
-    a = c * float(np.abs(path.jump_heights).max())
-    # the relative margin covers the rounding of c-term sums and their
-    # squares; the absolute one covers squares that underflow
-    bound = a * a * 2.0 ** (-depth - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
-    return bound < kept["best"][-1]
+def _check_query(schemes, m_values) -> None:
+    _check_schemes(schemes)
+    for m in m_values:
+        _check_m(m)
 
 
 def _first_depth(n: int, k: int) -> int:
-    """The depth errors first builds a path with n jumps to, for M <= k.
+    """The depth errors_rows first builds a path with n jumps to, for M <= k.
 
     Atoms start to hold single jumps near scale bit_length(n), and the k
     largest squares sit about k / n scales below it; the certificate's
@@ -204,76 +138,226 @@ def _first_depth(n: int, k: int) -> int:
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
-def _build(path: CompoundPoissonPath, schemes, k: int):
-    """The ladder certified for every scheme in schemes at every M <= k (see
-    the module docstring), its candidate values and their squares, each
-    scheme's first k squares in keep order, and whether it is whole, that
-    is, built to the path's resolution."""
-    depth = _first_depth(path.num_jumps, k)
-    lad = ladder(path, 0, depth)
-    e = lad.resolution
-    values = _candidates(path, lad)
+class _Block(NamedTuple):
+    """A certified build of a block of paths for M <= k: their ladders;
+    every path's candidates, the scaling coefficient (when it has jumps)
+    then its ladder in index order, end to end, path p's at
+    bounds[p]:bounds[p + 1], with their squares and counts; and whether
+    each ladder is whole, that is, built to the path's resolution. `kept`
+    lays end to end, path by path, the squares any scheme can keep: the
+    first k + 1 of the index order (the scaling one and the atoms of index
+    below k; greedy keeps k), unless only best is asked for, then for best
+    the min(k, size) largest, largest first; heads[p, s] holds where the
+    part of path p that scheme s keeps begins."""
+
+    k: int
+    lad: Ladders
+    values: np.ndarray
+    sq: np.ndarray
+    bounds: np.ndarray
+    sizes: np.ndarray
+    whole: np.ndarray
+    kept: np.ndarray
+    heads: np.ndarray
+
+
+def _block(paths, k: int, lad: Ladders, scaling: list[float], whole, schemes) -> _Block:
+    """The candidates of a block's ladders, their squares and the parts of
+    them each scheme keeps."""
+    pieces, bounds, slot = [], [0], 0
+    for p, a, b in zip(paths, lad.bounds.tolist(), lad.bounds[1:].tolist()):
+        if p.num_jumps:
+            pieces.append(scaling[slot : slot + 1])
+            slot += 1
+        pieces.append(lad.value[a:b])
+        bounds.append(b + slot)
+    values = np.concatenate(pieces)
     sq = values**2
-    kept = {s: _kept_prefix(s, sq, k) for s in schemes}
-    if depth < e and not _certified(path, lad, depth, k, kept):
-        rest = ladder(path, depth)
-        lad = Ladder(e, *map(np.concatenate, zip(lad[1:], rest[1:])))
-        values = np.concatenate((values, rest.value))
-        sq = np.concatenate((sq, rest.value**2))
-        kept = {s: _kept_prefix(s, sq, k) for s in schemes}
-        depth = e
-    return lad, values, sq, kept, depth >= e
+    index = k + 1 if "linear" in schemes or "greedy" in schemes else 0
+    parts, heads, at = [], [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        top = sq[:0]
+        if "best" in schemes:
+            top = sq[a:b]
+            if k < top.size:
+                top = np.partition(top, top.size - k)[top.size - k :] if k else top[:0]
+            top = np.sort(top)[::-1]
+        parts += [sq[a : min(b, a + index)], top]
+        heads.append([at + parts[-2].size if s == "best" else at for s in schemes])
+        at += parts[-2].size + top.size
+    bounds = np.array(bounds)
+    sizes = bounds[1:] - bounds[:-1]
+    return _Block(k, lad, values, sq, bounds, sizes, whole, np.concatenate(parts), np.array(heads))
 
 
-def _rows(path: CompoundPoissonPath, sq, kept, whole: bool, schemes, counts) -> list[list[float]]:
-    """Each scheme's squared errors at its kept counts over one build, one
-    row per scheme, from one exact pass over the kept prefixes. Since the
-    top-c squares form one multiset whatever the tie order, their correctly
-    rounded sum is best's kept energy."""
-    total = path.l2_norm_sq()
-    every = sq.size if whole else -1  # the count whose error is exactly 0.0
-    # linear and greedy keep one index-order prefix; a cut is a positive
-    # count whose error is not exactly 0.0
-    orders = ["best" if s == "best" else "index" for s in schemes]
-    cuts = {}
-    for order, row in zip(orders, counts):
-        cuts.setdefault(order, set()).update(c for c in row if 0 < c != every)
-    prefix = {"index": sq, "best": kept.get("best")}
-    sums = dict(zip(cuts, _prefix_sums([(prefix[o], cs) for o, cs in cuts.items()])))
-    return [
-        [_finish_error(total, sums[o].get(c, 0.0), c == every) for c in row]
-        for o, row in zip(orders, counts)
-    ]
+def _certified(paths, block: _Block, depth: list[int], schemes) -> list[bool]:
+    """Whether each path's ladder, whole or built below depth[p], serves
+    every scheme exactly as its whole ladder would at every M <= k.
+
+    Linear keeps only atoms of index below k, all at scales below
+    bit_length(k); greedy keeps the first k candidates in index order. An
+    atom at scale j >= depth holds at most the c jumps of its ancestor at
+    scale depth - 1 (at depth 0, all N jumps of [0, 1)), each weighted by at
+    most 2^(-j/2-1) in magnitude, so its square is at most
+    (c * max|h|)^2 * 2^(-depth-2); best's top k is already built when that
+    bound, widened for rounding, is below the k-th largest built square.
+    """
+    k, lad = block.k, block.lad
+    atoms = lad.bounds.tolist()
+    held = []
+    rows = zip(paths, depth, block.whole.tolist(), block.sizes.tolist())
+    for i, (path, d, whole, size) in enumerate(rows):
+        short = ("linear" in schemes and d < k.bit_length()) or (
+            size < k and ("greedy" in schemes or "best" in schemes)
+        )
+        if whole or short or "best" not in schemes or k == 0:
+            held.append(whole or not short)
+            continue
+        a, b = atoms[i], atoms[i + 1]
+        # the last built scale, depth - 1, closes the path's run of atoms;
+        # at depth 0 the ancestor is [0, 1)
+        c = path.num_jumps
+        if d:
+            c = int(lad.count[a + np.searchsorted(lad.scale[a:b], d - 1) : b].max())
+        h = c * float(np.abs(path.jump_heights).max())
+        # the relative margin covers the rounding of c-term sums and their
+        # squares; the absolute one covers squares that underflow
+        bound = h * h * 2.0 ** (-d - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
+        held.append(bound < block.kept[block.heads[i, list(schemes).index("best")] + k - 1])
+    return held
+
+
+def _merge(lad: Ladders, rest: Ladders, extended: list[int]) -> Ladders:
+    """lad with the scales in rest appended to the ladders of the extended
+    paths, path-major."""
+    owner = np.concatenate(
+        (
+            np.repeat(np.arange(lad.bounds.size - 1), np.diff(lad.bounds)),
+            np.repeat(extended, np.diff(rest.bounds)),
+        )
+    )
+    order = np.argsort(owner, kind="stable")
+    bounds = np.searchsorted(owner[order], np.arange(lad.bounds.size))
+    columns = [np.concatenate(pair)[order] for pair in zip(lad[2:], rest[2:])]
+    return Ladders(lad.resolution, bounds, *columns)
+
+
+def _build(paths, schemes, k: int) -> _Block:
+    """The block's ladders certified for every scheme in schemes at every
+    M <= k (see the module docstring): one build below each path's first
+    depth, and one extension, over [depth, resolution), of the paths whose
+    certificate fails. No scale is built twice."""
+    first = [_first_depth(p.num_jumps, k) for p in paths]
+    lad = ladders(paths, [0] * len(paths), first)
+    depth = [min(d, e) for d, e in zip(first, lad.resolution.tolist())]
+    whole = np.array(depth) == lad.resolution
+    scaling = [coeff(p, SCALING).value for p in paths if p.num_jumps]
+    block = _block(paths, k, lad, scaling, whole, schemes)
+    if whole.all():
+        return block
+    extended = [i for i, held in enumerate(_certified(paths, block, depth, schemes)) if not held]
+    if not extended:
+        return block
+    rest = ladders([paths[i] for i in extended], [depth[i] for i in extended])
+    whole[extended] = True
+    return _block(paths, k, _merge(lad, rest, extended), scaling, whole, schemes)
+
+
+def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
+    """How many of each path's candidates, in keep order, each scheme keeps
+    at each M, as a (paths, schemes, M) array. Past the candidates every
+    coefficient is 0.0, so only these count; linear keeps the candidates
+    whose atom index is below M."""
+    # a count is at most the number of candidates, so any M past 2^62 acts as 2^62
+    ms = np.array([min(int(m), 2**62) for m in m_values], dtype=np.int64)
+    counts = np.empty((block.sizes.size, len(schemes), ms.size), dtype=np.int64)
+    counts[:] = np.minimum(block.sizes[:, None], ms)[:, None]
+    if "linear" in schemes:
+        # every atom at a scale of at least bit_length(max M) has an index
+        # past every M, and the indices below are exact for every M up to
+        # 2^53; the scaling candidate, index 0, is below every positive M
+        lad = block.lad
+        stop = int(max(m_values, default=0)).bit_length()
+        queries = np.asarray(m_values, dtype=float)
+        rows = counts[:, list(schemes).index("linear")]
+        for row, a, b in zip(rows, lad.bounds.tolist(), lad.bounds[1:].tolist()):
+            b = a + int(np.searchsorted(lad.scale[a:b], stop))
+            row[:] = np.searchsorted(_POW2[lad.scale[a:b]] + lad.shift[a:b], queries)
+        rows += (ms > 0) & (block.sizes[:, None] > 0)
+    return counts
+
+
+def _errors(paths, block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
+    """Each path's squared errors at every scheme's kept counts, as a
+    (paths, schemes, M) array: the Parseval remainder of the correctly
+    rounded kept energy, from one exact pass over every kept prefix, or
+    exactly 0.0 when every candidate of a whole ladder is kept. Since the
+    top-c squares form one multiset whatever the tie order, their sum is
+    best's kept energy."""
+    every = counts == block.sizes[:, None, None]
+    every &= block.whole[:, None, None]
+    need = (counts > 0) > every
+    rows, cols, _ = need.nonzero()
+    start = block.heads[rows, cols]
+    kept = np.zeros(counts.shape)
+    kept[need] = _range_sums(block.kept, start, start + counts[need])
+    total = np.array([p.l2_norm_sq() for p in paths])[:, None, None]
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, as in floats
+        err = total - kept
+    err[every] = 0.0
+    short = err < -_NEGATIVE_ERROR_TOL * total
+    if np.count_nonzero(short):
+        p, s, m = np.unravel_index(np.argmax(short), short.shape)
+        raise InvariantViolation(
+            f"kept energy exceeds path energy {float(total[p, 0, 0]):.17g} by "
+            f"{-float(err[p, s, m]):.3e}; coefficient accounting is inconsistent"
+        )
+    # the kept energies are correctly rounded, so the scheme-ordering and
+    # monotonicity relations of the true sums carry over to floats
+    return np.maximum(err, 0.0, out=err)
+
+
+def errors_rows(paths, schemes, m_values) -> np.ndarray:
+    """Exact squared errors of every path of a block, as a (paths, schemes,
+    M) float array: one row per scheme in schemes, one entry per M in
+    m_values, all read from one certified build of the block. Linear and
+    greedy keep candidates in index order; best keeps the largest squares
+    first. Each value is the path's own: the ladder cells, the certificate
+    and the correctly rounded sums do not depend on the paths beside it."""
+    _check_query(schemes, m_values)
+    if not paths:
+        return np.zeros((0, len(schemes), len(m_values)))
+    # the counts read only the ladders and the sums only the kept squares:
+    # each step frees what the next does not read
+    block = _build(paths, schemes, int(max(m_values, default=0)))._replace(values=None, sq=None)
+    counts = _kept_counts(block, schemes, m_values)
+    return _errors(paths, block._replace(lad=None), schemes, counts)
 
 
 def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
     """Exact squared errors of every scheme in schemes at each M in m_values,
-    one list per scheme, all read from one certified ladder. Linear and
-    greedy keep candidates in index order; best keeps the largest squares
-    first."""
-    _check_schemes(schemes)
-    lad, _, sq, kept, whole = _build(path, schemes, int(max(m_values, default=0)))
-    counts = [_kept_counts(lad, s, sq.size, m_values) for s in schemes]
-    return _rows(path, sq, kept, whole, schemes, counts)
+    one list per scheme: the one-path view of errors_rows."""
+    return errors_rows([path], schemes, m_values)[0].tolist()
 
 
 def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     """The m atoms the scheme keeps, with their values, and the exact
-    squared error, both from one certified ladder. Linear keeps the first m
+    squared error, both from one certified build. Linear keeps the first m
     atoms in index order, zeros included; greedy the first m structurally
     nonzero ones (none on a jump-free path); best the m largest magnitudes
     of the full expansion, ties to the smaller index."""
-    _check_schemes((scheme,))
-    _check_m(m)
-    lad, values, sq, kept, whole = _build(path, (scheme,), int(m))
-    counts = _kept_counts(lad, scheme, sq.size, [m])
+    _check_query((scheme,), [m])
+    block = _build([path], (scheme,), int(m))
+    counts = _kept_counts(block, (scheme,), [m])
+    lad, values = block.lad, block.values
+    count = int(counts[0, 0, 0])
     if scheme == "best":
         # the top m are built and strictly larger than every atom that is
         # not, so a stable sort sends ties to the smaller index as over the
         # whole ladder
-        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[: counts[0]]).tolist()
+        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[:count]).tolist()
     else:
-        picked = range(counts[0])
+        picked = range(count)
     chosen = []
     for p in picked:
         atom = Atom.wavelet(int(lad.scale[p - 1]), int(lad.shift[p - 1])) if p else SCALING
@@ -282,9 +366,9 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
         given = {atom_index(atom): v for atom, v in chosen}
         chosen = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
     else:  # fewer than m candidates only on a whole ladder
-        past = itertools.islice(atoms_past(path, lad.resolution), m - len(chosen))
+        past = itertools.islice(atoms_past(path, int(lad.resolution[0])), m - len(chosen))
         chosen += [(atom, 0.0) for atom in past]
-    ((error,),) = _rows(path, sq, kept, whole, (scheme,), [counts])
+    error = float(_errors([path], block, (scheme,), counts)[0, 0, 0])
     return Selection(scheme=scheme, m=m, kept=tuple(chosen), error_sq=error)
 
 
@@ -310,47 +394,51 @@ def best_errors(path: CompoundPoissonPath, m_values) -> list[float]:
 # discrete variants over a finite coefficient list (grid proxies)
 
 
-def errors_discrete_rows(coeffs, schemes, m_values) -> list[list[list[float]]]:
-    """errors_discrete of every row of a (rows, n) coefficient array: per
-    row, one list of squared errors per scheme, one entry per M.
+def errors_discrete_rows(coeffs, schemes, m_values) -> np.ndarray:
+    """errors_discrete of every row of a (rows, n) coefficient array, as a
+    (rows, schemes, M) float array.
 
-    Each dropped tail, padded with zeros that add nothing, is a prefix of
-    one of two orders of a row's squares: reversed index order for linear
-    (the last n - M) and greedy (the entries past the M-th one that is not
-    exactly zero), ascending for best (the n - M smallest, from one sort
-    of every row). One exact pass over every row's used prefixes sums
-    them all; each sum depends only on the multiset it adds, so it is the
-    correctly rounded sum of the dropped squares whatever the rows beside
-    it or the order of ties.
+    Each dropped set is one run of one of two arrays of the block's
+    squares: index order for linear (the last n - M of a row) and greedy
+    (the entries past the M-th one that is not exactly zero, trailing
+    zeros included, which add nothing), and ascending for best (the n - M
+    smallest, from one sort of every row). One exact pass over both arrays
+    sums every run; each sum depends only on the multiset it adds, so it is
+    the correctly rounded sum of the dropped squares whatever the rows
+    beside it or the order of ties.
     """
-    _check_schemes(schemes)
-    for m in m_values:
-        _check_m(m)
+    _check_query(schemes, m_values)
     c = as_rows(coeffs)
     if c.ndim != 2:
         raise ValueError(f"expected a (rows, n) coefficient array, got shape {c.shape}")
-    n = c.shape[-1]
+    rows, n = c.shape
+    kept = np.array([min(int(m), n) for m in m_values], dtype=np.intp)
+    if not schemes:
+        return np.zeros((rows, 0, kept.size))
     sq = c**2
-    order = {s: "best" if s == "best" else "index" for s in schemes}
-    keyed = {"index": sq[:, ::-1], "best": np.sort(sq, axis=-1) if "best" in schemes else None}
-    cut = [max(n - int(m), 0) for m in m_values]
+    first = np.arange(rows)[:, None] * n  # each row's offset in the flat arrays
+    arrays, runs = [], {}
+    if "linear" in schemes or "greedy" in schemes:
+        arrays.append(sq.ravel())
+        runs["linear"] = first + kept
     if "greedy" in schemes:
-        nonzero = np.cumsum(c != 0.0, axis=-1)
-        ms = [min(int(m), n) for m in m_values]
-    groups, drops = {}, []
-    for r in range(c.shape[0]):
-        row = {s: cut for s in schemes}
-        if "greedy" in schemes:
-            row["greedy"] = (n - np.searchsorted(nonzero[r], ms, side="right")).tolist()
-        drops.append(row)
-        for s, ds in row.items():
-            o = order[s]
-            groups.setdefault((r, o), (keyed[o][r], []))[1].extend(d for d in ds if d)
-    sums = dict(zip(groups, _prefix_sums(groups.values())))
-    return [
-        [[sums[r, order[s]].get(d, 0.0) for d in row[s]] for s in schemes]
-        for r, row in enumerate(drops)
-    ]
+        # the entries up to the M-th nonzero one: those whose running count
+        # of nonzero entries is at most M; each row's counts, shifted by
+        # (n + 1) per row, make one sorted key
+        shift = np.arange(rows)[:, None] * (n + 1)
+        nonzero = np.cumsum(c != 0.0, axis=-1) + shift
+        keep = np.searchsorted(nonzero.ravel(), (shift + kept).ravel(), side="right")
+        runs["greedy"] = keep.reshape(rows, kept.size)
+    ends = {s: np.broadcast_to(first + n, (rows, kept.size)) for s in runs}
+    if "best" in schemes:
+        offset = sum(a.size for a in arrays)
+        arrays.append(np.sort(sq, axis=-1).ravel())
+        runs["best"] = np.broadcast_to(offset + first, (rows, kept.size))
+        ends["best"] = offset + first + (n - kept)
+    lo = np.stack([runs[s] for s in schemes], axis=1)
+    hi = np.stack([ends[s] for s in schemes], axis=1)
+    x = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+    return np.reshape(_range_sums(x, lo.ravel(), hi.ravel()), lo.shape)
 
 
 def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
@@ -361,7 +449,7 @@ def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
     Each sum is the correctly rounded sum of the dropped squares, so the
     ordering between schemes and the monotonicity in M survive in floating
     point."""
-    return errors_discrete_rows(as_rows(coeffs)[np.newaxis], schemes, m_values)[0]
+    return errors_discrete_rows(as_rows(coeffs)[np.newaxis], schemes, m_values)[0].tolist()
 
 
 def select_discrete(coeffs, scheme: str, m: int) -> Selection:
@@ -398,63 +486,63 @@ def best_errors_discrete(coeffs, m_values) -> list[float]:
 _TINY = 2.0**-1022  # the least normal float; every float is a multiple of 2^-1074
 
 
-def _exact_terms(x: np.ndarray, starts: list[int]) -> list[list[float]]:
-    """Per segment of a nonempty nonnegative float array x, a short list of
-    floats whose exact sum is the segment's, from one vectorized loop of
-    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation, part I", 2008). The starts are strictly increasing, the
-    first is 0 and the last below x.size; a segment runs to the next start
-    or to the end. fsum over the terms of any run of segments is the run's
-    correctly rounded sum, the value fsum over its entries gives.
+def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+    """The correctly rounded sum of x[lo[i]:hi[i]] for each i, the value
+    fsum over those entries gives, for a nonnegative float array x that is
+    overwritten on the way, from one vectorized loop of error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
+    part I", 2008).
 
     With every |p| <= 2^-L sigma, where sigma is a power of two >= 2^-1022
     and 2^L >= 2(n + 2) for n entries, q = (p + sigma) - sigma is p rounded
     to a multiple of 2^-53 sigma, the remainder p - q is exact and at most
-    2^-53 sigma, and |q| <= 2^-L sigma. So any partial sum of a segment's q
-    is a multiple of 2^-53 sigma below sigma / 2, which is exact in any
-    order. Each round adds one exact sum per segment and scales sigma by
-    2^(L-53); once sigma is 2^-1022 the remainder is below 2^-1075, hence
-    zero. When the largest entry is not finite, or too large for sigma to
-    be a float, each segment's terms are its entries, so fsum returns inf
-    or nan, or raises OverflowError, as it does over the entries.
+    2^-53 sigma, and |q| <= 2^-L sigma. So every partial sum of a round's
+    q is a multiple of 2^-53 sigma below sigma / 2, which is exact in any
+    order: the sums of a round between consecutive run ends, and their
+    running sums, are exact, and a run's sum in the round is the
+    difference of two of them. Each round scales sigma by 2^(L-53); once
+    sigma is 2^-1022 the remainder is below 2^-1075, hence zero. A run's
+    exact sum is the sum of its round sums, a few floats, and fsum rounds
+    them correctly. When the largest entry is not finite, or too large for
+    sigma to be a float, each run is summed by fsum over its entries, which
+    returns inf or nan, or raises OverflowError.
     """
+    if not lo.size:
+        return []
     n = x.size
     top = float(x.max())
     width = (2 * (n + 2) - 1).bit_length()  # L, the least with 2^L >= 2(n + 2)
     if not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
-        return [x[a:b].tolist() for a, b in zip(starts, starts[1:] + [n])]
+        return [math.fsum(x[a:b].tolist()) for a, b in zip(lo.tolist(), hi.tolist())]
     sigma = max(math.ldexp(1.0, math.frexp(top)[1] + width), _TINY)
     shrink = math.ldexp(1.0, width - 53)
-    p = x.copy()
+    # the run ends in order, without repeats; each segment between two is
+    # summed per round, from the first end
+    ends = np.concatenate((lo, hi))
+    edges = np.sort(ends)
+    distinct = np.empty(edges.size, dtype=bool)
+    distinct[0] = True
+    np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
+    edges = edges[distinct]
+    if edges.size == 1:
+        return [0.0] * lo.size
+    p = x[edges[0] : edges[-1]]  # the remainder, in place
     q = np.empty_like(p)
-    parts = [[0.0] * len(starts)]
-    while np.count_nonzero(p):
+    segments = edges[:-1] - edges[0]
+    # row r: 0.0, then round r's sum of each segment; running sums below
+    rounds = np.zeros((4, edges.size))
+    r = 0
+    while True:
         np.add(p, sigma, out=q)
         q -= sigma
-        parts.append(np.add.reduceat(q, starts).tolist())
         p -= q
+        if r == len(rounds):
+            rounds = np.concatenate((rounds, np.zeros_like(rounds)))
+        np.add.reduceat(q, segments, out=rounds[r, 1:])
+        r += 1
+        if not np.count_nonzero(p):
+            break
         sigma = max(sigma * shrink, _TINY)
-    return [list(column) for column in zip(*parts)]
-
-
-def _prefix_sums(groups) -> list[dict[int, float]]:
-    """For each (x, cuts) in groups, x a nonnegative float array, the
-    correctly rounded sum of x[:c] at each cut c, with 0 < c <= x.size: one
-    exact extraction over every group's used prefix laid end to end, the
-    segment terms accumulated from the front, one fsum per cut."""
-    cuts = [sorted(set(c)) for _, c in groups]
-    pieces, starts, offset = [], [], 0
-    for (x, _), cs in zip(groups, cuts):
-        if cs:
-            pieces.append(x[: cs[-1]])
-            starts += [offset] + [offset + c for c in cs[:-1]]
-            offset += cs[-1]
-    terms = iter(_exact_terms(np.concatenate(pieces), starts) if pieces else ())
-    out = []
-    for cs in cuts:
-        acc, sums = [], {}
-        for c in cs:
-            acc += next(terms)
-            sums[c] = math.fsum(acc)
-        out.append(sums)
-    return out
+    running = np.cumsum(rounds[:r], axis=1)
+    at = running[:, np.searchsorted(edges, ends)]
+    return list(map(math.fsum, (at[:, lo.size :] - at[:, : lo.size]).T.tolist()))

@@ -20,6 +20,7 @@ __all__ = [
     "greedy_mse_envelope",
     "nonzero_scale_bounds",
     "tail_energy",
+    "expected_nonzero_atoms",
     "poly_weighted_decay",
     "exp_weighted_decay",
     "MAX_ENVELOPE_LAMBDA",
@@ -158,6 +159,14 @@ def tail_energy(scale: int, sigma0_sq: float) -> float:
     if not (math.isfinite(sigma0_sq) and sigma0_sq > 0):
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
     return sigma0_sq * 2.0 ** -(scale + 1) / 6.0
+
+
+def expected_nonzero_atoms(lam: float, scales: int) -> float:
+    """Mean number of structurally nonzero wavelet coefficients at scales
+    0 <= j < scales of a rate-lam path: a Poisson(lam) number of uniform
+    jumps occupies on average 2^j (1 - exp(-lam / 2^j)) of the 2^j atoms at
+    scale j."""
+    return math.fsum(2.0**j * -math.expm1(-lam / 2.0**j) for j in range(scales))
 
 
 def poly_weighted_decay(lam: float, k: int, m_values) -> list[float]:

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpwave import cli, harness, schemes
+from cpwave import JumpLaw, cli, derive_stream, harness, sample_path, schemes
 from cpwave.harness import (
     CurveRecord,
     ExperimentConfig,
@@ -24,7 +25,7 @@ from cpwave.harness import (
     write_json,
     _trial_errors,
 )
-from cpwave.theory import greedy_mse_envelope, linear_mse
+from cpwave.theory import expected_nonzero_atoms, greedy_mse_envelope, linear_mse
 
 CURVE_HEADER = "process,scheme,dictionary,lambda,sigma0_sq,M,log2_M,mse_mean,mse_db,ci_lo,ci_hi,trials,seed"
 
@@ -92,35 +93,45 @@ def test_worker_count_independent():
 
 
 def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
-    built = []
-    real_ladder = schemes.ladder
+    # a group of trials builds every path's scales once, from scale 0: one
+    # ladders call for the group, and one more, over [depth, resolution),
+    # for exactly the paths whose depth certificate fails
+    calls, verdicts = [], []
+    real_ladders, real_certified = schemes.ladders, schemes._certified
 
-    def counting_ladder(path, lo=0, hi=None):
-        lad = real_ladder(path, lo, hi)
-        built.append((path, lo, lad.resolution if hi is None else min(hi, lad.resolution), lad))
-        return lad
+    def counting_ladders(paths, lo, hi=None):
+        lads = real_ladders(paths, lo, hi)
+        calls.append((paths, lo, hi, lads))
+        return lads
 
-    monkeypatch.setattr(schemes, "ladder", counting_ladder)
+    def recording_certified(*args):
+        verdicts.append(real_certified(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(schemes, "ladders", counting_ladders)
+    monkeypatch.setattr(schemes, "_certified", recording_certified)
+    monkeypatch.setattr(harness, "_group_size", lambda config: 4)  # one group per block
     truncated = 0
     for cfg in (small_config(), small_config(lam=500.0, m_values=(4, 64, 1024))):
         assert len(cfg.schemes) == 3
-        k = max(cfg.m_values)
-        for t in range(cfg.trials):
-            built.clear()
-            (rows,) = _trial_errors(cfg, range(t, t + 1))
-            assert [len(row) for row in rows] == [len(cfg.m_values)] * 3
-            # the calls build consecutive scale ranges from 0, none twice
-            path, lo, hi, lad = built[0]
-            assert lo == 0
-            assert [b[1] for b in built[1:]] == [a[2] for a in built[:-1]]
-            assert all(b[0] is path for b in built)
-            # one call when the first ladder is whole or its certificate holds
-            sq = schemes._candidates(path, lad) ** 2
-            kept = {s: schemes._kept_prefix(s, sq, k) for s in cfg.schemes}
-            holds = hi == lad.resolution or schemes._certified(path, lad, hi, k, kept)
-            assert len(built) == (1 if holds else 2)
-            assert built[-1][2] == lad.resolution or holds
-            truncated += holds and hi < lad.resolution
+        for start in range(0, cfg.trials, 4):
+            calls.clear()
+            verdicts.clear()
+            block = _trial_errors(cfg, range(start, start + 4))
+            assert [[len(row) for row in rows] for rows in block] == [[len(cfg.m_values)] * 3] * 4
+            (paths, lo, hi, first), *rest = calls
+            assert len(paths) == 4 and lo == [0] * 4 and len(rest) <= 1
+            e = first.resolution.tolist()
+            built = [min(h, r) for h, r in zip(hi, e)]
+            held = verdicts[0] if verdicts else [True] * 4
+            extended = [i for i in range(4) if built[i] < e[i] and not held[i]]
+            if rest:
+                ((more, lo, hi, _),) = rest
+                assert [id(p) for p in more] == [id(paths[i]) for i in extended]
+                assert lo == [built[i] for i in extended] and hi is None
+            else:
+                assert not extended
+            truncated += sum(b < r and ok for b, r, ok in zip(built, e, held))
     assert truncated > 0
 
 
@@ -173,9 +184,62 @@ def test_trial_blocks_give_the_rows_of_single_trials(run):
 
 
 def test_block_size_follows_the_sample_budget():
-    assert [harness._block_size(small_config(grid_log2=g)) for g in (1, 10, 13, 14, 20)] == [
-        2**13, 16, 2, 1, 1,
-    ]
+    blocks = [small_config(dictionary=d, grid_log2=g) for d in ("haar_discrete", "haar_analytic")
+              for g in (1, 10, 13, 14, 20)]
+    assert [harness._block_size(cfg) for cfg in blocks] == [2**13, 16, 2, 1, 1] * 2
+    ms = tuple(2**j for j in range(2, 11))
+    analytic = [small_config(lam=lam, m_values=ms) for lam in (0.5, 10.0, 500.0, 1e4)]
+    assert [harness._group_size(cfg) for cfg in analytic] == [623, 32, 2, 1]
+    # the atoms the budget counts are the mean first build of sampled paths
+    for lam in (2.0, 10.0, 100.0, 500.0):
+        law = JumpLaw.for_rate(lam)
+        paths = [sample_path(lam, law, derive_stream(5, t)) for t in range(200)]
+        first = [schemes._first_depth(p.num_jumps, 1024) for p in paths]
+        atoms = schemes.ladders(paths, [0] * 200, first).value.size / 200
+        scales = min(53, schemes._first_depth(math.ceil(lam), 1024))
+        assert atoms == pytest.approx(expected_nonzero_atoms(lam, scales), rel=0.05)
+
+
+def forged_block(trials, fault):
+    """A (trials, 3 schemes, 3 M) block of valid errors with one fault in
+    the given trial: (scheme, M index, value)."""
+    good = np.array([[4.0, 2.0, 1.0], [3.0, 1.5, 0.5], [2.0, 1.0, 0.25]])  # linear, greedy, best
+    block = np.repeat(good[None], trials, axis=0)
+    trial, scheme, mi, value = fault
+    block[trial, scheme, mi] = value
+    return block
+
+
+@pytest.mark.parametrize("chosen, fault, message", [
+    ((0, 1, 2), (2, 1, 2, 1.6), "trial 9: greedy error increased with M (1.5 -> 1.6)"),
+    ((0, 1, 2), (0, 0, 1, 4.5), "trial 7: linear error increased with M (4.0 -> 4.5)"),
+    ((0, 1, 2), (1, 2, 0, 3.5), "trial 8, M=2: best error 3.5 exceeds greedy error 3.0"),
+    ((0, 1, 2), (3, 1, 1, 2.5), "trial 10, M=4: greedy error 2.5 exceeds linear error 2.0"),
+    ((0, 2), (2, 0, 2, 0.125), "trial 9, M=8: best error 0.25 exceeds linear error 0.125"),
+])
+def test_invariants_raise_the_message_of_the_lowest_failing_trial(chosen, fault, message):
+    names = ("linear", "greedy", "best")
+    cfg = small_config(schemes=tuple(names[i] for i in chosen), m_values=(2, 4, 8))
+    block = forged_block(5, fault)
+    block[4, :, 2] = 99.0  # a later failing trial must not change the message
+    block = block[:, list(chosen)]
+    with pytest.raises(schemes.InvariantViolation) as raised:
+        harness._assert_invariants(cfg, range(7, 12), block)
+    assert str(raised.value) == message
+    valid = forged_block(4, (0, 0, 0, 4.0))[:, list(chosen)]  # 4.0 is the value already there
+    harness._assert_invariants(cfg, range(7, 11), valid)
+
+
+def test_cli_multi_block_analytic_run_is_worker_invariant(tmp_path):
+    # lambda = 100 reads each 16-trial block in groups of 8 paths; 40 trials
+    # make three blocks, the last one short
+    args = ["mse-curve", "--process", "cp", "--lambda", "100", "--schemes", "linear,greedy,best",
+            "--m", "4,64,1024", "--trials", "40", "--seed", "11"]
+    assert harness._group_size(small_config(lam=100.0, m_values=(4, 64, 1024))) < 16
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
+    assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_mse_db_formula_and_sentinel(tmp_path):

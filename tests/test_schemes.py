@@ -25,6 +25,7 @@ from cpwave.schemes import (
     errors,
     errors_discrete,
     errors_discrete_rows,
+    errors_rows,
     greedy_errors,
     linear_errors,
 )
@@ -339,6 +340,20 @@ LAW500 = JumpLaw.for_rate(500.0)
 M_1024 = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
+def counting_ladders(calls):
+    """A stand-in for schemes.ladders that records, per call, each path's
+    built scale range (lo, hi)."""
+    real = schemes_module.ladders
+
+    def counted(paths, lo, hi=None):
+        lads = real(paths, lo, hi)
+        e = lads.resolution.tolist()
+        calls.append([(a, max(a, min(b, r))) for a, b, r in zip(lo, e if hi is None else hi, e)])
+        return lads
+
+    return counted
+
+
 def test_errors_equal_whole_ladder_reference():
     branches = set()
 
@@ -376,24 +391,18 @@ def test_errors_equal_whole_ladder_reference():
     @settings(max_examples=100, deadline=None)
     def check(path, ms, chosen):
         calls = []
-        real_ladder = schemes_module.ladder
-
-        def counting_ladder(path, lo=0, hi=None):
-            lad = real_ladder(path, lo, hi)
-            calls.append(lad.resolution if hi is None else min(hi, lad.resolution))
-            return lad
-
-        schemes_module.ladder = counting_ladder
+        real_ladders = schemes_module.ladders
+        schemes_module.ladders = counting_ladders(calls)
         try:
             rows = errors(path, chosen, ms)
         finally:
-            schemes_module.ladder = real_ladder
+            schemes_module.ladders = real_ladders
         expected = [reference_errors(path, scheme, ms) for scheme in chosen]
         assert rows == expected
-        e = real_ladder(path, 0, 0).resolution
+        e = ladder(path, 0, 0).resolution
         if len(calls) == 2:
             branches.add("extended")
-        elif calls[0] < e:
+        elif calls[0][0][1] < e:
             branches.add("truncated")
         # the certificate, not the first depth, makes the errors exact: any
         # first depth gives the same rows
@@ -413,14 +422,7 @@ def test_select_builds_each_scale_once(monkeypatch):
     # select reads its kept atoms and its error from one certified build:
     # consecutive scale ranges from scale 0, none built twice
     calls = []
-    real_ladder = schemes_module.ladder
-
-    def counting_ladder(path, lo=0, hi=None):
-        lad = real_ladder(path, lo, hi)
-        calls.append((lo, lad.resolution if hi is None else max(lo, min(hi, lad.resolution))))
-        return lad
-
-    monkeypatch.setattr(schemes_module, "ladder", counting_ladder)
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
     paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(39, seed))
              for lam in (3.0, 10.0, 100.0, 500.0) for seed in range(4)]
     # its +-10^6 pair separates near scale 44, far below the first depth
@@ -430,8 +432,9 @@ def test_select_builds_each_scale_once(monkeypatch):
         for scheme, m in itertools.product(SCHEMES, (0, 1, 10, 32, 1024)):
             calls.clear()
             select(path, scheme, m)
-            assert 1 <= len(calls) <= 2 and calls[0][0] == 0
-            assert all(b[0] == a[1] for a, b in zip(calls, calls[1:]))
+            ranges = [one for (one,) in calls]  # one path per call
+            assert 1 <= len(ranges) <= 2 and ranges[0][0] == 0
+            assert all(b[0] == a[1] for a, b in zip(ranges, ranges[1:]))
             extended += len(calls) == 2
     assert extended > 0
 
@@ -440,8 +443,9 @@ def whole_ladder_selection(path, scheme, m):
     """The kept atoms read from the whole ladder, with no depth bound, and
     the error errors gives for that scheme and M."""
     lad = ladder(path)
-    values = schemes_module._candidates(path, lad)
-    (count,) = schemes_module._kept_counts(lad, scheme, values.size, [m])
+    values = np.array(([coeff(path, SCALING).value] if path.num_jumps else []) + lad.value.tolist())
+    index = [0] + [(1 << int(j)) + int(k) for j, k in zip(lad.scale, lad.shift)]
+    count = sum(i < m for i in index[: values.size]) if scheme == "linear" else min(m, values.size)
     if scheme == "best":  # a stable sort sends ties to the smaller index
         picked = np.sort(np.argsort(-np.abs(values), kind="stable")[:count]).tolist()
     else:
@@ -517,6 +521,135 @@ def test_errors_kept_sums_equal_per_m_fsum(path, ms, past_total, chosen):
                 errors(path, chosen, ms)
             return
         assert row_bits(errors(path, chosen, ms)) == expected
+
+
+BLOCK_RATES = (0.5, 10.0, 100.0, 500.0)
+
+
+@st.composite
+def path_blocks(draw):
+    """A block of paths with 0, 1 and many jumps: hand-made (arbitrary,
+    dyadic, clustered), sampled at rates 0.5 to 500, and spiked paths whose
+    ladders extend past their first depth."""
+    one = st.one_of(
+        st.just(make_path([], [])),
+        st.tuples(st.floats(1e-6, 1 - 1e-6), st.floats(0.1, 4.0)).map(lambda a: make_path([a[0]], [a[1]])),
+        hand_paths(),
+        spiked_paths(),
+        st.tuples(st.sampled_from(BLOCK_RATES), st.integers(0, 2**20)).map(
+            lambda a: sample_path(a[0], JumpLaw.for_rate(a[0]), derive_stream(40, a[1]))
+        ),
+    )
+    return draw(st.lists(one, min_size=1, max_size=8))
+
+
+@given(
+    path_blocks(),
+    st.lists(st.integers(1, 4), min_size=1, max_size=8),
+    st.sampled_from(SCHEME_SUBSETS),
+    st.lists(st.integers(0, 3000), min_size=1, max_size=6),
+)
+@example([make_path([], []), make_path([0.37], [1.3])], [1], SCHEMES, [0, 1, 3, 2000])
+# the +-10^6 pair extends past its first depth; the paths beside it do not
+@example(
+    [sample_path(10.0, LAW10, derive_stream(40, 1)), make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]),
+     sample_path(500.0, LAW500, derive_stream(40, 2))],
+    [3], ("best",), [1, 10, 1024],
+)
+@settings(max_examples=60, deadline=None)
+def test_errors_rows_any_split_equals_one_path_calls(paths, sizes, chosen, ms):
+    # every block, whatever the paths beside it, gives each path the bits
+    # of its own one-path call; M runs past the candidate count too
+    single = [errors(path, chosen, ms) for path in paths]
+    blocks, start = [], 0
+    for size in itertools.cycle(sizes):
+        if start >= len(paths):
+            break
+        blocks.append(errors_rows(paths[start : start + size], chosen, ms))
+        start += size
+    rows = np.concatenate(blocks)
+    assert rows.shape == (len(paths), len(chosen), len(ms))
+    assert row_bits(rows.reshape(-1, len(ms))) == row_bits(sum(single, []))
+
+
+def test_errors_rows_match_the_whole_ladder_reference_on_a_mixed_block(monkeypatch):
+    spiked = make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0])
+    paths = [make_path([], []), make_path([0.37], [1.3]), spiked]
+    paths += [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(41, s)) for lam in BLOCK_RATES for s in range(3)]
+    ms = [0, 1, 4, 64, 1024, 3000]
+    calls = []
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    rows = errors_rows(paths, ("best",), [1, 10])
+    # one build of the block, and one extension of the spiked path alone:
+    # its +-10^6 pair separates near scale 44, far below its first depth
+    assert len(calls) == 2 and len(calls[0]) == len(paths) and len(calls[1]) == 1
+    assert calls[1][0][0] == calls[0][2][1]
+    for got, path in zip(rows, paths):
+        assert row_bits(got) == row_bits([reference_errors(path, "best", [1, 10])])
+    rows = errors_rows(paths, SCHEMES, ms)
+    for got, path in zip(rows, paths):
+        assert row_bits(got) == row_bits([reference_errors(path, s, ms) for s in SCHEMES])
+
+
+@pytest.mark.parametrize("bad", [-3, 2.5, -1, 1.0, "4"])
+def test_errors_refuse_an_m_that_is_not_a_nonnegative_integer(bad):
+    # a negative M once returned the full energy, and M = 2.5 gave a linear
+    # error below greedy's
+    path = sample_path(10.0, LAW10, derive_stream(1, 0))
+    with pytest.raises(ValueError, match="M must be a nonnegative integer"):
+        errors(path, SCHEMES, [4, bad])
+    with pytest.raises(ValueError, match="M must be a nonnegative integer"):
+        errors_rows([path, path], ("linear",), [bad])
+    with pytest.raises(ValueError, match="M must be a nonnegative integer"):
+        errors_discrete_rows(np.ones((2, 8)), ("best",), [bad])
+
+
+def fsum_runs(x, lo, hi):
+    """The sums the exact kernel replaced: one fsum per run."""
+    return [math.fsum(x[a:b].tolist()) for a, b in zip(lo, hi)]
+
+
+@st.composite
+def runs_over(draw):
+    """A nonnegative array with ties, zeros, subnormals and squares over
+    2^+-900, and runs of it, empty, repeated and nested ones included."""
+    x = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 0.25, 4.0, 5e-324, 2.0**-1060, 2.0**-1022]),
+                  WIDE_COEFFS.map(lambda c: c * c), st.floats(0.0, 100.0)),
+        min_size=1, max_size=60))
+    n = len(x)
+    ends = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), min_size=1, max_size=20))
+    lo, hi = zip(*[(min(a, b), max(a, b)) for a, b in ends])
+    return np.array(x), np.array(lo), np.array(hi)
+
+
+@given(runs_over())
+@example((np.array([1.0, 1.0, 1.0, 0.0]), np.array([0, 0, 1, 4]), np.array([4, 4, 3, 4])))
+@example((np.array([2.0**-1074, 2.0**-1074, 2.0**1000]), np.array([0, 0]), np.array([2, 3])))
+@settings(max_examples=200, deadline=None)
+def test_range_sums_equal_fsum_per_run(run):
+    x, lo, hi = run
+    expected = fsum_runs(x, lo, hi)
+    got = schemes_module._range_sums(x.copy(), lo, hi)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("x", [
+    [1.0, math.inf, 2.0, 3.0],          # inf, and finite runs beside it
+    [1.0, math.nan, 2.0, math.inf],     # nan and inf
+    [1e308, 1e308, 1.0, 2.0],           # a run whose sum overflows
+    [2.0**1020, 1.0, 2.0**-1074],       # finite, too large for the exact rounds
+])
+def test_range_sums_follow_fsum_past_the_float_range(x):
+    x = np.array(x)
+    lo, hi = np.array([0, 1, 2, 2, 0]), np.array([1, 3, 4, 2, 4])
+    try:
+        expected = [v.hex() for v in fsum_runs(x, lo, hi)]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            schemes_module._range_sums(x.copy(), lo, hi)
+        return
+    assert [v.hex() for v in schemes_module._range_sums(x.copy(), lo, hi)] == expected
 
 
 def reference_errors_discrete(coeffs, scheme, ms):
