@@ -179,9 +179,9 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
 class Ladder(NamedTuple):
     """The occupied wavelet atoms at the scales a ladder was built for, in
     atom-index order, as parallel arrays; `ladder(path)` builds every scale
-    below the path's dyadic resolution, `ladder(path, lo, hi)` only those in
-    [lo, hi). Shifts are exact integers held as floats, because a shift at
-    scale j reaches 2^j."""
+    below the path's dyadic resolution, `ladder(path, hi)` only those below
+    hi. Shifts are exact integers held as floats, because a shift at scale j
+    reaches 2^j."""
 
     resolution: int
     scale: np.ndarray
@@ -229,40 +229,36 @@ def _resolutions(times: np.ndarray, n: list[int]) -> list[int]:
     return e
 
 
-def ladders(paths, lo: list[int], hi: list[int] | None = None) -> Ladders:
+def ladders(paths, hi: list[int] | None = None) -> Ladders:
     """The finite coefficient ladders of a block of paths, or only the
-    scales lo[p] <= j < hi[p] of path p (hi None: up to its resolution).
+    scales j < hi[p] of path p (hi None: up to its resolution).
 
     Every jump time is exactly m * 2^-e with m odd; a path's resolution is
     the largest such e. At every scale j >= resolution each jump sits alone
     at the left edge of its own atom, so those coefficients are exactly 0.0
     and the whole ladder, scales [0, e), holds every nonzero coefficient.
-    The built scales of a path are [lo, min(hi, e)) for 0 <= lo. Each value
-    is the left-to-right sum, in jump order, of height * tent weight, so a
-    scale's rows are the same whichever range or block is built.
+    The built scales of a path are [0, min(hi, e)). Each value is the
+    left-to-right sum, in jump order, of height * tent weight, so a scale's
+    rows are the same whichever prefix or block is built.
     """
     n = [p.num_jumps for p in paths]
     times = np.concatenate([p.jump_times for p in paths]) if paths else np.empty(0)
     e = _resolutions(times, n)
-    if min(lo, default=0) < 0:
-        raise ValueError(f"the lowest scale must be nonnegative, got {min(lo)}")
-    hi = [max(a, min(b, r)) for a, b, r in zip(lo, e if hi is None else hi, e)]
-    ends = list(itertools.accumulate(m * (j1 - j0) for m, j0, j1 in zip(n, lo, hi)))
+    hi = e if hi is None else [max(0, min(b, r)) for b, r in zip(hi, e)]
+    ends = list(itertools.accumulate(m * j for m, j in zip(n, hi)))
     firsts = [0] + ends[:-1]
-    blocks = [
-        (p, a, b, m, j0, j1) for p, a, b, m, j0, j1 in zip(paths, firsts, ends, n, lo, hi) if b > a
-    ]
+    blocks = [(p, a, b, m, j) for p, a, b, m, j in zip(paths, firsts, ends, n, hi) if b > a]
     # Each path's cells are a (scale, jump) block of one flat array, written
     # through a view. Temporaries are computed in place and freed early.
     cells = ends[-1] if ends else 0
     x = np.empty(cells)
-    for p, a, b, m, j0, j1 in blocks:  # t * 2^j, exact
-        np.multiply(p.jump_times, _POW2[j0:j1, None], out=x[a:b].reshape(j1 - j0, m))
+    for p, a, b, m, j in blocks:  # t * 2^j, exact
+        np.multiply(p.jump_times, _POW2[:j, None], out=x[a:b].reshape(j, m))
     k = np.floor(x)
     new = np.empty(cells + 1, dtype=bool)  # past the last cell: the end of the last atom
     new[-1] = True
     np.not_equal(k[1:], k[:-1], out=new[1:-1])  # the shift changes: a new atom
-    for p, a, b, m, j0, j1 in blocks:
+    for p, a, b, m, j in blocks:
         new[a:b:m] = True  # and every scale of a path starts one
     edges = np.flatnonzero(new)
     starts = edges[:-1]
@@ -271,9 +267,9 @@ def ladders(paths, lo: list[int], hi: list[int] | None = None) -> Ladders:
     np.subtract(1.0, x, out=k)
     np.minimum(x, k, out=x)
     del k
-    for p, a, b, m, j0, j1 in blocks:
-        cell = x[a:b].reshape(j1 - j0, m)
-        cell *= _AMPLITUDE[j0:j1, None]
+    for p, a, b, m, j in blocks:
+        cell = x[a:b].reshape(j, m)
+        cell *= _AMPLITUDE[:j, None]
         cell *= p.jump_heights
     count = edges[1:] - starts  # each atom's jumps
     # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
@@ -284,18 +280,17 @@ def ladders(paths, lo: list[int], hi: list[int] | None = None) -> Ladders:
     # a path's atoms start at its first cell's; an atom's scale is its row
     bounds = np.searchsorted(edges, firsts + [cells])
     scale = np.empty_like(starts)
-    for c, d, a, m, j0 in zip(bounds.tolist(), bounds[1:].tolist(), firsts, n, lo):
+    for c, d, a, m in zip(bounds.tolist(), bounds[1:].tolist(), firsts, n):
         if d > c:  # division by one int is much faster than by an array
             np.floor_divide(starts[c:d] - a, m, out=scale[c:d])
-            scale[c:d] += j0
     return Ladders(np.array(e), bounds, scale, shift, value, count)
 
 
-def ladder(path: CompoundPoissonPath, lo: int = 0, hi: int | None = None) -> Ladder:
-    """The path's finite coefficient ladder, or only its scales lo <= j < hi:
-    the one-path view of ladders. `resolution` is the path's whatever the
-    range."""
-    lads = ladders([path], [lo], None if hi is None else [hi])
+def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:
+    """The path's finite coefficient ladder, or only its scales j < hi: the
+    one-path view of ladders. `resolution` is the path's whatever the
+    prefix."""
+    lads = ladders([path], None if hi is None else [hi])
     return Ladder(int(lads.resolution[0]), *lads[2:])
 
 

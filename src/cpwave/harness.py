@@ -202,20 +202,24 @@ class SpacingCheckResult:
 # per-trial work
 
 
-# Trials run in blocks of _BLOCK_SAMPLES >> grid_log2 trials (at least one):
-# 16 trials of a 2^10 grid, one from 2^14 up. A block samples its trials
-# back to back; a discrete dictionary then transforms the block's grids as
-# one array, and the budget keeps the block's grids, coefficients and
-# sorted squares within a few MB. The analytic dictionary reads a block's
-# paths in groups whose first builds hold about _BLOCK_SAMPLES atoms on
-# average (theory.expected_nonzero_atoms over the scales below the first
-# depth, at most 53 for sampled jump times): 32 paths at lambda = 10 and 2
-# at lambda = 500 for M up to 1024. A group's atom arrays then stay within
-# 128 KB, and the fixed cost of its numpy calls is spread over its paths.
+# A block samples its trials back to back. A discrete dictionary transforms
+# a block's grids as one array, in blocks of _BLOCK_SAMPLES >> grid_log2
+# trials (at least one): 16 of a 2^10 grid, one from 2^14 up, so the
+# block's grids, coefficients and sorted squares stay within a few MB.
+# Analytic blocks sample no grid and hold _ANALYTIC_BLOCK trials. The
+# analytic dictionary reads a block's paths in groups whose first builds
+# hold about _BLOCK_SAMPLES atoms on average (theory.expected_nonzero_atoms
+# over the scales below the first depth, at most 53 for sampled jump
+# times): 32 paths at lambda = 10 and 2 at lambda = 500 for M up to 1024.
+# A group's atom arrays then stay within 128 KB, and the fixed cost of its
+# numpy calls is spread over its paths.
 _BLOCK_SAMPLES = 2**14
+_ANALYTIC_BLOCK = 16
 
 
 def _block_size(config: ExperimentConfig) -> int:
+    if config.dictionary == "haar_analytic":
+        return _ANALYTIC_BLOCK
     return max(1, _BLOCK_SAMPLES >> config.grid_log2)
 
 
@@ -226,9 +230,9 @@ def _group_size(config: ExperimentConfig) -> int:
 
 def _trial_errors(
     config: ExperimentConfig, trials: range, dictionaries: tuple[str, ...] = ()
-) -> list[tuple[tuple[float, ...], ...]]:
-    """Squared errors for a block of trials: per trial, one tuple per
-    (dictionary, scheme) pair, dictionary-major, one entry per M. The
+) -> np.ndarray:
+    """Squared errors for a block of trials, as a (trials, curves, M) array:
+    one curve per (dictionary, scheme) pair, dictionary-major. The
     dictionaries default to the config's own; all of them read each trial's
     one path or grid. Every trial samples from its own stream; then the
     analytic dictionary reads the block's paths in groups, one errors_rows
@@ -267,7 +271,7 @@ def _trial_errors(
             block = schemes.errors_discrete_rows(coeffs, config.schemes, ms) / 2.0**config.grid_log2
         _assert_invariants(config, trials, block)
         blocks.append(block)
-    return [tuple(map(tuple, rows)) for rows in np.concatenate(blocks, axis=1).tolist()]
+    return np.concatenate(blocks, axis=1)
 
 
 def _assert_invariants(config: ExperimentConfig, trials: range, block: np.ndarray) -> None:
@@ -299,9 +303,9 @@ def _assert_invariants(config: ExperimentConfig, trials: range, block: np.ndarra
 
 def _run_trials(
     config: ExperimentConfig, dictionaries: tuple[str, ...], workers: int
-) -> list[tuple[tuple[float, ...], ...]]:
-    """Every trial's error rows, in trial order, from blocks of trials run
-    in order, or mapped to a pool of workers."""
+) -> np.ndarray:
+    """Every trial's errors, as a (trials, curves, M) array in trial order,
+    from blocks of trials run in order, or mapped to a pool of workers."""
     size = _block_size(config)
     blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
     if workers <= 1:
@@ -317,7 +321,7 @@ def _run_trials(
             per_block = list(
                 pool.map(_trial_errors, [config] * n, blocks, [dictionaries] * n, chunksize=chunk)
             )
-    return [rows for block in per_block for rows in block]
+    return np.concatenate(per_block)
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float, float]:
@@ -357,7 +361,7 @@ def _run_curves(
         per_trial = _run_trials(config, dictionaries, workers)
         for ci, (dictionary, scheme) in enumerate(curves):
             for mi, m in enumerate(config.m_values):
-                mean, ci_lo, ci_hi = _mean_ci([per_trial[t][ci][mi] for t in range(config.trials)])
+                mean, ci_lo, ci_hi = _mean_ci(per_trial[:, ci, mi].tolist())
                 if not math.isfinite(mean):
                     raise OverflowError(f"the {scheme} mean at M={m} is {mean}")
                 records.append(

@@ -17,15 +17,15 @@ one-path view, and select(path, scheme, m) reads one selection's kept
 atoms and error from a one-path build. The candidates of a path are its
 scaling coefficient followed by its ladder in index order, and a scheme is
 an order over their squares plus a kept count per M. Each ladder is first
-built only down to a depth d and is extended once, by the scales
-[d, resolution), unless a certificate shows that the scales below d
-already give every requested scheme its exact kept atoms and errors up to
-K = max M: linear keeps only atoms of index below K, all at scales below
-bit_length(K); greedy needs K candidates; and best needs a bound on every
-coefficient at scales >= d, from the jump counts at scale d - 1 and the
-largest jump height, to lie strictly below the K-th largest built square.
-One extension call builds the missing scales of every path of the block
-whose certificate fails. No scale is built twice. errors_discrete_rows
+built only down to a depth d, and a certificate says whether the scales
+below d already give every requested scheme its exact kept atoms and
+errors up to K = max M: linear keeps only atoms of index below K, all at
+scales below bit_length(K); greedy needs K candidates; and best needs a
+bound on every coefficient at scales >= d, from the jump counts at scale
+d - 1 and the largest jump height, to lie strictly below the K-th largest
+built square. The paths whose certificate fails, which sampled paths
+rarely do, are read again from their whole ladders, in one build from
+scale 0, and those rows replace the first ones. errors_discrete_rows
 does the same for every row of a block of finite coefficient lists, with
 one set of squares and one sort for the block; errors_discrete is its
 one-row view, and select_discrete reads it. Squared errors of exact paths
@@ -130,16 +130,17 @@ def _first_depth(n: int, k: int) -> int:
 
     Atoms start to hold single jumps near scale bit_length(n), and the k
     largest squares sit about k / n scales below it; the certificate's
-    worst-case bound falls below them about 8 scales further down (on
-    sampled paths at rates 30 to 2000 and k up to 4096, 8 was the least
-    margin that never extended). The depth is also at least
-    bit_length(k), which linear needs.
+    worst-case bound falls below them about 8 scales further down. On
+    sampled paths with all three schemes, it failed for 1.3 % of paths at
+    rate 3 and k = 64, and for 0.4 %, 0.1 % and none at rates 30, 100 and
+    500 and k = 1024; those paths are read again whole. The depth is also
+    at least bit_length(k), which linear needs.
     """
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
 class _Block(NamedTuple):
-    """A certified build of a block of paths for M <= k: their ladders;
+    """A build of a block of paths for M <= k: their ladders;
     every path's candidates, the scaling coefficient (when it has jumps)
     then its ladder in index order, end to end, path p's at
     bounds[p]:bounds[p + 1], with their squares and counts; and whether
@@ -227,40 +228,18 @@ def _certified(paths, block: _Block, depth: list[int], schemes) -> list[bool]:
     return held
 
 
-def _merge(lad: Ladders, rest: Ladders, extended: list[int]) -> Ladders:
-    """lad with the scales in rest appended to the ladders of the extended
-    paths, path-major."""
-    owner = np.concatenate(
-        (
-            np.repeat(np.arange(lad.bounds.size - 1), np.diff(lad.bounds)),
-            np.repeat(extended, np.diff(rest.bounds)),
-        )
-    )
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(lad.bounds.size))
-    columns = [np.concatenate(pair)[order] for pair in zip(lad[2:], rest[2:])]
-    return Ladders(lad.resolution, bounds, *columns)
-
-
-def _build(paths, schemes, k: int) -> _Block:
-    """The block's ladders certified for every scheme in schemes at every
-    M <= k (see the module docstring): one build below each path's first
-    depth, and one extension, over [depth, resolution), of the paths whose
-    certificate fails. No scale is built twice."""
-    first = [_first_depth(p.num_jumps, k) for p in paths]
-    lad = ladders(paths, [0] * len(paths), first)
-    depth = [min(d, e) for d, e in zip(first, lad.resolution.tolist())]
+def _build(paths, schemes, k: int, depth: list[int] | None) -> tuple[_Block, list[bool]]:
+    """The block's ladders built below depth[p] (None: whole), and whether
+    each path's build is certified for every scheme in schemes at every
+    M <= k (see the module docstring)."""
+    lad = ladders(paths, depth)
+    e = lad.resolution.tolist()
+    depth = e if depth is None else [min(d, r) for d, r in zip(depth, e)]
     whole = np.array(depth) == lad.resolution
     scaling = [coeff(p, SCALING).value for p in paths if p.num_jumps]
     block = _block(paths, k, lad, scaling, whole, schemes)
-    if whole.all():
-        return block
-    extended = [i for i, held in enumerate(_certified(paths, block, depth, schemes)) if not held]
-    if not extended:
-        return block
-    rest = ladders([paths[i] for i in extended], [depth[i] for i in extended])
-    whole[extended] = True
-    return _block(paths, k, _merge(lad, rest, extended), scaling, whole, schemes)
+    held = whole.tolist() if whole.all() else _certified(paths, block, depth, schemes)
+    return block, held
 
 
 def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
@@ -320,18 +299,31 @@ def _errors(paths, block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
     """Exact squared errors of every path of a block, as a (paths, schemes,
     M) float array: one row per scheme in schemes, one entry per M in
-    m_values, all read from one certified build of the block. Linear and
+    m_values, all read from one build of the block and one whole build of
+    the paths whose certificate fails. Linear and
     greedy keep candidates in index order; best keeps the largest squares
     first. Each value is the path's own: the ladder cells, the certificate
     and the correctly rounded sums do not depend on the paths beside it."""
     _check_query(schemes, m_values)
     if not paths:
         return np.zeros((0, len(schemes), len(m_values)))
+    k = int(max(m_values, default=0))
+    rows, held = _read(paths, schemes, m_values, [_first_depth(p.num_jumps, k) for p in paths])
+    rejected = [i for i, ok in enumerate(held) if not ok]
+    if rejected:  # read again from their whole ladders
+        rows[rejected] = _read([paths[i] for i in rejected], schemes, m_values, None)[0]
+    return rows
+
+
+def _read(paths, schemes, m_values, depth) -> tuple[np.ndarray, list[bool]]:
+    """The errors of a block of paths built below depth (None: whole), as
+    errors_rows gives them, and each path's certificate verdict."""
+    block, held = _build(paths, schemes, int(max(m_values, default=0)), depth)
     # the counts read only the ladders and the sums only the kept squares:
     # each step frees what the next does not read
-    block = _build(paths, schemes, int(max(m_values, default=0)))._replace(values=None, sq=None)
+    block = block._replace(values=None, sq=None)
     counts = _kept_counts(block, schemes, m_values)
-    return _errors(paths, block._replace(lad=None), schemes, counts)
+    return _errors(paths, block._replace(lad=None), schemes, counts), held
 
 
 def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
@@ -347,7 +339,9 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     nonzero ones (none on a jump-free path); best the m largest magnitudes
     of the full expansion, ties to the smaller index."""
     _check_query((scheme,), [m])
-    block = _build([path], (scheme,), int(m))
+    block, held = _build([path], (scheme,), int(m), [_first_depth(path.num_jumps, int(m))])
+    if not held[0]:  # read again from the whole ladder
+        block, _ = _build([path], (scheme,), int(m), None)
     counts = _kept_counts(block, (scheme,), [m])
     lad, values = block.lad, block.values
     count = int(counts[0, 0, 0])

@@ -27,6 +27,8 @@ from cpwave.harness import (
 )
 from cpwave.theory import expected_nonzero_atoms, greedy_mse_envelope, linear_mse
 
+from test_schemes import reference_errors
+
 CURVE_HEADER = "process,scheme,dictionary,lambda,sigma0_sq,M,log2_M,mse_mean,mse_db,ci_lo,ci_hi,trials,seed"
 
 
@@ -93,15 +95,16 @@ def test_worker_count_independent():
 
 
 def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
-    # a group of trials builds every path's scales once, from scale 0: one
-    # ladders call for the group, and one more, over [depth, resolution),
-    # for exactly the paths whose depth certificate fails
+    # a group of trials is built once for every scheme, below each path's
+    # first depth; the paths whose depth certificate fails are read again in
+    # one more build, of exactly their whole ladders from scale 0; and every
+    # row is the whole-ladder reference's
     calls, verdicts = [], []
     real_ladders, real_certified = schemes.ladders, schemes._certified
 
-    def counting_ladders(paths, lo, hi=None):
-        lads = real_ladders(paths, lo, hi)
-        calls.append((paths, lo, hi, lads))
+    def counting_ladders(paths, hi=None):
+        lads = real_ladders(paths, hi)
+        calls.append((paths, hi, lads))
         return lads
 
     def recording_certified(*args):
@@ -111,28 +114,40 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
     monkeypatch.setattr(schemes, "ladders", counting_ladders)
     monkeypatch.setattr(schemes, "_certified", recording_certified)
     monkeypatch.setattr(harness, "_group_size", lambda config: 4)  # one group per block
-    truncated = 0
-    for cfg in (small_config(), small_config(lam=500.0, m_values=(4, 64, 1024))):
+    truncated = reread = 0
+    configs = (
+        small_config(),
+        small_config(lam=500.0, m_values=(4, 64, 1024)),
+        # trial 132 of this run fails its certificate
+        small_config(lam=3.0, m_values=(4, 16, 64), trials=136),
+    )
+    for cfg in configs:
         assert len(cfg.schemes) == 3
+        k = max(cfg.m_values)
         for start in range(0, cfg.trials, 4):
             calls.clear()
             verdicts.clear()
             block = _trial_errors(cfg, range(start, start + 4))
             assert [[len(row) for row in rows] for rows in block] == [[len(cfg.m_values)] * 3] * 4
-            (paths, lo, hi, first), *rest = calls
-            assert len(paths) == 4 and lo == [0] * 4 and len(rest) <= 1
+            (paths, hi, first), *rest = calls
+            assert len(paths) == 4 and len(rest) <= 1
+            assert hi == [schemes._first_depth(p.num_jumps, k) for p in paths]
             e = first.resolution.tolist()
             built = [min(h, r) for h, r in zip(hi, e)]
             held = verdicts[0] if verdicts else [True] * 4
-            extended = [i for i in range(4) if built[i] < e[i] and not held[i]]
+            rejected = [i for i in range(4) if not held[i]]
             if rest:
-                ((more, lo, hi, _),) = rest
-                assert [id(p) for p in more] == [id(paths[i]) for i in extended]
-                assert lo == [built[i] for i in extended] and hi is None
+                ((again, hi, whole),) = rest
+                assert [id(p) for p in again] == [id(paths[i]) for i in rejected] and hi is None
+                assert whole.resolution.tolist() == [e[i] for i in rejected]
+                assert all(built[i] < e[i] for i in rejected)
             else:
-                assert not extended
+                assert not rejected
+            expected = [[reference_errors(p, s, cfg.m_values) for s in cfg.schemes] for p in paths]
+            assert row_bits(block) == row_bits(expected)
             truncated += sum(b < r and ok for b, r, ok in zip(built, e, held))
-    assert truncated > 0
+            reread += len(rejected)
+    assert truncated > 0 and reread > 0
 
 
 def test_mean_is_fsum_of_trial_errors():
@@ -186,7 +201,8 @@ def test_trial_blocks_give_the_rows_of_single_trials(run):
 def test_block_size_follows_the_sample_budget():
     blocks = [small_config(dictionary=d, grid_log2=g) for d in ("haar_discrete", "haar_analytic")
               for g in (1, 10, 13, 14, 20)]
-    assert [harness._block_size(cfg) for cfg in blocks] == [2**13, 16, 2, 1, 1] * 2
+    # analytic runs sample no grid: 16-trial blocks whatever grid_log2 is
+    assert [harness._block_size(cfg) for cfg in blocks] == [2**13, 16, 2, 1, 1] + [16] * 5
     ms = tuple(2**j for j in range(2, 11))
     analytic = [small_config(lam=lam, m_values=ms) for lam in (0.5, 10.0, 500.0, 1e4)]
     assert [harness._group_size(cfg) for cfg in analytic] == [623, 32, 2, 1]
@@ -195,7 +211,7 @@ def test_block_size_follows_the_sample_budget():
         law = JumpLaw.for_rate(lam)
         paths = [sample_path(lam, law, derive_stream(5, t)) for t in range(200)]
         first = [schemes._first_depth(p.num_jumps, 1024) for p in paths]
-        atoms = schemes.ladders(paths, [0] * 200, first).value.size / 200
+        atoms = schemes.ladders(paths, first).value.size / 200
         scales = min(53, schemes._first_depth(math.ceil(lam), 1024))
         assert atoms == pytest.approx(expected_nonzero_atoms(lam, scales), rel=0.05)
 
@@ -240,6 +256,19 @@ def test_cli_multi_block_analytic_run_is_worker_invariant(tmp_path):
     assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
     assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_analytic_csv_does_not_depend_on_grid_log2(tmp_path):
+    # the analytic dictionary samples no grid: its blocks hold 16 trials
+    # whatever --grid-log2 is, and its bytes do not move
+    args = ["mse-curve", "--process", "cp", "--lambda", "10", "--dictionary", "haar",
+            "--schemes", "linear,greedy,best", "--m", "4,64,1024", "--trials", "40", "--seed", "3"]
+    outs = []
+    for grid_log2 in (1, 10, 14):
+        out = tmp_path / f"grid{grid_log2}.csv"
+        assert run_cli(*args, "--grid-log2", str(grid_log2), "--out", str(out)) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_mse_db_formula_and_sentinel(tmp_path):

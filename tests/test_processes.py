@@ -105,6 +105,15 @@ def test_sample_path_total_jump_energy_normalization():
     assert abs(np.mean(totals) - 1.0) < 4.0 * np.std(totals) / math.sqrt(len(totals))
 
 
+@pytest.mark.parametrize("seed, index", [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1), (7, 132)])
+def test_derive_stream_draws_equal_default_rng(seed, index):
+    ours = derive_stream(seed, index)
+    reference = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+    assert ours.random(16).tobytes() == reference.random(16).tobytes()
+    assert ours.poisson(10.0, 16).tolist() == reference.poisson(10.0, 16).tolist()
+    assert ours.bit_generator.state == reference.bit_generator.state
+
+
 def test_sample_path_deterministic_per_stream():
     a = sample_path(10.0, LAW10, derive_stream(9, 5))
     b = sample_path(10.0, LAW10, derive_stream(9, 5))

@@ -341,14 +341,15 @@ M_1024 = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
 def counting_ladders(calls):
-    """A stand-in for schemes.ladders that records, per call, each path's
-    built scale range (lo, hi)."""
+    """A stand-in for schemes.ladders that records, per call, its paths, the
+    depths asked for (None: whole ladders) and each path's built depth:
+    every build is a prefix of scales from 0."""
     real = schemes_module.ladders
 
-    def counted(paths, lo, hi=None):
-        lads = real(paths, lo, hi)
+    def counted(paths, hi=None):
+        lads = real(paths, hi)
         e = lads.resolution.tolist()
-        calls.append([(a, max(a, min(b, r))) for a, b, r in zip(lo, e if hi is None else hi, e)])
+        calls.append((paths, hi, [min(b, r) for b, r in zip(e if hi is None else hi, e)]))
         return lads
 
     return counted
@@ -388,6 +389,8 @@ def test_errors_equal_whole_ladder_reference():
     )
     @example(make_path([0.25, 0.75], [1.0, -1.0]), [0], SCHEMES)
     @example(make_path([], []), [0, 7], SCHEMES)
+    # a sampled path whose certificate fails at its first depth
+    @example(sample_path(3.0, JumpLaw.for_rate(3.0), derive_stream(7, 132)), [4, 16, 64], SCHEMES)
     @settings(max_examples=100, deadline=None)
     def check(path, ms, chosen):
         calls = []
@@ -399,10 +402,16 @@ def test_errors_equal_whole_ladder_reference():
             schemes_module.ladders = real_ladders
         expected = [reference_errors(path, scheme, ms) for scheme in chosen]
         assert rows == expected
-        e = ladder(path, 0, 0).resolution
-        if len(calls) == 2:
-            branches.add("extended")
-        elif calls[0][0][1] < e:
+        # one build below the first depth, and at most one more, of the
+        # whole ladder from scale 0, when the certificate fails
+        e = ladder(path, 0).resolution
+        (_, hi, (built,)), *rest = calls
+        assert hi == [schemes_module._first_depth(path.num_jumps, max(ms))]
+        if rest:
+            ((again, hi, whole),) = rest
+            assert again == [path] and hi is None and whole == [e] and built < e
+            branches.add("reread")
+        elif built < e:
             branches.add("truncated")
         # the certificate, not the first depth, makes the errors exact: any
         # first depth gives the same rows
@@ -415,28 +424,40 @@ def test_errors_equal_whole_ladder_reference():
             schemes_module._first_depth = real_first_depth
 
     check()
-    assert branches == {"truncated", "extended"}
+    assert branches == {"truncated", "reread"}
 
 
-def test_select_builds_each_scale_once(monkeypatch):
+def test_select_rereads_a_rejected_path_whole(monkeypatch):
     # select reads its kept atoms and its error from one certified build:
-    # consecutive scale ranges from scale 0, none built twice
-    calls = []
+    # the build below the first depth, or, when its certificate fails, one
+    # more build of the whole ladder from scale 0
+    calls, verdicts = [], []
+    real_certified = schemes_module._certified
+
+    def recording_certified(*args):
+        verdicts.append(real_certified(*args))
+        return verdicts[-1]
+
     monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    monkeypatch.setattr(schemes_module, "_certified", recording_certified)
     paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(39, seed))
              for lam in (3.0, 10.0, 100.0, 500.0) for seed in range(4)]
     # its +-10^6 pair separates near scale 44, far below the first depth
     paths.append(make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]))
-    extended = 0
+    reread = 0
     for path in paths:
         for scheme, m in itertools.product(SCHEMES, (0, 1, 10, 32, 1024)):
             calls.clear()
+            verdicts.clear()
             select(path, scheme, m)
-            ranges = [one for (one,) in calls]  # one path per call
-            assert 1 <= len(ranges) <= 2 and ranges[0][0] == 0
-            assert all(b[0] == a[1] for a, b in zip(ranges, ranges[1:]))
-            extended += len(calls) == 2
-    assert extended > 0
+            (_, hi, (built,)), *rest = calls
+            assert hi == [schemes_module._first_depth(path.num_jumps, m)] and len(rest) <= 1
+            assert bool(rest) == (verdicts == [[False]])
+            if rest:
+                ((again, hi, whole),) = rest
+                assert again == [path] and hi is None and built < whole[0]
+            reread += bool(rest)
+    assert reread > 0
 
 
 def whole_ladder_selection(path, scheme, m):
@@ -580,10 +601,13 @@ def test_errors_rows_match_the_whole_ladder_reference_on_a_mixed_block(monkeypat
     calls = []
     monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
     rows = errors_rows(paths, ("best",), [1, 10])
-    # one build of the block, and one extension of the spiked path alone:
-    # its +-10^6 pair separates near scale 44, far below its first depth
-    assert len(calls) == 2 and len(calls[0]) == len(paths) and len(calls[1]) == 1
-    assert calls[1][0][0] == calls[0][2][1]
+    # one build of the block, and one whole build of the spiked path alone,
+    # from scale 0: its +-10^6 pair separates near scale 44, far below its
+    # first depth
+    (first, hi, built), (again, whole_hi, whole) = calls
+    assert first == paths and hi == [schemes_module._first_depth(p.num_jumps, 10) for p in paths]
+    assert again == [spiked] and whole_hi is None and whole == [ladder(spiked).resolution]
+    assert built[2] < whole[0]
     for got, path in zip(rows, paths):
         assert row_bits(got) == row_bits([reference_errors(path, "best", [1, 10])])
     rows = errors_rows(paths, SCHEMES, ms)
