@@ -7,6 +7,12 @@ and a reproducible Monte Carlo harness that verifies the former against
 the latter.
 """
 
+# Nothing in cpwave uses scipy. perfbench/child.py reads the version of the
+# scipy in sys.modules for its report; the bare import is lazy and loads
+# none of scipy's subpackages. ROADMAP item 2 moves child.py to
+# importlib.metadata, and then this import goes.
+import scipy  # noqa: F401
+
 from .processes import (
     CompoundPoissonPath,
     JumpLaw,

@@ -251,11 +251,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # an overflow to inf surfaces as a refused run (exit 2); numpy's
+    # warning would only repeat it, so it is silenced for the run
+    saved = harness.prepare_process({**np.geterr(), "over": "ignore"})
     try:
-        # an overflow to inf surfaces as a refused run (exit 2); numpy's
-        # warning would only repeat it, so it is silenced once per run
-        with np.errstate(over="ignore"):
-            return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return _EXIT_INVARIANT
@@ -265,6 +265,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return _EXIT_IO
+    finally:
+        np.seterr(**saved)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily, with hashlib and secrets: at import, not in a run
 
 __all__ = [
     "JumpLaw",
@@ -26,6 +27,7 @@ __all__ = [
     "MAX_GRID_LOG2",
     "MAX_EXPECTED_JUMPS",
     "check_expected_jumps",
+    "is_int",
 ]
 
 MAX_GRID_LOG2 = 24  # 2^24 samples is the largest grid we allow in memory
@@ -35,6 +37,13 @@ MAX_GRID_LOG2 = 24  # 2^24 samples is the largest grid we allow in memory
 # five such temporaries alive at once (measured at N = 10^5: 4.9 blocks).
 # Paths whose expected jump count would take that past 2 GiB are refused.
 MAX_EXPECTED_JUMPS = 2**31 // (53 * 8 * 5)
+
+
+def is_int(value) -> bool:
+    """Whether value is a Python or numpy integer other than a bool, the
+    test for every count and M an entry point takes: True is an int to
+    Python, but as a count it is a slip, not 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def derive_stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:

@@ -66,7 +66,7 @@ from .haar import (
     ladders,
     _POW2,
 )
-from .processes import CompoundPoissonPath
+from .processes import CompoundPoissonPath, is_int
 
 __all__ = [
     "SCHEMES",
@@ -110,7 +110,7 @@ class Selection:
 
 
 def _check_m(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 0:
+    if not is_int(m) or m < 0:
         raise ValueError(f"M must be a nonnegative integer, got {m}")
 
 

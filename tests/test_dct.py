@@ -33,6 +33,32 @@ def naive_dct2(x):
     return out
 
 
+def reference_dct2(x):
+    """O(n^2) orthonormal DCT-II of the rows of x in long double, each
+    cosine's argument pi m / 2n taken with m = (2i + 1) k reduced exactly
+    modulo 4n."""
+    n = x.shape[-1]
+    k = np.arange(n)
+    m = (2 * k[None, :] + 1) * k[:, None] % (4 * n)
+    cosines = np.cos(np.arccos(np.longdouble(-1)) * m.astype(np.longdouble) / (2 * n))
+    scale = np.sqrt(np.where(k == 0, np.longdouble(1), np.longdouble(2)) / n)
+    return (x.astype(np.longdouble) @ cosines.T) * scale
+
+
+@pytest.mark.parametrize("log2n", [0, 1, 2, 10])
+def test_matches_long_double_reference(log2n):
+    # random-walk rows, like the Brownian grids: at n = 2^10 the largest
+    # error is about 2e-16 of the row's largest coefficient
+    n = 2**log2n
+    x = np.cumsum(derive_stream(56, log2n).normal(0.0, 1.0, (16, n)), axis=-1)
+    expected = reference_dct2(x)
+    bound = 2e-15 * np.abs(expected).max(axis=-1)
+    assert np.all(np.abs(dct2_forward(x).values - expected).max(axis=-1) <= bound)
+    for row, coeffs in zip(x, expected.astype(float)):
+        back = dct2_inverse(DctCoeffs(values=coeffs, grid_log2=log2n)).values
+        assert np.abs(back - row).max() <= 2e-15 * np.abs(row).max()
+
+
 def test_constant_signal_is_dc_only():
     c = 3.7
     coeffs = dct2_forward(np.full(16, c)).values

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpwave import JumpLaw, cli, derive_stream, harness, sample_path, schemes
+from cpwave import JumpLaw, cli, dct_best_m_error, derive_stream, harness, sample_path, schemes
 from cpwave.harness import (
     CurveRecord,
     ExperimentConfig,
@@ -25,6 +25,7 @@ from cpwave.harness import (
     write_json,
     _trial_errors,
 )
+from cpwave.schemes import errors_discrete
 from cpwave.theory import expected_nonzero_atoms, greedy_mse_envelope, linear_mse
 
 from test_schemes import reference_errors
@@ -48,6 +49,27 @@ def small_config(**overrides):
 
 # ---------------------------------------------------------------------------
 # config validation
+
+
+# True is an int to Python; as a count or an M it once ran as 1
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: dct_best_m_error(np.ones(8), True),
+        lambda: errors_discrete(np.ones(8), ("best",), [True]),
+        lambda: schemes.errors(
+            sample_path(10.0, JumpLaw(0.1), derive_stream(3, 0)), ("best",), [True]
+        ),
+        lambda: small_config(m_values=(True, 4)).validate(),
+        lambda: small_config(trials=True).validate(),
+        lambda: run_mse_curve(small_config(), workers=True),
+        lambda: run_spacing_check(10.0, n_values=(1, True), samples=1000),
+    ],
+    ids=["dct-m", "discrete-m", "analytic-m", "m-values", "trials", "workers", "spacing-n"],
+)
+def test_bools_are_refused_as_counts(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_config_rejects_missing_lambda():
@@ -712,7 +734,9 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
 
 # sha256 of small outputs of the other subcommands, written before the CSV
 # schemas were derived from the record dataclasses and before the spacing
-# check shared one minimum-gap helper; every byte must stay the same
+# check shared one minimum-gap helper; every byte must stay the same. The
+# dict-compare digest was retaken when the cosine transform moved from
+# scipy.fft to numpy.fft: two DCT rows changed, by at most 4.8e-16 relative
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -724,7 +748,7 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
          "a57adf68e0639f55560732ed63fb71ad8254116ce699f4d3c7b22be52a952a63"),
         (["dict-compare", "--lambda", "10", "--m", "16,64", "--grid-log2", "6", "--trials", "5",
           "--seed", "6"],
-         "3af44950880b751257de1c87fe551f19d95de50b14aa9462e22a6a323910fedd"),
+         "fc43c0c1223179591b37a5add47eda6291e85b614bde27e12adde2173161d4d5"),
         (["mse-curve", "--process", "cp", "--lambda", "10", "--m", "4,16,64", "--trials", "5",
           "--seed", "8", "--format", "json"],
          "2855e4e4dbc2d148cdb33bf446d9106f1b2cd912240d493106cf99751f6be7b9"),
