@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # loaded at import, not inside the first transform
 
-from .haar import dyadic_rows
+from .haar import dyadic_row, dyadic_rows
 from .processes import SampledPath, is_int
 from .schemes import errors_discrete
 
@@ -77,8 +77,8 @@ def dct2_forward(samples) -> DctCoeffs:
 
 
 def dct2_inverse(coeffs: DctCoeffs) -> SampledPath:
-    """Inverse of dct2_forward."""
-    values, grid_log2 = dyadic_rows(coeffs, "coefficient")
+    """Inverse of dct2_forward on one row of coefficients."""
+    values, grid_log2 = dyadic_row(coeffs, "coefficient")
     n = values.shape[-1]
     h = n // 2
     # bin k of the forward FFT, turned: coefficient k - i coefficient n - k
@@ -98,7 +98,7 @@ def dct_best_m_error(samples, m: int) -> float:
     """Best-M squared error in the cosine dictionary, grid-normalized:
     the sum of all but the M largest squared coefficients, divided by 2^L
     so the number estimates the squared L2([0,1]) error."""
-    values, _ = dyadic_rows(samples, "signal")
+    values, _ = dyadic_row(samples, "signal")
     n = values.size
     if not is_int(m) or not (0 <= m <= n):
         raise ValueError(f"M must be an integer in [0, {n}], got {m}")

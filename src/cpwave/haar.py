@@ -43,6 +43,7 @@ __all__ = [
     "Ladders",
     "ladder",
     "ladders",
+    "resolutions",
     "atoms_past",
     "nonzero_counts_by_scale",
     "discrete_haar_forward",
@@ -209,9 +210,11 @@ _POW2 = np.array([math.ldexp(1.0, j) for j in range(1024)])
 _AMPLITUDE = np.array([-(2.0 ** (-j / 2.0)) for j in range(1024)])
 
 
-def _resolutions(times: np.ndarray, n: list[int]) -> list[int]:
-    """The dyadic resolution of each path whose n[p] jump times lie end to
-    end in times (0 without jumps), refused past 1023."""
+def resolutions(paths) -> list[int]:
+    """The dyadic resolution of each path, the largest e with a jump time an
+    odd multiple of 2^-e (0 without jumps), refused past 1023."""
+    n = [p.num_jumps for p in paths]
+    times = np.concatenate([p.jump_times for p in paths]) if paths else np.empty(0)
     if not times.size:
         return [0] * len(n)
     # t = bits * 2^(exponent - 53) with a 53-bit integer mantissa; its lowest
@@ -242,8 +245,7 @@ def ladders(paths, hi: list[int] | None = None) -> Ladders:
     rows are the same whichever prefix or block is built.
     """
     n = [p.num_jumps for p in paths]
-    times = np.concatenate([p.jump_times for p in paths]) if paths else np.empty(0)
-    e = _resolutions(times, n)
+    e = resolutions(paths)
     hi = e if hi is None else [max(0, min(b, r)) for b, r in zip(hi, e)]
     ends = list(itertools.accumulate(m * j for m, j in zip(n, hi)))
     firsts = [0] + ends[:-1]
@@ -345,6 +347,14 @@ def dyadic_rows(x, what: str) -> tuple[np.ndarray, int]:
     return values, n.bit_length() - 1
 
 
+def dyadic_row(x, what: str) -> tuple[np.ndarray, int]:
+    """dyadic_rows(x) of a single row; a block of rows is refused."""
+    values, log2 = dyadic_rows(x, what)
+    if values.ndim != 1:
+        raise ValueError(f"expected one {what} row, got shape {values.shape}")
+    return values, log2
+
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -376,7 +386,7 @@ def discrete_haar_forward(samples) -> np.ndarray:
 
 def discrete_haar_inverse(coeffs) -> np.ndarray:
     """Inverse of discrete_haar_forward on one length-2^L coefficient list."""
-    c, _ = dyadic_rows(coeffs, "coefficient")
+    c, _ = dyadic_row(coeffs, "coefficient")
     n = c.size
     cur = np.array([c[0]])
     while cur.size < n:

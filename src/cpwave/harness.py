@@ -5,11 +5,11 @@ index), and per-trial results are reduced in trial order, so curves are
 byte-for-byte reproducible regardless of how many worker processes run the
 trials. Trials run in blocks of consecutive indices: each trial samples its
 own path or grid; the analytic dictionary then reads the block's paths in
-groups, one schemes.errors_rows call per group, and a discrete dictionary
-transforms the block's grids as one array and sums every row's errors in
-one exact pass. Every sum is exact and correctly rounded, so it does not
-depend on the paths or rows beside it, and neither blocks nor groups
-change a byte. With several workers, whole blocks go to the pool.
+one schemes.errors_rows call, which sizes its own builds, and a discrete
+dictionary transforms the block's grids as one array and sums every row's
+errors in one exact pass. Every sum is exact and correctly rounded, so it
+does not depend on the paths or rows beside it, and blocks change no
+byte. With several workers, whole blocks go to the pool.
 Scheme-ordering and monotonicity invariants are hard-asserted on every
 trial of every run, one block at a time.
 """
@@ -106,7 +106,7 @@ class ExperimentConfig:
             raise ValueError(f"m_values must be integers >= 1, got {self.m_values}")
         if any(b <= a for a, b in zip(self.m_values, self.m_values[1:])):
             raise ValueError(f"m_values must be strictly increasing, got {self.m_values}")
-        if not (1 <= self.grid_log2 <= MAX_GRID_LOG2):
+        if not is_int(self.grid_log2) or not (1 <= self.grid_log2 <= MAX_GRID_LOG2):
             raise ValueError(f"grid_log2 must lie in [1, {MAX_GRID_LOG2}], got {self.grid_log2}")
         if self.dictionary != "haar_analytic" and max(self.m_values) > 2**self.grid_log2:
             raise ValueError(
@@ -121,7 +121,7 @@ class ExperimentConfig:
             math.isfinite(self.jump_variance) and self.jump_variance > 0
         ):
             raise ValueError(f"jump_variance must be positive, got {self.jump_variance}")
-        if not (0 <= int(self.master_seed) < 2**64):
+        if not is_int(self.master_seed) or not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         if self.process == "cp":
             self.jump_law()  # refuses a lambda with too many expected jumps
@@ -206,13 +206,8 @@ class SpacingCheckResult:
 # a block's grids as one array, in blocks of _BLOCK_SAMPLES >> grid_log2
 # trials (at least one): 16 of a 2^10 grid, one from 2^14 up, so the
 # block's grids, coefficients and sorted squares stay within a few MB.
-# Analytic blocks sample no grid and hold _ANALYTIC_BLOCK trials. The
-# analytic dictionary reads a block's paths in groups whose first builds
-# hold about _BLOCK_SAMPLES atoms on average (theory.expected_nonzero_atoms
-# over the scales below the first depth, at most 53 for sampled jump
-# times): 32 paths at lambda = 10 and 2 at lambda = 500 for M up to 1024.
-# A group's atom arrays then stay within 128 KB, and the fixed cost of its
-# numpy calls is spread over its paths.
+# Analytic blocks sample no grid and hold _ANALYTIC_BLOCK trials, whose
+# paths schemes.errors_rows reads in builds it sizes itself.
 _BLOCK_SAMPLES = 2**14
 _ANALYTIC_BLOCK = 16
 
@@ -223,11 +218,6 @@ def _block_size(config: ExperimentConfig) -> int:
     return max(1, _BLOCK_SAMPLES >> config.grid_log2)
 
 
-def _group_size(config: ExperimentConfig) -> int:
-    depth = schemes._first_depth(math.ceil(config.lam), max(config.m_values))
-    return max(1, int(_BLOCK_SAMPLES // theory.expected_nonzero_atoms(config.lam, min(53, depth))))
-
-
 def _trial_errors(
     config: ExperimentConfig, trials: range, dictionaries: tuple[str, ...] = ()
 ) -> np.ndarray:
@@ -235,9 +225,9 @@ def _trial_errors(
     one curve per (dictionary, scheme) pair, dictionary-major. The
     dictionaries default to the config's own; all of them read each trial's
     one path or grid. Every trial samples from its own stream; then the
-    analytic dictionary reads the block's paths in groups, one errors_rows
-    call per group, and a discrete one transforms the block's grids as one
-    (trials, 2^L) array and sums every row's errors in one pass."""
+    analytic dictionary reads the block's paths in one errors_rows call,
+    and a discrete one transforms the block's grids as one (trials, 2^L)
+    array and sums every row's errors in one pass."""
     dictionaries = dictionaries or (config.dictionary,)
     ms = config.m_values
     law = config.jump_law() if config.process == "cp" else None
@@ -256,11 +246,7 @@ def _trial_errors(
     blocks = []
     for dictionary in dictionaries:
         if dictionary == "haar_analytic":
-            step = _group_size(config)
-            block = np.concatenate([
-                schemes.errors_rows(paths[a : a + step], config.schemes, ms)
-                for a in range(0, len(paths), step)
-            ])
+            block = schemes.errors_rows(paths, config.schemes, ms)
         else:
             grid = np.stack(grids)
             coeffs = (

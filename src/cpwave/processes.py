@@ -54,7 +54,7 @@ def derive_stream(master_seed: int, stream_index: int = 0) -> np.random.Generato
     Carlo trials stay reproducible regardless of scheduling.
     """
     for name, value in (("master_seed", master_seed), ("stream_index", stream_index)):
-        if not isinstance(value, (int, np.integer)):
+        if not is_int(value):
             raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < 0 or value >= 2**64:
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
@@ -227,7 +227,7 @@ def sample_path(lam: float, law: JumpLaw, stream: np.random.Generator) -> Compou
 
 
 def _check_grid_log2(grid_log2: int) -> None:
-    if not isinstance(grid_log2, (int, np.integer)) or not (1 <= grid_log2 <= MAX_GRID_LOG2):
+    if not is_int(grid_log2) or not (1 <= grid_log2 <= MAX_GRID_LOG2):
         raise ValueError(f"grid_log2 must be an integer in [1, {MAX_GRID_LOG2}], got {grid_log2}")
 
 

@@ -11,34 +11,26 @@ Three ways of keeping M coefficients of the Haar expansion:
   scales already hold the M largest.
 
 errors_rows(paths, schemes, m_values) reads every requested scheme's errors
-of a block of paths from one build of the block (haar.ladders), so one
-per block whatever the number of schemes; errors(path, ...) is its
-one-path view, and select(path, scheme, m) reads one selection's kept
-atoms and error from a one-path build. The candidates of a path are its
-scaling coefficient followed by its ladder in index order, and a scheme is
-an order over their squares plus a kept count per M. Each ladder is first
-built only down to a depth d, and a certificate says whether the scales
-below d already give every requested scheme its exact kept atoms and
-errors up to K = max M: linear keeps only atoms of index below K, all at
-scales below bit_length(K); greedy needs K candidates; and best needs a
-bound on every coefficient at scales >= d, from the jump counts at scale
-d - 1 and the largest jump height, to lie strictly below the K-th largest
-built square. The paths whose certificate fails, which sampled paths
-rarely do, are read again from their whole ladders, in one build from
-scale 0, and those rows replace the first ones. errors_discrete_rows
-does the same for every row of a block of finite coefficient lists, with
-one set of squares and one sort for the block; errors_discrete is its
-one-row view, and select_discrete reads it. Squared errors of exact paths
-come from Parseval: path energy minus kept energy (exactly 0.0 once every
-candidate of the whole ladder is kept). The error of a finite discrete
-coefficient list at M is the sum of its dropped squares. Both are sums of
-runs of one array from one exact kernel, _range_sums: a vectorized
-error-free extraction whose rounds each give every run's exact sum as a
-difference of running sums, so a run's correctly rounded sum is one fsum
-over a few round sums. errors_rows lays every path's kept prefixes end to
-end, its index order (linear and greedy) and its largest squares (best);
-errors_discrete_rows sums each row's dropped tail of its index order
-(linear and greedy) or of its ascending squares (best). Every sum is the
+of a list of paths from builds (haar.ladders) of consecutive paths, each
+within a fixed number of ladder cells however long the list is;
+errors(path, ...) is its one-path view, and select(path, scheme, m)
+reads one selection's kept atoms and error from a one-path build. The
+candidates of a path are its scaling coefficient followed by its ladder in
+index order, and a scheme is an order over their squares plus a kept count
+per M. Each ladder is first built only down to a depth d, and a
+certificate (_certified) says whether the scales below d already give
+every requested scheme its exact kept atoms and errors up to max M. The
+paths of a call whose certificate fails, which sampled paths rarely do,
+are read again in one build of their whole ladders, and those rows
+replace the first ones. errors_discrete_rows does the same for every row
+of a block of finite coefficient lists, with one sort for the block;
+errors_discrete is its one-row view, and select_discrete reads it.
+Squared errors of exact paths come from Parseval: path energy minus kept
+energy (exactly 0.0 once every candidate of the whole ladder is kept).
+The error of a finite discrete coefficient list at M is the sum of its
+dropped squares. Both are sums of runs of one array from one exact
+kernel, _range_sums: errors_rows lays every path's kept prefixes end to
+end, errors_discrete_rows each row's dropped tails. Every sum is the
 correctly rounded sum of its multiset, so no path or row changes a bit of
 the ones beside it, and no prefix or tail is summed again for every M. On
 every path and every M the schemes obey best <= greedy <= linear, and each
@@ -64,6 +56,7 @@ from .haar import (
     atoms_past,
     coeff,
     ladders,
+    resolutions,
     _POW2,
 )
 from .processes import CompoundPoissonPath, is_int
@@ -296,27 +289,55 @@ def _errors(paths, block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
     return np.maximum(err, 0.0, out=err)
 
 
+# A first build holds n * min(d, e) (scale, jump) cells of a path with n
+# jumps, first depth d and resolution e, and ladders keeps about five arrays
+# of them alive; errors_rows builds consecutive paths within _BUILD_CELLS
+# cells. For M up to 1024, 16 paths make one build at lambda = 10 and six
+# at lambda = 500, where builds of all 16 took 6 MB more peak RSS in a
+# 40-trial run; smaller budgets spread fixed numpy costs over fewer paths.
+_BUILD_CELLS = 2**15
+
+
+def _builds(sizes: list[int]):
+    """(start, stop) runs of consecutive paths whose sizes sum within _BUILD_CELLS, or of one."""
+    start, total = 0, 0
+    for i, size in enumerate(sizes):
+        if total + size > _BUILD_CELLS and i > start:
+            yield start, i
+            start, total = i, 0
+        total += size
+    if sizes:
+        yield start, len(sizes)
+
+
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
-    """Exact squared errors of every path of a block, as a (paths, schemes,
+    """Exact squared errors of every path of a list, as a (paths, schemes,
     M) float array: one row per scheme in schemes, one entry per M in
-    m_values, all read from one build of the block and one whole build of
-    the paths whose certificate fails. Linear and
-    greedy keep candidates in index order; best keeps the largest squares
-    first. Each value is the path's own: the ladder cells, the certificate
-    and the correctly rounded sums do not depend on the paths beside it."""
+    m_values, from builds of consecutive paths within _BUILD_CELLS cells (a
+    path past it alone) and one whole build of the paths whose certificate
+    fails. Linear and greedy keep candidates in index order; best keeps the
+    largest squares first. Each value is the path's own: the ladder cells,
+    the certificate and the sums do not depend on the paths beside it."""
     _check_query(schemes, m_values)
-    if not paths:
-        return np.zeros((0, len(schemes), len(m_values)))
     k = int(max(m_values, default=0))
-    rows, held = _read(paths, schemes, m_values, [_first_depth(p.num_jumps, k) for p in paths])
-    rejected = [i for i, ok in enumerate(held) if not ok]
+    n = [p.num_jumps for p in paths]
+    depth = [_first_depth(m, k) for m in n]
+    cells = [m * d for m, d in zip(n, depth)]
+    if sum(cells) > _BUILD_CELLS:  # else one build, whatever the resolutions
+        # read in runs within the budget: no path has fewer cells than jumps
+        e = [r for a, b in _builds(n) for r in resolutions(paths[a:b])]
+        cells = [m * min(d, r) for m, d, r in zip(n, depth, e)]
+    rows, rejected = np.empty((len(paths), len(schemes), len(m_values))), []
+    for a, b in _builds(cells):
+        rows[a:b], held = _read(paths[a:b], schemes, m_values, depth[a:b])
+        rejected += [i for i, ok in enumerate(held, a) if not ok]
     if rejected:  # read again from their whole ladders
         rows[rejected] = _read([paths[i] for i in rejected], schemes, m_values, None)[0]
     return rows
 
 
 def _read(paths, schemes, m_values, depth) -> tuple[np.ndarray, list[bool]]:
-    """The errors of a block of paths built below depth (None: whole), as
+    """The errors of paths built together below depth (None: whole), as
     errors_rows gives them, and each path's certificate verdict."""
     block, held = _build(paths, schemes, int(max(m_values, default=0)), depth)
     # the counts read only the ladders and the sums only the kept squares:

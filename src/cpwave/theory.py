@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .processes import is_int
+
 __all__ = [
     "TheoryPoint",
     "linear_mse",
@@ -20,13 +22,24 @@ __all__ = [
     "greedy_mse_envelope",
     "nonzero_scale_bounds",
     "tail_energy",
-    "expected_nonzero_atoms",
     "poly_weighted_decay",
     "exp_weighted_decay",
     "MAX_ENVELOPE_LAMBDA",
 ]
 
 MAX_ENVELOPE_LAMBDA = 350.0  # exp(2 * lam) overflows a double soon after this
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as an int; refused unless it is an integer, not a bool, >= least."""
+    if not is_int(value) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
+def _positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +60,8 @@ def linear_mse(m: int, sigma0_sq: float) -> float:
     """Exact mean squared error of the linear scheme for a finite-variance
     process: (sigma0^2 / 12) * 2^-J * (2 - m2 / 2^J) with J = floor(log2 M),
     m2 = M - 2^J. Reduces to sigma0^2 / (6M) at dyadic M."""
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"M must be an integer >= 1, got {m}")
-    if not (math.isfinite(sigma0_sq) and sigma0_sq > 0):
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
+    m = _integer("M", m, 1)
+    _positive("sigma0_sq", sigma0_sq)
     big_j = m.bit_length() - 1
     rem = m - (1 << big_j)
     return (sigma0_sq / 12.0) * 2.0**-big_j * (2.0 - rem * 2.0**-big_j)
@@ -58,10 +69,8 @@ def linear_mse(m: int, sigma0_sq: float) -> float:
 
 def spacing_survival(n: int, delta: float, interval_length: float = 1.0) -> float:
     """P(minimum spacing >= delta | N = n) = (1 - n * delta / length)^n."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
-    if not (math.isfinite(interval_length) and interval_length > 0):
-        raise ValueError(f"interval_length must be positive, got {interval_length}")
+    n = _integer("n", n, 1)
+    _positive("interval_length", interval_length)
     if not (0.0 <= delta <= interval_length / n):
         raise ValueError(
             f"delta must lie in [0, {interval_length / n}] for n={n}, got {delta}"
@@ -81,12 +90,9 @@ def expected_two_pow(lam: float, m: int, tol: float = 1e-12) -> tuple[float, flo
     n* with Chernoff tail exp(lam * (e - 1) - (n* + 1)) <= tol, and that
     bound on the dropped remainder is returned alongside the sum.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not isinstance(m, int) or m < 0:
-        raise ValueError(f"M must be a nonnegative integer, got {m}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive, got {tol}")
+    _positive("lam", lam)
+    m = _integer("M", m, 0)
+    _positive("tol", tol)
     if m == 0:
         return 1.0, 0.0
     n_star = max(1, math.ceil(lam * (math.e - 1.0) - math.log(tol) - 1.0))
@@ -109,17 +115,14 @@ def greedy_mse_envelope(
     with c_upper = (2 sigma0^2 / 3 lam)(1 + e^(2 lam)) and
     c_lower = sigma0^2 / (48 e lam (1 + e^(2 lam))).
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"M must be an integer >= 1, got {m}")
+    m = _integer("M", m, 1)
     if lam > MAX_ENVELOPE_LAMBDA:
         raise ValueError(
             f"lam={lam} exceeds {MAX_ENVELOPE_LAMBDA}: exp(2*lam) overflows double "
             "precision and log-space envelope evaluation is out of scope"
         )
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive, got {lam}")
-    if not (math.isfinite(sigma0_sq) and sigma0_sq > 0):
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
+    _positive("lam", lam)
+    _positive("sigma0_sq", sigma0_sq)
     growth = 1.0 + math.exp(2.0 * lam)
     c_upper = (2.0 * sigma0_sq / (3.0 * lam)) * growth
     c_lower = sigma0_sq / (48.0 * math.e * lam * growth)
@@ -140,10 +143,8 @@ def nonzero_scale_bounds(m: int, n: int, delta: float) -> tuple[int, int]:
     """Integer bounds on the scale at which the m-th structurally nonzero
     coefficient appears, for a path with n >= 1 jumps and minimum spacing
     delta: ceil((m-2)/n) <= scale <= floor((m-1)/n + log2(1/delta))."""
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"M must be an integer >= 2, got {m}")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n}")
+    m = _integer("M", m, 2)
+    n = _integer("n", n, 1)
     if not (0.0 < delta <= 1.0 / n):
         raise ValueError(f"delta must lie in (0, 1/n] for n={n}, got {delta}")
     lower = max(0, math.ceil((m - 2) / n))
@@ -154,34 +155,22 @@ def nonzero_scale_bounds(m: int, n: int, delta: float) -> tuple[int, int]:
 def tail_energy(scale: int, sigma0_sq: float) -> float:
     """Expected coefficient energy strictly beyond the given scale:
     the geometric sum sigma0^2 * 2^-(scale+1) / 6."""
-    if not isinstance(scale, int) or scale < 0:
-        raise ValueError(f"scale must be a nonnegative integer, got {scale}")
-    if not (math.isfinite(sigma0_sq) and sigma0_sq > 0):
-        raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
+    scale = _integer("scale", scale, 0)
+    _positive("sigma0_sq", sigma0_sq)
     return sigma0_sq * 2.0 ** -(scale + 1) / 6.0
-
-
-def expected_nonzero_atoms(lam: float, scales: int) -> float:
-    """Mean number of structurally nonzero wavelet coefficients at scales
-    0 <= j < scales of a rate-lam path: a Poisson(lam) number of uniform
-    jumps occupies on average 2^j (1 - exp(-lam / 2^j)) of the 2^j atoms at
-    scale j."""
-    return math.fsum(2.0**j * -math.expm1(-lam / 2.0**j) for j in range(scales))
 
 
 def poly_weighted_decay(lam: float, k: int, m_values) -> list[float]:
     """M^k * E[2^(-M/N)] along m_values; eventually strictly decreasing for
     every fixed k, which is the super-polynomial signature of the decay."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k}")
+    k = _integer("k", k, 0)
     return [m**k * expected_two_pow(lam, m)[0] for m in m_values]
 
 
 def exp_weighted_decay(lam: float, alpha: float, m_values) -> list[float]:
     """exp(alpha * M) * E[2^(-M/N)] along m_values; eventually strictly
     increasing for every alpha > 0, the sub-exponential signature."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    _positive("alpha", alpha)
     out = []
     for m in m_values:
         mean, _ = expected_two_pow(lam, m)

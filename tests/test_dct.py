@@ -14,6 +14,7 @@ from cpwave import (
     dct_best_m_error,
     derive_stream,
     discrete_haar_forward,
+    discrete_haar_inverse,
     sample_grid,
     sample_path,
 )
@@ -154,3 +155,16 @@ def test_jump_path_haar_beats_dct():
     haar_err = errors_discrete(discrete_haar_forward(grid), ("best",), [m])[0][0] / grid.values.size
     dct_err = dct_best_m_error(grid, m)
     assert haar_err < dct_err
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda x: dct2_inverse(dct2_forward(x)), "coefficient"),
+    (lambda x: discrete_haar_inverse(discrete_haar_forward(x)), "coefficient"),
+    (lambda x: dct_best_m_error(x, 4), "signal"),
+], ids=["dct-inverse", "haar-inverse", "dct-best-m"])
+def test_one_row_calls_refuse_a_block_of_rows(call, what):
+    # the forward transforms take rows; these take one, and once blamed the
+    # grid size, failed inside numpy's broadcasting, or named a shape the
+    # caller never passed
+    with pytest.raises(ValueError, match=rf"expected one {what} row, got shape \(3, 4\)"):
+        call(np.ones((3, 4)))

@@ -26,7 +26,7 @@ from cpwave.harness import (
     _trial_errors,
 )
 from cpwave.schemes import errors_discrete
-from cpwave.theory import expected_nonzero_atoms, greedy_mse_envelope, linear_mse
+from cpwave.theory import greedy_mse_envelope, linear_mse
 
 from test_schemes import reference_errors
 
@@ -117,7 +117,7 @@ def test_worker_count_independent():
 
 
 def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
-    # a group of trials is built once for every scheme, below each path's
+    # a block of trials is built once for every scheme, below each path's
     # first depth; the paths whose depth certificate fails are read again in
     # one more build, of exactly their whole ladders from scale 0; and every
     # row is the whole-ladder reference's
@@ -135,7 +135,7 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
 
     monkeypatch.setattr(schemes, "ladders", counting_ladders)
     monkeypatch.setattr(schemes, "_certified", recording_certified)
-    monkeypatch.setattr(harness, "_group_size", lambda config: 4)  # one group per block
+    monkeypatch.setattr(schemes, "_BUILD_CELLS", 2**62)  # each 4-trial block in one build
     truncated = reread = 0
     configs = (
         small_config(),
@@ -225,17 +225,6 @@ def test_block_size_follows_the_sample_budget():
               for g in (1, 10, 13, 14, 20)]
     # analytic runs sample no grid: 16-trial blocks whatever grid_log2 is
     assert [harness._block_size(cfg) for cfg in blocks] == [2**13, 16, 2, 1, 1] + [16] * 5
-    ms = tuple(2**j for j in range(2, 11))
-    analytic = [small_config(lam=lam, m_values=ms) for lam in (0.5, 10.0, 500.0, 1e4)]
-    assert [harness._group_size(cfg) for cfg in analytic] == [623, 32, 2, 1]
-    # the atoms the budget counts are the mean first build of sampled paths
-    for lam in (2.0, 10.0, 100.0, 500.0):
-        law = JumpLaw.for_rate(lam)
-        paths = [sample_path(lam, law, derive_stream(5, t)) for t in range(200)]
-        first = [schemes._first_depth(p.num_jumps, 1024) for p in paths]
-        atoms = schemes.ladders(paths, first).value.size / 200
-        scales = min(53, schemes._first_depth(math.ceil(lam), 1024))
-        assert atoms == pytest.approx(expected_nonzero_atoms(lam, scales), rel=0.05)
 
 
 def forged_block(trials, fault):
@@ -269,11 +258,10 @@ def test_invariants_raise_the_message_of_the_lowest_failing_trial(chosen, fault,
 
 
 def test_cli_multi_block_analytic_run_is_worker_invariant(tmp_path):
-    # lambda = 100 reads each 16-trial block in groups of 8 paths; 40 trials
-    # make three blocks, the last one short
+    # lambda = 100 reads each 16-trial block in two builds; 40 trials make
+    # three blocks, the last one short
     args = ["mse-curve", "--process", "cp", "--lambda", "100", "--schemes", "linear,greedy,best",
             "--m", "4,64,1024", "--trials", "40", "--seed", "11"]
-    assert harness._group_size(small_config(lam=100.0, m_values=(4, 64, 1024))) < 16
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
     assert run_cli(*args, "--out", str(two), "--workers", "2") == 0

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from cpwave.theory import nonzero_scale_bounds
 
 from test_haar import hand_paths, scale_table
 from test_processes import make_path
+from test_startup import run_fresh
 
 LAW10 = JumpLaw(variance=0.1)
 
@@ -613,6 +615,67 @@ def test_errors_rows_match_the_whole_ladder_reference_on_a_mixed_block(monkeypat
     rows = errors_rows(paths, SCHEMES, ms)
     for got, path in zip(rows, paths):
         assert row_bits(got) == row_bits([reference_errors(path, s, ms) for s in SCHEMES])
+
+
+def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch):
+    # errors_rows sizes its own builds: consecutive paths whose first builds
+    # hold at most _BUILD_CELLS (scale, jump) cells, or one path past it;
+    # then one whole build of every rejected path of the call; and each row
+    # keeps the bits of the path's one-path call
+    calls = []
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    # the benchmark's traffic, M up to 1024: the harness's 16-trial block is
+    # one build at lambda = 10 and several at lambda = 500
+    for lam, several in ((10.0, False), (500.0, True)):
+        block = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(1, t)) for t in range(16)]
+        calls.clear()
+        errors_rows(block, SCHEMES, M_1024)
+        assert all(hi is not None for _, hi, _ in calls) and (len(calls) > 1) == several
+    budget = 2000
+    monkeypatch.setattr(schemes_module, "_BUILD_CELLS", budget)
+    paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(42, s))
+             for s in range(3) for lam in BLOCK_RATES]
+    # the +-10^6 pair separates near scale 44, far below its first depth,
+    # and the last path's certificate fails at M <= 64 too
+    paths[4:4] = [make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]), make_path([], [])]
+    paths.append(sample_path(3.0, JumpLaw.for_rate(3.0), derive_stream(7, 132)))
+    ms = [1, 10, 64]
+    single, rejected = [], []
+    for path in paths:
+        calls.clear()
+        single.append(errors(path, SCHEMES, ms))
+        if len(calls) > 1:
+            rejected.append(path)
+    assert len(rejected) >= 2
+    calls.clear()
+    rows = errors_rows(paths, SCHEMES, ms)
+    *firsts, (again, whole_hi, _) = calls
+    assert again == rejected and whole_hi is None
+    assert [p for group, _, _ in firsts for p in group] == paths
+    cells = [[p.num_jumps * d for p, d in zip(group, built)] for group, hi, built in firsts]
+    for build, after in zip(cells, cells[1:] + [[]]):
+        assert len(build) == 1 or sum(build) <= budget
+        assert not after or sum(build) + after[0] > budget  # each takes every path that fits
+    assert any(len(build) > 1 for build in cells)
+    assert any(sum(build) > budget for build in cells)
+    assert row_bits(rows.reshape(-1, len(ms))) == row_bits(sum(single, []))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+def test_errors_rows_memory_does_not_grow_with_its_paths():
+    # one call on 400 lambda = 500 paths once built them all at once and
+    # grew the peak RSS by about 120 MB; builds of 3 paths grow it by 1 MB
+    script = """
+import resource
+from cpwave import JumpLaw, derive_stream, sample_path, schemes
+law = JumpLaw.for_rate(500.0)
+paths = [sample_path(500.0, law, derive_stream(9, t)) for t in range(400)]
+schemes.errors_rows(paths[:2], schemes.SCHEMES, [4, 16, 64])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+schemes.errors_rows(paths, schemes.SCHEMES, [4, 16, 64])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    assert run_fresh(script) < 8 * 1024
 
 
 @pytest.mark.parametrize("bad", [-3, 2.5, -1, 1.0, "4"])

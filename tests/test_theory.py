@@ -9,11 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpwave import (
+    ExperimentConfig,
+    JumpLaw,
+    brownian_grid,
     derive_stream,
     expected_two_pow,
     greedy_mse_envelope,
     linear_mse,
     nonzero_scale_bounds,
+    sample_grid,
+    sample_path,
     spacing_survival,
     tail_energy,
 )
@@ -246,3 +251,38 @@ def test_probe_validation():
         poly_weighted_decay(10.0, -1, [4])
     with pytest.raises(ValueError):
         exp_weighted_decay(10.0, 0.0, [4])
+
+
+PATH10 = sample_path(10.0, JumpLaw.for_rate(10.0), derive_stream(4, 0))
+
+
+def grid_config(**fields):
+    return ExperimentConfig(process="cp", schemes=("best",), dictionary="haar_discrete",
+                            m_values=(2,), lam=10.0, trials=1, **fields)
+
+
+# every count, M, scale and seed takes a numpy integer as its value and
+# refuses a bool, which Python counts as an int: True once ran as 1, and
+# np.int64(8) was refused as M
+@pytest.mark.parametrize("call, value", [
+    (lambda m: linear_mse(m, 1.0), 8),
+    (lambda m: greedy_mse_envelope(m, 10.0), 8),
+    (lambda m: expected_two_pow(10.0, m), 8),
+    (lambda m: nonzero_scale_bounds(m, 3, 0.1), 8),
+    (lambda n: nonzero_scale_bounds(8, n, 0.1), 3),
+    (lambda n: spacing_survival(n, 0.1), 3),
+    (lambda j: tail_energy(j, 1.0), 3),
+    (lambda k: poly_weighted_decay(10.0, k, [4, 8]), 2),
+    (lambda seed: derive_stream(seed, 1).random(3).tolist(), 5),
+    (lambda index: derive_stream(5, index).random(3).tolist(), 1),
+    (lambda g: sample_grid(PATH10, g).values.tolist(), 3),
+    (lambda g: brownian_grid(1.0, g, derive_stream(0, 0)).values.tolist(), 3),
+    (lambda g: grid_config(grid_log2=g).validate(), 3),
+    (lambda seed: grid_config(master_seed=seed).validate(), 5),
+], ids=["linear-m", "envelope-m", "two-pow-m", "bounds-m", "bounds-n", "spacing-n",
+        "tail-scale", "decay-k", "seed", "stream-index", "grid", "brownian-grid",
+        "config-grid", "config-seed"])
+def test_integer_arguments_take_numpy_ints_and_refuse_bools(call, value):
+    assert repr(call(np.int64(value))) == repr(call(value))
+    with pytest.raises(ValueError):
+        call(True)
