@@ -51,7 +51,7 @@ from .theory import (
     spacing_survival,
     tail_energy,
 )
-from .dct import DctCoeffs, dct2_forward, dct2_inverse, dct_best_m_error
+from .dct import DctCoeffs, dct2_forward, dct2_inverse
 from .harness import (
     CurveRecord,
     ExperimentConfig,

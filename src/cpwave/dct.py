@@ -1,8 +1,9 @@
 """Orthonormal type-II cosine dictionary on the dyadic grid.
 
 Used to contrast a Fourier-type dictionary against Haar on the same sampled
-paths. Discrete squared errors are divided by the grid size so they live on
-the same scale as the continuum mean squared errors.
+paths: dict-compare reads schemes.errors_discrete_rows on dct2_forward rows
+and divides by the grid size, so the errors live on the same scale as the
+continuum mean squared errors.
 
 The transform is Makhoul's (J. Makhoul, "A fast cosine transform in one and
 two dimensions", IEEE Trans. ASSP 28(1), 1980): a length-n DCT-II is one
@@ -23,10 +24,9 @@ import numpy as np
 import numpy.fft  # loaded at import, not inside the first transform
 
 from .haar import dyadic_row, dyadic_rows
-from .processes import SampledPath, is_int
-from .schemes import errors_discrete
+from .processes import SampledPath
 
-__all__ = ["DctCoeffs", "dct2_forward", "dct2_inverse", "dct_best_m_error"]
+__all__ = ["DctCoeffs", "dct2_forward", "dct2_inverse"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +92,3 @@ def dct2_inverse(coeffs: DctCoeffs) -> SampledPath:
     out[..., ::2] = v[..., : n - h]
     out[..., 1::2] = v[..., : n - h - 1 : -1]
     return SampledPath(values=out, grid_log2=grid_log2, process="reconstructed")
-
-
-def dct_best_m_error(samples, m: int) -> float:
-    """Best-M squared error in the cosine dictionary, grid-normalized:
-    the sum of all but the M largest squared coefficients, divided by 2^L
-    so the number estimates the squared L2([0,1]) error."""
-    values, _ = dyadic_row(samples, "signal")
-    n = values.size
-    if not is_int(m) or not (0 <= m <= n):
-        raise ValueError(f"M must be an integer in [0, {n}], got {m}")
-    return errors_discrete(_dct2(values), ("best",), [m])[0][0] / n

@@ -8,9 +8,11 @@ the jump locations. That makes every coefficient exact, and makes the
 zero/nonzero structure purely combinatorial: a coefficient vanishes exactly
 when no jump lands in the atom's support, so zero detection never touches a
 floating-point threshold. Float jump times are dyadic rationals, so the
-nonzero coefficients are also finitely many: `ladders` lists them all for
-a block of paths in one vectorized pass over every path's (scale, jump)
-cells, path-major, and `ladder` is its one-path view. The dense listing up
+nonzero coefficients are also finitely many: they sit at the scales below
+the path's dyadic resolution (`resolutions`). `ladders` lists the scales a
+caller asks for, at most that many, for a block of paths in one vectorized
+pass over every path's (scale, jump) cells, path-major, and `ladder` is its
+one-path view, which finds the resolution itself. The dense listing up
 to scale J is schemes.select(path, "linear", 2**(J + 1)).
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
@@ -194,9 +196,8 @@ class Ladder(NamedTuple):
 class Ladders(NamedTuple):
     """The ladders of a block of paths laid end to end, path-major: path p's
     atoms are rows bounds[p]:bounds[p + 1] of the atom arrays, in atom-index
-    order, and resolution[p] is its dyadic resolution."""
+    order."""
 
-    resolution: np.ndarray
     bounds: np.ndarray
     scale: np.ndarray
     shift: np.ndarray
@@ -232,21 +233,19 @@ def resolutions(paths) -> list[int]:
     return e
 
 
-def ladders(paths, hi: list[int] | None = None) -> Ladders:
-    """The finite coefficient ladders of a block of paths, or only the
-    scales j < hi[p] of path p (hi None: up to its resolution).
+def ladders(paths, hi: list[int]) -> Ladders:
+    """The scales j < hi[p] of the finite coefficient ladder of each path p
+    of a block, where hi[p] is at most the path's resolution.
 
     Every jump time is exactly m * 2^-e with m odd; a path's resolution is
-    the largest such e. At every scale j >= resolution each jump sits alone
-    at the left edge of its own atom, so those coefficients are exactly 0.0
-    and the whole ladder, scales [0, e), holds every nonzero coefficient.
-    The built scales of a path are [0, min(hi, e)). Each value is the
-    left-to-right sum, in jump order, of height * tent weight, so a scale's
-    rows are the same whichever prefix or block is built.
+    the largest such e (see resolutions). At every scale j >= e each jump
+    sits alone at the left edge of its own atom, so those coefficients are
+    exactly 0.0 and the whole ladder, scales [0, e), holds every nonzero
+    coefficient. Each value is the left-to-right sum, in jump order, of
+    height * tent weight, so a scale's rows are the same whichever prefix
+    or block is built.
     """
     n = [p.num_jumps for p in paths]
-    e = resolutions(paths)
-    hi = e if hi is None else [max(0, min(b, r)) for b, r in zip(hi, e)]
     ends = list(itertools.accumulate(m * j for m, j in zip(n, hi)))
     firsts = [0] + ends[:-1]
     blocks = [(p, a, b, m, j) for p, a, b, m, j in zip(paths, firsts, ends, n, hi) if b > a]
@@ -285,15 +284,16 @@ def ladders(paths, hi: list[int] | None = None) -> Ladders:
     for c, d, a, m in zip(bounds.tolist(), bounds[1:].tolist(), firsts, n):
         if d > c:  # division by one int is much faster than by an array
             np.floor_divide(starts[c:d] - a, m, out=scale[c:d])
-    return Ladders(np.array(e), bounds, scale, shift, value, count)
+    return Ladders(bounds, scale, shift, value, count)
 
 
 def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:
     """The path's finite coefficient ladder, or only its scales j < hi: the
     one-path view of ladders. `resolution` is the path's whatever the
     prefix."""
-    lads = ladders([path], None if hi is None else [hi])
-    return Ladder(int(lads.resolution[0]), *lads[2:])
+    (e,) = resolutions([path])
+    lads = ladders([path], [e if hi is None else max(0, min(hi, e))])
+    return Ladder(e, *lads[1:])
 
 
 def atoms_past(path: CompoundPoissonPath, resolution: int) -> Iterator[Atom]:

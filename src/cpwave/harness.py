@@ -29,6 +29,7 @@ from . import schemes, theory
 from .processes import (
     MAX_GRID_LOG2,
     JumpLaw,
+    _positive,
     brownian_grid,
     check_expected_jumps,
     derive_stream,
@@ -95,8 +96,9 @@ class ExperimentConfig:
                 f"dictionary must be one of {DICTIONARIES}, got {self.dictionary!r}"
             )
         if self.process == "cp":
-            if self.lam is None or not (math.isfinite(self.lam) and self.lam > 0):
+            if self.lam is None:
                 raise ValueError("process 'cp' requires a positive, finite lambda")
+            _positive("lambda", self.lam)
         if self.process == "bm" and self.dictionary == "haar_analytic":
             raise ValueError(
                 "process 'bm' has no exact jump representation; use dictionary "
@@ -115,12 +117,9 @@ class ExperimentConfig:
             )
         if not is_int(self.trials) or self.trials < 1:
             raise ValueError(f"trials must be an integer >= 1, got {self.trials}")
-        if not (math.isfinite(self.sigma0_sq) and self.sigma0_sq > 0):
-            raise ValueError(f"sigma0_sq must be positive, got {self.sigma0_sq}")
-        if self.jump_variance is not None and not (
-            math.isfinite(self.jump_variance) and self.jump_variance > 0
-        ):
-            raise ValueError(f"jump_variance must be positive, got {self.jump_variance}")
+        _positive("sigma0_sq", self.sigma0_sq)
+        if self.jump_variance is not None:
+            _positive("jump_variance", self.jump_variance)
         if not is_int(self.master_seed) or not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in an unsigned 64-bit integer")
         if self.process == "cp":
@@ -435,14 +434,15 @@ def run_spacing_check(
     that, `samples` unconditioned paths at rate lam are checked against the
     hard bound spacing <= 1/N.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lambda must be positive and finite, got {lam}")
+    _positive("lambda", lam)
     if any(not is_int(n) or n < 1 for n in n_values):
         raise ValueError(f"jump counts n must be integers >= 1, got {tuple(n_values)}")
     check_expected_jumps(lam)
     check_expected_jumps(max(n_values, default=0), "jump count n")
-    if samples < 1000:
-        raise ValueError(f"samples must be at least 1000, got {samples}")
+    # the spacings and the unconditioned paths' jump counts are arrays of
+    # samples entries, held to the cap of an in-memory grid
+    if not 1000 <= samples <= 2**MAX_GRID_LOG2:
+        raise ValueError(f"samples must lie in [1000, {2**MAX_GRID_LOG2}], got {samples}")
     # a delta past 1/n for some n is skipped for that n; outside [0, 1] it
     # fits no n at all
     if delta_grid is not None and not all(0.0 <= d <= 1.0 for d in delta_grid):

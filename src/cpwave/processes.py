@@ -46,6 +46,12 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _positive(name: str, value: float) -> None:
+    """Refuse a value that is not positive and finite, by name."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def derive_stream(master_seed: int, stream_index: int = 0) -> np.random.Generator:
     """Deterministic, statistically independent generator per (seed, index).
 
@@ -80,15 +86,13 @@ class JumpLaw:
     variance: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(f"jump variance must be positive and finite, got {self.variance}")
+        _positive("jump variance", self.variance)
 
     @classmethod
     def for_rate(cls, lam: float, sigma0_sq: float = 1.0, variance: float | None = None) -> JumpLaw:
         """The jump law of a rate-lam process: the given variance, or by
         default sigma0_sq / lam, which gives the process variance sigma0_sq."""
-        if not (math.isfinite(lam) and lam > 0):
-            raise ValueError(f"lambda must be positive and finite, got {lam}")
+        _positive("lambda", lam)
         check_expected_jumps(lam)
         return cls(variance=sigma0_sq / lam if variance is None else variance)
 
@@ -121,8 +125,7 @@ class CompoundPoissonPath:
         heights = np.asarray(self.jump_heights, dtype=float)
         if times.shape != heights.shape or times.ndim != 1:
             raise ValueError("jump_times and jump_heights must be 1-d arrays of equal length")
-        if not (math.isfinite(self.lam) and self.lam > 0):
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        _positive("lam", self.lam)
         if times.size:
             if times[0] <= 0.0 or times[-1] >= 1.0:
                 raise ValueError("jump times must lie strictly inside (0, 1)")
@@ -212,8 +215,7 @@ def sample_path(lam: float, law: JumpLaw, stream: np.random.Generator) -> Compou
     i.i.d. Uniform(0, 1) draws and heights are i.i.d. from the jump law,
     independent of the locations.
     """
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be positive and finite, got {lam}")
+    _positive("lam", lam)
     n = poisson_count(lam, stream)
     times = np.sort(stream.random(n))
     # collisions and exact zeros have probability zero; redraw the offending
@@ -244,8 +246,7 @@ def brownian_grid(
 ) -> SampledPath:
     """Brownian motion samples on the dyadic grid, built from cumulative
     independent Gaussian increments of variance sigma0_sq / 2^L each."""
-    if not (math.isfinite(sigma0_sq) and sigma0_sq > 0):
-        raise ValueError(f"sigma0_sq must be positive and finite, got {sigma0_sq}")
+    _positive("sigma0_sq", sigma0_sq)
     _check_grid_log2(grid_log2)
     n = 2**int(grid_log2)
     increments = stream.normal(0.0, math.sqrt(sigma0_sq / n), n - 1)

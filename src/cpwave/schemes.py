@@ -11,20 +11,21 @@ Three ways of keeping M coefficients of the Haar expansion:
   scales already hold the M largest.
 
 errors_rows(paths, schemes, m_values) reads every requested scheme's errors
-of a list of paths from builds (haar.ladders) of consecutive paths, each
-within a fixed number of ladder cells however long the list is;
-errors(path, ...) is its one-path view, and select(path, scheme, m)
-reads one selection's kept atoms and error from a one-path build. The
-candidates of a path are its scaling coefficient followed by its ladder in
-index order, and a scheme is an order over their squares plus a kept count
-per M. Each ladder is first built only down to a depth d, and a
-certificate (_certified) says whether the scales below d already give
-every requested scheme its exact kept atoms and errors up to max M. The
-paths of a call whose certificate fails, which sampled paths rarely do,
-are read again in one build of their whole ladders, and those rows
-replace the first ones. errors_discrete_rows does the same for every row
-of a block of finite coefficient lists, with one sort for the block;
-errors_discrete is its one-row view, and select_discrete reads it.
+of a list of paths, errors(path, ...) is its one-path view, and select(path,
+scheme, m) reads one selection's kept atoms and error; both read the builds
+that one planner, _plan, makes. The candidates of a path are its scaling
+coefficient followed by its ladder in index order, and a scheme is an order
+over their squares plus a kept count per M. The planner finds each path's
+dyadic resolution once and builds each ladder (haar.ladders) first only
+down to a depth d, no deeper than the resolution; a certificate
+(_certified) says whether the scales below d already give every requested
+scheme its exact kept atoms and errors up to max M. The paths whose
+certificate fails, which sampled paths rarely do, are built again to their
+resolution, where the ladder is whole. Every build, a re-read too, holds
+consecutive paths within a fixed number of ladder cells however long the
+list is, and is freed before the next is made. errors_discrete_rows reads
+every row of a block of finite coefficient lists, with one sort for the
+block; errors_discrete is its one-row view, and select_discrete reads it.
 Squared errors of exact paths come from Parseval: path energy minus kept
 energy (exactly 0.0 once every candidate of the whole ladder is kept).
 The error of a finite discrete coefficient list at M is the sum of its
@@ -119,49 +120,52 @@ def _check_query(schemes, m_values) -> None:
 
 
 def _first_depth(n: int, k: int) -> int:
-    """The depth errors_rows first builds a path with n jumps to, for M <= k.
+    """The depth a path with n jumps is first built to, for M <= k, unless
+    its resolution is smaller.
 
     Atoms start to hold single jumps near scale bit_length(n), and the k
     largest squares sit about k / n scales below it; the certificate's
     worst-case bound falls below them about 8 scales further down. On
     sampled paths with all three schemes, it failed for 1.3 % of paths at
     rate 3 and k = 64, and for 0.4 %, 0.1 % and none at rates 30, 100 and
-    500 and k = 1024; those paths are read again whole. The depth is also
-    at least bit_length(k), which linear needs.
+    500 and k = 1024; those paths are built again to their resolution. The
+    depth is also at least bit_length(k), which linear needs.
     """
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
 class _Block(NamedTuple):
-    """A build of a block of paths for M <= k: their ladders;
-    every path's candidates, the scaling coefficient (when it has jumps)
-    then its ladder in index order, end to end, path p's at
-    bounds[p]:bounds[p + 1], with their squares and counts; and whether
-    each ladder is whole, that is, built to the path's resolution. `kept`
-    lays end to end, path by path, the squares any scheme can keep: the
-    first k + 1 of the index order (the scaling one and the atoms of index
-    below k; greedy keeps k), unless only best is asked for, then for best
-    the min(k, size) largest, largest first; heads[p, s] holds where the
-    part of path p that scheme s keeps begins."""
+    """A build of a block of paths for M <= k: the paths, the depth each
+    was built below and their ladders; how many candidates each path has,
+    the scaling coefficient (when it has jumps) then its ladder in index
+    order; and whether each ladder is whole, that is, built to the path's
+    resolution. `kept` lays end to end, path by path, the squares any
+    scheme can keep: the first k + 1 of the index order (the scaling one
+    and the atoms of index below k; greedy keeps k), unless only best is
+    asked for, then for best the min(k, size) largest, largest first;
+    heads[p, s] holds where the part of path p that scheme s keeps begins.
+    The candidates themselves and their squares are not kept, so that a
+    build holds no more than its readers need."""
 
+    paths: list
+    depth: list[int]
     k: int
     lad: Ladders
-    values: np.ndarray
-    sq: np.ndarray
-    bounds: np.ndarray
     sizes: np.ndarray
     whole: np.ndarray
     kept: np.ndarray
     heads: np.ndarray
 
 
-def _block(paths, k: int, lad: Ladders, scaling: list[float], whole, schemes) -> _Block:
-    """The candidates of a block's ladders, their squares and the parts of
-    them each scheme keeps."""
+def _block(paths, schemes, k: int, depth: list[int], e: list[int]) -> _Block:
+    """The build of a block of paths below depth[p], at most the path's
+    resolution e[p]: their ladders and candidate counts, and the squares
+    each scheme in schemes can keep at M <= k."""
+    lad = ladders(paths, depth)
     pieces, bounds, slot = [], [0], 0
     for p, a, b in zip(paths, lad.bounds.tolist(), lad.bounds[1:].tolist()):
         if p.num_jumps:
-            pieces.append(scaling[slot : slot + 1])
+            pieces.append([coeff(p, SCALING).value])
             slot += 1
         pieces.append(lad.value[a:b])
         bounds.append(b + slot)
@@ -181,25 +185,27 @@ def _block(paths, k: int, lad: Ladders, scaling: list[float], whole, schemes) ->
         at += parts[-2].size + top.size
     bounds = np.array(bounds)
     sizes = bounds[1:] - bounds[:-1]
-    return _Block(k, lad, values, sq, bounds, sizes, whole, np.concatenate(parts), np.array(heads))
+    whole = np.array(depth) == e
+    kept = np.concatenate(parts)
+    return _Block(paths, depth, k, lad, sizes, whole, kept, np.array(heads))
 
 
-def _certified(paths, block: _Block, depth: list[int], schemes) -> list[bool]:
-    """Whether each path's ladder, whole or built below depth[p], serves
+def _certified(block: _Block, schemes) -> list[bool]:
+    """Whether each path's ladder, whole or built below its depth d, serves
     every scheme exactly as its whole ladder would at every M <= k.
 
     Linear keeps only atoms of index below k, all at scales below
     bit_length(k); greedy keeps the first k candidates in index order. An
-    atom at scale j >= depth holds at most the c jumps of its ancestor at
-    scale depth - 1 (at depth 0, all N jumps of [0, 1)), each weighted by at
+    atom at scale j >= d holds at most the c jumps of its ancestor at
+    scale d - 1 (at depth 0, all N jumps of [0, 1)), each weighted by at
     most 2^(-j/2-1) in magnitude, so its square is at most
-    (c * max|h|)^2 * 2^(-depth-2); best's top k is already built when that
+    (c * max|h|)^2 * 2^(-d-2); best's top k is already built when that
     bound, widened for rounding, is below the k-th largest built square.
     """
     k, lad = block.k, block.lad
     atoms = lad.bounds.tolist()
     held = []
-    rows = zip(paths, depth, block.whole.tolist(), block.sizes.tolist())
+    rows = zip(block.paths, block.depth, block.whole.tolist(), block.sizes.tolist())
     for i, (path, d, whole, size) in enumerate(rows):
         short = ("linear" in schemes and d < k.bit_length()) or (
             size < k and ("greedy" in schemes or "best" in schemes)
@@ -219,20 +225,6 @@ def _certified(paths, block: _Block, depth: list[int], schemes) -> list[bool]:
         bound = h * h * 2.0 ** (-d - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
         held.append(bound < block.kept[block.heads[i, list(schemes).index("best")] + k - 1])
     return held
-
-
-def _build(paths, schemes, k: int, depth: list[int] | None) -> tuple[_Block, list[bool]]:
-    """The block's ladders built below depth[p] (None: whole), and whether
-    each path's build is certified for every scheme in schemes at every
-    M <= k (see the module docstring)."""
-    lad = ladders(paths, depth)
-    e = lad.resolution.tolist()
-    depth = e if depth is None else [min(d, r) for d, r in zip(depth, e)]
-    whole = np.array(depth) == lad.resolution
-    scaling = [coeff(p, SCALING).value for p in paths if p.num_jumps]
-    block = _block(paths, k, lad, scaling, whole, schemes)
-    held = whole.tolist() if whole.all() else _certified(paths, block, depth, schemes)
-    return block, held
 
 
 def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
@@ -259,7 +251,7 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     return counts
 
 
-def _errors(paths, block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
+def _errors(block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
     """Each path's squared errors at every scheme's kept counts, as a
     (paths, schemes, M) array: the Parseval remainder of the correctly
     rounded kept energy, from one exact pass over every kept prefix, or
@@ -273,7 +265,7 @@ def _errors(paths, block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
     start = block.heads[rows, cols]
     kept = np.zeros(counts.shape)
     kept[need] = _range_sums(block.kept, start, start + counts[need])
-    total = np.array([p.l2_norm_sq() for p in paths])[:, None, None]
+    total = np.array([p.l2_norm_sq() for p in block.paths])[:, None, None]
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in floats
         err = total - kept
     err[every] = 0.0
@@ -289,12 +281,13 @@ def _errors(paths, block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
     return np.maximum(err, 0.0, out=err)
 
 
-# A first build holds n * min(d, e) (scale, jump) cells of a path with n
-# jumps, first depth d and resolution e, and ladders keeps about five arrays
-# of them alive; errors_rows builds consecutive paths within _BUILD_CELLS
-# cells. For M up to 1024, 16 paths make one build at lambda = 10 and six
-# at lambda = 500, where builds of all 16 took 6 MB more peak RSS in a
-# 40-trial run; smaller budgets spread fixed numpy costs over fewer paths.
+# A build holds n * d (scale, jump) cells of a path with n jumps built to
+# depth d, first min(first depth, resolution), then the resolution on a
+# re-read, and ladders keeps about five arrays of them alive; _plan builds
+# consecutive paths within _BUILD_CELLS cells. For M up to 1024, 16 paths
+# make one build at lambda = 10 and six at lambda = 500, where builds of
+# all 16 took 6 MB more peak RSS in a 40-trial run; smaller budgets spread
+# fixed numpy costs over fewer paths.
 _BUILD_CELLS = 2**15
 
 
@@ -310,41 +303,48 @@ def _builds(sizes: list[int]):
         yield start, len(sizes)
 
 
+def _plan(paths, schemes, k: int):
+    """Every build that errors_rows and select read, as (indices, block,
+    held) triples, held[p] being the certificate's verdict on path
+    indices[p]: first every path below its first depth, clipped to its
+    resolution, then the paths whose certificate fails, to their
+    resolution, where each ladder is whole; each pass in builds of
+    consecutive paths within _BUILD_CELLS cells, or of one path past it.
+    Each path's resolution is found once. A reader drops each block before
+    it asks for the next, so that one build at a time is alive."""
+    n = [p.num_jumps for p in paths]
+    # in runs within the budget: no path has fewer cells than jumps
+    e = [r for a, b in _builds(n) for r in resolutions(paths[a:b])]
+    hi = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
+    todo = list(range(len(paths)))
+    while todo:  # twice at most: a whole ladder is certified
+        rejected = []
+        for a, b in _builds([n[i] * hi[i] for i in todo]):
+            ids = todo[a:b]
+            group, depth = [paths[i] for i in ids], [hi[i] for i in ids]
+            block = _block(group, schemes, k, depth, [e[i] for i in ids])
+            held = block.whole.tolist() if block.whole.all() else _certified(block, schemes)
+            rejected += [i for i, ok in zip(ids, held) if not ok]
+            yield ids, block, held
+            del block  # the reader's is then the only reference
+        todo, hi = rejected, e
+
+
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
     """Exact squared errors of every path of a list, as a (paths, schemes,
     M) float array: one row per scheme in schemes, one entry per M in
-    m_values, from builds of consecutive paths within _BUILD_CELLS cells (a
-    path past it alone) and one whole build of the paths whose certificate
-    fails. Linear and greedy keep candidates in index order; best keeps the
-    largest squares first. Each value is the path's own: the ladder cells,
-    the certificate and the sums do not depend on the paths beside it."""
+    m_values, from the builds of _plan, each within _BUILD_CELLS cells (a
+    path past it alone). Linear and greedy keep candidates in index order;
+    best keeps the largest squares first. Each value is the path's own: the
+    ladder cells, the certificate and the sums do not depend on the paths
+    beside it."""
     _check_query(schemes, m_values)
-    k = int(max(m_values, default=0))
-    n = [p.num_jumps for p in paths]
-    depth = [_first_depth(m, k) for m in n]
-    cells = [m * d for m, d in zip(n, depth)]
-    if sum(cells) > _BUILD_CELLS:  # else one build, whatever the resolutions
-        # read in runs within the budget: no path has fewer cells than jumps
-        e = [r for a, b in _builds(n) for r in resolutions(paths[a:b])]
-        cells = [m * min(d, r) for m, d, r in zip(n, depth, e)]
-    rows, rejected = np.empty((len(paths), len(schemes), len(m_values))), []
-    for a, b in _builds(cells):
-        rows[a:b], held = _read(paths[a:b], schemes, m_values, depth[a:b])
-        rejected += [i for i, ok in enumerate(held, a) if not ok]
-    if rejected:  # read again from their whole ladders
-        rows[rejected] = _read([paths[i] for i in rejected], schemes, m_values, None)[0]
+    rows = np.empty((len(paths), len(schemes), len(m_values)))
+    for ids, block, _ in _plan(paths, schemes, int(max(m_values, default=0))):
+        # a rejected path's rows are replaced when it is built again
+        rows[ids] = _errors(block, schemes, _kept_counts(block, schemes, m_values))
+        del block  # freed before the next build is allocated
     return rows
-
-
-def _read(paths, schemes, m_values, depth) -> tuple[np.ndarray, list[bool]]:
-    """The errors of paths built together below depth (None: whole), as
-    errors_rows gives them, and each path's certificate verdict."""
-    block, held = _build(paths, schemes, int(max(m_values, default=0)), depth)
-    # the counts read only the ladders and the sums only the kept squares:
-    # each step frees what the next does not read
-    block = block._replace(values=None, sq=None)
-    counts = _kept_counts(block, schemes, m_values)
-    return _errors(paths, block._replace(lad=None), schemes, counts), held
 
 
 def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
@@ -355,16 +355,19 @@ def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
 
 def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     """The m atoms the scheme keeps, with their values, and the exact
-    squared error, both from one certified build. Linear keeps the first m
+    squared error, both from the first certified build of _plan. Linear keeps the first m
     atoms in index order, zeros included; greedy the first m structurally
     nonzero ones (none on a jump-free path); best the m largest magnitudes
     of the full expansion, ties to the smaller index."""
     _check_query((scheme,), [m])
-    block, held = _build([path], (scheme,), int(m), [_first_depth(path.num_jumps, int(m))])
-    if not held[0]:  # read again from the whole ladder
-        block, _ = _build([path], (scheme,), int(m), None)
+    for _, block, held in _plan([path], (scheme,), int(m)):
+        if held[0]:
+            break
+        del block  # freed before the path is built again
     counts = _kept_counts(block, (scheme,), [m])
-    lad, values = block.lad, block.values
+    lad = block.lad
+    # the candidates, as _block lays them out: the scaling coefficient, then the ladder
+    values = np.concatenate(([coeff(path, SCALING).value] if path.num_jumps else [], lad.value))
     count = int(counts[0, 0, 0])
     if scheme == "best":
         # the top m are built and strictly larger than every atom that is
@@ -380,10 +383,10 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     if scheme == "linear":
         given = {atom_index(atom): v for atom, v in chosen}
         chosen = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
-    else:  # fewer than m candidates only on a whole ladder
-        past = itertools.islice(atoms_past(path, int(lad.resolution[0])), m - len(chosen))
+    else:  # fewer than m candidates only on a whole ladder, built to the resolution
+        past = itertools.islice(atoms_past(path, block.depth[0]), m - len(chosen))
         chosen += [(atom, 0.0) for atom in past]
-    error = float(_errors([path], block, (scheme,), counts)[0, 0, 0])
+    error = float(_errors(block, (scheme,), counts)[0, 0, 0])
     return Selection(scheme=scheme, m=m, kept=tuple(chosen), error_sq=error)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .processes import is_int
+from .processes import _positive, is_int
 
 __all__ = [
     "TheoryPoint",
@@ -35,11 +35,6 @@ def _integer(name: str, value, least: int) -> int:
     if not is_int(value) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value}")
     return int(value)
-
-
-def _positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpwave import JumpLaw, cli, dct_best_m_error, derive_stream, harness, sample_path, schemes
+from cpwave import JumpLaw, cli, derive_stream, harness, sample_path, schemes
+from cpwave.haar import resolutions
 from cpwave.harness import (
     CurveRecord,
     ExperimentConfig,
@@ -55,7 +56,6 @@ def small_config(**overrides):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: dct_best_m_error(np.ones(8), True),
         lambda: errors_discrete(np.ones(8), ("best",), [True]),
         lambda: schemes.errors(
             sample_path(10.0, JumpLaw(0.1), derive_stream(3, 0)), ("best",), [True]
@@ -65,7 +65,7 @@ def small_config(**overrides):
         lambda: run_mse_curve(small_config(), workers=True),
         lambda: run_spacing_check(10.0, n_values=(1, True), samples=1000),
     ],
-    ids=["dct-m", "discrete-m", "analytic-m", "m-values", "trials", "workers", "spacing-n"],
+    ids=["discrete-m", "analytic-m", "m-values", "trials", "workers", "spacing-n"],
 )
 def test_bools_are_refused_as_counts(call):
     with pytest.raises(ValueError):
@@ -119,15 +119,14 @@ def test_worker_count_independent():
 def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
     # a block of trials is built once for every scheme, below each path's
     # first depth; the paths whose depth certificate fails are read again in
-    # one more build, of exactly their whole ladders from scale 0; and every
-    # row is the whole-ladder reference's
+    # one more build, of exactly their whole ladders from scale 0 to their
+    # resolutions; and every row is the whole-ladder reference's
     calls, verdicts = [], []
     real_ladders, real_certified = schemes.ladders, schemes._certified
 
-    def counting_ladders(paths, hi=None):
-        lads = real_ladders(paths, hi)
-        calls.append((paths, hi, lads))
-        return lads
+    def counting_ladders(paths, hi):
+        calls.append((paths, hi))
+        return real_ladders(paths, hi)
 
     def recording_certified(*args):
         verdicts.append(real_certified(*args))
@@ -151,17 +150,16 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
             verdicts.clear()
             block = _trial_errors(cfg, range(start, start + 4))
             assert [[len(row) for row in rows] for rows in block] == [[len(cfg.m_values)] * 3] * 4
-            (paths, hi, first), *rest = calls
+            (paths, built), *rest = calls
             assert len(paths) == 4 and len(rest) <= 1
-            assert hi == [schemes._first_depth(p.num_jumps, k) for p in paths]
-            e = first.resolution.tolist()
-            built = [min(h, r) for h, r in zip(hi, e)]
+            e = resolutions(paths)
+            assert built == [min(schemes._first_depth(p.num_jumps, k), r) for p, r in zip(paths, e)]
             held = verdicts[0] if verdicts else [True] * 4
             rejected = [i for i in range(4) if not held[i]]
             if rest:
-                ((again, hi, whole),) = rest
-                assert [id(p) for p in again] == [id(paths[i]) for i in rejected] and hi is None
-                assert whole.resolution.tolist() == [e[i] for i in rejected]
+                ((again, whole),) = rest
+                assert [id(p) for p in again] == [id(paths[i]) for i in rejected]
+                assert whole == [e[i] for i in rejected]
                 assert all(built[i] < e[i] for i in rejected)
             else:
                 assert not rejected
@@ -448,14 +446,23 @@ def test_spacing_check_rejects_tiny_sample():
         run_spacing_check(10.0, samples=10)
 
 
-@pytest.mark.parametrize("lam, n_values", [(10.0, (1, 0)), (-1.0, (1, 2)), (0.0, (1,))])
-def test_spacing_check_refuses_before_sampling(monkeypatch, lam, n_values):
+@pytest.mark.parametrize(
+    "lam, n_values, samples",
+    [
+        pytest.param(10.0, (1, 0), 1000, id="10.0-n_values0"),
+        pytest.param(-1.0, (1, 2), 1000, id="-1.0-n_values1"),
+        pytest.param(0.0, (1,), 1000, id="0.0-n_values2"),
+        # past the in-memory sample cap of 2^24
+        pytest.param(10.0, (1,), 2**24 + 1, id="samples"),
+    ],
+)
+def test_spacing_check_refuses_before_sampling(monkeypatch, lam, n_values, samples):
     def no_sampling(*args):
         raise AssertionError("sampled before the input was checked")
 
     monkeypatch.setattr(harness, "derive_stream", no_sampling)
-    with pytest.raises(ValueError, match="lambda|jump counts"):
-        run_spacing_check(lam, n_values=n_values, samples=1000)
+    with pytest.raises(ValueError, match="lambda|jump counts|samples must lie in \\[1000, 16777216\\]"):
+        run_spacing_check(lam, n_values=n_values, samples=samples)
 
 
 # ---------------------------------------------------------------------------
@@ -777,10 +784,11 @@ def test_cli_rejects_workers_below_one(capsys, workers):
         (["--delta", "-1"], "delta"),
         (["--delta", "nan"], "delta"),
         (["--delta", "0.1,1.5"], "delta"),
+        (["--samples", "16777217"], "16777216"),
     ],
 )
 def test_cli_lemma_check_refuses_bad_input(capsys, argv, word):
-    assert run_cli("lemma-check", *argv, "--samples", "1000") == 2
+    assert run_cli("lemma-check", "--samples", "1000", *argv) == 2
     err = capsys.readouterr().err
     assert word in err and "numpy" not in err and "zero-size" not in err
     assert len(err.strip().splitlines()) == 1

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -343,18 +344,21 @@ M_1024 = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
 def counting_ladders(calls):
-    """A stand-in for schemes.ladders that records, per call, its paths, the
-    depths asked for (None: whole ladders) and each path's built depth:
-    every build is a prefix of scales from 0."""
+    """A stand-in for schemes.ladders that records, per call, its paths and
+    the depth each is built to: every build is a prefix of scales from 0,
+    and a re-read asks for the path's resolution."""
     real = schemes_module.ladders
 
-    def counted(paths, hi=None):
-        lads = real(paths, hi)
-        e = lads.resolution.tolist()
-        calls.append((paths, hi, [min(b, r) for b, r in zip(e if hi is None else hi, e)]))
-        return lads
+    def counted(paths, hi):
+        calls.append((paths, hi))
+        return real(paths, hi)
 
     return counted
+
+
+def first_depth(path, k):
+    """The depth errors_rows and select first build a path to for M <= k."""
+    return min(schemes_module._first_depth(path.num_jumps, k), ladder(path, 0).resolution)
 
 
 def test_errors_equal_whole_ladder_reference():
@@ -405,13 +409,14 @@ def test_errors_equal_whole_ladder_reference():
         expected = [reference_errors(path, scheme, ms) for scheme in chosen]
         assert rows == expected
         # one build below the first depth, and at most one more, of the
-        # whole ladder from scale 0, when the certificate fails
+        # whole ladder from scale 0 to the resolution, when the certificate
+        # fails
         e = ladder(path, 0).resolution
-        (_, hi, (built,)), *rest = calls
-        assert hi == [schemes_module._first_depth(path.num_jumps, max(ms))]
+        (_, (built,)), *rest = calls
+        assert built == first_depth(path, max(ms))
         if rest:
-            ((again, hi, whole),) = rest
-            assert again == [path] and hi is None and whole == [e] and built < e
+            ((again, whole),) = rest
+            assert again == [path] and whole == [e] and built < e
             branches.add("reread")
         elif built < e:
             branches.add("truncated")
@@ -452,12 +457,12 @@ def test_select_rereads_a_rejected_path_whole(monkeypatch):
             calls.clear()
             verdicts.clear()
             select(path, scheme, m)
-            (_, hi, (built,)), *rest = calls
-            assert hi == [schemes_module._first_depth(path.num_jumps, m)] and len(rest) <= 1
+            (_, (built,)), *rest = calls
+            assert built == first_depth(path, m) and len(rest) <= 1
             assert bool(rest) == (verdicts == [[False]])
             if rest:
-                ((again, hi, whole),) = rest
-                assert again == [path] and hi is None and built < whole[0]
+                ((again, whole),) = rest
+                assert again == [path] and whole == [ladder(path).resolution] and built < whole[0]
             reread += bool(rest)
     assert reread > 0
 
@@ -604,11 +609,11 @@ def test_errors_rows_match_the_whole_ladder_reference_on_a_mixed_block(monkeypat
     monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
     rows = errors_rows(paths, ("best",), [1, 10])
     # one build of the block, and one whole build of the spiked path alone,
-    # from scale 0: its +-10^6 pair separates near scale 44, far below its
-    # first depth
-    (first, hi, built), (again, whole_hi, whole) = calls
-    assert first == paths and hi == [schemes_module._first_depth(p.num_jumps, 10) for p in paths]
-    assert again == [spiked] and whole_hi is None and whole == [ladder(spiked).resolution]
+    # from scale 0 to its resolution: its +-10^6 pair separates near scale
+    # 44, far below its first depth
+    (first, built), (again, whole) = calls
+    assert first == paths and built == [first_depth(p, 10) for p in paths]
+    assert again == [spiked] and whole == [ladder(spiked).resolution]
     assert built[2] < whole[0]
     for got, path in zip(rows, paths):
         assert row_bits(got) == row_bits([reference_errors(path, "best", [1, 10])])
@@ -617,20 +622,50 @@ def test_errors_rows_match_the_whole_ladder_reference_on_a_mixed_block(monkeypat
         assert row_bits(got) == row_bits([reference_errors(path, s, ms) for s in SCHEMES])
 
 
+def split_passes(calls, count):
+    """The builds of one errors_rows call on count paths, split into its
+    first pass, which builds every path once, and its re-reads."""
+    built = list(itertools.accumulate(len(group) for group, _ in calls))
+    first = built.index(count) + 1
+    return calls[:first], calls[first:]
+
+
+def assert_within_budget(builds, budget):
+    """Each build holds at most budget (scale, jump) cells or is one path,
+    and takes every path that fits."""
+    cells = [[p.num_jumps * d for p, d in zip(group, hi)] for group, hi in builds]
+    for build, after in zip(cells, cells[1:] + [[]]):
+        assert len(build) == 1 or sum(build) <= budget
+        assert not after or sum(build) + after[0] > budget
+    return cells
+
+
+def spiked_sample(lam, seed):
+    """A sampled path with a +-10^6 jump pair 2^-45 apart put in at 0.3: the
+    pair separates near scale 44, so the certificate fails at small M."""
+    path = sample_path(lam, JumpLaw.for_rate(lam), derive_stream(43, seed))
+    times = np.concatenate((path.jump_times, [0.3, 0.3 + 2.0**-45]))
+    heights = np.concatenate((path.jump_heights, [1e6, -1e6]))
+    order = np.argsort(times, kind="stable")
+    return make_path(times[order], heights[order], lam=lam)
+
+
 def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch):
     # errors_rows sizes its own builds: consecutive paths whose first builds
     # hold at most _BUILD_CELLS (scale, jump) cells, or one path past it;
-    # then one whole build of every rejected path of the call; and each row
-    # keeps the bits of the path's one-path call
-    calls = []
-    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    # then the rejected paths of the call, to their resolution, within the
+    # budget too; each build's arrays are freed before the next is
+    # allocated; and each row keeps the bits of the path's one-path call
+    calls, alive = [], []
+    counted = counting_ladders(calls)
+    monkeypatch.setattr(schemes_module, "ladders", counted)
     # the benchmark's traffic, M up to 1024: the harness's 16-trial block is
-    # one build at lambda = 10 and several at lambda = 500
+    # one build at lambda = 10 and several at lambda = 500, none a re-read
     for lam, several in ((10.0, False), (500.0, True)):
         block = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(1, t)) for t in range(16)]
         calls.clear()
         errors_rows(block, SCHEMES, M_1024)
-        assert all(hi is not None for _, hi, _ in calls) and (len(calls) > 1) == several
+        assert [p for group, _ in calls for p in group] == block and (len(calls) > 1) == several
     budget = 2000
     monkeypatch.setattr(schemes_module, "_BUILD_CELLS", budget)
     paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(42, s))
@@ -639,6 +674,8 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
     # and the last path's certificate fails at M <= 64 too
     paths[4:4] = [make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]), make_path([], [])]
     paths.append(sample_path(3.0, JumpLaw.for_rate(3.0), derive_stream(7, 132)))
+    # re-read several to a build, and alone past the budget
+    paths += [spiked_sample(lam, s) for s in range(3) for lam in (3.0, 10.0, 100.0)]
     ms = [1, 10, 64]
     single, rejected = [], []
     for path in paths:
@@ -646,19 +683,45 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
         single.append(errors(path, SCHEMES, ms))
         if len(calls) > 1:
             rejected.append(path)
-    assert len(rejected) >= 2
+    assert len(rejected) >= 8
+
+    def freeing_ladders(paths, hi):
+        assert all(ref() is None for ref in alive)  # the last build is gone
+        lads = counted(paths, hi)
+        alive.append(weakref.ref(lads.value))
+        return lads
+
+    monkeypatch.setattr(schemes_module, "ladders", freeing_ladders)
     calls.clear()
     rows = errors_rows(paths, SCHEMES, ms)
-    *firsts, (again, whole_hi, _) = calls
-    assert again == rejected and whole_hi is None
-    assert [p for group, _, _ in firsts for p in group] == paths
-    cells = [[p.num_jumps * d for p, d in zip(group, built)] for group, hi, built in firsts]
-    for build, after in zip(cells, cells[1:] + [[]]):
-        assert len(build) == 1 or sum(build) <= budget
-        assert not after or sum(build) + after[0] > budget  # each takes every path that fits
-    assert any(len(build) > 1 for build in cells)
-    assert any(sum(build) > budget for build in cells)
+    firsts, rereads = split_passes(calls, len(paths))
+    assert [p for group, _ in firsts for p in group] == paths
+    assert [p for group, _ in rereads for p in group] == rejected
+    assert all(hi == [ladder(p).resolution for p in group] for group, hi in rereads)
+    for cells in (assert_within_budget(firsts, budget), assert_within_budget(rereads, budget)):
+        assert any(len(build) > 1 for build in cells)
+        assert any(sum(build) > budget for build in cells)
     assert row_bits(rows.reshape(-1, len(ms))) == row_bits(sum(single, []))
+
+
+def test_errors_rows_finds_each_resolution_once(monkeypatch):
+    # the resolutions size the builds and end every ladder: one call
+    # finds each path's once, at lambda = 500 as at lambda = 10
+    seen = []
+    real = schemes_module.resolutions
+
+    def counting_resolutions(paths):
+        seen.extend(paths)
+        return real(paths)
+
+    monkeypatch.setattr(schemes_module, "resolutions", counting_resolutions)
+    for lam in (10.0, 500.0):
+        law = JumpLaw.for_rate(lam)
+        for start in (0, 16, 32):
+            block = [sample_path(lam, law, derive_stream(44, t)) for t in range(start, start + 16)]
+            seen.clear()
+            errors_rows(block, SCHEMES, M_1024)
+            assert [id(p) for p in seen] == [id(p) for p in block]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
@@ -673,6 +736,31 @@ paths = [sample_path(500.0, law, derive_stream(9, t)) for t in range(400)]
 schemes.errors_rows(paths[:2], schemes.SCHEMES, [4, 16, 64])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 schemes.errors_rows(paths, schemes.SCHEMES, [4, 16, 64])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+    assert run_fresh(script) < 8 * 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
+def test_errors_rows_rereads_do_not_grow_memory_with_their_paths():
+    # 100 lambda = 500 paths whose certificates fail once were re-read in
+    # one build of all their whole ladders, which grew the peak RSS by
+    # about 113 MB; their re-reads are now built within the cell budget
+    script = """
+import resource
+import numpy as np
+from cpwave import CompoundPoissonPath, JumpLaw, derive_stream, sample_path, schemes
+law = JumpLaw.for_rate(500.0)
+paths = []
+for t in range(100):
+    path = sample_path(500.0, law, derive_stream(9, t))
+    times = np.concatenate((path.jump_times, [0.3, 0.3 + 2.0**-45]))
+    heights = np.concatenate((path.jump_heights, [1e6, -1e6]))
+    order = np.argsort(times, kind="stable")
+    paths.append(CompoundPoissonPath(500.0, times[order], heights[order], law))
+schemes.errors_rows(paths[:2], schemes.SCHEMES, [1, 10])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+schemes.errors_rows(paths, schemes.SCHEMES, [1, 10])
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
 """
     assert run_fresh(script) < 8 * 1024
