@@ -10,10 +10,11 @@ when no jump lands in the atom's support, so zero detection never touches a
 floating-point threshold. Float jump times are dyadic rationals, so the
 nonzero coefficients are also finitely many: they sit at the scales below
 the path's dyadic resolution (`resolutions`). `ladders` lists the scales a
-caller asks for, at most that many, for a block of paths in one vectorized
-pass over every path's (scale, jump) cells, path-major, and `ladder` is its
-one-path view, which finds the resolution itself. The dense listing up
-to scale J is schemes.select(path, "linear", 2**(J + 1)).
+caller asks for, at most that many, for a processes.PathBlock in one
+vectorized pass over every path's (scale, jump) cells, path-major, reading
+the block's arrays with no per-path object; `ladder` is its one-path view,
+which finds the resolution itself. The dense listing up to scale J is
+schemes.select(path, "linear", 2**(J + 1)).
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.
@@ -28,7 +29,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .processes import CompoundPoissonPath
+from .processes import CompoundPoissonPath, PathBlock
 
 __all__ = [
     "Atom",
@@ -166,9 +167,8 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
     times = path.jump_times
     heights = path.jump_heights
     if atom.kind == "scaling":
-        count = path.num_jumps
-        value = math.fsum((heights * (1.0 - times)).tolist()) if count else 0.0
-        return Coefficient(atom=atom, value=value, jump_count=count)
+        value = float(PathBlock.of([path]).sums()[0][0])
+        return Coefficient(atom=atom, value=value, jump_count=path.num_jumps)
     lo, hi = support(atom)
     a = int(np.searchsorted(times, lo, side="left"))
     b = int(np.searchsorted(times, hi, side="left"))
@@ -211,29 +211,27 @@ _POW2 = np.array([math.ldexp(1.0, j) for j in range(1024)])
 _AMPLITUDE = np.array([-(2.0 ** (-j / 2.0)) for j in range(1024)])
 
 
-def resolutions(paths) -> list[int]:
-    """The dyadic resolution of each path, the largest e with a jump time an
-    odd multiple of 2^-e (0 without jumps), refused past 1023."""
-    n = [p.num_jumps for p in paths]
-    times = np.concatenate([p.jump_times for p in paths]) if paths else np.empty(0)
-    if not times.size:
-        return [0] * len(n)
-    # t = bits * 2^(exponent - 53) with a 53-bit integer mantissa; its lowest
-    # set bit, 2^(frexp exponent - 1), gives e = 54 - exponent - frexp exponent
-    mantissa, exponent = np.frexp(times)
-    bits = (mantissa * 2.0**53).astype(np.int64)
-    exponent += np.frexp(bits & -bits)[1]
-    firsts = list(itertools.accumulate([0] + n[:-1]))
-    lowest = iter(np.minimum.reduceat(exponent, [f for f, m in zip(firsts, n) if m]).tolist())
-    e = [54 - next(lowest) if m else 0 for m in n]
-    if max(e) > 1023:  # t * 2^j overflows at j = 1024
+def resolutions(block: PathBlock) -> list[int]:
+    """The dyadic resolution of each path of a block, the largest e with a
+    jump time an odd multiple of 2^-e (0 without jumps), refused past 1023."""
+    counts = block.counts
+    e = np.zeros(counts.size, dtype=int)
+    if block.times.size:
+        # t = bits * 2^(exponent - 53) with a 53-bit integer mantissa; its
+        # lowest set bit, 2^(frexp exponent - 1), gives e = 54 - exponent -
+        # frexp exponent
+        mantissa, exponent = np.frexp(block.times)
+        bits = (mantissa * 2.0**53).astype(np.int64)
+        exponent += np.frexp(bits & -bits)[1]
+        e[counts > 0] = 54 - np.minimum.reduceat(exponent, block.bounds[:-1][counts > 0])
+    if e.size and e.max() > 1023:  # t * 2^j overflows at j = 1024
         raise ValueError(
-            f"jump times need {max(e)} dyadic scales; a float path can be scaled to at most 1023"
+            f"jump times need {e.max()} dyadic scales; a float path can be scaled to at most 1023"
         )
-    return e
+    return e.tolist()
 
 
-def ladders(paths, hi: list[int]) -> Ladders:
+def ladders(block: PathBlock, hi: list[int]) -> Ladders:
     """The scales j < hi[p] of the finite coefficient ladder of each path p
     of a block, where hi[p] is at most the path's resolution.
 
@@ -245,21 +243,24 @@ def ladders(paths, hi: list[int]) -> Ladders:
     height * tent weight, so a scale's rows are the same whichever prefix
     or block is built.
     """
-    n = [p.num_jumps for p in paths]
+    n = block.counts.tolist()
     ends = list(itertools.accumulate(m * j for m, j in zip(n, hi)))
     firsts = [0] + ends[:-1]
-    blocks = [(p, a, b, m, j) for p, a, b, m, j in zip(paths, firsts, ends, n, hi) if b > a]
+    # path p's jumps are rows s:s + m of the block's arrays, its cells a:b
+    rows = block.bounds.tolist()
+    blocks = [(s, a, b, m, j) for s, a, b, m, j in zip(rows, firsts, ends, n, hi) if b > a]
+    times, heights = block.times, block.heights
     # Each path's cells are a (scale, jump) block of one flat array, written
     # through a view. Temporaries are computed in place and freed early.
     cells = ends[-1] if ends else 0
     x = np.empty(cells)
-    for p, a, b, m, j in blocks:  # t * 2^j, exact
-        np.multiply(p.jump_times, _POW2[:j, None], out=x[a:b].reshape(j, m))
+    for s, a, b, m, j in blocks:  # t * 2^j, exact
+        np.multiply(times[s : s + m], _POW2[:j, None], out=x[a:b].reshape(j, m))
     k = np.floor(x)
     new = np.empty(cells + 1, dtype=bool)  # past the last cell: the end of the last atom
     new[-1] = True
     np.not_equal(k[1:], k[:-1], out=new[1:-1])  # the shift changes: a new atom
-    for p, a, b, m, j in blocks:
+    for s, a, b, m, j in blocks:
         new[a:b:m] = True  # and every scale of a path starts one
     edges = np.flatnonzero(new)
     starts = edges[:-1]
@@ -268,10 +269,10 @@ def ladders(paths, hi: list[int]) -> Ladders:
     np.subtract(1.0, x, out=k)
     np.minimum(x, k, out=x)
     del k
-    for p, a, b, m, j in blocks:
+    for s, a, b, m, j in blocks:
         cell = x[a:b].reshape(j, m)
         cell *= _AMPLITUDE[:j, None]
-        cell *= p.jump_heights
+        cell *= heights[s : s + m]
     count = edges[1:] - starts  # each atom's jumps
     # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
     # no atoms at all it returns integers, hence the cast
@@ -291,8 +292,9 @@ def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:
     """The path's finite coefficient ladder, or only its scales j < hi: the
     one-path view of ladders. `resolution` is the path's whatever the
     prefix."""
-    (e,) = resolutions([path])
-    lads = ladders([path], [e if hi is None else max(0, min(hi, e))])
+    block = PathBlock.of([path])
+    (e,) = resolutions(block)
+    lads = ladders(block, [e if hi is None else max(0, min(hi, e))])
     return Ladder(e, *lads[1:])
 
 

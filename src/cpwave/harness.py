@@ -3,15 +3,15 @@
 Every trial owns a private random stream derived from (master_seed, trial
 index), and per-trial results are reduced in trial order, so curves are
 byte-for-byte reproducible regardless of how many worker processes run the
-trials. Trials run in blocks of consecutive indices: each trial samples its
-own path or grid; the analytic dictionary then reads the block's paths in
-one schemes.errors_rows call, which sizes its own builds, and a discrete
-dictionary transforms the block's grids as one array and sums every row's
-errors in one exact pass. Every sum is exact and correctly rounded, so it
-does not depend on the paths or rows beside it, and blocks change no
-byte. With several workers, whole blocks go to the pool.
-Scheme-ordering and monotonicity invariants are hard-asserted on every
-trial of every run, one block at a time.
+trials. Trials run in blocks of consecutive indices. An analytic block is
+sampled into one processes.PathBlock (sample_block) and read by one
+schemes.errors_rows call, which sizes its own builds; otherwise each trial
+samples its own path or grid, and a discrete dictionary transforms the
+block's grids as one array and sums every row's errors in one exact pass.
+Every sum is exact and correctly rounded, so it does not depend on the
+paths or rows beside it, and blocks change no byte. With several workers,
+whole blocks go to the pool. Scheme-ordering and monotonicity invariants
+are hard-asserted on every trial of every run, one block at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .processes import (
     check_expected_jumps,
     derive_stream,
     is_int,
+    sample_block,
     sample_grid,
     sample_path,
 )
@@ -231,11 +232,13 @@ def _trial_errors(
     ms = config.m_values
     law = config.jump_law() if config.process == "cp" else None
     paths, grids = [], []
-    for trial in trials:
-        stream = derive_stream(config.master_seed, trial)
-        path = sample_path(config.lam, law, stream) if law else None
-        paths.append(path)
-        if dictionaries != ("haar_analytic",):
+    if dictionaries == ("haar_analytic",):  # only cp has an analytic dictionary
+        paths = sample_block(config.lam, law, config.master_seed, trials)
+    else:
+        for trial in trials:
+            stream = derive_stream(config.master_seed, trial)
+            path = sample_path(config.lam, law, stream) if law else None
+            paths.append(path)
             grid = (
                 sample_grid(path, config.grid_log2)
                 if path

@@ -11,11 +11,17 @@ Three ways of keeping M coefficients of the Haar expansion:
   scales already hold the M largest.
 
 errors_rows(paths, schemes, m_values) reads every requested scheme's errors
-of a list of paths, errors(path, ...) is its one-path view, and select(path,
-scheme, m) reads one selection's kept atoms and error; both read the builds
-that one planner, _plan, makes. The candidates of a path are its scaling
-coefficient followed by its ladder in index order, and a scheme is an order
-over their squares plus a kept count per M. The planner finds each path's
+of a processes.PathBlock, or of a list of paths through PathBlock.of;
+errors(path, ...) is its one-path view, and select(path, scheme, m) reads
+one selection's kept atoms and error; both read the builds that one
+planner, _plan, makes. A build is a sub-block of consecutive paths, read
+with array operations over its jump, atom and candidate arrays and no
+per-path object or call: its scaling coefficients and energies from one
+exact pass (PathBlock.sums), the certificate's bound from the jump times,
+the linear counts from one search; only best's top squares are found path
+by path, which keeps that linear in each path's size. The candidates of a
+path are its scaling coefficient followed by its ladder in index order, and
+a scheme is an order over their squares plus a kept count per M. The planner finds each path's
 dyadic resolution once and builds each ladder (haar.ladders) first only
 down to a depth d, no deeper than the resolution; a certificate
 (_certified) says whether the scales below d already give every requested
@@ -27,11 +33,12 @@ list is, and is freed before the next is made. errors_discrete_rows reads
 every row of a block of finite coefficient lists, with one sort for the
 block; errors_discrete is its one-row view, and select_discrete reads it.
 Squared errors of exact paths come from Parseval: path energy minus kept
-energy (exactly 0.0 once every candidate of the whole ladder is kept).
+energy (exactly 0.0 once every candidate of the whole ladder is kept), so
+an error is exact only up to about 1e-16 times the energy.
 The error of a finite discrete coefficient list at M is the sum of its
 dropped squares. Both are sums of runs of one array from one exact
-kernel, _range_sums: errors_rows lays every path's kept prefixes end to
-end, errors_discrete_rows each row's dropped tails. Every sum is the
+kernel, processes._range_sums: errors_rows lays every path's kept prefixes
+end to end, errors_discrete_rows each row's dropped tails. Every sum is the
 correctly rounded sum of its multiset, so no path or row changes a bit of
 the ones beside it, and no prefix or tail is summed again for every M. On
 every path and every M the schemes obey best <= greedy <= linear, and each
@@ -55,12 +62,11 @@ from .haar import (
     atom_from_index,
     atom_index,
     atoms_past,
-    coeff,
     ladders,
     resolutions,
     _POW2,
 )
-from .processes import CompoundPoissonPath, is_int
+from .processes import CompoundPoissonPath, PathBlock, _bounds, _range_sums, is_int
 
 __all__ = [
     "SCHEMES",
@@ -138,56 +144,65 @@ class _Block(NamedTuple):
     """A build of a block of paths for M <= k: the paths, the depth each
     was built below and their ladders; how many candidates each path has,
     the scaling coefficient (when it has jumps) then its ladder in index
-    order; and whether each ladder is whole, that is, built to the path's
-    resolution. `kept` lays end to end, path by path, the squares any
-    scheme can keep: the first k + 1 of the index order (the scaling one
-    and the atoms of index below k; greedy keeps k), unless only best is
-    asked for, then for best the min(k, size) largest, largest first;
-    heads[p, s] holds where the part of path p that scheme s keeps begins.
-    The candidates themselves and their squares are not kept, so that a
-    build holds no more than its readers need."""
+    order; each path's energy; and whether each ladder is whole, that is,
+    built to the path's resolution. `kept` holds the squares any scheme can
+    keep: first, path by path, the first k + 1 of the index order (the
+    scaling one and the atoms of index below k; greedy keeps k), then, path
+    by path, when best is asked for, the min(k, size) largest, largest
+    first; heads[p, s] holds where the part of path p that scheme s keeps
+    begins. The candidates themselves and their squares are not kept, so
+    that a build holds no more than its readers need."""
 
-    paths: list
+    paths: PathBlock
     depth: list[int]
     k: int
     lad: Ladders
     sizes: np.ndarray
+    energy: np.ndarray
     whole: np.ndarray
     kept: np.ndarray
     heads: np.ndarray
 
 
-def _block(paths, schemes, k: int, depth: list[int], e: list[int]) -> _Block:
+def _candidates(paths: PathBlock, lad: Ladders, scaling: np.ndarray):
+    """The candidates of every path of a build laid end to end, and their
+    bounds: the scaling coefficient, when the path has jumps, then its
+    ladder."""
+    jumps, atoms, pieces = paths.counts > 0, lad.bounds.tolist(), []
+    for p, scaled in enumerate(jumps.tolist()):
+        if scaled:
+            pieces.append(scaling[p : p + 1])
+        pieces.append(lad.value[atoms[p] : atoms[p + 1]])
+    return np.concatenate([np.empty(0)] + pieces), lad.bounds + _bounds(jumps)
+
+
+def _block(paths: PathBlock, schemes, k: int, depth: list[int], e: list[int]) -> _Block:
     """The build of a block of paths below depth[p], at most the path's
     resolution e[p]: their ladders and candidate counts, and the squares
     each scheme in schemes can keep at M <= k."""
     lad = ladders(paths, depth)
-    pieces, bounds, slot = [], [0], 0
-    for p, a, b in zip(paths, lad.bounds.tolist(), lad.bounds[1:].tolist()):
-        if p.num_jumps:
-            pieces.append([coeff(p, SCALING).value])
-            slot += 1
-        pieces.append(lad.value[a:b])
-        bounds.append(b + slot)
-    values = np.concatenate(pieces)
+    scaling, energy = paths.sums()
+    values, bounds = _candidates(paths, lad, scaling)
     sq = values**2
-    index = k + 1 if "linear" in schemes or "greedy" in schemes else 0
-    parts, heads, at = [], [], 0
-    for a, b in zip(bounds, bounds[1:]):
-        top = sq[:0]
-        if "best" in schemes:
+    sizes = bounds[1:] - bounds[:-1]
+    # the index-order parts: each path's first min(size, k + 1) squares,
+    # often all of them
+    index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
+    heads = _bounds(index)
+    kept = [sq]
+    if heads[-1] < sq.size:
+        kept = [sq[np.repeat(bounds[:-1] - heads[:-1], index) + np.arange(heads[-1])]]
+    best = heads[:-1]
+    if "best" in schemes:  # one partition and one sort per path keep this linear in its size
+        best = heads[-1] + _bounds(np.minimum(sizes, k))[:-1]
+        for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
             top = sq[a:b]
             if k < top.size:
                 top = np.partition(top, top.size - k)[top.size - k :] if k else top[:0]
-            top = np.sort(top)[::-1]
-        parts += [sq[a : min(b, a + index)], top]
-        heads.append([at + parts[-2].size if s == "best" else at for s in schemes])
-        at += parts[-2].size + top.size
-    bounds = np.array(bounds)
-    sizes = bounds[1:] - bounds[:-1]
+            kept.append(np.sort(top)[::-1])
+    heads = np.stack([best if s == "best" else heads[:-1] for s in schemes], axis=1)
     whole = np.array(depth) == e
-    kept = np.concatenate(parts)
-    return _Block(paths, depth, k, lad, sizes, whole, kept, np.array(heads))
+    return _Block(paths, depth, k, lad, sizes, energy, whole, np.concatenate(kept), heads)
 
 
 def _certified(block: _Block, schemes) -> list[bool]:
@@ -202,29 +217,38 @@ def _certified(block: _Block, schemes) -> list[bool]:
     (c * max|h|)^2 * 2^(-d-2); best's top k is already built when that
     bound, widened for rounding, is below the k-th largest built square.
     """
-    k, lad = block.k, block.lad
-    atoms = lad.bounds.tolist()
-    held = []
-    rows = zip(block.paths, block.depth, block.whole.tolist(), block.sizes.tolist())
-    for i, (path, d, whole, size) in enumerate(rows):
-        short = ("linear" in schemes and d < k.bit_length()) or (
-            size < k and ("greedy" in schemes or "best" in schemes)
-        )
-        if whole or short or "best" not in schemes or k == 0:
-            held.append(whole or not short)
-            continue
-        a, b = atoms[i], atoms[i + 1]
-        # the last built scale, depth - 1, closes the path's run of atoms;
-        # at depth 0 the ancestor is [0, 1)
-        c = path.num_jumps
-        if d:
-            c = int(lad.count[a + np.searchsorted(lad.scale[a:b], d - 1) : b].max())
-        h = c * float(np.abs(path.jump_heights).max())
-        # the relative margin covers the rounding of c-term sums and their
-        # squares; the absolute one covers squares that underflow
-        bound = h * h * 2.0 ** (-d - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
-        held.append(bound < block.kept[block.heads[i, list(schemes).index("best")] + k - 1])
-    return held
+    k, paths = block.k, block.paths
+    depth = np.array(block.depth, dtype=int)
+    short = np.zeros(depth.size, dtype=bool)
+    if "linear" in schemes:
+        short |= depth < k.bit_length()
+    if "greedy" in schemes or "best" in schemes:
+        short |= block.sizes < k
+    held = block.whole | ~short
+    test = ~(block.whole | short)
+    if "best" not in schemes or k == 0 or not test.any():
+        return held.tolist()
+    # c is the longest run of a path's jumps that share their shift at
+    # scale d - 1, as the ladder counts them; at depth 0 every t / 2
+    # floors to 0, so c is N
+    counts, bounds = paths.counts, paths.bounds
+    starts = bounds[:-1][counts > 0]
+    shift = np.floor(paths.times * np.repeat(np.ldexp(1.0, depth - 1), counts))
+    new = np.empty(shift.size + 1, dtype=bool)
+    np.not_equal(shift[1:], shift[:-1], out=new[1:-1])
+    new[bounds] = True
+    edges = np.flatnonzero(new)
+    c, h = np.zeros(depth.size, dtype=int), np.zeros(depth.size)
+    c[counts > 0] = np.maximum.reduceat(edges[1:] - edges[:-1], np.searchsorted(edges, starts))
+    h[counts > 0] = np.maximum.reduceat(np.abs(paths.heights), starts)
+    # the relative margin covers the rounding of c-term sums and their
+    # squares; the absolute one covers squares that underflow
+    with np.errstate(over="ignore"):
+        h *= c
+        bound = h * h * np.ldexp(1.0, -depth - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
+    kth = block.kept[block.heads[test, list(schemes).index("best")] + k - 1]
+    held[test] = bound[test] < kth
+    return held.tolist()
 
 
 def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
@@ -237,17 +261,27 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     counts = np.empty((block.sizes.size, len(schemes), ms.size), dtype=np.int64)
     counts[:] = np.minimum(block.sizes[:, None], ms)[:, None]
     if "linear" in schemes:
-        # every atom at a scale of at least bit_length(max M) has an index
-        # past every M, and the indices below are exact for every M up to
-        # 2^53; the scaling candidate, index 0, is below every positive M
-        lad = block.lad
-        stop = int(max(m_values, default=0)).bit_length()
-        queries = np.asarray(m_values, dtype=float)
-        rows = counts[:, list(schemes).index("linear")]
-        for row, a, b in zip(rows, lad.bounds.tolist(), lad.bounds[1:].tolist()):
-            b = a + int(np.searchsorted(lad.scale[a:b], stop))
-            row[:] = np.searchsorted(_POW2[lad.scale[a:b]] + lad.shift[a:b], queries)
-        rows += (ms > 0) & (block.sizes[:, None] > 0)
+        # an atom of index below max M <= 2^s lies at a scale j < s, which
+        # holds at most min(2^j, N) atoms, so each path's first few atoms
+        # hold every atom that counts; the indices are exact for every M up
+        # to 2^53, and those past 2^s pass every M. The scaling candidate,
+        # index 0, is below every positive M. Complex numbers order by
+        # their real parts, then their imaginary ones, so the (path, atom
+        # index) keys are in order, and one search counts each path's
+        # atoms below each M
+        lad, rows = block.lad, np.arange(block.sizes.size)
+        stop = (int(max(m_values, default=0)) - 1).bit_length()
+        first = np.minimum(_POW2[:stop], block.paths.counts[:, None]).sum(axis=1)
+        first = np.minimum(first, lad.bounds[1:] - lad.bounds[:-1]).astype(np.intp)
+        heads = _bounds(first)
+        atoms = np.repeat(lad.bounds[:-1] - heads[:-1], first) + np.arange(heads[-1])
+        keys = np.repeat(rows + 0j, first)
+        keys.imag = _POW2[lad.scale[atoms]] + lad.shift[atoms]
+        queries = np.repeat(rows + 0j, ms.size)
+        queries.imag = np.tile(np.asarray(m_values, dtype=float), rows.size)
+        below = np.searchsorted(keys, queries).reshape(rows.size, ms.size) - heads[:-1, None]
+        below += (ms > 0) & (block.sizes[:, None] > 0)
+        counts[:, list(schemes).index("linear")] = below
     return counts
 
 
@@ -265,7 +299,7 @@ def _errors(block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
     start = block.heads[rows, cols]
     kept = np.zeros(counts.shape)
     kept[need] = _range_sums(block.kept, start, start + counts[need])
-    total = np.array([p.l2_norm_sq() for p in block.paths])[:, None, None]
+    total = block.energy[:, None, None]
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in floats
         err = total - kept
     err[every] = 0.0
@@ -303,7 +337,7 @@ def _builds(sizes: list[int]):
         yield start, len(sizes)
 
 
-def _plan(paths, schemes, k: int):
+def _plan(paths: PathBlock, schemes, k: int):
     """Every build that errors_rows and select read, as (indices, block,
     held) triples, held[p] being the certificate's verdict on path
     indices[p]: first every path below its first depth, clipped to its
@@ -312,17 +346,17 @@ def _plan(paths, schemes, k: int):
     consecutive paths within _BUILD_CELLS cells, or of one path past it.
     Each path's resolution is found once. A reader drops each block before
     it asks for the next, so that one build at a time is alive."""
-    n = [p.num_jumps for p in paths]
+    n = paths.counts.tolist()
     # in runs within the budget: no path has fewer cells than jumps
-    e = [r for a, b in _builds(n) for r in resolutions(paths[a:b])]
+    e = [r for a, b in _builds(n) for r in resolutions(paths.take(range(a, b)))]
     hi = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
     todo = list(range(len(paths)))
     while todo:  # twice at most: a whole ladder is certified
         rejected = []
         for a, b in _builds([n[i] * hi[i] for i in todo]):
             ids = todo[a:b]
-            group, depth = [paths[i] for i in ids], [hi[i] for i in ids]
-            block = _block(group, schemes, k, depth, [e[i] for i in ids])
+            depth = [hi[i] for i in ids]
+            block = _block(paths.take(ids), schemes, k, depth, [e[i] for i in ids])
             held = block.whole.tolist() if block.whole.all() else _certified(block, schemes)
             rejected += [i for i, ok in zip(ids, held) if not ok]
             yield ids, block, held
@@ -331,14 +365,16 @@ def _plan(paths, schemes, k: int):
 
 
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
-    """Exact squared errors of every path of a list, as a (paths, schemes,
-    M) float array: one row per scheme in schemes, one entry per M in
-    m_values, from the builds of _plan, each within _BUILD_CELLS cells (a
-    path past it alone). Linear and greedy keep candidates in index order;
+    """Exact squared errors of every path of a PathBlock, or of a list of
+    paths read as PathBlock.of(paths), as a (paths, schemes, M) float
+    array: one row per scheme in schemes, one entry per M in m_values, from
+    the builds of _plan, each within _BUILD_CELLS cells (a path past it
+    alone). Linear and greedy keep candidates in index order;
     best keeps the largest squares first. Each value is the path's own: the
     ladder cells, the certificate and the sums do not depend on the paths
     beside it."""
     _check_query(schemes, m_values)
+    paths = paths if isinstance(paths, PathBlock) else PathBlock.of(paths)
     rows = np.empty((len(paths), len(schemes), len(m_values)))
     for ids, block, _ in _plan(paths, schemes, int(max(m_values, default=0))):
         # a rejected path's rows are replaced when it is built again
@@ -360,14 +396,13 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     nonzero ones (none on a jump-free path); best the m largest magnitudes
     of the full expansion, ties to the smaller index."""
     _check_query((scheme,), [m])
-    for _, block, held in _plan([path], (scheme,), int(m)):
+    for _, block, held in _plan(PathBlock.of([path]), (scheme,), int(m)):
         if held[0]:
             break
         del block  # freed before the path is built again
     counts = _kept_counts(block, (scheme,), [m])
     lad = block.lad
-    # the candidates, as _block lays them out: the scaling coefficient, then the ladder
-    values = np.concatenate(([coeff(path, SCALING).value] if path.num_jumps else [], lad.value))
+    values = _candidates(block.paths, lad, block.paths.sums()[0])[0]
     count = int(counts[0, 0, 0])
     if scheme == "best":
         # the top m are built and strictly larger than every atom that is
@@ -495,72 +530,3 @@ def best_errors_discrete(coeffs, m_values) -> list[float]:
     package calls errors_discrete; the benchmark's traced replay
     (perfbench/child.py) still calls this by name."""
     return errors_discrete(coeffs, ("best",), m_values)[0]
-
-
-# ---------------------------------------------------------------------------
-# exact sums
-
-
-_TINY = 2.0**-1022  # the least normal float; every float is a multiple of 2^-1074
-
-
-def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
-    """The correctly rounded sum of x[lo[i]:hi[i]] for each i, the value
-    fsum over those entries gives, for a nonnegative float array x that is
-    overwritten on the way, from one vectorized loop of error-free
-    extraction (Rump, Ogita and Oishi, "Accurate floating-point summation,
-    part I", 2008).
-
-    With every |p| <= 2^-L sigma, where sigma is a power of two >= 2^-1022
-    and 2^L >= 2(n + 2) for n entries, q = (p + sigma) - sigma is p rounded
-    to a multiple of 2^-53 sigma, the remainder p - q is exact and at most
-    2^-53 sigma, and |q| <= 2^-L sigma. So every partial sum of a round's
-    q is a multiple of 2^-53 sigma below sigma / 2, which is exact in any
-    order: the sums of a round between consecutive run ends, and their
-    running sums, are exact, and a run's sum in the round is the
-    difference of two of them. Each round scales sigma by 2^(L-53); once
-    sigma is 2^-1022 the remainder is below 2^-1075, hence zero. A run's
-    exact sum is the sum of its round sums, a few floats, and fsum rounds
-    them correctly. When the largest entry is not finite, or too large for
-    sigma to be a float, each run is summed by fsum over its entries, which
-    returns inf or nan, or raises OverflowError.
-    """
-    if not lo.size:
-        return []
-    n = x.size
-    top = float(x.max())
-    width = (2 * (n + 2) - 1).bit_length()  # L, the least with 2^L >= 2(n + 2)
-    if not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
-        return [math.fsum(x[a:b].tolist()) for a, b in zip(lo.tolist(), hi.tolist())]
-    sigma = max(math.ldexp(1.0, math.frexp(top)[1] + width), _TINY)
-    shrink = math.ldexp(1.0, width - 53)
-    # the run ends in order, without repeats; each segment between two is
-    # summed per round, from the first end
-    ends = np.concatenate((lo, hi))
-    edges = np.sort(ends)
-    distinct = np.empty(edges.size, dtype=bool)
-    distinct[0] = True
-    np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
-    edges = edges[distinct]
-    if edges.size == 1:
-        return [0.0] * lo.size
-    p = x[edges[0] : edges[-1]]  # the remainder, in place
-    q = np.empty_like(p)
-    segments = edges[:-1] - edges[0]
-    # row r: 0.0, then round r's sum of each segment; running sums below
-    rounds = np.zeros((4, edges.size))
-    r = 0
-    while True:
-        np.add(p, sigma, out=q)
-        q -= sigma
-        p -= q
-        if r == len(rounds):
-            rounds = np.concatenate((rounds, np.zeros_like(rounds)))
-        np.add.reduceat(q, segments, out=rounds[r, 1:])
-        r += 1
-        if not np.count_nonzero(p):
-            break
-        sigma = max(sigma * shrink, _TINY)
-    running = np.cumsum(rounds[:r], axis=1)
-    at = running[:, np.searchsorted(edges, ends)]
-    return list(map(math.fsum, (at[:, lo.size :] - at[:, : lo.size]).T.tolist()))

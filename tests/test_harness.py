@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from cpwave import JumpLaw, cli, derive_stream, harness, sample_path, schemes
 from cpwave.haar import resolutions
+from cpwave.processes import PathBlock
 from cpwave.harness import (
     CurveRecord,
     ExperimentConfig,
@@ -29,7 +30,7 @@ from cpwave.harness import (
 from cpwave.schemes import errors_discrete
 from cpwave.theory import greedy_mse_envelope, linear_mse
 
-from test_schemes import reference_errors
+from test_schemes import jumps, paths_of, reference_errors
 
 CURVE_HEADER = "process,scheme,dictionary,lambda,sigma0_sq,M,log2_M,mse_mean,mse_db,ci_lo,ci_hi,trials,seed"
 
@@ -124,9 +125,9 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
     calls, verdicts = [], []
     real_ladders, real_certified = schemes.ladders, schemes._certified
 
-    def counting_ladders(paths, hi):
-        calls.append((paths, hi))
-        return real_ladders(paths, hi)
+    def counting_ladders(block, hi):
+        calls.append((paths_of(block), hi))
+        return real_ladders(block, hi)
 
     def recording_certified(*args):
         verdicts.append(real_certified(*args))
@@ -151,14 +152,16 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
             block = _trial_errors(cfg, range(start, start + 4))
             assert [[len(row) for row in rows] for rows in block] == [[len(cfg.m_values)] * 3] * 4
             (paths, built), *rest = calls
-            assert len(paths) == 4 and len(rest) <= 1
-            e = resolutions(paths)
+            sampled = [sample_path(cfg.lam, cfg.jump_law(), derive_stream(cfg.master_seed, t))
+                       for t in range(start, start + 4)]
+            assert jumps(paths) == jumps(sampled) and len(rest) <= 1
+            e = resolutions(PathBlock.of(paths))
             assert built == [min(schemes._first_depth(p.num_jumps, k), r) for p, r in zip(paths, e)]
             held = verdicts[0] if verdicts else [True] * 4
             rejected = [i for i in range(4) if not held[i]]
             if rest:
                 ((again, whole),) = rest
-                assert [id(p) for p in again] == [id(paths[i]) for i in rejected]
+                assert jumps(again) == jumps([paths[i] for i in rejected])
                 assert whole == [e[i] for i in rejected]
                 assert all(built[i] < e[i] for i in rejected)
             else:
@@ -848,7 +851,7 @@ def test_cli_path_beyond_scale_1023_is_config_error(monkeypatch, capsys):
     from test_processes import make_path
 
     fine = make_path([2.0**-1000 + 2.0**-1050, 0.5], [1.0, -1.0])
-    monkeypatch.setattr(harness, "sample_path", lambda *_args: fine)
+    monkeypatch.setattr(harness, "sample_block", lambda *args: PathBlock.of([fine] * len(args[3])))
     code = run_cli("mse-curve", "--process", "cp", "--lambda", "10", "--trials", "2")
     assert code == 2
     assert "1023" in capsys.readouterr().err
@@ -942,3 +945,28 @@ def test_cli_dict_compare(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["kind"] == "CurveRecord"
     assert len(doc["records"]) == 8
+
+
+def test_analytic_block_draws_each_trial_once_and_builds_no_path(monkeypatch):
+    # an analytic block is sampled straight into one PathBlock: one
+    # derive_stream call per trial, and no CompoundPoissonPath is made
+    from cpwave import processes
+
+    streams, made = [], []
+    real_derive, real_init = processes.derive_stream, processes.CompoundPoissonPath.__post_init__
+
+    def counting_derive(seed, index):
+        streams.append(index)
+        return real_derive(seed, index)
+
+    def counting_init(self):
+        made.append(self)
+        real_init(self)
+
+    for module in (processes, harness):
+        monkeypatch.setattr(module, "derive_stream", counting_derive)
+    monkeypatch.setattr(processes.CompoundPoissonPath, "__post_init__", counting_init)
+    for cfg in (small_config(), small_config(lam=500.0, m_values=(4, 64, 1024))):
+        streams.clear()
+        _trial_errors(cfg, range(16, 32))
+        assert streams == list(range(16, 32)) and made == []

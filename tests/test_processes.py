@@ -1,6 +1,7 @@
 """Tests for path simulation: jump laws, spacing, exact norms, grids."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from cpwave import (
     sample_grid,
     sample_path,
 )
-from cpwave.processes import MAX_EXPECTED_JUMPS
+from cpwave import processes
+from cpwave.processes import MAX_EXPECTED_JUMPS, PathBlock, sample_block
 
 LAW10 = JumpLaw(variance=0.1)
 
@@ -306,3 +308,162 @@ def test_jump_law_refuses_rates_beyond_memory():
         JumpLaw.for_rate(MAX_EXPECTED_JUMPS * 1.0001)
     with pytest.raises(ValueError, match="expected jumps"):
         JumpLaw.for_rate(1e9, variance=1.0)
+
+
+# ---------------------------------------------------------------------------
+# PathBlock and block sampling
+
+
+class InjectedGenerator:
+    """A stream whose first draw of jump times or heights has one fault put
+    in: a 0.0 time, a tied pair of times, or a 0.0 height; every later
+    draw, and the rest of that one, is the real generator's. It counts the
+    draws, so a test can see that a redraw happened."""
+
+    def __init__(self, fault, seed, index):
+        self.rng, self.fault, self.calls = derive_stream(seed, index), fault, []
+
+    def poisson(self, lam):
+        self.calls.append("poisson")
+        return 6 + self.rng.poisson(lam)  # room for a tied pair
+
+    def random(self, n):
+        self.calls.append("random")
+        u = self.rng.random(n)
+        if self.calls.count("random") == 1:
+            if self.fault == "zero time":
+                u[2] = 0.0
+            elif self.fault == "tie":
+                u[4] = u[1]
+        return u
+
+    def normal(self, loc, scale, n):
+        self.calls.append("normal")
+        h = self.rng.normal(loc, scale, n)
+        if self.fault == "zero height" and self.calls.count("normal") == 1:
+            h[3] = 0.0
+        return h
+
+
+@pytest.mark.parametrize("fault", ["zero time", "tie", "zero height"])
+def test_sample_path_and_block_redraw_a_fault(monkeypatch, fault):
+    # sample_path draws the faulty entries again; the block sampler finds
+    # the faulty trial in its one check and draws it again whole, from a
+    # fresh stream, so the trial keeps sample_path's bits
+    stream = InjectedGenerator(fault, 21, 2)
+    path = sample_path(10.0, LAW10, stream)
+    redrawn = "random" if fault != "zero height" else "normal"
+    assert stream.calls.count(redrawn) == 2
+    assert path.jump_times[0] > 0.0 and np.all(np.diff(path.jump_times) > 0.0)
+    assert np.all(path.jump_heights != 0.0)
+
+    streams = []
+
+    def derive(seed, index):
+        streams.append(index)
+        return InjectedGenerator(fault, seed, index) if index == 2 else derive_stream(seed, index)
+
+    monkeypatch.setattr(processes, "derive_stream", derive)
+    block = sample_block(10.0, LAW10, 21, range(5))
+    assert streams == [0, 1, 2, 3, 4, 2]
+    expected = PathBlock.of([sample_path(10.0, LAW10, derive(21, t)) for t in range(5)])
+    for name in ("times", "heights", "bounds"):
+        assert getattr(block, name).tobytes() == getattr(expected, name).tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.5, 10.0, 500.0])
+def test_sample_block_equals_per_trial_sample_path(lam):
+    # 2,000 trials in blocks of 4: at rate 0.5 many paths, and many whole
+    # blocks, have no jump at all
+    law = JumpLaw.for_rate(lam)
+    empty = 0
+    for start in range(0, 2000, 4):
+        block = sample_block(lam, law, 22, range(start, start + 4))
+        paths = [sample_path(lam, law, derive_stream(22, t)) for t in range(start, start + 4)]
+        expected = PathBlock.of(paths)
+        for name in ("times", "heights", "bounds"):
+            assert getattr(block, name).tobytes() == getattr(expected, name).tobytes()
+        empty += not block.times.size
+    assert (empty > 0) == (lam < 1)
+
+
+@pytest.mark.parametrize("times, heights, bounds", [
+    ([0.0, 0.5], [1.0, 1.0], [0, 2]),               # a time at 0
+    ([0.5, 1.0], [1.0, 1.0], [0, 1, 2]),            # a time at 1
+    ([-0.25], [1.0], [0, 1]),                       # below 0
+    ([math.nan], [1.0], [0, 1]),                    # nan
+    ([0.25, 0.25], [1.0, 1.0], [0, 2]),             # a tie inside a path
+    ([0.5, 0.25], [1.0, 1.0], [0, 2]),              # a drop inside a path
+    ([0.25, 0.5], [1.0], [0, 2]),                   # mismatched shapes
+    ([[0.25, 0.5]], [[1.0, 1.0]], [0, 2]),          # not 1-d
+    ([0.25, 0.5], [1.0, 1.0], [0, 2, 1, 2]),        # bounds that fall
+    ([0.25, 0.5], [1.0, 1.0], [0, 1]),              # bounds short of the jumps
+    ([0.25, 0.5], [1.0, 1.0], [1, 2]),              # bounds not from 0
+    ([0.25, 0.5], [1.0, 1.0], [0.0, 2.0]),          # bounds not integers
+    ([0.25, 0.5], [1.0, 1.0], []),                  # no bounds at all
+])
+def test_path_block_refuses(times, heights, bounds):
+    with pytest.raises(ValueError):
+        PathBlock(times, heights, bounds)
+
+
+def test_path_block_accepts_drops_between_paths_and_empty_paths():
+    block = PathBlock([0.5, 0.75, 0.25], [1.0, -2.0, 3.0], [0, 0, 2, 2, 3, 3])
+    assert len(block) == 5 and block.counts.tolist() == [0, 2, 0, 1, 0]
+    assert not block.times.flags.writeable
+    assert len(PathBlock([], [], [0])) == 0 and len(PathBlock.of([])) == 0
+    # take gives the same paths, consecutive or not
+    assert block.take([1, 3]).counts.tolist() == [2, 1]
+    assert block.take([1, 2, 3]).times.tolist() == [0.5, 0.75, 0.25]
+    assert block.take([3, 4]).bounds.tolist() == [0, 1, 1]
+
+
+def test_path_block_sums_equal_the_one_path_views():
+    # the scaling coefficient and the energy of each path keep the bits of
+    # the per-path fsum over its own terms, whatever the paths beside it:
+    # in blocks of three, whose running sums come from one padded cumsum,
+    # and in one block of all, padded too wide, which sums path by path
+    paths = [make_path([], []), make_path([0.25], [1.0]), make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0])]
+    paths += [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(23, t)) for lam in (0.5, 10.0, 500.0)
+              for t in range(6)]
+    sums = [PathBlock.of(paths[i : i + 3]).sums() for i in range(0, len(paths), 3)]
+    blocks = [np.concatenate(part) for part in zip(*sums)]
+    for scaling, energy in (blocks, PathBlock.of(paths).sums()):
+        for p, c, e in zip(paths, scaling.tolist(), energy.tolist()):
+            t, h = p.jump_times, p.jump_heights
+            lengths = np.diff(np.append(t, 1.0))
+            assert c == math.fsum((h * (1.0 - t)).tolist())
+            assert e == math.fsum(((np.cumsum(h) ** 2) * lengths).tolist())
+            assert e == p.l2_norm_sq()
+
+
+def exact_energy(path):
+    """The path's energy and the sum of S_i^2 * length_i, as rationals:
+    L_i and S_i are the running sums of h and |h| up to the i-th jump."""
+    ends = [Fraction(t) for t in path.jump_times.tolist()] + [Fraction(1)]
+    level = running = energy = scale = Fraction(0)
+    for i, h in enumerate(path.jump_heights.tolist()):
+        level += Fraction(h)
+        running += abs(Fraction(h))
+        energy += level * level * (ends[i + 1] - ends[i])
+        scale += running * running * (ends[i + 1] - ends[i])
+    return energy, scale
+
+
+def test_l2_norm_sq_keeps_its_stated_error_bound():
+    # the levels are rounded running sums, so the energy is exact only up
+    # to 2 (N + 2) 2^-53 sum(S_i^2 length_i); with a +-10^6 jump pair 2^-45
+    # apart the levels cancel and it is off by about 1.3e-10 relative
+    path = sample_path(3.0, JumpLaw.for_rate(3.0), derive_stream(79, 1))
+    times = np.concatenate((path.jump_times, [0.3, 0.3 + 2.0**-45]))
+    heights = np.concatenate((path.jump_heights, [1e6, -1e6]))
+    order = np.argsort(times, kind="stable")
+    spiked = make_path(times[order], heights[order], lam=3.0)
+    paths = [spiked] + [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(80, t))
+                        for lam in (3.0, 10.0, 100.0) for t in range(5)]
+    for p in paths:
+        energy, scale = exact_energy(p)
+        error = abs(Fraction(p.l2_norm_sq()) - energy)
+        assert error <= 2 * (p.num_jumps + 2) * Fraction(1, 2**53) * scale
+    energy, _ = exact_energy(spiked)
+    assert 1e-10 < abs(Fraction(spiked.l2_norm_sq()) - energy) / energy < 2e-10

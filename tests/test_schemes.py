@@ -19,6 +19,7 @@ from cpwave import (
     select,
     select_discrete,
 )
+from cpwave import haar as haar_module
 from cpwave import schemes as schemes_module
 from cpwave.haar import atom_from_index, atoms_past, coeff, ladder, support
 from cpwave.schemes import (
@@ -343,15 +344,27 @@ LAW500 = JumpLaw.for_rate(500.0)
 M_1024 = [4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
+def jumps(paths):
+    """Each path's jump times and heights as bytes, which is how a build's
+    paths are compared with the paths it was asked to read."""
+    return [(p.jump_times.tobytes(), p.jump_heights.tobytes()) for p in paths]
+
+
+def paths_of(block):
+    """The paths of a PathBlock, rebuilt one by one."""
+    ends = block.bounds.tolist()
+    return [make_path(block.times[a:b], block.heights[a:b]) for a, b in zip(ends, ends[1:])]
+
+
 def counting_ladders(calls):
     """A stand-in for schemes.ladders that records, per call, its paths and
     the depth each is built to: every build is a prefix of scales from 0,
     and a re-read asks for the path's resolution."""
     real = schemes_module.ladders
 
-    def counted(paths, hi):
-        calls.append((paths, hi))
-        return real(paths, hi)
+    def counted(block, hi):
+        calls.append((paths_of(block), hi))
+        return real(block, hi)
 
     return counted
 
@@ -416,7 +429,7 @@ def test_errors_equal_whole_ladder_reference():
         assert built == first_depth(path, max(ms))
         if rest:
             ((again, whole),) = rest
-            assert again == [path] and whole == [e] and built < e
+            assert jumps(again) == jumps([path]) and whole == [e] and built < e
             branches.add("reread")
         elif built < e:
             branches.add("truncated")
@@ -462,7 +475,8 @@ def test_select_rereads_a_rejected_path_whole(monkeypatch):
             assert bool(rest) == (verdicts == [[False]])
             if rest:
                 ((again, whole),) = rest
-                assert again == [path] and whole == [ladder(path).resolution] and built < whole[0]
+                assert jumps(again) == jumps([path]) and whole == [ladder(path).resolution]
+                assert built < whole[0]
             reread += bool(rest)
     assert reread > 0
 
@@ -612,8 +626,8 @@ def test_errors_rows_match_the_whole_ladder_reference_on_a_mixed_block(monkeypat
     # from scale 0 to its resolution: its +-10^6 pair separates near scale
     # 44, far below its first depth
     (first, built), (again, whole) = calls
-    assert first == paths and built == [first_depth(p, 10) for p in paths]
-    assert again == [spiked] and whole == [ladder(spiked).resolution]
+    assert jumps(first) == jumps(paths) and built == [first_depth(p, 10) for p in paths]
+    assert jumps(again) == jumps([spiked]) and whole == [ladder(spiked).resolution]
     assert built[2] < whole[0]
     for got, path in zip(rows, paths):
         assert row_bits(got) == row_bits([reference_errors(path, "best", [1, 10])])
@@ -665,7 +679,8 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
         block = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(1, t)) for t in range(16)]
         calls.clear()
         errors_rows(block, SCHEMES, M_1024)
-        assert [p for group, _ in calls for p in group] == block and (len(calls) > 1) == several
+        assert jumps(p for group, _ in calls for p in group) == jumps(block)
+        assert (len(calls) > 1) == several
     budget = 2000
     monkeypatch.setattr(schemes_module, "_BUILD_CELLS", budget)
     paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(42, s))
@@ -685,9 +700,9 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
             rejected.append(path)
     assert len(rejected) >= 8
 
-    def freeing_ladders(paths, hi):
+    def freeing_ladders(block, hi):
         assert all(ref() is None for ref in alive)  # the last build is gone
-        lads = counted(paths, hi)
+        lads = counted(block, hi)
         alive.append(weakref.ref(lads.value))
         return lads
 
@@ -695,8 +710,8 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
     calls.clear()
     rows = errors_rows(paths, SCHEMES, ms)
     firsts, rereads = split_passes(calls, len(paths))
-    assert [p for group, _ in firsts for p in group] == paths
-    assert [p for group, _ in rereads for p in group] == rejected
+    assert jumps(p for group, _ in firsts for p in group) == jumps(paths)
+    assert jumps(p for group, _ in rereads for p in group) == jumps(rejected)
     assert all(hi == [ladder(p).resolution for p in group] for group, hi in rereads)
     for cells in (assert_within_budget(firsts, budget), assert_within_budget(rereads, budget)):
         assert any(len(build) > 1 for build in cells)
@@ -710,9 +725,9 @@ def test_errors_rows_finds_each_resolution_once(monkeypatch):
     seen = []
     real = schemes_module.resolutions
 
-    def counting_resolutions(paths):
-        seen.extend(paths)
-        return real(paths)
+    def counting_resolutions(block):
+        seen.extend(paths_of(block))
+        return real(block)
 
     monkeypatch.setattr(schemes_module, "resolutions", counting_resolutions)
     for lam in (10.0, 500.0):
@@ -721,7 +736,7 @@ def test_errors_rows_finds_each_resolution_once(monkeypatch):
             block = [sample_path(lam, law, derive_stream(44, t)) for t in range(start, start + 16)]
             seen.clear()
             errors_rows(block, SCHEMES, M_1024)
-            assert [id(p) for p in seen] == [id(p) for p in block]
+            assert jumps(seen) == jumps(block)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KB on Linux")
@@ -784,6 +799,21 @@ def fsum_runs(x, lo, hi):
     return [math.fsum(x[a:b].tolist()) for a, b in zip(lo, hi)]
 
 
+def kernel_sums(x, lo, hi):
+    """_range_sums of x, as it runs, and forced through its vector rounds,
+    which it skips for few terms; both must give the same sums."""
+    from cpwave import processes
+
+    default = schemes_module._range_sums(x.copy(), lo, hi)
+    few, processes._FEW_TERMS = processes._FEW_TERMS, -1
+    try:
+        rounds = schemes_module._range_sums(x.copy(), lo, hi)
+    finally:
+        processes._FEW_TERMS = few
+    assert [v.hex() for v in default] == [v.hex() for v in rounds]
+    return rounds
+
+
 @st.composite
 def runs_over(draw):
     """A nonnegative array with ties, zeros, subnormals and squares over
@@ -805,8 +835,20 @@ def runs_over(draw):
 def test_range_sums_equal_fsum_per_run(run):
     x, lo, hi = run
     expected = fsum_runs(x, lo, hi)
-    got = schemes_module._range_sums(x.copy(), lo, hi)
+    got = kernel_sums(x, lo, hi)
     assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+@given(runs_over(), st.lists(st.booleans(), min_size=60, max_size=60))
+@example((np.array([1.0, -1.0, 2.0**-60, -(2.0**-60)]), np.array([0, 0, 1]), np.array([2, 4, 3])), [False] * 60)
+@example((np.array([1e300, -1e300, 5e-324]), np.array([0, 0]), np.array([2, 3])), [False] * 60)
+@settings(max_examples=200, deadline=None)
+def test_range_sums_of_either_sign_equal_fsum_per_run(run, negative):
+    # signed runs, as a path's scaling coefficient sums them
+    x, lo, hi = run
+    x = np.where(negative[: x.size], -x, x)
+    expected = fsum_runs(x, lo, hi)
+    assert [v.hex() for v in kernel_sums(x, lo, hi)] == [v.hex() for v in expected]
 
 
 @pytest.mark.parametrize("x", [
@@ -822,9 +864,9 @@ def test_range_sums_follow_fsum_past_the_float_range(x):
         expected = [v.hex() for v in fsum_runs(x, lo, hi)]
     except OverflowError:
         with pytest.raises(OverflowError):
-            schemes_module._range_sums(x.copy(), lo, hi)
+            kernel_sums(x, lo, hi)
         return
-    assert [v.hex() for v in schemes_module._range_sums(x.copy(), lo, hi)] == expected
+    assert [v.hex() for v in kernel_sums(x, lo, hi)] == expected
 
 
 def reference_errors_discrete(coeffs, scheme, ms):
@@ -1028,3 +1070,33 @@ def test_discrete_ordering_and_profiles(coeffs, data):
         assert l == pytest.approx(select_discrete(arr, "linear", m).error_sq, rel=1e-12, abs=1e-12)
         assert g == pytest.approx(select_discrete(arr, "greedy", m).error_sq, rel=1e-12, abs=1e-12)
         assert b == pytest.approx(select_discrete(arr, "best", m).error_sq, rel=1e-12, abs=1e-12)
+
+
+def test_errors_rows_of_a_path_block_equal_the_list_and_one_path_calls(monkeypatch):
+    # a PathBlock of jump-free paths, one-jump paths and the +-10^6 pair,
+    # whose ladder is read again whole, gives the bits of the list call and
+    # of each path's own call; and reading a block calls neither
+    # l2_norm_sq nor coeff
+    from cpwave.processes import CompoundPoissonPath, PathBlock
+
+    spiked = make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0])
+    paths = [make_path([], []), make_path([0.37], [1.3]), spiked, make_path([], []), make_path([0.5], [-2.0])]
+    paths += [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(45, s)) for lam in (0.5, 10.0, 500.0) for s in range(2)]
+    runs = [(SCHEMES, [0, 1, 4, 10]), (("best",), [1, 10]), (SCHEMES, [0, 64, 1024, 3000])]
+    single = [[errors(path, chosen, ms) for path in paths] for chosen, ms in runs]
+    listed = [errors_rows(paths, chosen, ms) for chosen, ms in runs]
+
+    def refuse(*args):
+        raise AssertionError("a block is read without per-path calls")
+
+    monkeypatch.setattr(CompoundPoissonPath, "l2_norm_sq", refuse)
+    monkeypatch.setattr(haar_module, "coeff", refuse)
+    calls = []
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    for (chosen, ms), one, rows in zip(runs, single, listed):
+        calls.clear()
+        block = errors_rows(PathBlock.of(paths), chosen, ms)
+        # at M <= 10 the pair's ladder is read again whole, alone
+        assert (jumps(calls[-1][0]) == jumps([spiked])) == (max(ms) <= 10)
+        assert row_bits(block.reshape(-1, len(ms))) == row_bits(sum(one, []))
+        assert row_bits(rows.reshape(-1, len(ms))) == row_bits(sum(one, []))
