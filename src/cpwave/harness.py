@@ -3,11 +3,11 @@
 Every trial owns a private random stream derived from (master_seed, trial
 index), and per-trial results are reduced in trial order, so curves are
 byte-for-byte reproducible regardless of how many worker processes run the
-trials. Trials run in blocks of consecutive indices. An analytic block is
-sampled into one processes.PathBlock (sample_block) and read by one
-schemes.errors_rows call, which sizes its own builds; otherwise each trial
-samples its own path or grid, and a discrete dictionary transforms the
-block's grids as one array and sums every row's errors in one exact pass.
+trials. Trials run in blocks of consecutive indices. A compound Poisson
+block is one processes.PathBlock (sample_block), read by one
+schemes.errors_rows call or turned into grids by PathBlock.values_at; a
+Brownian block samples one grid per trial. A discrete dictionary transforms
+a block's grids as one array and sums every row's errors in one pass.
 Every sum is exact and correctly rounded, so it does not depend on the
 paths or rows beside it, and blocks change no byte. With several workers,
 whole blocks go to the pool. Scheme-ordering and monotonicity invariants
@@ -29,14 +29,13 @@ from . import schemes, theory
 from .processes import (
     MAX_GRID_LOG2,
     JumpLaw,
+    _check_grid_log2,
     _positive,
     brownian_grid,
     check_expected_jumps,
     derive_stream,
     is_int,
     sample_block,
-    sample_grid,
-    sample_path,
 )
 from .haar import discrete_haar_forward
 from .schemes import SCHEMES, InvariantViolation
@@ -109,8 +108,7 @@ class ExperimentConfig:
             raise ValueError(f"m_values must be integers >= 1, got {self.m_values}")
         if any(b <= a for a, b in zip(self.m_values, self.m_values[1:])):
             raise ValueError(f"m_values must be strictly increasing, got {self.m_values}")
-        if not is_int(self.grid_log2) or not (1 <= self.grid_log2 <= MAX_GRID_LOG2):
-            raise ValueError(f"grid_log2 must lie in [1, {MAX_GRID_LOG2}], got {self.grid_log2}")
+        _check_grid_log2(self.grid_log2)
         if self.dictionary != "haar_analytic" and max(self.m_values) > 2**self.grid_log2:
             raise ValueError(
                 f"largest M {max(self.m_values)} exceeds the {2 ** self.grid_log2} "
@@ -224,39 +222,31 @@ def _trial_errors(
     """Squared errors for a block of trials, as a (trials, curves, M) array:
     one curve per (dictionary, scheme) pair, dictionary-major. The
     dictionaries default to the config's own; all of them read each trial's
-    one path or grid. Every trial samples from its own stream; then the
-    analytic dictionary reads the block's paths in one errors_rows call,
-    and a discrete one transforms the block's grids as one (trials, 2^L)
-    array and sums every row's errors in one pass."""
+    one path or grid, from its own stream: a cp block is one PathBlock, a
+    bm block one Brownian grid per trial. The analytic dictionary reads the
+    paths in one errors_rows call; a discrete one transforms the grids, for
+    cp the paths' values at i / 2^L, as one (trials, 2^L) array."""
     dictionaries = dictionaries or (config.dictionary,)
-    ms = config.m_values
-    law = config.jump_law() if config.process == "cp" else None
-    paths, grids = [], []
-    if dictionaries == ("haar_analytic",):  # only cp has an analytic dictionary
-        paths = sample_block(config.lam, law, config.master_seed, trials)
+    ms, n = config.m_values, 2**config.grid_log2
+    if config.process == "cp":
+        paths = sample_block(config.lam, config.jump_law(), config.master_seed, trials)
+        if dictionaries != ("haar_analytic",):
+            grid = paths.values_at(np.arange(n) / n)
     else:
-        for trial in trials:
-            stream = derive_stream(config.master_seed, trial)
-            path = sample_path(config.lam, law, stream) if law else None
-            paths.append(path)
-            grid = (
-                sample_grid(path, config.grid_log2)
-                if path
-                else brownian_grid(config.sigma0_sq, config.grid_log2, stream)
-            )
-            grids.append(grid.values)
+        streams = [derive_stream(config.master_seed, t) for t in trials]
+        grid = np.stack([brownian_grid(config.sigma0_sq, config.grid_log2, s).values
+                         for s in streams])
     blocks = []
     for dictionary in dictionaries:
         if dictionary == "haar_analytic":
             block = schemes.errors_rows(paths, config.schemes, ms)
         else:
-            grid = np.stack(grids)
             coeffs = (
                 discrete_haar_forward(grid)
                 if dictionary == "haar_discrete"
                 else dct_mod.dct2_forward(grid).values
             )
-            block = schemes.errors_discrete_rows(coeffs, config.schemes, ms) / 2.0**config.grid_log2
+            block = schemes.errors_discrete_rows(coeffs, config.schemes, ms) / n
         _assert_invariants(config, trials, block)
         blocks.append(block)
     return np.concatenate(blocks, axis=1)

@@ -5,12 +5,14 @@ plus jump heights, so path evaluation, L2 norms, and minimum jump spacing
 are all computed in closed form rather than from a grid. A PathBlock lays
 the jumps of a block of paths end to end, with per-path bounds, and is
 checked once with array operations; sample_block draws a block of trials
-into one, each from its own stream as sample_path draws it, and its
-scaling coefficients and energies come from one exact pass over the block
-(_range_sums, the package's exact summation kernel).
-CompoundPoissonPath is the one-path view, and PathBlock.of turns a list of
-them into a block. Brownian motion only exists here as a grid signal built
-from independent Gaussian increments.
+into one, each from its own stream as sample_path draws it. The running
+sums of each path's heights give both its values at shared points
+(values_at) and, through one exact pass over the block (_range_sums, the
+package's exact summation kernel), its scaling coefficient and energy.
+CompoundPoissonPath is the one-path view, checked and evaluated as a
+one-path block, and PathBlock.of turns a list of them into a block.
+Brownian motion only exists here as a grid signal built from independent
+Gaussian increments.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ class JumpLaw:
 class CompoundPoissonPath:
     """One trajectory on [0, 1]: s(t) = sum of heights of jumps at or before t.
 
-    jump_times is strictly increasing with every entry in (0, 1); the arrays
-    are frozen after construction and safe to share between threads.
+    jump_times is strictly increasing with every entry in (0, 1), checked
+    as a one-path PathBlock; the arrays are frozen after construction and
+    safe to share between threads.
     """
 
     lam: float
@@ -130,18 +133,10 @@ class CompoundPoissonPath:
     law: JumpLaw
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.jump_times, dtype=float)
-        heights = np.asarray(self.jump_heights, dtype=float)
-        if times.shape != heights.shape or times.ndim != 1:
-            raise ValueError("jump_times and jump_heights must be 1-d arrays of equal length")
         _positive("lam", self.lam)
-        inside = not times.size or (times[0] > 0.0 and times[-1] < 1.0)
-        if not (inside and np.all(times[1:] > times[:-1])):
-            raise ValueError(_FAULT)
-        times.setflags(write=False)
-        heights.setflags(write=False)
-        object.__setattr__(self, "jump_times", times)
-        object.__setattr__(self, "jump_heights", heights)
+        block = PathBlock(self.jump_times, self.jump_heights, [0, np.size(self.jump_times)])
+        object.__setattr__(self, "jump_times", block.times)
+        object.__setattr__(self, "jump_heights", block.heights)
 
     @property
     def num_jumps(self) -> int:
@@ -154,13 +149,8 @@ class CompoundPoissonPath:
         return float(self.values_at(t))
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized value_at; both read the running sums of the heights."""
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
-            raise ValueError("evaluation points must lie in [0, 1]")
-        csum = np.concatenate(([0.0], np.cumsum(self.jump_heights)))
-        idx = np.searchsorted(self.jump_times, ts, side="right")
-        return csum[idx]
+        """Vectorized value_at: the one-path view of PathBlock.values_at."""
+        return PathBlock.of([self]).values_at(ts)[0]
 
     def min_spacing(self) -> float:
         """Minimum gap between consecutive jumps, counting a virtual jump at 0.
@@ -218,10 +208,7 @@ class PathBlock:
     @classmethod
     def of(cls, paths) -> PathBlock:
         """The block of a list of paths, each checked when it was made."""
-        bounds = _bounds([p.num_jumps for p in paths])
-        times = np.concatenate([np.empty(0)] + [p.jump_times for p in paths])
-        heights = np.concatenate([np.empty(0)] + [p.jump_heights for p in paths])
-        return _frozen(object.__new__(cls), times, heights, bounds)
+        return _laid([(p.jump_times, p.jump_heights) for p in paths])
 
     def __len__(self) -> int:
         return self.bounds.size - 1
@@ -260,12 +247,47 @@ class PathBlock:
         energy is off by at most about 2 (N + 2) u sum(S_i^2 length_i) for
         N jumps. That is relative accuracy when the levels do not cancel;
         on a path with a +-10^6 jump pair 2^-45 apart it is off by 1.3e-10
-        relative.
+        relative."""
+        times, bounds, counts = self.times, self.bounds, self.counts
+        terms = np.empty(2 * times.size)
+        np.subtract(1.0, times, out=terms[: times.size])
+        terms[: times.size] *= self.heights
+        lengths = terms[times.size :]
+        np.subtract(times[1:], times[:-1], out=lengths[:-1])
+        last = bounds[1:][counts > 0] - 1
+        lengths[last] = 1.0 - times[last]
+        lengths *= np.square(self._levels())
+        # the scaling runs, then the energy runs, end to end
+        ends = np.concatenate((bounds, bounds[1:] + times.size))
+        sums = _range_sums(terms, ends[:-1], ends[1:])
+        return np.array(sums[: counts.size]), np.array(sums[counts.size :])
 
-        The running sums come from one row-wise cumsum of the heights
-        padded with zeros to the longest path, which gives each path the
-        bits of its own cumsum; a block whose padding would more than
-        double its size, plus a little, sums path by path."""
+    def values_at(self, ts) -> np.ndarray:
+        """Every path's value at the points ts, of any shape, as a (paths,
+        *ts.shape) array: its running sums indexed by np.searchsorted(
+        jump_times, ts, side="right"), bit for bit. Over sorted points a row
+        is the path's 0.0 and levels, each repeated up to the first point
+        the next jump reaches, so the block is one np.repeat."""
+        shape = np.shape(ts)
+        ts = np.asarray(ts, dtype=float).ravel()
+        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+            raise ValueError("evaluation points must lie in [0, 1]")
+        order = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
+        ts = ts if order is None else ts[order]
+        # each run ends at the first point the next jump reaches, or at the row's end
+        n, rows = ts.size, np.arange(len(self)) * ts.size
+        ends = np.searchsorted(ts, self.times) + np.repeat(rows, self.counts)
+        ends = np.insert(ends, self.bounds[1:], rows + n)
+        runs = np.insert(self._levels(), self.bounds[:-1], 0.0)
+        values = np.repeat(runs, np.diff(ends, prepend=0)).reshape(len(self), n)
+        if order is not None:
+            values[:, order] = values.copy()
+        return values.reshape((len(self),) + shape)
+
+    def _levels(self) -> np.ndarray:
+        """Each jump's level, with the bits of np.cumsum over its path's
+        heights: one row-wise cumsum of the heights padded with zeros to the
+        longest path, or path by path if padding would double the block."""
         times, heights, bounds = self.times, self.heights, self.bounds
         counts = self.counts
         width = int(counts.max(initial=0))
@@ -275,24 +297,11 @@ class PathBlock:
             cells += np.arange(times.size)
             padded = np.zeros(counts.size * width)
             padded[cells] = heights
-            levels = np.cumsum(padded.reshape(counts.size, width), axis=1).ravel()[cells]
-        else:
-            ends = bounds.tolist()
-            levels = np.concatenate([np.empty(0)] + [
-                np.cumsum(heights[a:b]) for a, b in zip(ends, ends[1:])
-            ])
-        terms = np.empty(2 * times.size)
-        np.subtract(1.0, times, out=terms[: times.size])
-        terms[: times.size] *= heights
-        lengths = terms[times.size :]
-        np.subtract(times[1:], times[:-1], out=lengths[:-1])
-        last = bounds[1:][counts > 0] - 1
-        lengths[last] = 1.0 - times[last]
-        lengths *= levels * levels
-        # the scaling runs, then the energy runs, end to end
-        ends = np.concatenate((bounds, bounds[1:] + times.size))
-        sums = _range_sums(terms, ends[:-1], ends[1:])
-        return np.array(sums[: counts.size]), np.array(sums[counts.size :])
+            return np.cumsum(padded.reshape(counts.size, width), axis=1).ravel()[cells]
+        ends = bounds.tolist()
+        return np.concatenate([np.empty(0)] + [
+            np.cumsum(heights[a:b]) for a, b in zip(ends, ends[1:])
+        ])
 
 
 _TINY = 2.0**-1022  # the least normal float; every float is a multiple of 2^-1074
@@ -368,6 +377,13 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
 def _bounds(counts) -> np.ndarray:
     """The bounds of paths with the given jump counts, laid end to end."""
     return np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+
+
+def _laid(drawn) -> PathBlock:
+    """The block of paths' (times, heights) pairs laid end to end, unchecked."""
+    times = np.concatenate([np.empty(0)] + [t for t, _ in drawn])
+    heights = np.concatenate([np.empty(0)] + [h for _, h in drawn])
+    return _frozen(object.__new__(PathBlock), times, heights, _bounds([t.size for t, _ in drawn]))
 
 
 def _frozen(block: PathBlock, times, heights, bounds) -> PathBlock:
@@ -447,17 +463,13 @@ def sample_block(lam: float, law: JumpLaw, master_seed: int, trials) -> PathBloc
     """
     _positive("lam", lam)
     drawn = [_draw(lam, law, derive_stream(master_seed, t), False) for t in trials]
-    bounds = _bounds([t.size for t, _ in drawn])
-    times = np.concatenate([np.empty(0)] + [t for t, _ in drawn])
-    heights = np.concatenate([np.empty(0)] + [h for _, h in drawn])
-    bad = _faults(times, bounds)
-    bad |= heights == 0.0
-    if bad.any():
-        for p in np.unique(np.searchsorted(bounds, np.flatnonzero(bad), side="right") - 1):
-            path = sample_path(lam, law, derive_stream(master_seed, trials[p]))
-            times[bounds[p] : bounds[p + 1]] = path.jump_times
-            heights[bounds[p] : bounds[p + 1]] = path.jump_heights
-    return _frozen(object.__new__(PathBlock), times, heights, bounds)
+    block = _laid(drawn)
+    bad = _faults(block.times, block.bounds) | (block.heights == 0.0)
+    # the faulty trials; np.unique would load numpy.ma inside the run
+    for p in sorted(set(np.searchsorted(block.bounds, np.flatnonzero(bad), side="right") - 1)):
+        path = sample_path(lam, law, derive_stream(master_seed, trials[p]))
+        drawn[p] = path.jump_times, path.jump_heights
+    return _laid(drawn) if bad.any() else block
 
 
 def _check_grid_log2(grid_log2: int) -> None:
@@ -469,8 +481,8 @@ def sample_grid(path: CompoundPoissonPath, grid_log2: int) -> SampledPath:
     """Evaluate the path at the 2^L equispaced grid points i / 2^L."""
     _check_grid_log2(grid_log2)
     n = 2**int(grid_log2)
-    grid = np.arange(n, dtype=float) / n
-    return SampledPath(values=path.values_at(grid), grid_log2=int(grid_log2), process="cp")
+    values = path.values_at(np.arange(n) / n)
+    return SampledPath(values=values, grid_log2=int(grid_log2), process="cp")
 
 
 def brownian_grid(

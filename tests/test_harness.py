@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpwave import JumpLaw, cli, derive_stream, harness, sample_path, schemes
+from cpwave import JumpLaw, cli, derive_stream, harness, processes, sample_path, schemes
 from cpwave.haar import resolutions
 from cpwave.processes import PathBlock
 from cpwave.harness import (
@@ -515,24 +515,49 @@ def test_dict_compare_haar_wins_for_jumps():
 
 
 def test_dict_compare_samples_once_per_process_and_trial(monkeypatch):
-    calls = []
+    from cpwave import dct
 
-    def counting(name, fn):
+    calls, grids, read = [], [], []
+
+    def counting(name, fn, out=None):
         def wrapped(*args):
             calls.append(name)
-            return fn(*args)
+            result = fn(*args)
+            if out is not None:
+                out.append(result)
+            return result
 
         return wrapped
 
-    for name in ("derive_stream", "sample_path", "brownian_grid"):
-        monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+    def reading(fn):
+        def wrapped(grid):
+            read.append(grid)
+            return fn(grid)
+
+        return wrapped
+
+    # cp streams are derived inside sample_block, bm streams by the harness
+    for module in (processes, harness):
+        monkeypatch.setattr(module, "derive_stream", counting("derive_stream", module.derive_stream))
+    monkeypatch.setattr(harness, "sample_block", counting("sample_block", harness.sample_block))
+    monkeypatch.setattr(harness, "brownian_grid", counting("brownian_grid", harness.brownian_grid, grids))
+    monkeypatch.setattr(PathBlock, "values_at", counting("values_at", PathBlock.values_at, grids))
+    monkeypatch.setattr(harness, "discrete_haar_forward", reading(harness.discrete_haar_forward))
+    monkeypatch.setattr(dct, "dct2_forward", reading(dct.dct2_forward))
     records = run_dict_compare(10.0, m_values=(4, 16), grid_log2=6, trials=5, seed=3)
     assert [(r.process, r.dictionary) for r in records[::2]] == [
         ("cp", "haar_discrete"), ("cp", "dct"), ("bm", "haar_discrete"), ("bm", "dct"),
     ]
-    # one stream and one path or grid per (process, trial), read by both dictionaries
-    per_trial = ["derive_stream", "sample_path"] * 5 + ["derive_stream", "brownian_grid"] * 5
-    assert calls == per_trial
+    # one stream and one path or grid per (process, trial): the five cp
+    # trials are one block, sampled by one call and evaluated on the grid
+    # by one more
+    assert calls == (["sample_block"] + ["derive_stream"] * 5 + ["values_at"]
+                     + ["derive_stream"] * 5 + ["brownian_grid"] * 5)
+    # both dictionaries read the same grids, one row per trial
+    cp_grid, bm_grids = grids[0], grids[1:]
+    assert read[0] is read[1] and read[2] is read[3]
+    assert read[0] is cp_grid and cp_grid.shape == (5, 64)
+    assert [row.tobytes() for row in read[2]] == [g.values.tobytes() for g in bm_grids]
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +653,9 @@ def test_cli_refuses_energy_scales_near_float_max(monkeypatch, capsys, argv):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the energy scale was checked")
 
-    monkeypatch.setattr(harness, "derive_stream", no_sampling)
+    for module, name in ((harness, "sample_block"), (harness, "derive_stream"),
+                         (processes, "derive_stream")):
+        monkeypatch.setattr(module, name, no_sampling)
     assert run_cli(*argv) == 2
     assert "energy scale" in capsys.readouterr().err
 
@@ -814,9 +841,9 @@ def test_cli_refuses_jump_counts_beyond_memory(monkeypatch, capsys, argv):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the expected jump count was checked")
 
-    for module in (harness, cli):
-        monkeypatch.setattr(module, "sample_path", no_sampling)
-        monkeypatch.setattr(module, "derive_stream", no_sampling)
+    for module, name in ((harness, "sample_block"), (harness, "derive_stream"),
+                         (processes, "derive_stream"), (cli, "sample_path"), (cli, "derive_stream")):
+        monkeypatch.setattr(module, name, no_sampling)
     monkeypatch.setattr(harness, "ProcessPoolExecutor", no_sampling)
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err

@@ -288,10 +288,9 @@ def test_brownian_grid_deterministic():
 
 
 def test_constructor_validation():
-    with pytest.raises(ValueError):
-        make_path([0.5, 0.5], [1.0, 1.0])  # tie
-    with pytest.raises(ValueError):
-        make_path([0.0], [1.0])  # boundary
+    for times in ([0.5, 0.5], [0.0], [math.nan], [0.5, 0.25]):  # tie, boundary, nan, drop
+        with pytest.raises(ValueError, match="strictly inside"):
+            make_path(times, [1.0] * len(times))
     with pytest.raises(ValueError):
         make_path([0.5], [1.0, 2.0])  # length mismatch
     with pytest.raises(ValueError):
@@ -435,6 +434,47 @@ def test_path_block_sums_equal_the_one_path_views():
             assert c == math.fsum((h * (1.0 - t)).tolist())
             assert e == math.fsum(((np.cumsum(h) ** 2) * lengths).tolist())
             assert e == p.l2_norm_sq()
+
+
+@pytest.mark.parametrize("grid_log2", [1, 6, 14])
+def test_path_block_values_at_equal_the_per_path_running_sums(grid_log2):
+    # each row keeps the bits of the path's own cumsum indexed by
+    # searchsorted: with jumps on grid points, several jumps in one cell and
+    # jump-free paths, in blocks of four (padded running sums) and in one
+    # block uneven enough that sums() and values_at read the running sums
+    # path by path
+    n = 2**grid_log2
+    cell = 2.0**-grid_log2
+    on_grid = sorted({cell, 0.5, 1.0 - cell})
+    paths = [make_path([], []), make_path(on_grid, [1.0, -0.25, 0.5][: len(on_grid)]),
+             make_path([0.5 + cell / 3, 0.5 + cell / 2, 0.5 + 2 * cell / 3], [0.1, 0.2, -0.7]),
+             make_path([1.0 - 2.0**-53], [3.0]), make_path([], [])]
+    paths += [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(24, t))
+              for lam in (0.5, 10.0, 500.0) for t in range(5)]
+    paths += [sample_path(3000.0, JumpLaw.for_rate(3000.0), derive_stream(24, 0))]
+    ts = np.arange(n, dtype=float) / n
+    shuffled = np.concatenate((ts[::-1], [0.5, 1.0, 0.0]))
+
+    def running_sums(path, points):
+        levels = np.concatenate(([0.0], np.cumsum(path.jump_heights)))
+        return levels[np.searchsorted(path.jump_times, points, side="right")]
+
+    uneven = PathBlock.of(paths)
+    assert len(uneven) * uneven.counts.max() > 2 * uneven.times.size + 1024
+    for points in (ts, shuffled):
+        rows = [PathBlock.of(paths[i : i + 4]).values_at(points) for i in range(0, len(paths), 4)]
+        for block in (np.concatenate(rows), uneven.values_at(points)):
+            assert block.shape == (len(paths), points.size)
+            for p, row in zip(paths, block):
+                assert row.tobytes() == running_sums(p, points).tobytes()
+                assert row.tobytes() == p.values_at(points).tobytes()
+    grids = uneven.values_at(ts)
+    for p, row in zip(paths, grids):
+        assert row.tobytes() == sample_grid(p, grid_log2).values.tobytes()
+    assert uneven.values_at(ts.reshape(2, n // 2)).tobytes() == grids.tobytes()
+    for bad in ([0.5, 1.5], [-0.25]):
+        with pytest.raises(ValueError, match="evaluation points"):
+            uneven.values_at(bad)
 
 
 def exact_energy(path):
