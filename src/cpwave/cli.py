@@ -58,13 +58,50 @@ _DICTIONARY_ALIASES = {
 }
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    parser.add_argument("--out", default="-", help="output path ('-' writes to stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+_LAMBDA = ("--lambda", {"dest": "lam", "type": float, "required": True})
+_SIGMA0_SQ = ("--sigma0-sq", {"type": float, "default": 1.0})
+_VARIANCE = ("--jump-variance", {"type": float, "default": None})
+_M = ("--m", {"type": _parse_ints, "default": (4, 8, 16, 32, 64, 128, 256)})
+_GRID = ("--grid-log2", {"type": int, "default": 10})
+_RUNS = [("--trials", {"type": int, "default": 1000}), ("--workers", {"type": int, "default": 1})]
+
+# Each subcommand's help line and arguments, in the order --help lists
+# them; every subcommand also takes the common ones.
+_SUBCOMMANDS = {
+    "simulate": ("dump one path's jump locations and heights", [_LAMBDA, _SIGMA0_SQ, _VARIANCE]),
+    "mse-curve": ("Monte Carlo MSE curve", [
+        ("--process", {"choices": ("cp", "bm"), "required": True}),
+        ("--lambda", {"dest": "lam", "type": float, "default": None}), _SIGMA0_SQ, _VARIANCE,
+        ("--schemes", {"type": _parse_schemes, "default": ("linear", "greedy", "best")}),
+        ("--dictionary", {"choices": sorted(_DICTIONARY_ALIASES), "default": "haar"}), _M, _GRID,
+    ] + _RUNS),
+    "lemma-check": ("minimum-spacing law, empirical vs exact", [
+        ("--lambda", {"dest": "lam", "type": float, "default": 10.0}),
+        ("--n", {"type": _parse_ints, "default": (1, 2, 5)}),
+        ("--delta", {"type": _parse_floats, "default": None}),
+        ("--samples", {"type": int, "default": 100_000}),
+    ]),
+    "theorem1-check": ("greedy MSE vs closed-form envelope", [_LAMBDA, _SIGMA0_SQ, _M] + _RUNS),
+    "dict-compare": ("Haar vs cosine dictionary, best-M", [
+        ("--lambda", {"dest": "lam", "type": float, "default": 10.0}), _SIGMA0_SQ,
+        ("--m", {"type": _parse_ints, "default": (16, 32, 64, 128, 256)}), _GRID,
+    ] + _RUNS),
+    "theory-table": ("closed-form quantities per M", [
+        _LAMBDA, _SIGMA0_SQ, _M, ("--tol", {"type": float, "default": 1e-12}),
+    ]),
+}
+_COMMON = [
+    ("--seed", {"type": int, "default": 0, "help": "64-bit master seed"}),
+    ("--out", {"default": "-", "help": "output path ('-' writes to stdout)"}),
+    ("--format", {"choices": ("csv", "json"), "default": "csv"}),
+]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The cpwave parser. It lists every subcommand, but when command is
+    given, only the sub-parser it names, if any, gets its arguments: a
+    command line that starts with command reads no other sub-parser, so
+    its help, usage errors and options are the full parser's."""
     parser = argparse.ArgumentParser(
         prog="cpwave",
         description=(
@@ -74,57 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="dump one path's jump locations and heights")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--jump-variance", type=float, default=None)
-    _add_common(p)
-
-    p = sub.add_parser("mse-curve", help="Monte Carlo MSE curve")
-    p.add_argument("--process", choices=("cp", "bm"), required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--jump-variance", type=float, default=None)
-    p.add_argument("--schemes", type=_parse_schemes, default=("linear", "greedy", "best"))
-    p.add_argument("--dictionary", choices=sorted(_DICTIONARY_ALIASES), default="haar")
-    p.add_argument("--m", type=_parse_ints, default=(4, 8, 16, 32, 64, 128, 256))
-    p.add_argument("--grid-log2", type=int, default=10)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
-
-    p = sub.add_parser("lemma-check", help="minimum-spacing law, empirical vs exact")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    p.add_argument("--n", type=_parse_ints, default=(1, 2, 5))
-    p.add_argument("--delta", type=_parse_floats, default=None)
-    p.add_argument("--samples", type=int, default=100_000)
-    _add_common(p)
-
-    p = sub.add_parser("theorem1-check", help="greedy MSE vs closed-form envelope")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--m", type=_parse_ints, default=(4, 8, 16, 32, 64, 128, 256))
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
-
-    p = sub.add_parser("dict-compare", help="Haar vs cosine dictionary, best-M")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--m", type=_parse_ints, default=(16, 32, 64, 128, 256))
-    p.add_argument("--grid-log2", type=int, default=10)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--workers", type=int, default=1)
-    _add_common(p)
-
-    p = sub.add_parser("theory-table", help="closed-form quantities per M")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--sigma0-sq", type=float, default=1.0)
-    p.add_argument("--m", type=_parse_ints, default=(4, 8, 16, 32, 64, 128, 256))
-    p.add_argument("--tol", type=float, default=1e-12)
-    _add_common(p)
-
+    for name, (text, arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            for flag, options in arguments + _COMMON:
+                p.add_argument(flag, **options)
     return parser
 
 
@@ -249,8 +240,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     # an overflow to inf surfaces as a refused run (exit 2); numpy's
     # warning would only repeat it, so it is silenced for the run
     saved = harness.prepare_process({**np.geterr(), "over": "ignore"})

@@ -10,35 +10,30 @@ Three ways of keeping M coefficients of the Haar expansion:
   holds every nonzero coefficient, and a certificate says when its first
   scales already hold the M largest.
 
-errors_rows(paths, schemes, m_values) reads every requested scheme's errors
-of a processes.PathBlock, or of a list of paths through PathBlock.of;
-errors(path, ...) is its one-path view, and select(path, scheme, m) reads
-one selection's kept atoms and error; both read the builds that one
-planner, _plan, makes. A build is a sub-block of consecutive paths, read
-with array operations over its jump, atom and candidate arrays and no
-per-path object or call: its scaling coefficients and energies from one
-exact pass (PathBlock.sums), the certificate's bound from the jump times,
-the linear counts from one search; only best's top squares are found path
-by path, which keeps that linear in each path's size. The candidates of a
-path are its scaling coefficient followed by its ladder in index order, and
-a scheme is an order over their squares plus a kept count per M. The planner finds each path's
-dyadic resolution once and builds each ladder (haar.ladders) first only
-down to a depth d, no deeper than the resolution; a certificate
-(_certified) says whether the scales below d already give every requested
-scheme its exact kept atoms and errors up to max M. The paths whose
-certificate fails, which sampled paths rarely do, are built again to their
-resolution, where the ladder is whole. Every build, a re-read too, holds
-consecutive paths within a fixed number of ladder cells however long the
-list is, and is freed before the next is made. errors_discrete_rows reads
-every row of a block of finite coefficient lists, with one sort for the
-block; errors_discrete is its one-row view, and select_discrete reads it.
-Squared errors of exact paths come from Parseval: path energy minus kept
-energy (exactly 0.0 once every candidate of the whole ladder is kept), so
-an error is exact only up to about 1e-16 times the energy.
-The error of a finite discrete coefficient list at M is the sum of its
-dropped squares. Both are sums of runs of one array from one exact
-kernel, processes._range_sums: errors_rows lays every path's kept prefixes
-end to end, errors_discrete_rows each row's dropped tails. Every sum is the
+errors_rows(paths, schemes, m_values) reads every requested scheme's
+errors of a processes.PathBlock, or of a list of paths through
+PathBlock.of; errors(path, ...) is its one-path view, and select(path,
+scheme, m) reads one selection's kept atoms and error; both read the
+blocks of one planner, _plan. A path's candidates are its scaling
+coefficient and then its ladder in index order; a scheme is an order over
+their squares and a kept count per M. A block is read in two layers:
+builds of consecutive paths within a fixed number of cells make their
+ladders (haar.ladders), first only below a depth d under the path's dyadic
+resolution, and reduce each path to a compact read before the next build;
+then its sums (PathBlock.sums), the certificate (_certified) that the
+scales below d give every scheme its exact kept atoms up to max M, the
+kept counts and the kept energies run once, with array operations. Paths
+whose certificate fails, which sampled paths rarely do, are built again to
+their resolution, where the ladder is whole, and their reads replace the
+first before any row is computed. errors_discrete_rows reads every row of
+a block of finite coefficient lists with one sort; errors_discrete and
+select_discrete read one row. Squared errors of exact paths come from
+Parseval: path energy minus kept energy (exactly 0.0 once every candidate
+of the whole ladder is kept), so an error is exact only up to about 1e-16
+times the energy; those of a finite coefficient list are sums of its
+dropped squares. Both are sums of runs of one array from one exact kernel,
+processes._range_sums: errors_rows lays every path's kept prefixes end to
+end, errors_discrete_rows each row's dropped tails. Every sum is the
 correctly rounded sum of its multiset, so no path or row changes a bit of
 the ones beside it, and no prefix or tail is summed again for every M. On
 every path and every M the schemes obey best <= greedy <= linear, and each
@@ -114,13 +109,9 @@ def _check_m(m: int) -> None:
         raise ValueError(f"M must be a nonnegative integer, got {m}")
 
 
-def _check_schemes(schemes) -> None:
+def _check_query(schemes, m_values) -> None:
     if any(s not in SCHEMES for s in schemes):
         raise ValueError(f"schemes must be a subset of {SCHEMES}, got {tuple(schemes)}")
-
-
-def _check_query(schemes, m_values) -> None:
-    _check_schemes(schemes)
     for m in m_values:
         _check_m(m)
 
@@ -140,28 +131,40 @@ def _first_depth(n: int, k: int) -> int:
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
+class _Read(NamedTuple):
+    """What one build leaves of its paths, laid end to end: candidate
+    counts, c (the most jumps of an atom at the deepest built scale, N at
+    depth 0, where certified), the squares of the first min(size, k + 1)
+    candidates in index order, for linear the atom indices of the first
+    lead[p] atoms, and for best the min(size, k) largest squares, largest
+    first."""
+
+    sizes: np.ndarray
+    c: np.ndarray
+    index: np.ndarray
+    lead: np.ndarray
+    atoms: np.ndarray
+    top: np.ndarray
+
+
 class _Block(NamedTuple):
-    """A build of a block of paths for M <= k: the paths, the depth each
-    was built below and their ladders; how many candidates each path has,
-    the scaling coefficient (when it has jumps) then its ladder in index
-    order; each path's energy; and whether each ladder is whole, that is,
-    built to the path's resolution. `kept` holds the squares any scheme can
-    keep: first, path by path, the first k + 1 of the index order (the
-    scaling one and the atoms of index below k; greedy keeps k), then, path
-    by path, when best is asked for, the min(k, size) largest, largest
-    first; heads[p, s] holds where the part of path p that scheme s keeps
-    begins. The candidates themselves and their squares are not kept, so
-    that a build holds no more than its readers need."""
+    """A block of paths read for M <= k, each from its last read (slot[p]):
+    depth, whole (built to the resolution), size, energy and c; kept lays
+    every read's index parts, then its top parts, and path p's part for
+    scheme s begins at heads[p, s]; keys holds (read, atom index) of the
+    reads' leading atoms as complex numbers, in order."""
 
     paths: PathBlock
-    depth: list[int]
     k: int
-    lad: Ladders
+    depth: np.ndarray
+    whole: np.ndarray
     sizes: np.ndarray
     energy: np.ndarray
-    whole: np.ndarray
+    c: np.ndarray
     kept: np.ndarray
     heads: np.ndarray
+    keys: np.ndarray
+    slot: np.ndarray
 
 
 def _candidates(paths: PathBlock, lad: Ladders, scaling: np.ndarray):
@@ -176,33 +179,58 @@ def _candidates(paths: PathBlock, lad: Ladders, scaling: np.ndarray):
     return np.concatenate([np.empty(0)] + pieces), lad.bounds + _bounds(jumps)
 
 
-def _block(paths: PathBlock, schemes, k: int, depth: list[int], e: list[int]) -> _Block:
-    """The build of a block of paths below depth[p], at most the path's
-    resolution e[p]: their ladders and candidate counts, and the squares
-    each scheme in schemes can keep at M <= k."""
+def _read(paths: PathBlock, scaling, depth: list[int], e: list[int], k: int, schemes) -> _Read:
+    """One build: the ladders of paths below depth[p], at most the path's
+    resolution e[p], reduced to what schemes can keep at M <= k."""
     lad = ladders(paths, depth)
-    scaling, energy = paths.sums()
     values, bounds = _candidates(paths, lad, scaling)
     sq = values**2
     sizes = bounds[1:] - bounds[:-1]
-    # the index-order parts: each path's first min(size, k + 1) squares,
-    # often all of them
+    # each path's first min(size, k + 1) squares in index order, often all
     index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
-    heads = _bounds(index)
-    kept = [sq]
+    heads, first = _bounds(index), sq
     if heads[-1] < sq.size:
-        kept = [sq[np.repeat(bounds[:-1] - heads[:-1], index) + np.arange(heads[-1])]]
-    best = heads[:-1]
+        first = sq[np.repeat(bounds[:-1] - heads[:-1], index) + np.arange(heads[-1])]
+    lead, atoms, top, c = np.empty(0, dtype=np.intp), np.empty(0), [np.empty(0)], paths.counts
+    if "linear" in schemes:
+        # an atom of index below M <= k is among the first k, at a scale
+        # j < bit_length(k - 1), which holds at most min(2^j, N) atoms
+        lead = np.minimum(_POW2[: (k - 1).bit_length()], paths.counts[:, None]).sum(axis=1)
+        lead = np.minimum(lead, np.minimum(lad.bounds[1:] - lad.bounds[:-1], k)).astype(np.intp)
+        ends = _bounds(lead)
+        rows = np.repeat(lad.bounds[:-1] - ends[:-1], lead) + np.arange(ends[-1])
+        atoms = _POW2[lad.scale[rows]] + lad.shift[rows]
     if "best" in schemes:  # one partition and one sort per path keep this linear in its size
-        best = heads[-1] + _bounds(np.minimum(sizes, k))[:-1]
         for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
-            top = sq[a:b]
-            if k < top.size:
-                top = np.partition(top, top.size - k)[top.size - k :] if k else top[:0]
-            kept.append(np.sort(top)[::-1])
-    heads = np.stack([best if s == "best" else heads[:-1] for s in schemes], axis=1)
-    whole = np.array(depth) == e
-    return _Block(paths, depth, k, lad, sizes, energy, whole, np.concatenate(kept), heads)
+            part = sq[a:b]
+            if k < part.size:
+                part = np.partition(part, part.size - k)[part.size - k :] if k else part[:0]
+            top.append(np.sort(part)[::-1])
+        # a ladder that is not whole is certified: its deepest built scale,
+        # d - 1, holds its last atoms (none at depth 0, where c is N)
+        ends = lad.bounds.tolist()
+        for p, (a, b) in enumerate(zip(ends, ends[1:])):
+            if a < b and depth[p] < e[p]:
+                c[p] = lad.count[a + int(np.searchsorted(lad.scale[a:b], depth[p] - 1)) : b].max()
+    return _Read(sizes, c, first, lead, atoms, np.concatenate(top))
+
+
+def _lay(paths: PathBlock, reads: list[_Read], slot, depth, schemes, k: int, energy, e) -> _Block:
+    """The block of paths built below depth whose reads are reads, path
+    p's being number slot[p] over the paths of every read in turn."""
+    sizes = np.concatenate([r.sizes for r in reads])
+    index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
+    lo = _bounds(index)
+    hi = lo[-1] + _bounds(np.minimum(sizes, k if "best" in schemes else 0))
+    heads = np.stack([(hi if s == "best" else lo)[slot] for s in schemes], axis=1)
+    kept = np.concatenate([r.index for r in reads] + [r.top for r in reads])
+    keys = np.empty(0, dtype=complex)
+    if "linear" in schemes:  # complex numbers order by their real parts, then their imaginary ones
+        keys = np.repeat(np.arange(sizes.size) + 0j, np.concatenate([r.lead for r in reads]))
+        keys.imag = np.concatenate([r.atoms for r in reads])
+    c = np.concatenate([r.c for r in reads])[slot]
+    depth = np.array(depth)
+    return _Block(paths, k, depth, depth == e, sizes[slot], energy, c, kept, heads, keys, slot)
 
 
 def _certified(block: _Block, schemes) -> list[bool]:
@@ -217,8 +245,7 @@ def _certified(block: _Block, schemes) -> list[bool]:
     (c * max|h|)^2 * 2^(-d-2); best's top k is already built when that
     bound, widened for rounding, is below the k-th largest built square.
     """
-    k, paths = block.k, block.paths
-    depth = np.array(block.depth, dtype=int)
+    k, paths, depth, c = block.k, block.paths, block.depth, block.c
     short = np.zeros(depth.size, dtype=bool)
     if "linear" in schemes:
         short |= depth < k.bit_length()
@@ -228,19 +255,9 @@ def _certified(block: _Block, schemes) -> list[bool]:
     test = ~(block.whole | short)
     if "best" not in schemes or k == 0 or not test.any():
         return held.tolist()
-    # c is the longest run of a path's jumps that share their shift at
-    # scale d - 1, as the ladder counts them; at depth 0 every t / 2
-    # floors to 0, so c is N
-    counts, bounds = paths.counts, paths.bounds
-    starts = bounds[:-1][counts > 0]
-    shift = np.floor(paths.times * np.repeat(np.ldexp(1.0, depth - 1), counts))
-    new = np.empty(shift.size + 1, dtype=bool)
-    np.not_equal(shift[1:], shift[:-1], out=new[1:-1])
-    new[bounds] = True
-    edges = np.flatnonzero(new)
-    c, h = np.zeros(depth.size, dtype=int), np.zeros(depth.size)
-    c[counts > 0] = np.maximum.reduceat(edges[1:] - edges[:-1], np.searchsorted(edges, starts))
-    h[counts > 0] = np.maximum.reduceat(np.abs(paths.heights), starts)
+    counts = paths.counts
+    h = np.zeros(depth.size)
+    h[counts > 0] = np.maximum.reduceat(np.abs(paths.heights), paths.bounds[:-1][counts > 0])
     # the relative margin covers the rounding of c-term sums and their
     # squares; the absolute one covers squares that underflow
     with np.errstate(over="ignore"):
@@ -261,26 +278,14 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     counts = np.empty((block.sizes.size, len(schemes), ms.size), dtype=np.int64)
     counts[:] = np.minimum(block.sizes[:, None], ms)[:, None]
     if "linear" in schemes:
-        # an atom of index below max M <= 2^s lies at a scale j < s, which
-        # holds at most min(2^j, N) atoms, so each path's first few atoms
-        # hold every atom that counts; the indices are exact for every M up
-        # to 2^53, and those past 2^s pass every M. The scaling candidate,
-        # index 0, is below every positive M. Complex numbers order by
-        # their real parts, then their imaginary ones, so the (path, atom
-        # index) keys are in order, and one search counts each path's
-        # atoms below each M
-        lad, rows = block.lad, np.arange(block.sizes.size)
-        stop = (int(max(m_values, default=0)) - 1).bit_length()
-        first = np.minimum(_POW2[:stop], block.paths.counts[:, None]).sum(axis=1)
-        first = np.minimum(first, lad.bounds[1:] - lad.bounds[:-1]).astype(np.intp)
-        heads = _bounds(first)
-        atoms = np.repeat(lad.bounds[:-1] - heads[:-1], first) + np.arange(heads[-1])
-        keys = np.repeat(rows + 0j, first)
-        keys.imag = _POW2[lad.scale[atoms]] + lad.shift[atoms]
-        queries = np.repeat(rows + 0j, ms.size)
-        queries.imag = np.tile(np.asarray(m_values, dtype=float), rows.size)
-        below = np.searchsorted(keys, queries).reshape(rows.size, ms.size) - heads[:-1, None]
-        below += (ms > 0) & (block.sizes[:, None] > 0)
+        # one search of the (read, atom index) keys finds where each path's
+        # atoms begin (M = 0) and how many lie below each M; the indices are
+        # exact up to 2^53, and past it rounding keeps an index of M or more
+        # from falling below M. The scaling candidate, index 0, is below M > 0
+        queries = np.repeat(block.slot + 0j, ms.size + 1)
+        queries.imag = np.tile(np.asarray([0] + list(m_values), dtype=float), block.slot.size)
+        below = np.searchsorted(block.keys, queries).reshape(-1, ms.size + 1)
+        below = below[:, 1:] - below[:, :1] + ((ms > 0) & (block.sizes[:, None] > 0))
         counts[:, list(schemes).index("linear")] = below
     return counts
 
@@ -316,20 +321,21 @@ def _errors(block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
 
 
 # A build holds n * d (scale, jump) cells of a path with n jumps built to
-# depth d, first min(first depth, resolution), then the resolution on a
-# re-read, and ladders keeps about five arrays of them alive; _plan builds
-# consecutive paths within _BUILD_CELLS cells. For M up to 1024, 16 paths
-# make one build at lambda = 10 and six at lambda = 500, where builds of
-# all 16 took 6 MB more peak RSS in a 40-trial run; smaller budgets spread
-# fixed numpy costs over fewer paths.
+# depth d, about five arrays of them; at M up to 1024 a 16-path block is one
+# build at lambda = 10 and about five at 500, where one build of all 16 took
+# 6 MB more peak RSS and slowed ladders as its arrays left the cache.
 _BUILD_CELLS = 2**15
+# A block holds its paths' jumps and reads, n + 2 min(n * d + 1, k + 1)
+# terms a path at first depth d; _plan blocks consecutive paths within
+# _BLOCK_TERMS, so a 16-path block is one up to M = 1024 and rate 2000.
+_BLOCK_TERMS = 2**16
 
 
-def _builds(sizes: list[int]):
-    """(start, stop) runs of consecutive paths whose sizes sum within _BUILD_CELLS, or of one."""
+def _builds(sizes: list[int], budget: int):
+    """(start, stop) runs of consecutive paths whose sizes sum within budget, or of one."""
     start, total = 0, 0
     for i, size in enumerate(sizes):
-        if total + size > _BUILD_CELLS and i > start:
+        if total + size > budget and i > start:
             yield start, i
             start, total = i, 0
         total += size
@@ -337,49 +343,56 @@ def _builds(sizes: list[int]):
         yield start, len(sizes)
 
 
+def _block(paths: PathBlock, schemes, k: int, first: list[int], e: list[int]) -> _Block:
+    """A block read for M <= k: one PathBlock.sums, builds below the first
+    depths within _BUILD_CELLS cells (or of one path), one certificate, and
+    the paths it rejects built again to their resolution e."""
+    n = paths.counts.tolist()
+    scaling, energy = paths.sums()
+
+    def reads(ids, depth):  # each build is freed before the next is made
+        runs = (ids[a:b] for a, b in _builds([n[i] * depth[i] for i in ids], _BUILD_CELLS))
+        return [_read(paths.take(r), scaling[r], [depth[i] for i in r], [e[i] for i in r], k,
+                      schemes) for r in runs]
+
+    done, slot = reads(list(range(len(paths))), first), np.arange(len(paths))
+    block = _lay(paths, done, slot, first, schemes, k, energy, e)
+    held = block.whole.tolist() if block.whole.all() else _certified(block, schemes)
+    rejected = [i for i, ok in enumerate(held) if not ok]
+    if rejected:  # once at most: a whole ladder is certified
+        slot[rejected] = len(paths) + np.arange(len(rejected))
+        depth = [e[i] if i in rejected else d for i, d in enumerate(first)]
+        block = _lay(paths, done + reads(rejected, e), slot, depth, schemes, k, energy, e)
+    return block
+
+
 def _plan(paths: PathBlock, schemes, k: int):
-    """Every build that errors_rows and select read, as (indices, block,
-    held) triples, held[p] being the certificate's verdict on path
-    indices[p]: first every path below its first depth, clipped to its
-    resolution, then the paths whose certificate fails, to their
-    resolution, where each ladder is whole; each pass in builds of
-    consecutive paths within _BUILD_CELLS cells, or of one path past it.
-    Each path's resolution is found once. A reader drops each block before
-    it asks for the next, so that one build at a time is alive."""
+    """The (rows, block) pairs errors_rows and select read, each of
+    consecutive paths within _BLOCK_TERMS, or one; each path's resolution
+    is found once, its first depth min(_first_depth, resolution)."""
     n = paths.counts.tolist()
     # in runs within the budget: no path has fewer cells than jumps
-    e = [r for a, b in _builds(n) for r in resolutions(paths.take(range(a, b)))]
-    hi = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
-    todo = list(range(len(paths)))
-    while todo:  # twice at most: a whole ladder is certified
-        rejected = []
-        for a, b in _builds([n[i] * hi[i] for i in todo]):
-            ids = todo[a:b]
-            depth = [hi[i] for i in ids]
-            block = _block(paths.take(ids), schemes, k, depth, [e[i] for i in ids])
-            held = block.whole.tolist() if block.whole.all() else _certified(block, schemes)
-            rejected += [i for i, ok in zip(ids, held) if not ok]
-            yield ids, block, held
-            del block  # the reader's is then the only reference
-        todo, hi = rejected, e
+    e = [r for a, b in _builds(n, _BUILD_CELLS) for r in resolutions(paths.take(range(a, b)))]
+    first = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
+    for a, b in _builds([m + 2 * min(m * d + 1, k + 1) for m, d in zip(n, first)], _BLOCK_TERMS):
+        yield slice(a, b), _block(paths.take(range(a, b)), schemes, k, first[a:b], e[a:b])
 
 
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
     """Exact squared errors of every path of a PathBlock, or of a list of
     paths read as PathBlock.of(paths), as a (paths, schemes, M) float
-    array: one row per scheme in schemes, one entry per M in m_values, from
-    the builds of _plan, each within _BUILD_CELLS cells (a path past it
-    alone). Linear and greedy keep candidates in index order;
-    best keeps the largest squares first. Each value is the path's own: the
-    ladder cells, the certificate and the sums do not depend on the paths
-    beside it."""
+    array, from the blocks of _plan: each block's ladders are built within
+    _BUILD_CELLS cells and freed, and its sums, certificate, counts and kept
+    energies run once, after its rejected paths are read again. Linear and
+    greedy keep candidates in index order; best the largest squares first.
+    Each value is the path's own: the ladder cells, the certificate and the
+    sums do not depend on the paths beside it."""
     _check_query(schemes, m_values)
     paths = paths if isinstance(paths, PathBlock) else PathBlock.of(paths)
     rows = np.empty((len(paths), len(schemes), len(m_values)))
-    for ids, block, _ in _plan(paths, schemes, int(max(m_values, default=0))):
-        # a rejected path's rows are replaced when it is built again
-        rows[ids] = _errors(block, schemes, _kept_counts(block, schemes, m_values))
-        del block  # freed before the next build is allocated
+    for at, block in _plan(paths, schemes, int(max(m_values, default=0))):
+        rows[at] = _errors(block, schemes, _kept_counts(block, schemes, m_values))
+        del block  # freed before the next block is read
     return rows
 
 
@@ -390,19 +403,18 @@ def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
 
 
 def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
-    """The m atoms the scheme keeps, with their values, and the exact
-    squared error, both from the first certified build of _plan. Linear keeps the first m
-    atoms in index order, zeros included; greedy the first m structurally
-    nonzero ones (none on a jump-free path); best the m largest magnitudes
-    of the full expansion, ties to the smaller index."""
+    """The m atoms the scheme keeps, listed from one more build at the
+    depth _plan certified, and the exact squared error from its block.
+    Linear keeps the first m atoms in index order, zeros included; greedy
+    the first m structurally nonzero ones (none on a jump-free path); best
+    the m largest magnitudes of the full expansion, ties to the smaller
+    index."""
     _check_query((scheme,), [m])
-    for _, block, held in _plan(PathBlock.of([path]), (scheme,), int(m)):
-        if held[0]:
-            break
-        del block  # freed before the path is built again
-    counts = _kept_counts(block, (scheme,), [m])
-    lad = block.lad
+    ((_, block),) = _plan(PathBlock.of([path]), (scheme,), int(m))
+    depth = int(block.depth[0])
+    lad = ladders(block.paths, [depth])
     values = _candidates(block.paths, lad, block.paths.sums()[0])[0]
+    counts = _kept_counts(block, (scheme,), [m])
     count = int(counts[0, 0, 0])
     if scheme == "best":
         # the top m are built and strictly larger than every atom that is
@@ -419,27 +431,24 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
         given = {atom_index(atom): v for atom, v in chosen}
         chosen = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
     else:  # fewer than m candidates only on a whole ladder, built to the resolution
-        past = itertools.islice(atoms_past(path, block.depth[0]), m - len(chosen))
+        past = itertools.islice(atoms_past(path, depth), m - len(chosen))
         chosen += [(atom, 0.0) for atom in past]
     error = float(_errors(block, (scheme,), counts)[0, 0, 0])
     return Selection(scheme=scheme, m=m, kept=tuple(chosen), error_sq=error)
 
 
 def linear_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact linear squared errors at each M in m_values; the benchmark's
-    traced replay (perfbench/child.py) calls this view by name."""
+    """Exact linear squared errors at each M; perfbench/child.py calls it."""
     return errors(path, ("linear",), m_values)[0]
 
 
 def greedy_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact greedy squared errors at each M in m_values; the benchmark's
-    traced replay (perfbench/child.py) calls this view by name."""
+    """Exact greedy squared errors at each M; perfbench/child.py calls it."""
     return errors(path, ("greedy",), m_values)[0]
 
 
 def best_errors(path: CompoundPoissonPath, m_values) -> list[float]:
-    """Exact best-M squared errors at each M in m_values; the benchmark's
-    traced replay (perfbench/child.py) calls this view by name."""
+    """Exact best-M squared errors at each M; perfbench/child.py calls it."""
     return errors(path, ("best",), m_values)[0]
 
 

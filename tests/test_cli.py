@@ -9,6 +9,7 @@ worker pool, and the spacing check's sample size capped at 2000.
 
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpwave import cli, harness
@@ -101,3 +102,41 @@ def capped_spacing_check(**kwargs):
 def test_every_subcommand_exits_with_a_documented_code(argv):
     with mock.patch.object(harness, "run_spacing_check", capped_spacing_check):
         assert exit_code(argv) in (0, 2, 3, 4)
+
+
+def outcome(parser, argv, capsys):
+    """What parse_args makes of argv: its exit code, or the parsed options,
+    with what it printed."""
+    try:
+        got = sorted(vars(parser.parse_args(argv)).items())
+    except SystemExit as exc:
+        got = exc.code
+    return got, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_a_subcommand_parser_reads_as_the_full_parser(command, capsys):
+    # main builds only the named subcommand's arguments; its help, its
+    # usage errors, their exit codes and what it parses are the full
+    # parser's
+    argvs = [[command, "--help"], [command], [command, "--no-such-option"],
+             [command, "--seed", "x"], [command, "--format", "xml"], [command, "extra"],
+             [command, "--seed", "3", "--out", "x.csv"]]
+    for argv in argvs:
+        assert outcome(cli.build_parser(command), argv, capsys) == outcome(cli.build_parser(), argv, capsys)
+    asked = []
+    real = cli.build_parser
+    with mock.patch.object(cli, "build_parser", lambda name=None: asked.append(name) or real(name)):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+    assert asked == [command]
+
+
+@pytest.mark.parametrize("argv", [["--help"], [], ["no-such-command", "--help"]])
+def test_the_top_level_parser_lists_every_subcommand(argv, capsys):
+    full = outcome(cli.build_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code, capsys.readouterr()) == full
+    text = full[1].out + full[1].err
+    assert all(name in text for name in SUBCOMMANDS)

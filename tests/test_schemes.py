@@ -22,6 +22,7 @@ from cpwave import (
 from cpwave import haar as haar_module
 from cpwave import schemes as schemes_module
 from cpwave.haar import atom_from_index, atoms_past, coeff, ladder, support
+from cpwave.processes import PathBlock, sample_block
 from cpwave.schemes import (
     SCHEMES,
     best_errors,
@@ -448,9 +449,10 @@ def test_errors_equal_whole_ladder_reference():
 
 
 def test_select_rereads_a_rejected_path_whole(monkeypatch):
-    # select reads its kept atoms and its error from one certified build:
-    # the build below the first depth, or, when its certificate fails, one
-    # more build of the whole ladder from scale 0
+    # select reads its error from the plan's block: the build below the
+    # first depth, or, when its certificate fails, one more build of the
+    # whole ladder from scale 0; then it lists its kept atoms from one
+    # more build of the path, at the depth the certificate holds
     calls, verdicts = [], []
     real_certified = schemes_module._certified
 
@@ -470,7 +472,9 @@ def test_select_rereads_a_rejected_path_whole(monkeypatch):
             calls.clear()
             verdicts.clear()
             select(path, scheme, m)
-            (_, (built,)), *rest = calls
+            (_, (built,)), *rest, (listed, (at,)) = calls
+            assert jumps(listed) == jumps([path])
+            assert at == (rest[0][1][0] if rest else built)
             assert built == first_depth(path, m) and len(rest) <= 1
             assert bool(rest) == (verdicts == [[False]])
             if rest:
@@ -717,6 +721,58 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
         assert any(len(build) > 1 for build in cells)
         assert any(sum(build) > budget for build in cells)
     assert row_bits(rows.reshape(-1, len(ms))) == row_bits(sum(single, []))
+
+
+def test_errors_rows_and_select_do_not_depend_on_the_build_budget(monkeypatch):
+    # the builds' partition of a block changes no bit: 2^10 cells build
+    # each lambda = 500 path alone, 2^20 the whole block at once; the
+    # spiked path, mid-block, is read again to its resolution
+    spiked = make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0])
+    paths = [sample_path(500.0, JumpLaw.for_rate(500.0), derive_stream(45, t)) for t in range(4)]
+    paths += [spiked, make_path([], [])]
+    paths += [sample_path(3.0, JumpLaw.for_rate(3.0), derive_stream(7, t)) for t in (130, 131, 132)]
+    paths += [sample_path(500.0, JumpLaw.for_rate(500.0), derive_stream(45, t)) for t in range(4, 7)]
+    ms = [0, 1, 4, 10]  # from M = 16 on, the spiked path is first built whole
+    calls = []
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    rows, selections, builds = set(), set(), []
+    for budget in (2**10, 2**15, 2**20):
+        monkeypatch.setattr(schemes_module, "_BUILD_CELLS", budget)
+        calls.clear()
+        rows.add(errors_rows(paths, SCHEMES, ms).tobytes())
+        firsts, rereads = split_passes(calls, len(paths))
+        assert jumps(p for group, _ in rereads for p in group) == jumps([spiked])
+        builds.append(len(firsts))
+        selections.add(repr([select(path, scheme, m) for path in paths[3:7]
+                             for scheme in SCHEMES for m in (1, 10, 64)]))
+    assert builds[0] >= 7 and builds[0] > builds[1] > builds[2] == 1
+    assert len(rows) == 1 and len(selections) == 1
+
+
+def test_errors_rows_reads_a_block_once_and_builds_it_in_parts(monkeypatch):
+    # one lambda = 500 block of 16 paths makes its ladders in several builds
+    # within the cell budget, but sums its scaling coefficients and
+    # energies once and its kept energies in one pass
+    block = sample_block(500.0, JumpLaw.for_rate(500.0), 46, range(16))
+    calls, sums, passes = [], [], []
+    real_sums, real_range_sums = PathBlock.sums, schemes_module._range_sums
+
+    def counting_sums(self):
+        sums.append(len(self))
+        return real_sums(self)
+
+    def counting_range_sums(*args):
+        passes.append(args[1].size)
+        return real_range_sums(*args)
+
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    monkeypatch.setattr(PathBlock, "sums", counting_sums)
+    monkeypatch.setattr(schemes_module, "_range_sums", counting_range_sums)
+    rows = errors_rows(block, SCHEMES, M_1024)
+    assert len(calls) >= 4 and sums == [16] and len(passes) == 1
+    assert jumps(p for group, _ in calls for p in group) == jumps(paths_of(block))
+    assert row_bits(rows.reshape(-1, len(M_1024))) == row_bits(
+        sum((errors(path, SCHEMES, M_1024) for path in paths_of(block)), []))
 
 
 def test_errors_rows_finds_each_resolution_once(monkeypatch):
