@@ -119,7 +119,7 @@ def support(atom: Atom) -> tuple[float, float]:
 
 def _check_unit_interval(t) -> np.ndarray:
     ts = np.asarray(t, dtype=float)
-    if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # nan fails both
         raise ValueError("argument must lie in [0, 1]")
     return ts
 
@@ -153,9 +153,8 @@ def jumps_in_support(path: CompoundPoissonPath, atom: Atom) -> int:
     """Number of jumps inside the atom's half-open support."""
     if atom.kind == "scaling":
         return path.num_jumps
-    lo, hi = support(atom)
-    times = path.jump_times
-    return int(np.searchsorted(times, hi, side="left") - np.searchsorted(times, lo, side="left"))
+    a, b = np.searchsorted(path.jump_times, support(atom))
+    return int(b - a)
 
 
 def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
@@ -167,11 +166,9 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
     times = path.jump_times
     heights = path.jump_heights
     if atom.kind == "scaling":
-        value = float(PathBlock.of([path]).sums()[0][0])
+        value = float(path.block.sums()[0][0])
         return Coefficient(atom=atom, value=value, jump_count=path.num_jumps)
-    lo, hi = support(atom)
-    a = int(np.searchsorted(times, lo, side="left"))
-    b = int(np.searchsorted(times, hi, side="left"))
+    a, b = np.searchsorted(times, support(atom)).tolist()
     if a == b:
         return Coefficient(atom=atom, value=0.0, jump_count=0)
     weights = jump_weight_wavelet(atom.j, atom.k, times[a:b])
@@ -292,9 +289,8 @@ def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:
     """The path's finite coefficient ladder, or only its scales j < hi: the
     one-path view of ladders. `resolution` is the path's whatever the
     prefix."""
-    block = PathBlock.of([path])
-    (e,) = resolutions(block)
-    lads = ladders(block, [e if hi is None else max(0, min(hi, e))])
+    (e,) = resolutions(path.block)
+    lads = ladders(path.block, [e if hi is None else max(0, min(hi, e))])
     return Ladder(e, *lads[1:])
 
 

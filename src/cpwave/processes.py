@@ -9,16 +9,16 @@ into one, each from its own stream as sample_path draws it. The running
 sums of each path's heights give both its values at shared points
 (values_at) and, through one exact pass over the block (_range_sums, the
 package's exact summation kernel), its scaling coefficient and energy.
-CompoundPoissonPath is the one-path view, checked and evaluated as a
-one-path block, and PathBlock.of turns a list of them into a block.
-Brownian motion only exists here as a grid signal built from independent
-Gaussian increments.
+CompoundPoissonPath holds one path's jumps, with no rate or law, as the
+one-path block its constructor checks and every view reads; PathBlock.of
+lays a list of paths into a block. Brownian motion only exists here as a
+grid signal built from independent Gaussian increments.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # numpy loads it lazily, with hashlib and secrets: at import, not in a run
@@ -122,19 +122,18 @@ class JumpLaw:
 class CompoundPoissonPath:
     """One trajectory on [0, 1]: s(t) = sum of heights of jumps at or before t.
 
-    jump_times is strictly increasing with every entry in (0, 1), checked
-    as a one-path PathBlock; the arrays are frozen after construction and
-    safe to share between threads.
+    The constructor checks the jumps as a one-path PathBlock, block, which
+    every view of the path reads: jump_times, strictly increasing in (0, 1),
+    and jump_heights are its frozen arrays, safe to share between threads.
     """
 
-    lam: float
     jump_times: np.ndarray
     jump_heights: np.ndarray
-    law: JumpLaw
+    block: PathBlock = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _positive("lam", self.lam)
         block = PathBlock(self.jump_times, self.jump_heights, [0, np.size(self.jump_times)])
+        object.__setattr__(self, "block", block)
         object.__setattr__(self, "jump_times", block.times)
         object.__setattr__(self, "jump_heights", block.heights)
 
@@ -144,28 +143,23 @@ class CompoundPoissonPath:
 
     def value_at(self, t: float) -> float:
         """Path value s(t); right-continuous, so the jump at t is included."""
-        if not (0.0 <= t <= 1.0):
-            raise ValueError(f"t must lie in [0, 1], got {t}")
         return float(self.values_at(t))
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized value_at: the one-path view of PathBlock.values_at."""
-        return PathBlock.of([self]).values_at(ts)[0]
+        return self.block.values_at(ts)[0]
 
     def min_spacing(self) -> float:
         """Minimum gap between consecutive jumps, counting a virtual jump at 0.
 
         Equals 1 for a jump-free path, and never exceeds 1/N otherwise.
         """
-        if self.num_jumps == 0:
-            return 1.0
-        gaps = np.diff(self.jump_times, prepend=0.0)
-        return float(gaps.min())
+        return float(np.diff(self.jump_times, prepend=0.0).min(initial=1.0))
 
     def l2_norm_sq(self) -> float:
         """The integral of s(t)^2 over [0, 1], segment by segment: the
         one-path view of PathBlock.sums, whose error bound it has."""
-        return float(PathBlock.of([self]).sums()[1][0])
+        return float(self.block.sums()[1][0])
 
 
 _FAULT = "jump times must lie strictly inside (0, 1) and increase strictly within each path"
@@ -270,7 +264,7 @@ class PathBlock:
         the next jump reaches, so the block is one np.repeat."""
         shape = np.shape(ts)
         ts = np.asarray(ts, dtype=float).ravel()
-        if ts.size and (ts.min() < 0.0 or ts.max() > 1.0):
+        if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # nan fails both
             raise ValueError("evaluation points must lie in [0, 1]")
         order = None if np.all(ts[1:] >= ts[:-1]) else np.argsort(ts, kind="stable")
         ts = ts if order is None else ts[order]
@@ -449,7 +443,7 @@ def sample_path(lam: float, law: JumpLaw, stream: np.random.Generator) -> Compou
     """
     _positive("lam", lam)
     times, heights = _draw(lam, law, stream)
-    return CompoundPoissonPath(lam=float(lam), jump_times=times, jump_heights=heights, law=law)
+    return CompoundPoissonPath(times, heights)
 
 
 def sample_block(lam: float, law: JumpLaw, master_seed: int, trials) -> PathBlock:

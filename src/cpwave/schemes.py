@@ -194,8 +194,10 @@ def _read(paths: PathBlock, scaling, depth: list[int], e: list[int], k: int, sch
     lead, atoms, top, c = np.empty(0, dtype=np.intp), np.empty(0), [np.empty(0)], paths.counts
     if "linear" in schemes:
         # an atom of index below M <= k is among the first k, at a scale
-        # j < bit_length(k - 1), which holds at most min(2^j, N) atoms
-        lead = np.minimum(_POW2[: (k - 1).bit_length()], paths.counts[:, None]).sum(axis=1)
+        # j < bit_length(k - 1), which holds at most min(2^j, N) atoms; at
+        # _MAX_K, M may be larger, and every scale is read
+        scales = (k - 1).bit_length() if k < _MAX_K else None
+        lead = np.minimum(_POW2[:scales], paths.counts[:, None]).sum(axis=1)
         lead = np.minimum(lead, np.minimum(lad.bounds[1:] - lad.bounds[:-1], k)).astype(np.intp)
         ends = _bounds(lead)
         rows = np.repeat(lad.bounds[:-1] - ends[:-1], lead) + np.arange(ends[-1])
@@ -273,17 +275,19 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     at each M, as a (paths, schemes, M) array. Past the candidates every
     coefficient is 0.0, so only these count; linear keeps the candidates
     whose atom index is below M."""
-    # a count is at most the number of candidates, so any M past 2^62 acts as 2^62
-    ms = np.array([min(int(m), 2**62) for m in m_values], dtype=np.int64)
+    # every M is at most the largest, which _plan reads as at most _MAX_K
+    ms = np.array([min(int(m), block.k) for m in m_values], dtype=np.int64)
     counts = np.empty((block.sizes.size, len(schemes), ms.size), dtype=np.int64)
     counts[:] = np.minimum(block.sizes[:, None], ms)[:, None]
     if "linear" in schemes:
         # one search of the (read, atom index) keys finds where each path's
         # atoms begin (M = 0) and how many lie below each M; the indices are
         # exact up to 2^53, and past it rounding keeps an index of M or more
-        # from falling below M. The scaling candidate, index 0, is below M > 0
+        # from falling below M. The scaling candidate, index 0, is below M > 0,
+        # and every index below 2^1023, which a larger M is read as
         queries = np.repeat(block.slot + 0j, ms.size + 1)
-        queries.imag = np.tile(np.asarray([0] + list(m_values), dtype=float), block.slot.size)
+        tops = [0] + [min(m, 2**1023) for m in m_values]
+        queries.imag = np.tile(np.asarray(tops, dtype=float), block.slot.size)
         below = np.searchsorted(block.keys, queries).reshape(-1, ms.size + 1)
         below = below[:, 1:] - below[:, :1] + ((ms > 0) & (block.sizes[:, None] > 0))
         counts[:, list(schemes).index("linear")] = below
@@ -329,6 +333,7 @@ _BUILD_CELLS = 2**15
 # terms a path at first depth d; _plan blocks consecutive paths within
 # _BLOCK_TERMS, so a 16-path block is one up to M = 1024 and rate 2000.
 _BLOCK_TERMS = 2**16
+_MAX_K = 2**62  # more than any path's candidates: see _plan
 
 
 def _builds(sizes: list[int], budget: int):
@@ -369,8 +374,10 @@ def _block(paths: PathBlock, schemes, k: int, first: list[int], e: list[int]) ->
 def _plan(paths: PathBlock, schemes, k: int):
     """The (rows, block) pairs errors_rows and select read, each of
     consecutive paths within _BLOCK_TERMS, or one; each path's resolution
-    is found once, its first depth min(_first_depth, resolution)."""
-    n = paths.counts.tolist()
+    is found once, its first depth min(_first_depth, resolution). Past
+    _MAX_K, k only bounds linear's atom indices, and is read as _MAX_K: its
+    first depths are the resolutions, whose ladders hold every index."""
+    k, n = min(k, _MAX_K), paths.counts.tolist()
     # in runs within the budget: no path has fewer cells than jumps
     e = [r for a, b in _builds(n, _BUILD_CELLS) for r in resolutions(paths.take(range(a, b)))]
     first = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
@@ -399,7 +406,7 @@ def errors_rows(paths, schemes, m_values) -> np.ndarray:
 def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
     """Exact squared errors of every scheme in schemes at each M in m_values,
     one list per scheme: the one-path view of errors_rows."""
-    return errors_rows([path], schemes, m_values)[0].tolist()
+    return errors_rows(path.block, schemes, m_values)[0].tolist()
 
 
 def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
@@ -410,7 +417,7 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     the m largest magnitudes of the full expansion, ties to the smaller
     index."""
     _check_query((scheme,), [m])
-    ((_, block),) = _plan(PathBlock.of([path]), (scheme,), int(m))
+    ((_, block),) = _plan(path.block, (scheme,), int(m))
     depth = int(block.depth[0])
     lad = ladders(block.paths, [depth])
     values = _candidates(block.paths, lad, block.paths.sums()[0])[0]

@@ -136,6 +136,14 @@ def test_jump_weight_wavelet_vanishes_at_support_edges():
     assert jump_weight_wavelet(2, 0, 0.25) == 0.0  # right edge is outside
 
 
+def test_jump_weights_refuse_nan():
+    # nan fails every comparison, so a range test written as t < 0 or t > 1 lets it through
+    for weigh in (jump_weight_scaling, lambda t: jump_weight_wavelet(0, 0, t)):
+        for t in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                weigh(t)
+
+
 # ---------------------------------------------------------------------------
 # jump counting
 

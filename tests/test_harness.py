@@ -761,7 +761,9 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
 # schemas were derived from the record dataclasses and before the spacing
 # check shared one minimum-gap helper; every byte must stay the same. The
 # dict-compare digest was retaken when the cosine transform moved from
-# scipy.fft to numpy.fft: two DCT rows changed, by at most 4.8e-16 relative
+# scipy.fft to numpy.fft: two DCT rows changed, by at most 4.8e-16 relative.
+# The simulate digests were taken while a path still stored its rate and
+# jump law, before it came to hold only its checked jumps.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -777,13 +779,31 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
         (["mse-curve", "--process", "cp", "--lambda", "10", "--m", "4,16,64", "--trials", "5",
           "--seed", "8", "--format", "json"],
          "2855e4e4dbc2d148cdb33bf446d9106f1b2cd912240d493106cf99751f6be7b9"),
+        (["simulate", "--lambda", "10", "--seed", "42"],
+         "9fa8714b677bff175505084d956526d614163a9fe27e2eeb41522d651f528ea0"),
+        (["simulate", "--lambda", "5", "--seed", "1", "--format", "json"],
+         "47e8b9caf3a4c032ef690d126668a7dc1daf7e65bb7ef45de1a70fcc0f8474e5"),
     ],
-    ids=["lemma-check", "theorem1-check", "theory-table", "dict-compare", "mse-curve-json"],
+    ids=["lemma-check", "theorem1-check", "theory-table", "dict-compare", "mse-curve-json",
+         "simulate", "simulate-json"],
 )
 def test_cli_subcommand_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "golden.out"
     assert run_cli(*argv, "--out", str(out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_mse_curve_reads_m_past_int64(tmp_path):
+    # M = 2^62 and 2^63 keep every candidate of these paths: the same rows
+    out = tmp_path / "huge.csv"
+    assert run_cli(
+        "mse-curve", "--process", "cp", "--lambda", "10", "--trials", "3",
+        "--m", "4,4611686018427387904,9223372036854775808", "--seed", "1", "--out", str(out),
+    ) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 9
+    for at in range(0, 9, 3):  # each scheme's rows at M = 4, 2^62, 2^63
+        assert rows[at + 1][7:] == rows[at + 2][7:]
 
 
 @pytest.mark.parametrize("lam", ["0", "-1"])

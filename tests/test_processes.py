@@ -23,13 +23,8 @@ from cpwave.processes import MAX_EXPECTED_JUMPS, PathBlock, sample_block
 LAW10 = JumpLaw(variance=0.1)
 
 
-def make_path(times, heights, lam=10.0, variance=0.1):
-    return CompoundPoissonPath(
-        lam=lam,
-        jump_times=np.asarray(times, dtype=float),
-        jump_heights=np.asarray(heights, dtype=float),
-        law=JumpLaw(variance=variance),
-    )
+def make_path(times, heights):
+    return CompoundPoissonPath(np.asarray(times, dtype=float), np.asarray(heights, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +145,17 @@ def test_values_at_matches_scalar():
     assert np.array_equal(path.values_at(ts), [path.value_at(t) for t in ts])
 
 
+def test_evaluation_refuses_nan_points():
+    path = sample_path(10.0, LAW10, derive_stream(19, 0))
+    for evaluate in (path.values_at, path.block.values_at, PathBlock.of([path, path]).values_at):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            evaluate([0.5, math.nan])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        path.value_at(math.nan)
+
+
 def test_min_spacing_empty_path_is_one():
-    path = CompoundPoissonPath(
-        lam=1.0, jump_times=np.array([]), jump_heights=np.array([]), law=LAW10
-    )
+    path = CompoundPoissonPath(np.array([]), np.array([]))
     assert path.min_spacing() == 1.0
     assert path.l2_norm_sq() == 0.0
 
@@ -234,9 +236,7 @@ def test_l2_norm_matches_quadrature(times, data):
 
 
 def test_sample_grid_zero_path():
-    path = CompoundPoissonPath(
-        lam=1.0, jump_times=np.array([]), jump_heights=np.array([]), law=LAW10
-    )
+    path = CompoundPoissonPath(np.array([]), np.array([]))
     assert np.array_equal(sample_grid(path, 3).values, np.zeros(8))
 
 
@@ -498,7 +498,7 @@ def test_l2_norm_sq_keeps_its_stated_error_bound():
     times = np.concatenate((path.jump_times, [0.3, 0.3 + 2.0**-45]))
     heights = np.concatenate((path.jump_heights, [1e6, -1e6]))
     order = np.argsort(times, kind="stable")
-    spiked = make_path(times[order], heights[order], lam=3.0)
+    spiked = make_path(times[order], heights[order])
     paths = [spiked] + [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(80, t))
                         for lam in (3.0, 10.0, 100.0) for t in range(5)]
     for p in paths:

@@ -665,7 +665,7 @@ def spiked_sample(lam, seed):
     times = np.concatenate((path.jump_times, [0.3, 0.3 + 2.0**-45]))
     heights = np.concatenate((path.jump_heights, [1e6, -1e6]))
     order = np.argsort(times, kind="stable")
-    return make_path(times[order], heights[order], lam=lam)
+    return make_path(times[order], heights[order])
 
 
 def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch):
@@ -828,7 +828,7 @@ for t in range(100):
     times = np.concatenate((path.jump_times, [0.3, 0.3 + 2.0**-45]))
     heights = np.concatenate((path.jump_heights, [1e6, -1e6]))
     order = np.argsort(times, kind="stable")
-    paths.append(CompoundPoissonPath(500.0, times[order], heights[order], law))
+    paths.append(CompoundPoissonPath(times[order], heights[order]))
 schemes.errors_rows(paths[:2], schemes.SCHEMES, [1, 10])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 schemes.errors_rows(paths, schemes.SCHEMES, [1, 10])
@@ -1156,3 +1156,51 @@ def test_errors_rows_of_a_path_block_equal_the_list_and_one_path_calls(monkeypat
         assert (jumps(calls[-1][0]) == jumps([spiked])) == (max(ms) <= 10)
         assert row_bits(block.reshape(-1, len(ms))) == row_bits(sum(one, []))
         assert row_bits(rows.reshape(-1, len(ms))) == row_bits(sum(one, []))
+
+
+def test_one_path_views_read_the_paths_own_block(monkeypatch):
+    # a path keeps the one-path block its constructor checked, and no
+    # one-path view lays the path out again through PathBlock.of
+    from cpwave.processes import sample_grid
+
+    laid = []
+    real_of = PathBlock.of.__func__
+    monkeypatch.setattr(PathBlock, "of", classmethod(lambda cls, paths: laid.append(cls) or real_of(cls, paths)))
+    for path in (sample_path(10.0, LAW10, derive_stream(46, 0)), make_path([], [])):
+        assert path.block.times is path.jump_times and path.block.heights is path.jump_heights
+        assert not (path.jump_times.flags.writeable or path.jump_heights.flags.writeable)
+        path.value_at(0.5)
+        path.values_at([0.25, 0.75])
+        path.l2_norm_sq()
+        coeff(path, SCALING)
+        ladder(path)
+        haar_module.nonzero_counts_by_scale(path, 16)
+        sample_grid(path, 4)
+        errors(path, SCHEMES, [4, 16])
+        for shim in (linear_errors, greedy_errors, best_errors):
+            shim(path, [4, 16])
+        for scheme in SCHEMES:
+            select(path, scheme, 8)
+    assert laid == []
+    PathBlock.of([path])
+    assert laid == [PathBlock]  # the count sees a call
+
+
+def test_errors_read_any_m_past_the_count_cap():
+    # no path has 2^62 candidates, so greedy and best keep at any larger M
+    # what they keep at 2^62, and so does linear on a sampled path, whose
+    # atom indices lie below 2^53
+    path = sample_path(10.0, LAW10, derive_stream(47, 0))
+    rows = np.array(errors(path, SCHEMES, [4, 2**62, 2**63, 2**70]))
+    assert rows[:, 1].tobytes() == rows[:, 2].tobytes() == rows[:, 3].tobytes()
+    # linear keeps the atoms of index below M at any M: this path's energy,
+    # 2^-100, lies at scales below its resolution, 100, its scale-j atom
+    # holding about 2^(j - 200); every index lies below 2^1023
+    deep = make_path([2.0**-100, 2.0**-99], [1.0, -1.0])
+    expected = [2.0**-100 - 2.0**-138, 2.0**-100 - 2.0**-130, 0.0, 0.0]
+    assert errors(deep, ("linear",), [2**62, 2**70, 2**100, 10**400]) == [expected]
+    # two more jumps, of tiny heights, fill every scale with more atoms
+    # than those below 2^62 leave room for; past 2^62 all of them are read
+    wide = make_path([2.0**-100, 2.0**-99, 0.5, 0.75], [1.0, -1.0, 2.0**-60, -2.0**-60])
+    (linear,) = errors(wide, ("linear",), [2**62, 2**70, 2**100])
+    assert linear[0] > linear[1] > linear[2] == 0.0
