@@ -16,10 +16,8 @@ import scipy  # noqa: F401
 from .processes import (
     CompoundPoissonPath,
     JumpLaw,
-    SampledPath,
     brownian_grid,
     derive_stream,
-    poisson_count,
     sample_grid,
     sample_path,
 )

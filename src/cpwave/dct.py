@@ -24,7 +24,6 @@ import numpy as np
 import numpy.fft  # loaded at import, not inside the first transform
 
 from .haar import dyadic_row, dyadic_rows
-from .processes import SampledPath
 
 __all__ = ["DctCoeffs", "dct2_forward", "dct2_inverse"]
 
@@ -70,15 +69,16 @@ def _dct2(x: np.ndarray) -> np.ndarray:
 
 
 def dct2_forward(samples) -> DctCoeffs:
-    """Orthonormal DCT-II of a sampled path (or raw power-of-two array), or
-    of every row of a (..., 2^L) array along its last axis."""
+    """Orthonormal DCT-II of a power-of-two grid of samples, or of every
+    row of a (..., 2^L) array along its last axis."""
     values, grid_log2 = dyadic_rows(samples, "signal")
     return DctCoeffs(values=_dct2(values), grid_log2=grid_log2)
 
 
-def dct2_inverse(coeffs: DctCoeffs) -> SampledPath:
-    """Inverse of dct2_forward on one row of coefficients."""
-    values, grid_log2 = dyadic_row(coeffs, "coefficient")
+def dct2_inverse(coeffs: DctCoeffs) -> np.ndarray:
+    """Inverse of dct2_forward on one row of coefficients: the samples, as
+    a read-only array."""
+    values, _ = dyadic_row(coeffs, "coefficient")
     n = values.shape[-1]
     h = n // 2
     # bin k of the forward FFT, turned: coefficient k - i coefficient n - k
@@ -91,4 +91,5 @@ def dct2_inverse(coeffs: DctCoeffs) -> SampledPath:
     out = np.empty(values.shape)
     out[..., ::2] = v[..., : n - h]
     out[..., 1::2] = v[..., : n - h - 1 : -1]
-    return SampledPath(values=out, grid_log2=grid_log2, process="reconstructed")
+    out.setflags(write=False)
+    return out

@@ -234,8 +234,7 @@ def _trial_errors(
             grid = paths.values_at(np.arange(n) / n)
     else:
         streams = [derive_stream(config.master_seed, t) for t in trials]
-        grid = np.stack([brownian_grid(config.sigma0_sq, config.grid_log2, s).values
-                         for s in streams])
+        grid = np.stack([brownian_grid(config.sigma0_sq, config.grid_log2, s) for s in streams])
     blocks = []
     for dictionary in dictionaries:
         if dictionary == "haar_analytic":

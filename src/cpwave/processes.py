@@ -27,9 +27,7 @@ __all__ = [
     "JumpLaw",
     "CompoundPoissonPath",
     "PathBlock",
-    "SampledPath",
     "derive_stream",
-    "poisson_count",
     "sample_path",
     "sample_block",
     "sample_grid",
@@ -124,7 +122,7 @@ class CompoundPoissonPath:
 
     The constructor checks the jumps as a one-path PathBlock, block, which
     every view of the path reads: jump_times, strictly increasing in (0, 1),
-    and jump_heights are its frozen arrays, safe to share between threads.
+    and jump_heights are its frozen copies, safe to share between threads.
     """
 
     jump_times: np.ndarray
@@ -182,12 +180,13 @@ class PathBlock:
     same rows of heights. The constructor checks the whole block at once,
     with array operations: bounds rise from 0 to the number of jumps, and
     within each path the times lie in (0, 1) and increase strictly; a time
-    may drop from one path to the next. The arrays are frozen."""
+    may drop from one path to the next. The arrays are frozen copies, which
+    later writes to the caller's arrays leave as they were checked."""
 
     __slots__ = ("times", "heights", "bounds")
 
     def __init__(self, times, heights, bounds) -> None:
-        times, heights = np.asarray(times, dtype=float), np.asarray(heights, dtype=float)
+        times, heights = np.array(times, dtype=float), np.array(heights, dtype=float)
         bounds = np.asarray(bounds)
         if times.ndim != 1 or times.shape != heights.shape:
             raise ValueError("times and heights must be 1-d arrays of equal length")
@@ -197,7 +196,7 @@ class PathBlock:
             raise ValueError(f"bounds must rise from 0 to the {times.size} jumps, got {bounds}")
         if _faults(times, bounds).any():
             raise ValueError(_FAULT)
-        _frozen(self, times.view(), heights.view(), bounds.astype(np.intp))
+        _frozen(self, times, heights, bounds.astype(np.intp))
 
     @classmethod
     def of(cls, paths) -> PathBlock:
@@ -389,36 +388,6 @@ def _frozen(block: PathBlock, times, heights, bounds) -> PathBlock:
     return block
 
 
-@dataclass(frozen=True, eq=False)
-class SampledPath:
-    """A signal on the dyadic grid {i / 2^L : 0 <= i < 2^L}."""
-
-    values: np.ndarray
-    grid_log2: int
-    process: str
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.size != 2**self.grid_log2:
-            raise ValueError(
-                f"expected {2 ** self.grid_log2} samples for grid_log2={self.grid_log2}, "
-                f"got {values.size}"
-            )
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-def poisson_count(lam: float, stream: np.random.Generator, size: int | None = None):
-    """Poisson draw(s) with mean lam; scalar int by default, array when size given."""
-    if not (isinstance(lam, (int, float, np.floating, np.integer)) and math.isfinite(lam)):
-        raise ValueError(f"lam must be a finite number, got {lam!r}")
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
-    if size is None:
-        return int(stream.poisson(lam))
-    return stream.poisson(lam, size=size)
-
-
 def _draw(lam: float, law: JumpLaw, stream: np.random.Generator, redraw: bool = True):
     """One path's jump times and heights, in the order every sampler draws
     them: the count, the times, then the heights. Collisions, a 0.0 time
@@ -471,22 +440,24 @@ def _check_grid_log2(grid_log2: int) -> None:
         raise ValueError(f"grid_log2 must be an integer in [1, {MAX_GRID_LOG2}], got {grid_log2}")
 
 
-def sample_grid(path: CompoundPoissonPath, grid_log2: int) -> SampledPath:
-    """Evaluate the path at the 2^L equispaced grid points i / 2^L."""
+def sample_grid(path: CompoundPoissonPath, grid_log2: int) -> np.ndarray:
+    """The path's values at the 2^L equispaced grid points i / 2^L, as a
+    read-only array."""
     _check_grid_log2(grid_log2)
     n = 2**int(grid_log2)
     values = path.values_at(np.arange(n) / n)
-    return SampledPath(values=values, grid_log2=int(grid_log2), process="cp")
+    values.setflags(write=False)
+    return values
 
 
-def brownian_grid(
-    sigma0_sq: float, grid_log2: int, stream: np.random.Generator
-) -> SampledPath:
-    """Brownian motion samples on the dyadic grid, built from cumulative
-    independent Gaussian increments of variance sigma0_sq / 2^L each."""
+def brownian_grid(sigma0_sq: float, grid_log2: int, stream: np.random.Generator) -> np.ndarray:
+    """Brownian motion samples on the dyadic grid {i / 2^L : 0 <= i < 2^L},
+    as a read-only array, built from cumulative independent Gaussian
+    increments of variance sigma0_sq / 2^L each."""
     _positive("sigma0_sq", sigma0_sq)
     _check_grid_log2(grid_log2)
     n = 2**int(grid_log2)
     increments = stream.normal(0.0, math.sqrt(sigma0_sq / n), n - 1)
     values = np.concatenate(([0.0], np.cumsum(increments)))
-    return SampledPath(values=values, grid_log2=int(grid_log2), process="bm")
+    values.setflags(write=False)
+    return values

@@ -22,7 +22,9 @@ ladders (haar.ladders), first only below a depth d under the path's dyadic
 resolution, and reduce each path to a compact read before the next build;
 then its sums (PathBlock.sums), the certificate (_certified) that the
 scales below d give every scheme its exact kept atoms up to max M, the
-kept counts and the kept energies run once, with array operations. Paths
+kept counts and the kept energies run once, with array operations; each
+build counts linear's atoms of index below every M exactly, from one
+search of (path, scale, shift) keys (_linear). Paths
 whose certificate fails, which sampled paths rarely do, are built again to
 their resolution, where the ladder is whole, and their reads replace the
 first before any row is computed. errors_discrete_rows reads every row of
@@ -59,7 +61,6 @@ from .haar import (
     atoms_past,
     ladders,
     resolutions,
-    _POW2,
 )
 from .processes import CompoundPoissonPath, PathBlock, _bounds, _range_sums, is_int
 
@@ -126,7 +127,8 @@ def _first_depth(n: int, k: int) -> int:
     sampled paths with all three schemes, it failed for 1.3 % of paths at
     rate 3 and k = 64, and for 0.4 %, 0.1 % and none at rates 30, 100 and
     500 and k = 1024; those paths are built again to their resolution. The
-    depth is also at least bit_length(k), which linear needs.
+    depth is also at least bit_length(k), which linear needs: with b =
+    bit_length(k) - bit_length(n) - 1, k / n > 2^b >= b + 1 when b >= 0.
     """
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
@@ -135,24 +137,22 @@ class _Read(NamedTuple):
     """What one build leaves of its paths, laid end to end: candidate
     counts, c (the most jumps of an atom at the deepest built scale, N at
     depth 0, where certified), the squares of the first min(size, k + 1)
-    candidates in index order, for linear the atom indices of the first
-    lead[p] atoms, and for best the min(size, k) largest squares, largest
-    first."""
+    candidates in index order, for linear the (paths, M) counts of the
+    built atoms of index below each M, and for best the min(size, k)
+    largest squares, largest first."""
 
     sizes: np.ndarray
     c: np.ndarray
     index: np.ndarray
-    lead: np.ndarray
-    atoms: np.ndarray
+    linear: np.ndarray
     top: np.ndarray
 
 
 class _Block(NamedTuple):
-    """A block of paths read for M <= k, each from its last read (slot[p]):
-    depth, whole (built to the resolution), size, energy and c; kept lays
-    every read's index parts, then its top parts, and path p's part for
-    scheme s begins at heads[p, s]; keys holds (read, atom index) of the
-    reads' leading atoms as complex numbers, in order."""
+    """A block of paths read for M <= k, each from its last read: depth,
+    whole (built to the resolution), size, energy, c and linear's atom
+    counts; kept lays every read's index parts, then its top parts, and
+    path p's part for scheme s begins at heads[p, s]."""
 
     paths: PathBlock
     k: int
@@ -163,8 +163,7 @@ class _Block(NamedTuple):
     c: np.ndarray
     kept: np.ndarray
     heads: np.ndarray
-    keys: np.ndarray
-    slot: np.ndarray
+    linear: np.ndarray
 
 
 def _candidates(paths: PathBlock, lad: Ladders, scaling: np.ndarray):
@@ -179,9 +178,34 @@ def _candidates(paths: PathBlock, lad: Ladders, scaling: np.ndarray):
     return np.concatenate([np.empty(0)] + pieces), lad.bounds + _bounds(jumps)
 
 
-def _read(paths: PathBlock, scaling, depth: list[int], e: list[int], k: int, schemes) -> _Read:
+def _linear(lad: Ladders, n: np.ndarray, ms, k: int) -> np.ndarray:
+    """How many atoms of each path's ladder have index below each M in ms,
+    as a (paths, M) array. Atom (j, s), of index 2^j + s, is below M =
+    2^J + r, 0 <= r < 2^J, exactly when (j, s) < (J, r), which is how the
+    complex keys (p * 2048 + j) + s i of path p's atoms order, every scale
+    being below 1024; an integer float s is below r exactly when it is
+    below r rounded up."""
+    queries = []
+    for m in map(int, ms):  # J + r'i, M = 0 as J = -1, and J past 1023 as 1024
+        j = min(m.bit_length() - 1, 1024)
+        r = m - (1 << j) if 0 <= j < 1024 else 0
+        queries.append(complex(j, r if float(r) >= r else math.nextafter(float(r), math.inf)))
+    # an index below M needs 2^j < M, j < top; at most N atoms a scale, and k in all
+    top = (int(max(ms, default=0)) - 1).bit_length()
+    lead = np.minimum(np.minimum(n * top, k), lad.bounds[1:] - lad.bounds[:-1])
+    ends = _bounds(lead)
+    rows = np.repeat(lad.bounds[:-1] - ends[:-1], lead) + np.arange(ends[-1])
+    keys = np.empty(rows.size, dtype=complex)
+    keys.real = np.repeat(np.arange(n.size) * 2048, lead) + lad.scale[rows]
+    keys.imag = lad.shift[rows]
+    at = np.searchsorted(keys, np.arange(n.size)[:, None] * 2048 + np.array(queries))
+    return at - ends[:-1, None]
+
+
+def _read(paths: PathBlock, scaling, depth: list[int], e: list[int], k: int, schemes, ms) -> _Read:
     """One build: the ladders of paths below depth[p], at most the path's
-    resolution e[p], reduced to what schemes can keep at M <= k."""
+    resolution e[p], reduced to what schemes can keep at M in ms, k bounding
+    all but linear's."""
     lad = ladders(paths, depth)
     values, bounds = _candidates(paths, lad, scaling)
     sq = values**2
@@ -191,17 +215,8 @@ def _read(paths: PathBlock, scaling, depth: list[int], e: list[int], k: int, sch
     heads, first = _bounds(index), sq
     if heads[-1] < sq.size:
         first = sq[np.repeat(bounds[:-1] - heads[:-1], index) + np.arange(heads[-1])]
-    lead, atoms, top, c = np.empty(0, dtype=np.intp), np.empty(0), [np.empty(0)], paths.counts
-    if "linear" in schemes:
-        # an atom of index below M <= k is among the first k, at a scale
-        # j < bit_length(k - 1), which holds at most min(2^j, N) atoms; at
-        # _MAX_K, M may be larger, and every scale is read
-        scales = (k - 1).bit_length() if k < _MAX_K else None
-        lead = np.minimum(_POW2[:scales], paths.counts[:, None]).sum(axis=1)
-        lead = np.minimum(lead, np.minimum(lad.bounds[1:] - lad.bounds[:-1], k)).astype(np.intp)
-        ends = _bounds(lead)
-        rows = np.repeat(lad.bounds[:-1] - ends[:-1], lead) + np.arange(ends[-1])
-        atoms = _POW2[lad.scale[rows]] + lad.shift[rows]
+    top, c, linear = [np.empty(0)], paths.counts, np.empty((len(paths), 0), dtype=np.intp)
+    linear = _linear(lad, paths.counts, ms, k) if "linear" in schemes else linear
     if "best" in schemes:  # one partition and one sort per path keep this linear in its size
         for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
             part = sq[a:b]
@@ -214,7 +229,7 @@ def _read(paths: PathBlock, scaling, depth: list[int], e: list[int], k: int, sch
         for p, (a, b) in enumerate(zip(ends, ends[1:])):
             if a < b and depth[p] < e[p]:
                 c[p] = lad.count[a + int(np.searchsorted(lad.scale[a:b], depth[p] - 1)) : b].max()
-    return _Read(sizes, c, first, lead, atoms, np.concatenate(top))
+    return _Read(sizes, c, first, linear, np.concatenate(top))
 
 
 def _lay(paths: PathBlock, reads: list[_Read], slot, depth, schemes, k: int, energy, e) -> _Block:
@@ -226,35 +241,28 @@ def _lay(paths: PathBlock, reads: list[_Read], slot, depth, schemes, k: int, ene
     hi = lo[-1] + _bounds(np.minimum(sizes, k if "best" in schemes else 0))
     heads = np.stack([(hi if s == "best" else lo)[slot] for s in schemes], axis=1)
     kept = np.concatenate([r.index for r in reads] + [r.top for r in reads])
-    keys = np.empty(0, dtype=complex)
-    if "linear" in schemes:  # complex numbers order by their real parts, then their imaginary ones
-        keys = np.repeat(np.arange(sizes.size) + 0j, np.concatenate([r.lead for r in reads]))
-        keys.imag = np.concatenate([r.atoms for r in reads])
     c = np.concatenate([r.c for r in reads])[slot]
+    linear = np.concatenate([r.linear for r in reads])[slot]
     depth = np.array(depth)
-    return _Block(paths, k, depth, depth == e, sizes[slot], energy, c, kept, heads, keys, slot)
+    return _Block(paths, k, depth, depth == e, sizes[slot], energy, c, kept, heads, linear)
 
 
 def _certified(block: _Block, schemes) -> list[bool]:
     """Whether each path's ladder, whole or built below its depth d, serves
     every scheme exactly as its whole ladder would at every M <= k.
 
-    Linear keeps only atoms of index below k, all at scales below
-    bit_length(k); greedy keeps the first k candidates in index order. An
-    atom at scale j >= d holds at most the c jumps of its ancestor at
-    scale d - 1 (at depth 0, all N jumps of [0, 1)), each weighted by at
-    most 2^(-j/2-1) in magnitude, so its square is at most
+    Linear needs no test: its atoms of index below M <= k lie at scales
+    below bit_length(k), which every first depth reaches (_first_depth).
+    Greedy keeps the first k candidates in index order. An atom at scale
+    j >= d holds at most the c jumps of its ancestor at scale d - 1 (at
+    depth 0, all N jumps of [0, 1)), each weighted by at most 2^(-j/2-1) in
+    magnitude, so its square is at most
     (c * max|h|)^2 * 2^(-d-2); best's top k is already built when that
     bound, widened for rounding, is below the k-th largest built square.
     """
     k, paths, depth, c = block.k, block.paths, block.depth, block.c
-    short = np.zeros(depth.size, dtype=bool)
-    if "linear" in schemes:
-        short |= depth < k.bit_length()
-    if "greedy" in schemes or "best" in schemes:
-        short |= block.sizes < k
-    held = block.whole | ~short
-    test = ~(block.whole | short)
+    held = block.whole | (block.sizes >= k if "greedy" in schemes or "best" in schemes else True)
+    test = held & ~block.whole
     if "best" not in schemes or k == 0 or not test.any():
         return held.tolist()
     counts = paths.counts
@@ -274,23 +282,15 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     """How many of each path's candidates, in keep order, each scheme keeps
     at each M, as a (paths, schemes, M) array. Past the candidates every
     coefficient is 0.0, so only these count; linear keeps the candidates
-    whose atom index is below M."""
+    whose index is below M: the block's atom counts and the scaling
+    candidate, index 0, at M > 0."""
     # every M is at most the largest, which _plan reads as at most _MAX_K
     ms = np.array([min(int(m), block.k) for m in m_values], dtype=np.int64)
     counts = np.empty((block.sizes.size, len(schemes), ms.size), dtype=np.int64)
     counts[:] = np.minimum(block.sizes[:, None], ms)[:, None]
     if "linear" in schemes:
-        # one search of the (read, atom index) keys finds where each path's
-        # atoms begin (M = 0) and how many lie below each M; the indices are
-        # exact up to 2^53, and past it rounding keeps an index of M or more
-        # from falling below M. The scaling candidate, index 0, is below M > 0,
-        # and every index below 2^1023, which a larger M is read as
-        queries = np.repeat(block.slot + 0j, ms.size + 1)
-        tops = [0] + [min(m, 2**1023) for m in m_values]
-        queries.imag = np.tile(np.asarray(tops, dtype=float), block.slot.size)
-        below = np.searchsorted(block.keys, queries).reshape(-1, ms.size + 1)
-        below = below[:, 1:] - below[:, :1] + ((ms > 0) & (block.sizes[:, None] > 0))
-        counts[:, list(schemes).index("linear")] = below
+        scaled = (ms > 0) & (block.sizes[:, None] > 0)
+        counts[:, list(schemes).index("linear")] = block.linear + scaled
     return counts
 
 
@@ -348,17 +348,18 @@ def _builds(sizes: list[int], budget: int):
         yield start, len(sizes)
 
 
-def _block(paths: PathBlock, schemes, k: int, first: list[int], e: list[int]) -> _Block:
-    """A block read for M <= k: one PathBlock.sums, builds below the first
-    depths within _BUILD_CELLS cells (or of one path), one certificate, and
-    the paths it rejects built again to their resolution e."""
+def _block(paths: PathBlock, schemes, m_values, k: int, first: list[int], e: list[int]) -> _Block:
+    """A block read for m_values, k bounding all but linear's: one
+    PathBlock.sums, builds below the first depths within _BUILD_CELLS cells
+    (or of one path), one certificate, and the paths it rejects built again
+    to their resolution e."""
     n = paths.counts.tolist()
     scaling, energy = paths.sums()
 
     def reads(ids, depth):  # each build is freed before the next is made
         runs = (ids[a:b] for a, b in _builds([n[i] * depth[i] for i in ids], _BUILD_CELLS))
         return [_read(paths.take(r), scaling[r], [depth[i] for i in r], [e[i] for i in r], k,
-                      schemes) for r in runs]
+                      schemes, m_values) for r in runs]
 
     done, slot = reads(list(range(len(paths))), first), np.arange(len(paths))
     block = _lay(paths, done, slot, first, schemes, k, energy, e)
@@ -371,18 +372,18 @@ def _block(paths: PathBlock, schemes, k: int, first: list[int], e: list[int]) ->
     return block
 
 
-def _plan(paths: PathBlock, schemes, k: int):
-    """The (rows, block) pairs errors_rows and select read, each of
-    consecutive paths within _BLOCK_TERMS, or one; each path's resolution
-    is found once, its first depth min(_first_depth, resolution). Past
-    _MAX_K, k only bounds linear's atom indices, and is read as _MAX_K: its
-    first depths are the resolutions, whose ladders hold every index."""
-    k, n = min(k, _MAX_K), paths.counts.tolist()
-    # in runs within the budget: no path has fewer cells than jumps
-    e = [r for a, b in _builds(n, _BUILD_CELLS) for r in resolutions(paths.take(range(a, b)))]
+def _plan(paths: PathBlock, schemes, m_values):
+    """The (rows, block) pairs errors_rows and select read for m_values,
+    each of consecutive paths within _BLOCK_TERMS, or one; each path's
+    resolution is found once, its first depth min(_first_depth, resolution)
+    for k, the largest M. Past _MAX_K, k only bounds linear's atom indices,
+    and is read as _MAX_K: its first depths are the resolutions, whose
+    ladders hold every index."""
+    k, n = min(int(max(m_values, default=0)), _MAX_K), paths.counts.tolist()
+    e = resolutions(paths)
     first = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
     for a, b in _builds([m + 2 * min(m * d + 1, k + 1) for m, d in zip(n, first)], _BLOCK_TERMS):
-        yield slice(a, b), _block(paths.take(range(a, b)), schemes, k, first[a:b], e[a:b])
+        yield slice(a, b), _block(paths.take(range(a, b)), schemes, m_values, k, first[a:b], e[a:b])
 
 
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
@@ -397,7 +398,7 @@ def errors_rows(paths, schemes, m_values) -> np.ndarray:
     _check_query(schemes, m_values)
     paths = paths if isinstance(paths, PathBlock) else PathBlock.of(paths)
     rows = np.empty((len(paths), len(schemes), len(m_values)))
-    for at, block in _plan(paths, schemes, int(max(m_values, default=0))):
+    for at, block in _plan(paths, schemes, m_values):
         rows[at] = _errors(block, schemes, _kept_counts(block, schemes, m_values))
         del block  # freed before the next block is read
     return rows
@@ -417,7 +418,7 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     the m largest magnitudes of the full expansion, ties to the smaller
     index."""
     _check_query((scheme,), [m])
-    ((_, block),) = _plan(path.block, (scheme,), int(m))
+    ((_, block),) = _plan(path.block, (scheme,), [m])
     depth = int(block.depth[0])
     lad = ladders(block.paths, [depth])
     values = _candidates(block.paths, lad, block.paths.sums()[0])[0]

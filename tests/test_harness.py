@@ -557,7 +557,7 @@ def test_dict_compare_samples_once_per_process_and_trial(monkeypatch):
     cp_grid, bm_grids = grids[0], grids[1:]
     assert read[0] is read[1] and read[2] is read[3]
     assert read[0] is cp_grid and cp_grid.shape == (5, 64)
-    assert [row.tobytes() for row in read[2]] == [g.values.tobytes() for g in bm_grids]
+    assert [row.tobytes() for row in read[2]] == [g.tobytes() for g in bm_grids]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from cpwave import (
     JumpLaw,
     brownian_grid,
     derive_stream,
-    poisson_count,
     sample_grid,
     sample_path,
 )
@@ -28,31 +27,15 @@ def make_path(times, heights):
 
 
 # ---------------------------------------------------------------------------
-# poisson_count
-
-
-def test_poisson_zero_rate_always_zero():
-    rng = derive_stream(1, 0)
-    assert all(poisson_count(0.0, rng) == 0 for _ in range(100))
-
-
-def test_poisson_mean_clt_band():
-    rng = derive_stream(2, 0)
-    draws = poisson_count(10.0, rng, size=10**6)
-    assert abs(draws.mean() - 10.0) < 3.0 * math.sqrt(10.0 / 10**6)
-
-
-def test_poisson_variance_matches_rate():
-    rng = derive_stream(3, 0)
-    draws = poisson_count(10.0, rng, size=10**6)
-    assert abs(draws.var() - 10.0) < 0.05 * 10.0
+# jump counts
 
 
 @pytest.mark.parametrize("lam", [5.0, 100.0])
 def test_poisson_chi_square_against_exact_pmf(lam):
-    # exercises both sampler regimes (small-rate inversion, large-rate rejection)
-    rng = derive_stream(4, int(lam))
-    draws = poisson_count(lam, rng, size=200_000)
+    # the jump counts of sampled trials, each from its own stream; the two
+    # rates exercise numpy's two Poisson samplers (small-rate inversion,
+    # large-rate rejection)
+    draws = sample_block(lam, JumpLaw.for_rate(lam), 4, range(20_000)).counts
     lo = max(0, int(lam - 5 * math.sqrt(lam)))
     hi = int(lam + 5 * math.sqrt(lam))
     edges = list(range(lo, hi + 1))
@@ -67,11 +50,11 @@ def test_poisson_chi_square_against_exact_pmf(lam):
 
 
 def test_poisson_rejects_bad_rate():
-    rng = derive_stream(5, 0)
-    with pytest.raises(ValueError):
-        poisson_count(-1.0, rng)
-    with pytest.raises(ValueError):
-        poisson_count(float("nan"), rng)
+    for lam in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            sample_path(lam, LAW10, derive_stream(5, 0))
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            sample_block(lam, LAW10, 5, range(2))
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +186,7 @@ def test_l2_norm_matches_riemann_estimate():
     for seed in range(5):
         path = sample_path(10.0, LAW10, derive_stream(12, seed))
         grid = sample_grid(path, 16)
-        riemann = float((grid.values**2).sum()) / 2**16
+        riemann = float((grid**2).sum()) / 2**16
         exact = path.l2_norm_sq()
         assert abs(riemann - exact) <= 2**-12 * exact
 
@@ -237,18 +220,18 @@ def test_l2_norm_matches_quadrature(times, data):
 
 def test_sample_grid_zero_path():
     path = CompoundPoissonPath(np.array([]), np.array([]))
-    assert np.array_equal(sample_grid(path, 3).values, np.zeros(8))
+    assert np.array_equal(sample_grid(path, 3), np.zeros(8))
 
 
 def test_sample_grid_single_jump_layout():
     grid = sample_grid(make_path([0.3], [1.0]), 2)
-    assert np.array_equal(grid.values, [0.0, 0.0, 1.0, 1.0])
+    assert np.array_equal(grid, [0.0, 0.0, 1.0, 1.0]) and not grid.flags.writeable
 
 
 def test_sample_grid_starts_at_zero():
     for t in range(20):
         path = sample_path(10.0, LAW10, derive_stream(13, t))
-        assert sample_grid(path, 5).values[0] == 0.0
+        assert sample_grid(path, 5)[0] == 0.0
 
 
 def test_sample_grid_range_check():
@@ -261,29 +244,29 @@ def test_sample_grid_range_check():
 
 def test_brownian_grid_shape_and_origin():
     grid = brownian_grid(1.0, 10, derive_stream(14, 0))
-    assert grid.values.shape == (1024,)
-    assert grid.values[0] == 0.0
-    assert grid.process == "bm"
+    assert grid.shape == (1024,)
+    assert grid[0] == 0.0
+    assert not grid.flags.writeable
 
 
 def test_brownian_grid_terminal_variance():
     last = np.array(
-        [brownian_grid(1.0, 10, derive_stream(15, t)).values[-1] for t in range(10_000)]
+        [brownian_grid(1.0, 10, derive_stream(15, t))[-1] for t in range(10_000)]
     )
     expected = 1.0 - 2.0**-10  # variance of the sum of 2^L - 1 increments
     assert abs(last.var() - expected) < 0.05 * expected
 
 
 def test_brownian_grid_increments_zero_mean():
-    values = brownian_grid(1.0, 10, derive_stream(16, 0)).values
+    values = brownian_grid(1.0, 10, derive_stream(16, 0))
     incs = np.diff(values)
     sigma = math.sqrt(2.0**-10)
     assert abs(incs.mean()) < 4.0 * sigma / math.sqrt(incs.size)
 
 
 def test_brownian_grid_deterministic():
-    a = brownian_grid(1.0, 8, derive_stream(17, 3)).values
-    b = brownian_grid(1.0, 8, derive_stream(17, 3)).values
+    a = brownian_grid(1.0, 8, derive_stream(17, 3))
+    b = brownian_grid(1.0, 8, derive_stream(17, 3))
     assert np.array_equal(a, b)
 
 
@@ -417,6 +400,17 @@ def test_path_block_accepts_drops_between_paths_and_empty_paths():
     assert block.take([3, 4]).bounds.tolist() == [0, 1, 1]
 
 
+def test_paths_and_blocks_keep_their_own_copies():
+    # writing to the arrays a path or a block was made from, after the
+    # checks, once left the path unsorted with 7863.6 for its energy
+    t, h = np.array([0.25, 0.5]), np.array([1.0, 2.0])
+    path, block = CompoundPoissonPath(t, h), PathBlock(t, h, [0, 1, 2])
+    t[1], h[0] = 0.1, 100.0
+    for times, heights in ((path.jump_times, path.jump_heights), (block.times, block.heights)):
+        assert times.tolist() == [0.25, 0.5] and heights.tolist() == [1.0, 2.0]
+    assert path.l2_norm_sq() == 4.75 and block.sums()[1].tolist() == [0.75, 2.0]
+
+
 def test_path_block_sums_equal_the_one_path_views():
     # the scaling coefficient and the energy of each path keep the bits of
     # the per-path fsum over its own terms, whatever the paths beside it:
@@ -470,7 +464,7 @@ def test_path_block_values_at_equal_the_per_path_running_sums(grid_log2):
                 assert row.tobytes() == p.values_at(points).tobytes()
     grids = uneven.values_at(ts)
     for p, row in zip(paths, grids):
-        assert row.tobytes() == sample_grid(p, grid_log2).values.tobytes()
+        assert row.tobytes() == sample_grid(p, grid_log2).tobytes()
     assert uneven.values_at(ts.reshape(2, n // 2)).tobytes() == grids.tobytes()
     for bad in ([0.5, 1.5], [-0.25]):
         with pytest.raises(ValueError, match="evaluation points"):

@@ -435,10 +435,13 @@ def test_errors_equal_whole_ladder_reference():
         elif built < e:
             branches.add("truncated")
         # the certificate, not the first depth, makes the errors exact: any
-        # first depth gives the same rows
+        # first depth gives the same rows, from the depth linear needs,
+        # bit_length(max M), which every first depth reaches
+        # (test_first_depth_reaches_every_scale_linear_keeps)
         real_first_depth = schemes_module._first_depth
+        lowest = min(max(ms).bit_length() if "linear" in chosen else 0, e)
         try:
-            for depth in range(e + 2):
+            for depth in range(lowest, e + 2):
                 schemes_module._first_depth = lambda n, k: depth
                 assert errors(path, chosen, ms) == expected
         finally:
@@ -446,6 +449,17 @@ def test_errors_equal_whole_ladder_reference():
 
     check()
     assert branches == {"truncated", "reread"}
+
+
+def test_first_depth_reaches_every_scale_linear_keeps():
+    # linear keeps atoms of index below M <= k, at scales below
+    # bit_length(k), and the certificate does not test for them: every first
+    # depth of a path with jumps reaches that scale, k being at most _MAX_K
+    ks = [0, 1, 2, 3] + [2**j + d for j in range(2, 63) for d in (-1, 0, 1)]
+    rng = np.random.default_rng(48)
+    pairs = [(n, k) for n in range(1, 5000) for k in ks]
+    pairs += zip(rng.integers(1, 2**40, 20_000).tolist(), rng.integers(0, schemes_module._MAX_K, 20_000).tolist())
+    assert all(schemes_module._first_depth(n, k) >= k.bit_length() for n, k in pairs)
 
 
 def test_select_rereads_a_rejected_path_whole(monkeypatch):
@@ -1184,6 +1198,16 @@ def test_one_path_views_read_the_paths_own_block(monkeypatch):
     assert laid == []
     PathBlock.of([path])
     assert laid == [PathBlock]  # the count sees a call
+
+
+def test_linear_compares_indices_and_m_exactly():
+    # an atom index and M are compared exactly, past 2^53 too: atom (60, 0),
+    # index 2^60, is below M = 2^60 + 1, and atom (99, 0) below 2^99 + 1.
+    # This path's scale-j atom holds 2^(j - 200) for j < 99, and (99, 0)
+    # holds 2^-101, the rest of its energy, 2^-100
+    deep = make_path([2.0**-100, 2.0**-99], [1.0, -1.0])
+    expected = [2.0**-100 - 2.0**-140, 2.0**-100 - 2.0**-139, 2.0**-101, 0.0]
+    assert errors(deep, ("linear",), [2**60, 2**60 + 1, 2**99, 2**99 + 1]) == [expected]
 
 
 def test_errors_read_any_m_past_the_count_cap():

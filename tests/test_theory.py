@@ -275,8 +275,8 @@ def grid_config(**fields):
     (lambda k: poly_weighted_decay(10.0, k, [4, 8]), 2),
     (lambda seed: derive_stream(seed, 1).random(3).tolist(), 5),
     (lambda index: derive_stream(5, index).random(3).tolist(), 1),
-    (lambda g: sample_grid(PATH10, g).values.tolist(), 3),
-    (lambda g: brownian_grid(1.0, g, derive_stream(0, 0)).values.tolist(), 3),
+    (lambda g: sample_grid(PATH10, g).tolist(), 3),
+    (lambda g: brownian_grid(1.0, g, derive_stream(0, 0)).tolist(), 3),
     (lambda g: grid_config(grid_log2=g).validate(), 3),
     (lambda seed: grid_config(master_seed=seed).validate(), 5),
 ], ids=["linear-m", "envelope-m", "two-pow-m", "bounds-m", "bounds-n", "spacing-n",
