@@ -9,11 +9,12 @@ zero/nonzero structure purely combinatorial: a coefficient vanishes exactly
 when no jump lands in the atom's support, so zero detection never touches a
 floating-point threshold. Float jump times are dyadic rationals, so the
 nonzero coefficients are also finitely many: they sit at the scales below
-the path's dyadic resolution (`resolutions`). `ladders` lists the scales a
-caller asks for, at most that many, for a processes.PathBlock in one
-vectorized pass over every path's (scale, jump) cells, path-major, reading
-the block's arrays with no per-path object; `ladder` is its one-path view,
-which finds the resolution itself. The dense listing up to scale J is
+the path's dyadic resolution. Which atoms are occupied follows from the
+times alone, and `structure` reads it for a processes.PathBlock. `ladders`
+lists the scales a caller asks for, at most that many, in one vectorized
+pass over every path's (scale, jump) cells, path-major, reading the
+block's arrays with no per-path object; `ladder` is its one-path view,
+which finds the structure itself. The dense listing up to scale J is
 schemes.select(path, "linear", 2**(J + 1)).
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
@@ -46,7 +47,7 @@ __all__ = [
     "Ladders",
     "ladder",
     "ladders",
-    "resolutions",
+    "structure",
     "atoms_past",
     "nonzero_counts_by_scale",
     "discrete_haar_forward",
@@ -193,10 +194,9 @@ class Ladder(NamedTuple):
 class Ladders(NamedTuple):
     """The ladders of a block of paths laid end to end, path-major: path p's
     atoms are rows bounds[p]:bounds[p + 1] of the atom arrays, in atom-index
-    order."""
+    order, a scale's atoms being those structure counts."""
 
     bounds: np.ndarray
-    scale: np.ndarray
     shift: np.ndarray
     value: np.ndarray
     count: np.ndarray
@@ -208,24 +208,29 @@ _POW2 = np.array([math.ldexp(1.0, j) for j in range(1024)])
 _AMPLITUDE = np.array([-(2.0 ** (-j / 2.0)) for j in range(1024)])
 
 
-def resolutions(block: PathBlock) -> list[int]:
-    """The dyadic resolution of each path of a block, the largest e with a
-    jump time an odd multiple of 2^-e (0 without jumps), refused past 1023."""
-    counts = block.counts
+def structure(block: PathBlock) -> tuple[np.ndarray, list[int]]:
+    """The atoms a block's paths occupy, from one frexp of their times:
+    split[i], the first scale at which jump i leaves the atom of the jump
+    before it (0 for a path's first), and each path's dyadic resolution e,
+    the largest e with a time an odd multiple of 2^-e (0 without jumps),
+    refused past 1023. Path p holds #{i : split[i] <= j} atoms at scale j < e."""
+    times, counts = block.times, block.counts
+    # t = bits * 2^(x - 53), bits a 53-bit integer: jumps of one x split at the
+    # highest bit their bits differ in, else the later (t >= 2^(x-1)) at 1 - x
+    mantissa, x = np.frexp(times)
+    bits = (mantissa * 2.0**53).astype(np.int64)
+    split = np.zeros(times.size, dtype=np.int64)
+    split[1:] = np.where(x[1:] == x[:-1], 54 - x[1:] - np.frexp(bits[1:] ^ bits[:-1])[1], 1 - x[1:])
+    split[block.bounds[:-1][counts > 0]] = 0
     e = np.zeros(counts.size, dtype=int)
-    if block.times.size:
-        # t = bits * 2^(exponent - 53) with a 53-bit integer mantissa; its
-        # lowest set bit, 2^(frexp exponent - 1), gives e = 54 - exponent -
-        # frexp exponent
-        mantissa, exponent = np.frexp(block.times)
-        bits = (mantissa * 2.0**53).astype(np.int64)
-        exponent += np.frexp(bits & -bits)[1]
-        e[counts > 0] = 54 - np.minimum.reduceat(exponent, block.bounds[:-1][counts > 0])
+    if times.size:  # the lowest set bit of bits, 2^(frexp exponent - 1), gives e
+        x += np.frexp(bits & -bits)[1]
+        e[counts > 0] = 54 - np.minimum.reduceat(x, block.bounds[:-1][counts > 0])
     if e.size and e.max() > 1023:  # t * 2^j overflows at j = 1024
         raise ValueError(
             f"jump times need {e.max()} dyadic scales; a float path can be scaled to at most 1023"
         )
-    return e.tolist()
+    return split, e.tolist()
 
 
 def ladders(block: PathBlock, hi: list[int]) -> Ladders:
@@ -233,7 +238,7 @@ def ladders(block: PathBlock, hi: list[int]) -> Ladders:
     of a block, where hi[p] is at most the path's resolution.
 
     Every jump time is exactly m * 2^-e with m odd; a path's resolution is
-    the largest such e (see resolutions). At every scale j >= e each jump
+    the largest such e (see structure). At every scale j >= e each jump
     sits alone at the left edge of its own atom, so those coefficients are
     exactly 0.0 and the whole ladder, scales [0, e), holds every nonzero
     coefficient. Each value is the left-to-right sum, in jump order, of
@@ -276,22 +281,19 @@ def ladders(block: PathBlock, hi: list[int]) -> Ladders:
     atom = np.repeat(np.arange(starts.size), count)
     value = np.bincount(atom, weights=x, minlength=starts.size).astype(float, copy=False)
     del x, atom
-    # a path's atoms start at its first cell's; an atom's scale is its row
-    bounds = np.searchsorted(edges, firsts + [cells])
-    scale = np.empty_like(starts)
-    for c, d, a, m in zip(bounds.tolist(), bounds[1:].tolist(), firsts, n):
-        if d > c:  # division by one int is much faster than by an array
-            np.floor_divide(starts[c:d] - a, m, out=scale[c:d])
-    return Ladders(bounds, scale, shift, value, count)
+    # a path's atoms start at its first cell's
+    return Ladders(np.searchsorted(edges, firsts + [cells]), shift, value, count)
 
 
 def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:
     """The path's finite coefficient ladder, or only its scales j < hi: the
-    one-path view of ladders. `resolution` is the path's whatever the
-    prefix."""
-    (e,) = resolutions(path.block)
-    lads = ladders(path.block, [e if hi is None else max(0, min(hi, e))])
-    return Ladder(e, *lads[1:])
+    one-path view of ladders, each atom's scale read off the path's
+    structure. `resolution` is the path's whatever the prefix."""
+    split, (e,) = structure(path.block)
+    hi = e if hi is None else max(0, min(hi, e))
+    lad = ladders(path.block, [hi])
+    per_scale = np.cumsum(np.bincount(split, minlength=hi))[:hi]
+    return Ladder(e, np.repeat(np.arange(hi), per_scale), *lad[1:])
 
 
 def atoms_past(path: CompoundPoissonPath, resolution: int) -> Iterator[Atom]:
@@ -314,8 +316,8 @@ def nonzero_counts_by_scale(path: CompoundPoissonPath, target: int) -> list[int]
     n = path.num_jumps
     if n == 0:
         return [0] if target > 0 else []
-    lad = ladder(path)
-    per_scale = np.bincount(lad.scale, minlength=lad.resolution).tolist()
+    split, (e,) = structure(path.block)
+    per_scale = np.cumsum(np.bincount(split))[:e].tolist()
     per_scale[0] += 1
     scales = iter(per_scale)
     counts: list[int] = []

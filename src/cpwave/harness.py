@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ValueError(f"process must be one of {PROCESSES}, got {self.process!r}")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}, got {self.schemes}")
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ValueError(f"schemes must not repeat, got {self.schemes}")
         if self.dictionary not in DICTIONARIES:
             raise ValueError(
                 f"dictionary must be one of {DICTIONARIES}, got {self.dictionary!r}"

@@ -14,17 +14,18 @@ errors_rows(paths, schemes, m_values) reads every requested scheme's
 errors of a processes.PathBlock, or of a list of paths through
 PathBlock.of; errors(path, ...) is its one-path view, and select(path,
 scheme, m) reads one selection's kept atoms and error; both read the
-blocks of one planner, _plan. A path's candidates are its scaling
-coefficient and then its ladder in index order; a scheme is an order over
-their squares and a kept count per M. A block is read in two layers:
-builds of consecutive paths within a fixed number of cells make their
-ladders (haar.ladders), first only below a depth d under the path's dyadic
-resolution, and reduce each path to a compact read before the next build;
-then its sums (PathBlock.sums), the certificate (_certified) that the
-scales below d give every scheme its exact kept atoms up to max M, the
-kept counts and the kept energies run once, with array operations; each
-build counts linear's atoms of index below every M exactly, from one
-search of (path, scale, shift) keys (_linear). Paths
+blocks of one planner, _plan, which finds every path's time structure
+(haar.structure) once. A path's candidates are its scaling coefficient and
+then its ladder in index order; a scheme is an order over their squares
+and a kept count per M. A block is read in two layers: builds of
+consecutive paths within a fixed number of cells make their ladders
+(haar.ladders), first only below a depth d under the path's dyadic
+resolution, and reduce each path to a compact read of its squares before
+the next build; then its sums (PathBlock.sums), the certificate
+(_certified) that the scales below d give every scheme its exact kept
+atoms up to max M, the kept counts and the kept energies run once, with
+array operations. The structure, not a read, gives linear's exact count of
+atoms of index below every M (_linear) and the certificate's bound. Paths
 whose certificate fails, which sampled paths rarely do, are built again to
 their resolution, where the ladder is whole, and their reads replace the
 first before any row is computed. errors_discrete_rows reads every row of
@@ -54,13 +55,13 @@ import numpy as np
 from .haar import (
     SCALING,
     Atom,
-    Ladders,
     as_rows,
     atom_from_index,
     atom_index,
     atoms_past,
+    ladder,
     ladders,
-    resolutions,
+    structure,
 )
 from .processes import CompoundPoissonPath, PathBlock, _bounds, _range_sums, is_int
 
@@ -127,32 +128,28 @@ def _first_depth(n: int, k: int) -> int:
     sampled paths with all three schemes, it failed for 1.3 % of paths at
     rate 3 and k = 64, and for 0.4 %, 0.1 % and none at rates 30, 100 and
     500 and k = 1024; those paths are built again to their resolution. The
-    depth is also at least bit_length(k), which linear needs: with b =
-    bit_length(k) - bit_length(n) - 1, k / n > 2^b >= b + 1 when b >= 0.
+    depth is also at least bit_length(k), which linear's kept squares need:
+    with b = bit_length(k) - bit_length(n) - 1, k / n > 2^b >= b + 1 when b >= 0.
     """
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
 class _Read(NamedTuple):
     """What one build leaves of its paths, laid end to end: candidate
-    counts, c (the most jumps of an atom at the deepest built scale, N at
-    depth 0, where certified), the squares of the first min(size, k + 1)
-    candidates in index order, for linear the (paths, M) counts of the
-    built atoms of index below each M, and for best the min(size, k)
-    largest squares, largest first."""
+    counts, the squares of the first min(size, k + 1) candidates in index
+    order, and for best the min(size, k) largest squares, largest first."""
 
     sizes: np.ndarray
-    c: np.ndarray
     index: np.ndarray
-    linear: np.ndarray
     top: np.ndarray
 
 
 class _Block(NamedTuple):
     """A block of paths read for M <= k, each from its last read: depth,
-    whole (built to the resolution), size, energy, c and linear's atom
-    counts; kept lays every read's index parts, then its top parts, and
-    path p's part for scheme s begins at heads[p, s]."""
+    whole (built to the resolution), size and energy; kept lays every
+    read's index parts, then its top parts, and path p's part for scheme s
+    begins at heads[p, s]; split and resolution are the block's structure
+    (haar.structure), which fixes linear's counts and the certificate's c."""
 
     paths: PathBlock
     k: int
@@ -160,91 +157,48 @@ class _Block(NamedTuple):
     whole: np.ndarray
     sizes: np.ndarray
     energy: np.ndarray
-    c: np.ndarray
     kept: np.ndarray
     heads: np.ndarray
-    linear: np.ndarray
+    split: np.ndarray
+    resolution: np.ndarray
 
 
-def _candidates(paths: PathBlock, lad: Ladders, scaling: np.ndarray):
-    """The candidates of every path of a build laid end to end, and their
-    bounds: the scaling coefficient, when the path has jumps, then its
-    ladder."""
-    jumps, atoms, pieces = paths.counts > 0, lad.bounds.tolist(), []
+def _read(paths: PathBlock, scaling, depth: list[int], k: int, schemes) -> _Read:
+    """One build: the ladders of paths below depth[p], reduced to what
+    schemes can keep at M <= k. A path's candidates are its scaling
+    coefficient, when it has jumps, then its ladder."""
+    lad = ladders(paths, depth)
+    jumps, atoms, pieces = paths.counts > 0, lad.bounds.tolist(), [np.empty(0)]
     for p, scaled in enumerate(jumps.tolist()):
         if scaled:
             pieces.append(scaling[p : p + 1])
         pieces.append(lad.value[atoms[p] : atoms[p + 1]])
-    return np.concatenate([np.empty(0)] + pieces), lad.bounds + _bounds(jumps)
-
-
-def _linear(lad: Ladders, n: np.ndarray, ms, k: int) -> np.ndarray:
-    """How many atoms of each path's ladder have index below each M in ms,
-    as a (paths, M) array. Atom (j, s), of index 2^j + s, is below M =
-    2^J + r, 0 <= r < 2^J, exactly when (j, s) < (J, r), which is how the
-    complex keys (p * 2048 + j) + s i of path p's atoms order, every scale
-    being below 1024; an integer float s is below r exactly when it is
-    below r rounded up."""
-    queries = []
-    for m in map(int, ms):  # J + r'i, M = 0 as J = -1, and J past 1023 as 1024
-        j = min(m.bit_length() - 1, 1024)
-        r = m - (1 << j) if 0 <= j < 1024 else 0
-        queries.append(complex(j, r if float(r) >= r else math.nextafter(float(r), math.inf)))
-    # an index below M needs 2^j < M, j < top; at most N atoms a scale, and k in all
-    top = (int(max(ms, default=0)) - 1).bit_length()
-    lead = np.minimum(np.minimum(n * top, k), lad.bounds[1:] - lad.bounds[:-1])
-    ends = _bounds(lead)
-    rows = np.repeat(lad.bounds[:-1] - ends[:-1], lead) + np.arange(ends[-1])
-    keys = np.empty(rows.size, dtype=complex)
-    keys.real = np.repeat(np.arange(n.size) * 2048, lead) + lad.scale[rows]
-    keys.imag = lad.shift[rows]
-    at = np.searchsorted(keys, np.arange(n.size)[:, None] * 2048 + np.array(queries))
-    return at - ends[:-1, None]
-
-
-def _read(paths: PathBlock, scaling, depth: list[int], e: list[int], k: int, schemes, ms) -> _Read:
-    """One build: the ladders of paths below depth[p], at most the path's
-    resolution e[p], reduced to what schemes can keep at M in ms, k bounding
-    all but linear's."""
-    lad = ladders(paths, depth)
-    values, bounds = _candidates(paths, lad, scaling)
-    sq = values**2
+    sq, bounds = np.concatenate(pieces) ** 2, lad.bounds + _bounds(jumps)
     sizes = bounds[1:] - bounds[:-1]
     # each path's first min(size, k + 1) squares in index order, often all
     index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
     heads, first = _bounds(index), sq
     if heads[-1] < sq.size:
         first = sq[np.repeat(bounds[:-1] - heads[:-1], index) + np.arange(heads[-1])]
-    top, c, linear = [np.empty(0)], paths.counts, np.empty((len(paths), 0), dtype=np.intp)
-    linear = _linear(lad, paths.counts, ms, k) if "linear" in schemes else linear
+    top = [np.empty(0)]
     if "best" in schemes:  # one partition and one sort per path keep this linear in its size
         for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
             part = sq[a:b]
             if k < part.size:
                 part = np.partition(part, part.size - k)[part.size - k :] if k else part[:0]
             top.append(np.sort(part)[::-1])
-        # a ladder that is not whole is certified: its deepest built scale,
-        # d - 1, holds its last atoms (none at depth 0, where c is N)
-        ends = lad.bounds.tolist()
-        for p, (a, b) in enumerate(zip(ends, ends[1:])):
-            if a < b and depth[p] < e[p]:
-                c[p] = lad.count[a + int(np.searchsorted(lad.scale[a:b], depth[p] - 1)) : b].max()
-    return _Read(sizes, c, first, linear, np.concatenate(top))
+    return _Read(sizes, first, np.concatenate(top))
 
 
-def _lay(paths: PathBlock, reads: list[_Read], slot, depth, schemes, k: int, energy, e) -> _Block:
-    """The block of paths built below depth whose reads are reads, path
-    p's being number slot[p] over the paths of every read in turn."""
-    sizes = np.concatenate([r.sizes for r in reads])
-    index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
-    lo = _bounds(index)
-    hi = lo[-1] + _bounds(np.minimum(sizes, k if "best" in schemes else 0))
-    heads = np.stack([(hi if s == "best" else lo)[slot] for s in schemes], axis=1)
-    kept = np.concatenate([r.index for r in reads] + [r.top for r in reads])
-    c = np.concatenate([r.c for r in reads])[slot]
-    linear = np.concatenate([r.linear for r in reads])[slot]
-    depth = np.array(depth)
-    return _Block(paths, k, depth, depth == e, sizes[slot], energy, c, kept, heads, linear)
+def _most_jumps(split: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """The most jumps in one atom at scale depth[p] - 1 of each path p, all
+    N at depth 0, for paths that all have jumps: there atoms start at a
+    path's first jump and at every jump that splits below depth[p]."""
+    first = _bounds(counts)[:-1]
+    start = split < np.repeat(depth, counts)
+    start[first] = True
+    at = np.flatnonzero(start)
+    return np.maximum.reduceat(np.diff(at, append=split.size), np.searchsorted(at, first))
 
 
 def _certified(block: _Block, schemes) -> list[bool]:
@@ -254,35 +208,63 @@ def _certified(block: _Block, schemes) -> list[bool]:
     Linear needs no test: its atoms of index below M <= k lie at scales
     below bit_length(k), which every first depth reaches (_first_depth).
     Greedy keeps the first k candidates in index order. An atom at scale
-    j >= d holds at most the c jumps of its ancestor at scale d - 1 (at
-    depth 0, all N jumps of [0, 1)), each weighted by at most 2^(-j/2-1) in
-    magnitude, so its square is at most
+    j >= d holds at most the c jumps of its ancestor at scale d - 1
+    (_most_jumps, read off the structure of the paths tested), each
+    weighted by at most 2^(-j/2-1) in magnitude, so its square is at most
     (c * max|h|)^2 * 2^(-d-2); best's top k is already built when that
     bound, widened for rounding, is below the k-th largest built square.
     """
-    k, paths, depth, c = block.k, block.paths, block.depth, block.c
+    k, paths = block.k, block.paths
     held = block.whole | (block.sizes >= k if "greedy" in schemes or "best" in schemes else True)
     test = held & ~block.whole
     if "best" not in schemes or k == 0 or not test.any():
         return held.tolist()
-    counts = paths.counts
-    h = np.zeros(depth.size)
-    h[counts > 0] = np.maximum.reduceat(np.abs(paths.heights), paths.bounds[:-1][counts > 0])
+    # a tested path keeps k >= 1 candidates, so it has jumps
+    counts, rows, depth = paths.counts[test], np.repeat(test, paths.counts), block.depth[test]
+    c = _most_jumps(block.split[rows], counts, depth)
+    h = np.maximum.reduceat(np.abs(paths.heights[rows]), _bounds(counts)[:-1])
     # the relative margin covers the rounding of c-term sums and their
     # squares; the absolute one covers squares that underflow
     with np.errstate(over="ignore"):
         h *= c
         bound = h * h * np.ldexp(1.0, -depth - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
     kth = block.kept[block.heads[test, list(schemes).index("best")] + k - 1]
-    held[test] = bound[test] < kth
+    held[test] = bound < kth
     return held.tolist()
+
+
+def _linear(block: _Block, m_values) -> np.ndarray:
+    """How many atoms of each path's ladder have index below each M, as a
+    (paths, M) array, from the block's structure. Atom (j, s), of index
+    2^j + s, is below M = 2^J + r, 0 <= r < 2^J, exactly when j < J, or j
+    = J and s < r: the atoms at scales below min(J, e), and when J < e
+    those at scale J whose first jump, one that splits at J or below, lies
+    before r 2^-J, that is, before r rounded up, times 2^-J."""
+    paths, e, split = block.paths, block.resolution, block.split
+    n, top, big_j, lim = paths.counts, int(e.max(initial=0)), [], []
+    for m in map(int, m_values):  # M = 0 as J = r = 0; J past every e needs no r
+        j = min(max(m.bit_length() - 1, 0), top)
+        r = m - (1 << j) if m >> j == 1 else 0
+        big_j.append(j)
+        lim.append(math.ldexp(r if float(r) >= r else math.nextafter(r, math.inf), -j))
+    big_j, lim, rows = np.array(big_j), np.array(lim), np.arange(n.size)
+    # the atoms at scales below d, from one count of the scales the jumps split at
+    splits = np.bincount(np.repeat(rows * (top + 1), n) + split, minlength=n.size * (top + 1))
+    per_scale = splits.reshape(n.size, -1).cumsum(1)
+    counts = (per_scale.cumsum(1) - per_scale)[rows[:, None], np.minimum(big_j, e[:, None])]
+    part = np.flatnonzero(lim)  # the M with r > 0 keep part of scale J
+    if part.size:
+        firsts = (split <= big_j[part, None]) & (paths.times < lim[part, None])  # (M, jumps)
+        ends = np.cumsum(np.pad(firsts, ((0, 0), (1, 0))), axis=1)
+        counts[:, part] += np.diff(ends[:, paths.bounds]).T * (big_j[part] < e[:, None])
+    return counts
 
 
 def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     """How many of each path's candidates, in keep order, each scheme keeps
     at each M, as a (paths, schemes, M) array. Past the candidates every
     coefficient is 0.0, so only these count; linear keeps the candidates
-    whose index is below M: the block's atom counts and the scaling
+    whose index is below M: the atoms _linear counts and the scaling
     candidate, index 0, at M > 0."""
     # every M is at most the largest, which _plan reads as at most _MAX_K
     ms = np.array([min(int(m), block.k) for m in m_values], dtype=np.int64)
@@ -290,7 +272,7 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     counts[:] = np.minimum(block.sizes[:, None], ms)[:, None]
     if "linear" in schemes:
         scaled = (ms > 0) & (block.sizes[:, None] > 0)
-        counts[:, list(schemes).index("linear")] = block.linear + scaled
+        counts[:, list(schemes).index("linear")] = _linear(block, m_values) + scaled
     return counts
 
 
@@ -348,42 +330,54 @@ def _builds(sizes: list[int], budget: int):
         yield start, len(sizes)
 
 
-def _block(paths: PathBlock, schemes, m_values, k: int, first: list[int], e: list[int]) -> _Block:
-    """A block read for m_values, k bounding all but linear's: one
+def _block(paths: PathBlock, schemes, k: int, first: list[int], split, e: list[int]) -> _Block:
+    """A block read for M <= k with structure (split, e): one
     PathBlock.sums, builds below the first depths within _BUILD_CELLS cells
     (or of one path), one certificate, and the paths it rejects built again
     to their resolution e."""
-    n = paths.counts.tolist()
+    n, resolution = paths.counts.tolist(), np.array(e)
     scaling, energy = paths.sums()
+    index = k + 1 if "linear" in schemes or "greedy" in schemes else 0
 
     def reads(ids, depth):  # each build is freed before the next is made
         runs = (ids[a:b] for a, b in _builds([n[i] * depth[i] for i in ids], _BUILD_CELLS))
-        return [_read(paths.take(r), scaling[r], [depth[i] for i in r], [e[i] for i in r], k,
-                      schemes, m_values) for r in runs]
+        return [_read(paths.take(r), scaling[r], [depth[i] for i in r], k, schemes) for r in runs]
+
+    def lay(done, slot, depth):  # path p's read is number slot[p] of done's paths
+        sizes = np.concatenate([r.sizes for r in done])
+        lo = _bounds(np.minimum(sizes, index))
+        hi = lo[-1] + _bounds(np.minimum(sizes, k if "best" in schemes else 0))
+        heads = np.stack([(hi if s == "best" else lo)[slot] for s in schemes], axis=1)
+        kept = np.concatenate([r.index for r in done] + [r.top for r in done])
+        depth = np.array(depth)
+        whole = depth == resolution
+        return _Block(paths, k, depth, whole, sizes[slot], energy, kept, heads, split, resolution)
 
     done, slot = reads(list(range(len(paths))), first), np.arange(len(paths))
-    block = _lay(paths, done, slot, first, schemes, k, energy, e)
+    block = lay(done, slot, first)
     held = block.whole.tolist() if block.whole.all() else _certified(block, schemes)
     rejected = [i for i, ok in enumerate(held) if not ok]
     if rejected:  # once at most: a whole ladder is certified
         slot[rejected] = len(paths) + np.arange(len(rejected))
         depth = [e[i] if i in rejected else d for i, d in enumerate(first)]
-        block = _lay(paths, done + reads(rejected, e), slot, depth, schemes, k, energy, e)
+        block = lay(done + reads(rejected, e), slot, depth)
     return block
 
 
 def _plan(paths: PathBlock, schemes, m_values):
     """The (rows, block) pairs errors_rows and select read for m_values,
-    each of consecutive paths within _BLOCK_TERMS, or one; each path's
-    resolution is found once, its first depth min(_first_depth, resolution)
-    for k, the largest M. Past _MAX_K, k only bounds linear's atom indices,
-    and is read as _MAX_K: its first depths are the resolutions, whose
-    ladders hold every index."""
+    each of consecutive paths within _BLOCK_TERMS, or one; the structure
+    of every path (haar.structure) is found once and sliced per block, and
+    each path's first depth is min(_first_depth, resolution) for k, the
+    largest M. Past _MAX_K, k only bounds linear's atom indices, and is
+    read as _MAX_K: its first depths are the resolutions, whose ladders
+    hold every index."""
     k, n = min(int(max(m_values, default=0)), _MAX_K), paths.counts.tolist()
-    e = resolutions(paths)
+    split, e = structure(paths)
     first = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
     for a, b in _builds([m + 2 * min(m * d + 1, k + 1) for m, d in zip(n, first)], _BLOCK_TERMS):
-        yield slice(a, b), _block(paths.take(range(a, b)), schemes, m_values, k, first[a:b], e[a:b])
+        yield slice(a, b), _block(paths.take(range(a, b)), schemes, k, first[a:b],
+                                  split[paths.bounds[a] : paths.bounds[b]], e[a:b])
 
 
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
@@ -420,8 +414,8 @@ def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
     _check_query((scheme,), [m])
     ((_, block),) = _plan(path.block, (scheme,), [m])
     depth = int(block.depth[0])
-    lad = ladders(block.paths, [depth])
-    values = _candidates(block.paths, lad, block.paths.sums()[0])[0]
+    lad = ladder(path, depth)
+    values = np.append(block.paths.sums()[0], lad.value) if path.num_jumps else lad.value
     counts = _kept_counts(block, (scheme,), [m])
     count = int(counts[0, 0, 0])
     if scheme == "best":

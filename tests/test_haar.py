@@ -24,7 +24,9 @@ from cpwave import (
     sample_path,
     select,
 )
-from cpwave.haar import atoms_past, ladder, nonzero_counts_by_scale, support
+from cpwave import schemes as schemes_module
+from cpwave.haar import atoms_past, ladder, nonzero_counts_by_scale, structure, support
+from cpwave.processes import PathBlock
 from cpwave.schemes import linear_errors
 
 from test_processes import make_path
@@ -310,6 +312,53 @@ def test_ladder_refuses_jumps_finer_than_scale_1023():
     assert ladder(make_path([2.0**-1000, 0.5], [1.0, -1.0])).resolution == 1000
     with pytest.raises(ValueError, match="1023"):
         ladder(make_path([2.0**-1000 + 2.0**-1050, 0.5], [1.0, -1.0]))
+
+
+def structure_paths():
+    """Sampled paths at rates 3, 10 and 500, hand_paths' arbitrary, dyadic
+    and clustered ones, pairs 2^-40 to 2^-50 apart, and times down to 2^-900."""
+    sampled = st.tuples(st.sampled_from([3.0, 10.0, 500.0]), st.integers(0, 2**20)).map(
+        lambda r: sample_path(r[0], JumpLaw.for_rate(r[0]), derive_stream(49, r[1]))
+    )
+    pairs = st.lists(st.tuples(st.floats(0.01, 0.9), st.integers(40, 50)), min_size=1, max_size=5)
+    fine = st.lists(st.tuples(st.integers(1, 2**20 - 1), st.integers(1, 880)), min_size=1, max_size=8)
+    return st.one_of(
+        sampled,
+        hand_paths(),
+        pairs.map(lambda ps: sorted({t for c, d in ps for t in (c, c + 2.0**-d)})).map(
+            lambda ts: make_path(ts, [1.0] * len(ts))
+        ),
+        fine.map(lambda ps: sorted({math.ldexp(m, -20 - x) for m, x in ps})).map(
+            lambda ts: make_path(ts, [1.0] * len(ts))
+        ),
+    )
+
+
+@given(structure_paths())
+@example(make_path([2.0**-900, 2.0**-899, 0.5], [1.0, -1.0, 2.0]))
+@example(make_path([0.37], [1.3]))
+@example(make_path([], []))
+@settings(max_examples=100, deadline=None)
+def test_structure_counts_the_ladders_atoms(path):
+    # the split scales give each scale's atom count and the resolution, and
+    # the certificate's c at every depth d: the most jumps of an atom at
+    # scale d - 1, all N at depth 0, on a path with jumps; a block's
+    # structure is its paths'. The ladder's scales are read off the
+    # structure, so the per-jump reference checks them too
+    split, (e,) = structure(path.block)
+    lad = ladder(path)
+    assert e == lad.resolution and type(e) is int
+    tables = [scale_table(path, j) for j in range(e)]
+    for j, table in enumerate(tables):
+        assert np.count_nonzero(split <= j) == np.count_nonzero(lad.scale == j) == len(table)
+    n = path.num_jumps
+    for d in range(e + 1 if n else 0):
+        c = schemes_module._most_jumps(split, np.array([n]), np.array([d]))
+        most = n if d == 0 else max(count for _, _, count in tables[d - 1])
+        assert c.tolist() == [most]
+        assert d == 0 or most == lad.count[lad.scale == d - 1].max()
+    both, es = structure(PathBlock.of([path, make_path([], []), path]))
+    assert both.tolist() == split.tolist() * 2 and es == [e, 0, e]
 
 
 def test_nonzero_counts_by_scale_reach_any_target():

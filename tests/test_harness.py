@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpwave import JumpLaw, cli, derive_stream, harness, processes, sample_path, schemes
-from cpwave.haar import resolutions
+from cpwave.haar import structure
 from cpwave.processes import PathBlock
 from cpwave.harness import (
     CurveRecord,
@@ -88,6 +88,17 @@ def test_config_rejects_non_increasing_m():
         small_config(m_values=(8, 8)).validate()
 
 
+def test_cli_refuses_repeated_schemes(tmp_path, capsys):
+    # a repeated scheme once wrote each of its rows twice
+    out = tmp_path / "twice.csv"
+    argv = ["mse-curve", "--process", "cp", "--lambda", "10", "--schemes", "best,best",
+            "--m", "4,16", "--trials", "5", "--seed", "1", "--out", str(out)]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "repeat" in err and len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_config_rejects_m_beyond_grid():
     with pytest.raises(ValueError, match="exceeds"):
         small_config(dictionary="haar_discrete", m_values=(2048,), grid_log2=10).validate()
@@ -155,7 +166,7 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
             sampled = [sample_path(cfg.lam, cfg.jump_law(), derive_stream(cfg.master_seed, t))
                        for t in range(start, start + 4)]
             assert jumps(paths) == jumps(sampled) and len(rest) <= 1
-            e = resolutions(PathBlock.of(paths))
+            e = structure(PathBlock.of(paths))[1]
             assert built == [min(schemes._first_depth(p.num_jumps, k), r) for p, r in zip(paths, e)]
             held = verdicts[0] if verdicts else [True] * 4
             rejected = [i for i in range(4) if not held[i]]
@@ -763,7 +774,10 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
 # dict-compare digest was retaken when the cosine transform moved from
 # scipy.fft to numpy.fft: two DCT rows changed, by at most 4.8e-16 relative.
 # The simulate digests were taken while a path still stored its rate and
-# jump law, before it came to hold only its checked jumps.
+# jump law, before it came to hold only its checked jumps. The
+# mse-curve-partial digest, taken while linear still counted its atoms by
+# searching (path, scale, shift) keys, pins the M = 2^J + r with r > 0,
+# where linear keeps part of scale J.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -783,9 +797,12 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
          "9fa8714b677bff175505084d956526d614163a9fe27e2eeb41522d651f528ea0"),
         (["simulate", "--lambda", "5", "--seed", "1", "--format", "json"],
          "47e8b9caf3a4c032ef690d126668a7dc1daf7e65bb7ef45de1a70fcc0f8474e5"),
+        (["mse-curve", "--process", "cp", "--lambda", "20", "--schemes", "linear,greedy,best",
+          "--m", "3,5,100,1000,1025,5000", "--trials", "6", "--seed", "21"],
+         "0963ef07b4f09a784a3cf27a0874cc2c63220f86810e8b94ba41a46f75f4a053"),
     ],
     ids=["lemma-check", "theorem1-check", "theory-table", "dict-compare", "mse-curve-json",
-         "simulate", "simulate-json"],
+         "simulate", "simulate-json", "mse-curve-partial"],
 )
 def test_cli_subcommand_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "golden.out"

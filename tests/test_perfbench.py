@@ -19,7 +19,7 @@ spec = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(spec)
 
 
-@pytest.mark.parametrize("workload", ["cp_sparse", "grid_compare"])
+@pytest.mark.parametrize("workload", ["cp_sparse", "cp_dense", "grid_compare"])
 def test_traced_rep_replays_the_cli_run(workload, tmp_path):
     argv = spec.WORKLOADS[workload]["argv"] + [
         "--trials", "20", "--seed", "1", "--workers", "1", "--out", str(tmp_path / "out.csv"),

@@ -466,7 +466,8 @@ def test_select_rereads_a_rejected_path_whole(monkeypatch):
     # select reads its error from the plan's block: the build below the
     # first depth, or, when its certificate fails, one more build of the
     # whole ladder from scale 0; then it lists its kept atoms from one
-    # more build of the path, at the depth the certificate holds
+    # more build of the path, haar.ladder's, at the depth the certificate
+    # holds
     calls, verdicts = [], []
     real_certified = schemes_module._certified
 
@@ -474,7 +475,9 @@ def test_select_rereads_a_rejected_path_whole(monkeypatch):
         verdicts.append(real_certified(*args))
         return verdicts[-1]
 
-    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    counted = counting_ladders(calls)
+    monkeypatch.setattr(schemes_module, "ladders", counted)
+    monkeypatch.setattr(haar_module, "ladders", counted)
     monkeypatch.setattr(schemes_module, "_certified", recording_certified)
     paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(39, seed))
              for lam in (3.0, 10.0, 100.0, 500.0) for seed in range(4)]
@@ -790,16 +793,17 @@ def test_errors_rows_reads_a_block_once_and_builds_it_in_parts(monkeypatch):
 
 
 def test_errors_rows_finds_each_resolution_once(monkeypatch):
-    # the resolutions size the builds and end every ladder: one call
-    # finds each path's once, at lambda = 500 as at lambda = 10
+    # the structure sizes the builds, ends every ladder and gives linear's
+    # counts and the certificate's c: one call finds each path's once, at
+    # lambda = 500 as at lambda = 10
     seen = []
-    real = schemes_module.resolutions
+    real = schemes_module.structure
 
-    def counting_resolutions(block):
+    def counting_structure(block):
         seen.extend(paths_of(block))
         return real(block)
 
-    monkeypatch.setattr(schemes_module, "resolutions", counting_resolutions)
+    monkeypatch.setattr(schemes_module, "structure", counting_structure)
     for lam in (10.0, 500.0):
         law = JumpLaw.for_rate(lam)
         for start in (0, 16, 32):
