@@ -14,8 +14,8 @@ times alone, and `structure` reads it for a processes.PathBlock. `ladders`
 lists the scales a caller asks for, at most that many, in one vectorized
 pass over every path's (scale, jump) cells, path-major, reading the
 block's arrays with no per-path object; `ladder` is its one-path view,
-which finds the structure itself. The dense listing up to scale J is
-schemes.select(path, "linear", 2**(J + 1)).
+which finds the structure itself. Every atom off the ladder holds no jump
+or sits past the resolution, and its coefficient is exactly 0.0.
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +48,6 @@ __all__ = [
     "ladder",
     "ladders",
     "structure",
-    "atoms_past",
     "nonzero_counts_by_scale",
     "discrete_haar_forward",
     "discrete_haar_inverse",
@@ -294,16 +293,6 @@ def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:
     lad = ladders(path.block, [hi])
     per_scale = np.cumsum(np.bincount(split, minlength=hi))[:hi]
     return Ladder(e, np.repeat(np.arange(hi), per_scale), *lad[1:])
-
-
-def atoms_past(path: CompoundPoissonPath, resolution: int) -> Iterator[Atom]:
-    """The occupied atoms at scales >= resolution, in index order: one per
-    jump and scale, each with coefficient exactly 0.0. Endless for N >= 1."""
-    lefts = [int(k) for k in np.ldexp(path.jump_times, resolution)]
-    j = resolution
-    while lefts:
-        yield from (Atom.wavelet(j, k << (j - resolution)) for k in lefts)
-        j += 1
 
 
 def nonzero_counts_by_scale(path: CompoundPoissonPath, target: int) -> list[int]:

@@ -13,56 +13,50 @@ Three ways of keeping M coefficients of the Haar expansion:
 errors_rows(paths, schemes, m_values) reads every requested scheme's
 errors of a processes.PathBlock, or of a list of paths through
 PathBlock.of; errors(path, ...) is its one-path view, and select(path,
-scheme, m) reads one selection's kept atoms and error; both read the
-blocks of one planner, _plan, which finds every path's time structure
-(haar.structure) once. A path's candidates are its scaling coefficient and
-then its ladder in index order; a scheme is an order over their squares
-and a kept count per M. A block is read in two layers: builds of
-consecutive paths within a fixed number of cells make their ladders
-(haar.ladders), first only below a depth d under the path's dyadic
-resolution, and reduce each path to a compact read of its squares before
-the next build; then its sums (PathBlock.sums), the certificate
-(_certified) that the scales below d give every scheme its exact kept
-atoms up to max M, the kept counts and the kept energies run once, with
-array operations. The structure, not a read, gives linear's exact count of
-atoms of index below every M (_linear) and the certificate's bound. Paths
-whose certificate fails, which sampled paths rarely do, are built again to
-their resolution, where the ladder is whole, and their reads replace the
-first before any row is computed. errors_discrete_rows reads every row of
-a block of finite coefficient lists with one sort; errors_discrete and
-select_discrete read one row. Squared errors of exact paths come from
-Parseval: path energy minus kept energy (exactly 0.0 once every candidate
-of the whole ladder is kept), so an error is exact only up to about 1e-16
-times the energy; those of a finite coefficient list are sums of its
-dropped squares. Both are sums of runs of one array from one exact kernel,
-processes._range_sums: errors_rows lays every path's kept prefixes end to
-end, errors_discrete_rows each row's dropped tails. Every sum is the
-correctly rounded sum of its multiset, so no path or row changes a bit of
-the ones beside it, and no prefix or tail is summed again for every M. On
-every path and every M the schemes obey best <= greedy <= linear, and each
-scheme's error is non-increasing in M.
+scheme, m) takes one selection's error from it and lists the kept
+candidates from the path's whole ladder (haar.ladder). A path's
+candidates are its scaling coefficient and then its ladder in index
+order; a scheme is an order over their squares and a kept count per M.
+Every other atom a scheme keeps holds no jump, so it is exactly 0.0.
+
+errors_rows finds every path's time structure (haar.structure) once and
+reads consecutive paths in blocks. The structure lays a block out before
+it is built: each path's candidate count below its first depth d, under
+its dyadic resolution, fixes where each scheme's squares go. Builds of
+consecutive paths within a fixed number of cells then make their ladders
+(haar.ladders) and write their squares there, each freed before the
+next; the block's sums (PathBlock.sums), the certificate (_certified)
+that the scales below d give every scheme its exact kept atoms up to max
+M, the kept counts and the kept energies run once, with array
+operations. The structure also gives linear's exact count of atoms of
+index below every M (_linear) and the certificate's bound. Paths whose
+certificate fails, which sampled paths rarely do, are read again as a
+block of their own, built to their resolution, where the ladder is
+whole, and their rows replace the first. errors_discrete_rows reads
+every row of a block of finite coefficient lists with one sort;
+errors_discrete and select_discrete read one row. Squared errors of
+exact paths come from Parseval: path energy minus kept energy (exactly
+0.0 once every candidate of the whole ladder is kept), so an error is
+exact only up to about 1e-16 times the energy; those of a finite
+coefficient list are sums of its dropped squares. Both are sums of runs of one array from
+one exact kernel, processes._range_sums: errors_rows lays every path's
+kept prefixes end to end, errors_discrete_rows each row's dropped tails.
+Every sum is the correctly rounded sum of its multiset, so no path or row
+changes a bit of the ones beside it, and no prefix or tail is summed
+again for every M. On every path and every M the schemes obey best <=
+greedy <= linear, and each scheme's error is non-increasing in M.
 """
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .haar import (
-    SCALING,
-    Atom,
-    as_rows,
-    atom_from_index,
-    atom_index,
-    atoms_past,
-    ladder,
-    ladders,
-    structure,
-)
+from .haar import SCALING, Atom, as_rows, atom_from_index, atom_index, ladder, ladders, structure
 from .processes import CompoundPoissonPath, PathBlock, _bounds, _range_sums, is_int
 
 __all__ = [
@@ -96,8 +90,10 @@ class InvariantViolation(RuntimeError):
 class Selection:
     """The result of one approximation choice.
 
-    kept holds (atom, value) pairs in atom-index order; error_sq is the
-    squared L2 error of the reconstruction from exactly those values.
+    kept holds the (atom, value) pairs of the kept candidates, in
+    atom-index order: every other atom the scheme keeps holds no jump and
+    has value exactly 0.0, so it is not listed. error_sq is the squared L2
+    error of the reconstruction from exactly those values.
     """
 
     scheme: str
@@ -134,22 +130,13 @@ def _first_depth(n: int, k: int) -> int:
     return n.bit_length() + -(-k // n) + 8 if n else 0
 
 
-class _Read(NamedTuple):
-    """What one build leaves of its paths, laid end to end: candidate
-    counts, the squares of the first min(size, k + 1) candidates in index
-    order, and for best the min(size, k) largest squares, largest first."""
-
-    sizes: np.ndarray
-    index: np.ndarray
-    top: np.ndarray
-
-
 class _Block(NamedTuple):
-    """A block of paths read for M <= k, each from its last read: depth,
-    whole (built to the resolution), size and energy; kept lays every
-    read's index parts, then its top parts, and path p's part for scheme s
-    begins at heads[p, s]; split and resolution are the block's structure
-    (haar.structure), which fixes linear's counts and the certificate's c."""
+    """A block of paths read for M <= k: each path's depth, whether it is
+    whole (built to the resolution), candidate count and energy; kept lays
+    every path's index part, then its top part, and path p's part for
+    scheme s begins at heads[p, s]; split and resolution are the block's
+    structure (haar.structure), which fixes the layout, linear's counts and
+    the certificate's c."""
 
     paths: PathBlock
     k: int
@@ -163,31 +150,13 @@ class _Block(NamedTuple):
     resolution: np.ndarray
 
 
-def _read(paths: PathBlock, scaling, depth: list[int], k: int, schemes) -> _Read:
-    """One build: the ladders of paths below depth[p], reduced to what
-    schemes can keep at M <= k. A path's candidates are its scaling
-    coefficient, when it has jumps, then its ladder."""
-    lad = ladders(paths, depth)
-    jumps, atoms, pieces = paths.counts > 0, lad.bounds.tolist(), [np.empty(0)]
-    for p, scaled in enumerate(jumps.tolist()):
-        if scaled:
-            pieces.append(scaling[p : p + 1])
-        pieces.append(lad.value[atoms[p] : atoms[p + 1]])
-    sq, bounds = np.concatenate(pieces) ** 2, lad.bounds + _bounds(jumps)
-    sizes = bounds[1:] - bounds[:-1]
-    # each path's first min(size, k + 1) squares in index order, often all
-    index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
-    heads, first = _bounds(index), sq
-    if heads[-1] < sq.size:
-        first = sq[np.repeat(bounds[:-1] - heads[:-1], index) + np.arange(heads[-1])]
-    top = [np.empty(0)]
-    if "best" in schemes:  # one partition and one sort per path keep this linear in its size
-        for a, b in zip(bounds.tolist(), bounds[1:].tolist()):
-            part = sq[a:b]
-            if k < part.size:
-                part = np.partition(part, part.size - k)[part.size - k :] if k else part[:0]
-            top.append(np.sort(part)[::-1])
-    return _Read(sizes, first, np.concatenate(top))
+def _sizes(split: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Each path's candidates below depth[p], from its structure: the
+    scaling coefficient when it has jumps, and #{i : split[i] <= j} atoms
+    at each scale j < depth[p], that is, sum_i max(0, depth[p] - split[i])."""
+    below = np.maximum(np.repeat(depth, counts) - split, 0)
+    path = np.repeat(np.arange(counts.size), counts)
+    return (counts > 0) + np.bincount(path, weights=below, minlength=counts.size).astype(np.int64)
 
 
 def _most_jumps(split: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -201,7 +170,7 @@ def _most_jumps(split: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.
     return np.maximum.reduceat(np.diff(at, append=split.size), np.searchsorted(at, first))
 
 
-def _certified(block: _Block, schemes) -> list[bool]:
+def _certified(block: _Block, schemes) -> np.ndarray:
     """Whether each path's ladder, whole or built below its depth d, serves
     every scheme exactly as its whole ladder would at every M <= k.
 
@@ -218,7 +187,7 @@ def _certified(block: _Block, schemes) -> list[bool]:
     held = block.whole | (block.sizes >= k if "greedy" in schemes or "best" in schemes else True)
     test = held & ~block.whole
     if "best" not in schemes or k == 0 or not test.any():
-        return held.tolist()
+        return held
     # a tested path keeps k >= 1 candidates, so it has jumps
     counts, rows, depth = paths.counts[test], np.repeat(test, paths.counts), block.depth[test]
     c = _most_jumps(block.split[rows], counts, depth)
@@ -230,7 +199,7 @@ def _certified(block: _Block, schemes) -> list[bool]:
         bound = h * h * np.ldexp(1.0, -depth - 2) * (1.0 + (c + 8) * 2.0**-50) + 2.0**-1022
     kth = block.kept[block.heads[test, list(schemes).index("best")] + k - 1]
     held[test] = bound < kth
-    return held.tolist()
+    return held
 
 
 def _linear(block: _Block, m_values) -> np.ndarray:
@@ -266,7 +235,7 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     coefficient is 0.0, so only these count; linear keeps the candidates
     whose index is below M: the atoms _linear counts and the scaling
     candidate, index 0, at M > 0."""
-    # every M is at most the largest, which _plan reads as at most _MAX_K
+    # every M is at most the largest, which errors_rows reads as at most _MAX_K
     ms = np.array([min(int(m), block.k) for m in m_values], dtype=np.int64)
     counts = np.empty((block.sizes.size, len(schemes), ms.size), dtype=np.int64)
     counts[:] = np.minimum(block.sizes[:, None], ms)[:, None]
@@ -276,13 +245,14 @@ def _kept_counts(block: _Block, schemes, m_values) -> np.ndarray:
     return counts
 
 
-def _errors(block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
-    """Each path's squared errors at every scheme's kept counts, as a
-    (paths, schemes, M) array: the Parseval remainder of the correctly
-    rounded kept energy, from one exact pass over every kept prefix, or
-    exactly 0.0 when every candidate of a whole ladder is kept. Since the
-    top-c squares form one multiset whatever the tie order, their sum is
-    best's kept energy."""
+def _errors(block: _Block, schemes, m_values) -> np.ndarray:
+    """Each path's squared errors at every scheme's kept counts at each M
+    (_kept_counts), as a (paths, schemes, M) array: the Parseval remainder
+    of the correctly rounded kept energy, from one exact pass over every
+    kept prefix, which overwrites block.kept, or exactly 0.0 when every
+    candidate of a whole ladder is kept. Since the top-c squares form one
+    multiset whatever the tie order, their sum is best's kept energy."""
+    counts = _kept_counts(block, schemes, m_values)
     every = counts == block.sizes[:, None, None]
     every &= block.whole[:, None, None]
     need = (counts > 0) > every
@@ -312,10 +282,10 @@ def _errors(block: _Block, schemes, counts: np.ndarray) -> np.ndarray:
 # 6 MB more peak RSS and slowed ladders as its arrays left the cache.
 _BUILD_CELLS = 2**15
 # A block holds its paths' jumps and reads, n + 2 min(n * d + 1, k + 1)
-# terms a path at first depth d; _plan blocks consecutive paths within
-# _BLOCK_TERMS, so a 16-path block is one up to M = 1024 and rate 2000.
+# terms a path at first depth d; errors_rows blocks consecutive paths
+# within _BLOCK_TERMS, so a 16-path block is one up to M = 1024 and rate 2000.
 _BLOCK_TERMS = 2**16
-_MAX_K = 2**62  # more than any path's candidates: see _plan
+_MAX_K = 2**62  # more than any path's candidates: see errors_rows
 
 
 def _builds(sizes: list[int], budget: int):
@@ -330,70 +300,75 @@ def _builds(sizes: list[int], budget: int):
         yield start, len(sizes)
 
 
-def _block(paths: PathBlock, schemes, k: int, first: list[int], split, e: list[int]) -> _Block:
-    """A block read for M <= k with structure (split, e): one
-    PathBlock.sums, builds below the first depths within _BUILD_CELLS cells
-    (or of one path), one certificate, and the paths it rejects built again
-    to their resolution e."""
-    n, resolution = paths.counts.tolist(), np.array(e)
+def _block(paths: PathBlock, schemes, k: int, depth: list[int], split, e: list[int]) -> _Block:
+    """A block read for M <= k with structure (split, e), each path built
+    below depth[p]: the structure lays out every candidate count and each
+    scheme's part of kept, the first k + 1 squares in index order for
+    linear and greedy and the k largest, largest first, for best; then
+    builds of consecutive paths within _BUILD_CELLS cells (or of one path)
+    write their squares there. The sums run once."""
+    counts, depth = paths.counts, np.array(depth, dtype=np.int64)
+    sizes = _sizes(split, counts, depth)
+    index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
+    top = np.minimum(sizes, k if "best" in schemes else 0)
+    lo = _bounds(index)
+    hi = lo[-1] + _bounds(top)
+    heads = np.stack([(hi if s == "best" else lo)[:-1] for s in schemes], axis=1)
+    kept = np.empty(hi[-1])
     scaling, energy = paths.sums()
-    index = k + 1 if "linear" in schemes or "greedy" in schemes else 0
-
-    def reads(ids, depth):  # each build is freed before the next is made
-        runs = (ids[a:b] for a, b in _builds([n[i] * depth[i] for i in ids], _BUILD_CELLS))
-        return [_read(paths.take(r), scaling[r], [depth[i] for i in r], k, schemes) for r in runs]
-
-    def lay(done, slot, depth):  # path p's read is number slot[p] of done's paths
-        sizes = np.concatenate([r.sizes for r in done])
-        lo = _bounds(np.minimum(sizes, index))
-        hi = lo[-1] + _bounds(np.minimum(sizes, k if "best" in schemes else 0))
-        heads = np.stack([(hi if s == "best" else lo)[slot] for s in schemes], axis=1)
-        kept = np.concatenate([r.index for r in done] + [r.top for r in done])
-        depth = np.array(depth)
-        whole = depth == resolution
-        return _Block(paths, k, depth, whole, sizes[slot], energy, kept, heads, split, resolution)
-
-    done, slot = reads(list(range(len(paths))), first), np.arange(len(paths))
-    block = lay(done, slot, first)
-    held = block.whole.tolist() if block.whole.all() else _certified(block, schemes)
-    rejected = [i for i, ok in enumerate(held) if not ok]
-    if rejected:  # once at most: a whole ladder is certified
-        slot[rejected] = len(paths) + np.arange(len(rejected))
-        depth = [e[i] if i in rejected else d for i, d in enumerate(first)]
-        block = lay(done + reads(rejected, e), slot, depth)
-    return block
-
-
-def _plan(paths: PathBlock, schemes, m_values):
-    """The (rows, block) pairs errors_rows and select read for m_values,
-    each of consecutive paths within _BLOCK_TERMS, or one; the structure
-    of every path (haar.structure) is found once and sliced per block, and
-    each path's first depth is min(_first_depth, resolution) for k, the
-    largest M. Past _MAX_K, k only bounds linear's atom indices, and is
-    read as _MAX_K: its first depths are the resolutions, whose ladders
-    hold every index."""
-    k, n = min(int(max(m_values, default=0)), _MAX_K), paths.counts.tolist()
-    split, e = structure(paths)
-    first = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
-    for a, b in _builds([m + 2 * min(m * d + 1, k + 1) for m, d in zip(n, first)], _BLOCK_TERMS):
-        yield slice(a, b), _block(paths.take(range(a, b)), schemes, k, first[a:b],
-                                  split[paths.bounds[a] : paths.bounds[b]], e[a:b])
+    for a, b in _builds((counts * depth).tolist(), _BUILD_CELLS):
+        lad = ladders(paths.take(range(a, b)), depth[a:b].tolist())
+        at = _bounds(sizes[a:b])  # the build's candidates, path-major
+        scaled = counts[a:b] > 0  # a scaling coefficient comes first, then the ladder
+        sq, atoms = np.empty(at[-1]), np.ones(at[-1], dtype=bool)
+        sq[at[:-1][scaled]], atoms[at[:-1][scaled]] = scaling[a:b][scaled], False
+        sq[atoms] = lad.value  # raises if the build and the structure disagree on a size
+        del lad, atoms  # each build is freed before the next is made
+        np.square(sq, out=sq)
+        part = sq  # each path's first index[p] squares, often all
+        if lo[b] - lo[a] < sq.size:
+            part = sq[np.repeat(at[:-1] - lo[a:b] + lo[a], index[a:b]) + np.arange(lo[b] - lo[a])]
+        kept[lo[a] : lo[b]] = part
+        if "best" in schemes:  # one partition and one sort per path keep this linear in its size
+            for p, i, j in zip(range(a, b), at[:-1].tolist(), at[1:].tolist()):
+                part = sq[i:j]
+                if k < part.size:
+                    part = np.partition(part, part.size - k)[part.size - k :] if k else part[:0]
+                kept[hi[p] : hi[p + 1]] = np.sort(part)[::-1]
+        del sq, part
+    e = np.array(e)
+    return _Block(paths, k, depth, depth == e, sizes, energy, kept, heads, split, e)
 
 
 def errors_rows(paths, schemes, m_values) -> np.ndarray:
     """Exact squared errors of every path of a PathBlock, or of a list of
     paths read as PathBlock.of(paths), as a (paths, schemes, M) float
-    array, from the blocks of _plan: each block's ladders are built within
-    _BUILD_CELLS cells and freed, and its sums, certificate, counts and kept
-    energies run once, after its rejected paths are read again. Linear and
-    greedy keep candidates in index order; best the largest squares first.
-    Each value is the path's own: the ladder cells, the certificate and the
-    sums do not depend on the paths beside it."""
+    array, read in blocks of consecutive paths within _BLOCK_TERMS, or of
+    one, first below min(_first_depth, resolution) for k, the largest M.
+    Past _MAX_K, k only bounds linear's atom indices, and is read as
+    _MAX_K: its first depths are the resolutions, whose ladders hold every
+    index. Each value is the path's own: the ladder cells, the certificate
+    and the sums do not depend on the paths beside it."""
     _check_query(schemes, m_values)
     paths = paths if isinstance(paths, PathBlock) else PathBlock.of(paths)
-    rows = np.empty((len(paths), len(schemes), len(m_values)))
-    for at, block in _plan(paths, schemes, m_values):
-        rows[at] = _errors(block, schemes, _kept_counts(block, schemes, m_values))
+    rows = np.zeros((len(paths), len(schemes), len(m_values)))
+    if not rows.size:  # no paths, schemes or M
+        return rows
+    k, n = min(int(max(m_values)), _MAX_K), paths.counts.tolist()
+    split, e = structure(paths)
+    first = [min(_first_depth(m, k), r) for m, r in zip(n, e)]
+    for a, b in _builds([m + 2 * min(m * d + 1, k + 1) for m, d in zip(n, first)], _BLOCK_TERMS):
+        block = _block(paths.take(range(a, b)), schemes, k, first[a:b],
+                       split[paths.bounds[a] : paths.bounds[b]], e[a:b])
+        # the certificate reads kept before _errors sums over it in place
+        held = block.whole if block.whole.all() else _certified(block, schemes)
+        rows[a:b] = _errors(block, schemes, m_values)
+        rejected = np.flatnonzero(~held).tolist()
+        if rejected:  # once at most: a whole ladder is certified
+            again = block.paths.take(rejected)
+            split_again, e_again = structure(again)
+            block = _block(again, schemes, k, e_again, split_again, e_again)
+            rows[a:b][rejected] = _errors(block, schemes, m_values)
         del block  # freed before the next block is read
     return rows
 
@@ -405,38 +380,30 @@ def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
 
 
 def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
-    """The m atoms the scheme keeps, listed from one more build at the
-    depth _plan certified, and the exact squared error from its block.
-    Linear keeps the first m atoms in index order, zeros included; greedy
-    the first m structurally nonzero ones (none on a jump-free path); best
-    the m largest magnitudes of the full expansion, ties to the smaller
-    index."""
-    _check_query((scheme,), [m])
-    ((_, block),) = _plan(path.block, (scheme,), [m])
-    depth = int(block.depth[0])
-    lad = ladder(path, depth)
-    values = np.append(block.paths.sums()[0], lad.value) if path.num_jumps else lad.value
-    counts = _kept_counts(block, (scheme,), [m])
-    count = int(counts[0, 0, 0])
-    if scheme == "best":
-        # the top m are built and strictly larger than every atom that is
-        # not, so a stable sort sends ties to the smaller index as over the
-        # whole ladder
-        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[:count]).tolist()
-    else:
-        picked = range(count)
-    chosen = []
-    for p in picked:
-        atom = Atom.wavelet(int(lad.scale[p - 1]), int(lad.shift[p - 1])) if p else SCALING
-        chosen.append((atom, float(values[p])))
-    if scheme == "linear":
-        given = {atom_index(atom): v for atom, v in chosen}
-        chosen = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
-    else:  # fewer than m candidates only on a whole ladder, built to the resolution
-        past = itertools.islice(atoms_past(path, depth), m - len(chosen))
-        chosen += [(atom, 0.0) for atom in past]
-    error = float(_errors(block, (scheme,), counts)[0, 0, 0])
-    return Selection(scheme=scheme, m=m, kept=tuple(chosen), error_sq=error)
+    """The candidates the scheme keeps at M = m, listed from the path's
+    whole ladder (haar.ladder), and the exact squared error from errors.
+    Linear keeps the candidates of index below m; greedy the first m
+    candidates; best the m largest magnitudes, ties to the smaller index.
+    Every other atom a scheme keeps holds no jump, so its coefficient is
+    exactly 0.0, and it is not listed: a selection costs what its path
+    costs, whatever m."""
+    ((error,),) = errors(path, (scheme,), [m])
+    lad = ladder(path)
+    scaled = int(path.num_jumps > 0)
+    values = np.append(path.block.sums()[0], lad.value) if scaled else lad.value
+
+    def atom(p: int) -> Atom:  # candidate p: the scaling atom, then the ladder's
+        q = p - scaled
+        return Atom.wavelet(int(lad.scale[q]), int(lad.shift[q])) if q >= 0 else SCALING
+
+    if scheme == "linear":  # candidates lie in index order; Python ints compare exactly
+        picked = range(bisect.bisect_left(range(values.size), m, key=lambda p: atom_index(atom(p))))
+    elif scheme == "greedy":
+        picked = range(min(m, values.size))
+    else:  # a stable sort sends ties to the smaller index
+        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[: min(m, values.size)]).tolist()
+    kept = tuple((atom(p), float(values[p])) for p in picked)
+    return Selection(scheme=scheme, m=m, kept=kept, error_sq=error)
 
 
 def linear_errors(path: CompoundPoissonPath, m_values) -> list[float]:

@@ -1,6 +1,5 @@
 """Tests for Haar bookkeeping, exact coefficients, and the discrete transform."""
 
-import itertools
 import math
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from cpwave import (
     SCALING,
     Atom,
+    Coefficient,
     JumpLaw,
     atom_from_index,
     atom_index,
@@ -25,7 +25,7 @@ from cpwave import (
     select,
 )
 from cpwave import schemes as schemes_module
-from cpwave.haar import atoms_past, ladder, nonzero_counts_by_scale, structure, support
+from cpwave.haar import ladder, nonzero_counts_by_scale, structure, support
 from cpwave.processes import PathBlock
 from cpwave.schemes import linear_errors
 
@@ -273,13 +273,11 @@ def test_ladder_equals_per_jump_reference(path):
     assert lad.scale.size == sum(len(scale_table(path, j)) for j in range(e))
     # past the resolution every jump sits alone in its atom, coefficient 0.0
     n = path.num_jumps
-    past = list(itertools.islice(atoms_past(path, e), 3 * n))
-    expected = []
     for j in range(e, e + 3):
         ref = scale_table(path, j)
         assert [(v, c) for _, v, c in ref] == [(0.0, 1)] * n
-        expected += [Atom.wavelet(j, k) for k, _, _ in ref]
-    assert past == expected
+        for k, _, _ in ref:
+            assert coeff(path, Atom.wavelet(j, k)).value == 0.0
 
 
 @given(hand_paths(), st.integers(0, 60))
@@ -303,7 +301,7 @@ def test_ladder_range_equals_rows_of_whole_ladder(path, depth):
 def test_ladder_empty_path():
     lad = ladder(make_path([], []))
     assert lad.resolution == 0 and lad.value.size == 0
-    assert list(atoms_past(make_path([], []), 0)) == []
+    assert lad.scale.size == lad.shift.size == lad.count.size == 0
 
 
 def test_ladder_refuses_jumps_finer_than_scale_1023():
@@ -348,10 +346,15 @@ def test_structure_counts_the_ladders_atoms(path):
     split, (e,) = structure(path.block)
     lad = ladder(path)
     assert e == lad.resolution and type(e) is int
+    # the layout's candidate count below every depth: the scaling
+    # coefficient, when the path has jumps, and the ladder's atoms
+    n = path.num_jumps
+    for d in range(e + 1):
+        sizes = schemes_module._sizes(split, np.array([n]), np.array([d]))
+        assert sizes.tolist() == [(n > 0) + ladder(path, d).value.size]
     tables = [scale_table(path, j) for j in range(e)]
     for j, table in enumerate(tables):
         assert np.count_nonzero(split <= j) == np.count_nonzero(lad.scale == j) == len(table)
-    n = path.num_jumps
     for d in range(e + 1 if n else 0):
         c = schemes_module._most_jumps(split, np.array([n]), np.array([d]))
         most = n if d == 0 else max(count for _, _, count in tables[d - 1])
@@ -378,27 +381,31 @@ def test_nonzero_counts_by_scale_reach_any_target():
 
 
 # ---------------------------------------------------------------------------
-# expansion up to scale J: the first 2^(J+1) atoms, select(path, "linear", 2**(J+1))
+# expansion up to scale J: the first 2^(J+1) atoms, of which
+# select(path, "linear", 2**(J+1)) lists those that hold a jump
 
 
 def test_expand_zero_path():
     path = make_path([], [])
-    kept = select(path, "linear", 2**5).kept
-    assert len(kept) == 2**5
-    assert all(v == 0.0 and jumps_in_support(path, atom) == 0 for atom, v in kept)
+    assert select(path, "linear", 2**5).kept == ()
+    for i in range(2**5):
+        atom = atom_from_index(i)
+        assert coeff(path, atom).value == 0.0 and jumps_in_support(path, atom) == 0
 
 
 def test_expand_dense_iterator_indexed_and_complete():
     path = make_path([0.3, 0.6], [1.0, -1.0])
     kept = select(path, "linear", 2**4).kept
-    assert len(kept) == 2**4
-    assert [atom_index(atom) for atom, _ in kept] == list(range(16))
     lad = ladder(path)
     counts = {(1 << int(j)) + int(k): int(c) for j, k, c in zip(lad.scale, lad.shift, lad.count)}
     counts[0] = path.num_jumps
+    listed = [atom_index(atom) for atom, _ in kept]
+    assert listed == sorted(i for i in counts if i < 16)
     for atom, value in kept:
         ref = coeff(path, atom)
-        assert value == ref.value and counts.get(atom_index(atom), 0) == ref.jump_count
+        assert value == ref.value and counts[atom_index(atom)] == ref.jump_count > 0
+    for i in sorted(set(range(16)) - set(listed)):  # every other atom holds no jump
+        assert coeff(path, atom_from_index(i)) == Coefficient(atom_from_index(i), 0.0, 0)
 
 
 def test_expand_partial_energy_below_norm():

@@ -777,7 +777,9 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
 # jump law, before it came to hold only its checked jumps. The
 # mse-curve-partial digest, taken while linear still counted its atoms by
 # searching (path, scale, shift) keys, pins the M = 2^J + r with r > 0,
-# where linear keeps part of scale J.
+# where linear keeps part of scale J. The mse-curve-reread digest, taken
+# while a block's rejected paths were still laid out with its first reads,
+# pins paths whose certificate fails: 3 of its 64, in 3 of its 4 blocks.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -800,9 +802,12 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
         (["mse-curve", "--process", "cp", "--lambda", "20", "--schemes", "linear,greedy,best",
           "--m", "3,5,100,1000,1025,5000", "--trials", "6", "--seed", "21"],
          "0963ef07b4f09a784a3cf27a0874cc2c63220f86810e8b94ba41a46f75f4a053"),
+        (["mse-curve", "--process", "cp", "--lambda", "3", "--m", "2,4,8,16,32,64", "--trials", "64",
+          "--seed", "39"],
+         "c31084f1a0ed064a5cb0a7474f39922de405736b1f29fe3e179af940e70ecf5e"),
     ],
     ids=["lemma-check", "theorem1-check", "theory-table", "dict-compare", "mse-curve-json",
-         "simulate", "simulate-json", "mse-curve-partial"],
+         "simulate", "simulate-json", "mse-curve-partial", "mse-curve-reread"],
 )
 def test_cli_subcommand_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "golden.out"

@@ -21,7 +21,7 @@ from cpwave import (
 )
 from cpwave import haar as haar_module
 from cpwave import schemes as schemes_module
-from cpwave.haar import atom_from_index, atoms_past, coeff, ladder, support
+from cpwave.haar import atom_from_index, coeff, ladder, support
 from cpwave.processes import PathBlock, sample_block
 from cpwave.schemes import (
     SCHEMES,
@@ -105,11 +105,12 @@ def test_linear_error_vanishes_along_dyadic_m():
 
 
 def test_linear_keeps_zero_valued_atoms():
+    # linear keeps atoms 0 to 3 and lists the three that hold the jump
     path = make_path([0.9], [1.0])  # only the last atom of each scale is occupied
     sel = select(path, "linear", 4)
-    assert len(sel.kept) == 4
-    values = dict((atom_index(a), v) for a, v in sel.kept)
-    assert values[2] == 0.0  # wavelet (1, 0) has no jump in support
+    assert [atom_index(a) for a, _ in sel.kept] == [0, 1, 3]
+    assert coeff(path, atom_from_index(2)).value == 0.0  # wavelet (1, 0) has no jump in support
+    assert sel.error_sq == pytest.approx(reconstruction_error_by_integration(path, sel), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +220,18 @@ def test_greedy_error_by_integration():
 
 def test_single_jump_greedy_reaches_m_1024():
     # one jump occupies one atom per scale, so M = 1024 reaches scale 1022;
-    # past the path's resolution every kept coefficient is exactly 0.0
+    # past the path's resolution every kept coefficient is exactly 0.0, so
+    # a selection lists the scaling atom and one atom per scale below it
     path = make_path([0.37], [1.3])
+    e = ladder(path).resolution
     assert greedy_errors(path, [1024]) == best_errors(path, [1024])
     for scheme in ("greedy", "best"):
         sel = select(path, scheme, 1024)
-        assert len(sel.kept) == 1024
-        assert sel.kept[-1][0] == Atom.wavelet(1022, int(0.37 * 2.0**1022))
+        assert len(sel.kept) == e + 1
+        assert sel.kept[-1][0] == Atom.wavelet(e - 1, int(0.37 * 2.0 ** (e - 1)))
         assert sel.error_sq == greedy_errors(path, [1024])[0]
+    for j in range(e, 1023):
+        assert coeff(path, Atom.wavelet(j, int(0.37 * 2.0**j))).value == 0.0
     # every candidate is kept, and they hold every nonzero coefficient
     assert greedy_errors(path, [1024]) == [0.0]
 
@@ -463,17 +468,17 @@ def test_first_depth_reaches_every_scale_linear_keeps():
 
 
 def test_select_rereads_a_rejected_path_whole(monkeypatch):
-    # select reads its error from the plan's block: the build below the
-    # first depth, or, when its certificate fails, one more build of the
-    # whole ladder from scale 0; then it lists its kept atoms from one
-    # more build of the path, haar.ladder's, at the depth the certificate
-    # holds
+    # select reads its error through errors_rows: one build below the first
+    # depth, or, when the certificate fails, one more build of the whole
+    # ladder from scale 0; then it lists its kept candidates from one more
+    # build of the path, haar.ladder's, to its resolution
     calls, verdicts = [], []
     real_certified = schemes_module._certified
 
     def recording_certified(*args):
-        verdicts.append(real_certified(*args))
-        return verdicts[-1]
+        held = real_certified(*args)
+        verdicts.append(held.tolist())
+        return held
 
     counted = counting_ladders(calls)
     monkeypatch.setattr(schemes_module, "ladders", counted)
@@ -485,26 +490,26 @@ def test_select_rereads_a_rejected_path_whole(monkeypatch):
     paths.append(make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0]))
     reread = 0
     for path in paths:
+        e = ladder(path).resolution
         for scheme, m in itertools.product(SCHEMES, (0, 1, 10, 32, 1024)):
             calls.clear()
             verdicts.clear()
             select(path, scheme, m)
             (_, (built,)), *rest, (listed, (at,)) = calls
-            assert jumps(listed) == jumps([path])
-            assert at == (rest[0][1][0] if rest else built)
+            assert jumps(listed) == jumps([path]) and at == e
             assert built == first_depth(path, m) and len(rest) <= 1
             assert bool(rest) == (verdicts == [[False]])
             if rest:
                 ((again, whole),) = rest
-                assert jumps(again) == jumps([path]) and whole == [ladder(path).resolution]
-                assert built < whole[0]
+                assert jumps(again) == jumps([path]) and whole == [e]
+                assert built < e
             reread += bool(rest)
     assert reread > 0
 
 
 def whole_ladder_selection(path, scheme, m):
-    """The kept atoms read from the whole ladder, with no depth bound, and
-    the error errors gives for that scheme and M."""
+    """The kept candidates read from the whole ladder, with no depth bound,
+    and the error errors gives for that scheme and M."""
     lad = ladder(path)
     values = np.array(([coeff(path, SCALING).value] if path.num_jumps else []) + lad.value.tolist())
     index = [0] + [(1 << int(j)) + int(k) for j, k in zip(lad.scale, lad.shift)]
@@ -517,12 +522,6 @@ def whole_ladder_selection(path, scheme, m):
     for p in picked:
         atom = Atom.wavelet(int(lad.scale[p - 1]), int(lad.shift[p - 1])) if p else SCALING
         kept.append((atom, float(values[p])))
-    if scheme == "linear":
-        given = {atom_index(atom): v for atom, v in kept}
-        kept = [(atom_from_index(i), given.get(i, 0.0)) for i in range(m)]
-    else:
-        past = itertools.islice(atoms_past(path, lad.resolution), m - len(kept))
-        kept += [(atom, 0.0) for atom in past]
     return kept, errors(path, (scheme,), [m])[0][0]
 
 
@@ -541,6 +540,25 @@ def test_select_equals_whole_ladder_reference(path, m, scheme):
     kept, error = whole_ladder_selection(path, scheme, m)
     assert [(a, v.hex()) for a, v in sel.kept] == [(a, v.hex()) for a, v in kept]
     assert row_bits([[sel.error_sq]]) == row_bits([[error]])
+    if scheme == "linear":  # every atom below M that is not listed holds no jump
+        listed = {atom_index(a) for a, _ in sel.kept}
+        assert all(coeff(path, atom_from_index(i)).value == 0.0 for i in range(m) if i not in listed)
+
+
+def test_select_costs_what_the_path_costs():
+    # a selection lists only the candidates it keeps, so any M reads the
+    # path's whole ladder once: linear at M = 2^J the atoms at scales below
+    # J, and greedy and best at 2^70 every candidate, in index order
+    path = make_path([0.3, 0.6], [1.0, -1.0])
+    lad = ladder(path)
+    every = [SCALING] + [Atom.wavelet(int(j), int(k)) for j, k in zip(lad.scale, lad.shift)]
+    for scheme, m in (("linear", 2**19), ("linear", 2**40), ("greedy", 2**70), ("best", 2**70)):
+        sel = select(path, scheme, m)
+        listed = every[: 1 + np.count_nonzero(lad.scale < m.bit_length() - 1)]
+        assert [a for a, _ in sel.kept] == listed
+        assert [v for _, v in sel.kept] == [coeff(path, a).value for a in listed]
+        assert sel.error_sq == errors(path, (scheme,), [m])[0][0]
+    assert sel.error_sq == 0.0  # best at 2^70 keeps every candidate
 
 
 def row_bits(rows):
@@ -657,12 +675,17 @@ def test_errors_rows_match_the_whole_ladder_reference_on_a_mixed_block(monkeypat
         assert row_bits(got) == row_bits([reference_errors(path, s, ms) for s in SCHEMES])
 
 
-def split_passes(calls, count):
-    """The builds of one errors_rows call on count paths, split into its
-    first pass, which builds every path once, and its re-reads."""
-    built = list(itertools.accumulate(len(group) for group, _ in calls))
-    first = built.index(count) + 1
-    return calls[:first], calls[first:]
+def split_passes(calls, paths):
+    """The builds of one errors_rows call on distinct paths, split into its
+    first builds, which read every path once and in order, and the re-reads
+    each block makes after its first builds."""
+    firsts, rereads, done = [], [], 0
+    for group, hi in calls:
+        first = jumps(group) == jumps(paths[done : done + len(group)])
+        (firsts if first else rereads).append((group, hi))
+        done += len(group) if first else 0
+    assert done == len(paths)
+    return firsts, rereads
 
 
 def assert_within_budget(builds, budget):
@@ -730,7 +753,7 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
     monkeypatch.setattr(schemes_module, "ladders", freeing_ladders)
     calls.clear()
     rows = errors_rows(paths, SCHEMES, ms)
-    firsts, rereads = split_passes(calls, len(paths))
+    firsts, rereads = split_passes(calls, paths)
     assert jumps(p for group, _ in firsts for p in group) == jumps(paths)
     assert jumps(p for group, _ in rereads for p in group) == jumps(rejected)
     assert all(hi == [ladder(p).resolution for p in group] for group, hi in rereads)
@@ -757,7 +780,7 @@ def test_errors_rows_and_select_do_not_depend_on_the_build_budget(monkeypatch):
         monkeypatch.setattr(schemes_module, "_BUILD_CELLS", budget)
         calls.clear()
         rows.add(errors_rows(paths, SCHEMES, ms).tobytes())
-        firsts, rereads = split_passes(calls, len(paths))
+        firsts, rereads = split_passes(calls, paths)
         assert jumps(p for group, _ in rereads for p in group) == jumps([spiked])
         builds.append(len(firsts))
         selections.add(repr([select(path, scheme, m) for path in paths[3:7]
@@ -866,6 +889,17 @@ def test_errors_refuse_an_m_that_is_not_a_nonnegative_integer(bad):
         errors_rows([path, path], ("linear",), [bad])
     with pytest.raises(ValueError, match="M must be a nonnegative integer"):
         errors_discrete_rows(np.ones((2, 8)), ("best",), [bad])
+
+
+@pytest.mark.parametrize(
+    "reader, rows",
+    [(errors_rows, [make_path([], []), make_path([0.37], [1.3]), make_path([0.3, 0.6], [1.0, -1.0])]),
+     (errors_discrete_rows, np.ones((3, 8)))],
+    ids=["errors_rows", "errors_discrete_rows"],
+)
+def test_readers_with_no_schemes_or_no_m_return_empty_rows(reader, rows):
+    assert reader(rows, (), [4, 16]).shape == (3, 0, 2)
+    assert reader(rows, SCHEMES, []).shape == (3, 3, 0)
 
 
 def fsum_runs(x, lo, hi):
