@@ -11,11 +11,12 @@ floating-point threshold. Float jump times are dyadic rationals, so the
 nonzero coefficients are also finitely many: they sit at the scales below
 the path's dyadic resolution. Which atoms are occupied follows from the
 times alone, and `structure` reads it for a processes.PathBlock. `ladders`
-lists the scales a caller asks for, at most that many, in one vectorized
-pass over every path's (scale, jump) cells, path-major, reading the
-block's arrays with no per-path object; `ladder` is its one-path view,
-which finds the structure itself. Every atom off the ladder holds no jump
-or sits past the resolution, and its coefficient is exactly 0.0.
+reads where atoms start from that structure and returns only the values
+of the scales a caller asks for, in one vectorized pass over every path's
+(scale, jump) cells, path-major, with no per-path object; `ladder`, its
+one-path view, reads each atom's scale, shift and jump count off the
+structure too. Every atom off the ladder holds no jump or sits past the
+resolution, and its coefficient is exactly 0.0.
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.
@@ -23,6 +24,7 @@ Atoms are enumerated by a single index: 0 for the scaling function, and
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -44,7 +46,6 @@ __all__ = [
     "jumps_in_support",
     "coeff",
     "Ladder",
-    "Ladders",
     "ladder",
     "ladders",
     "structure",
@@ -151,24 +152,28 @@ def jump_weight_wavelet(j: int, k: int, t):
 
 def jumps_in_support(path: CompoundPoissonPath, atom: Atom) -> int:
     """Number of jumps inside the atom's half-open support."""
-    if atom.kind == "scaling":
-        return path.num_jumps
-    a, b = np.searchsorted(path.jump_times, support(atom))
-    return int(b - a)
+    return coeff(path, atom).jump_count
 
 
 def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
     """Exact coefficient of the path against one atom.
 
     The value is a sum over the jumps in the atom's support only, so it is
-    exactly 0.0 whenever that support contains no jump.
+    exactly 0.0 whenever that support contains no jump. A jump at t lies in
+    the support of atom (j, k) when its exact cell floor(t 2^j) is k.
     """
     times = path.jump_times
     heights = path.jump_heights
     if atom.kind == "scaling":
         value = float(path.block.sums()[0][0])
         return Coefficient(atom=atom, value=value, jump_count=path.num_jumps)
-    a, b = np.searchsorted(times, support(atom)).tolist()
+
+    def cell(t) -> int:  # floor(t 2^j) in exact integers, at any j
+        num, den = float(t).as_integer_ratio()
+        return (num << atom.j) // den
+
+    a = bisect.bisect_left(times, atom.k, key=cell)
+    b = bisect.bisect_right(times, atom.k, a, key=cell)
     if a == b:
         return Coefficient(atom=atom, value=0.0, jump_count=0)
     weights = jump_weight_wavelet(atom.j, atom.k, times[a:b])
@@ -190,19 +195,9 @@ class Ladder(NamedTuple):
     count: np.ndarray
 
 
-class Ladders(NamedTuple):
-    """The ladders of a block of paths laid end to end, path-major: path p's
-    atoms are rows bounds[p]:bounds[p + 1] of the atom arrays, in atom-index
-    order, a scale's atoms being those structure counts."""
-
-    bounds: np.ndarray
-    shift: np.ndarray
-    value: np.ndarray
-    count: np.ndarray
-
-
-# per-scale factors of the ladder kernel: 2^j exactly, and the wavelet
+# per-scale factors of the ladder kernel: j, 2^j exactly, and the wavelet
 # amplitude -2^(-j/2) as `-(2.0 ** (-j / 2.0))` rounds it
+_SCALES = np.arange(1024)
 _POW2 = np.array([math.ldexp(1.0, j) for j in range(1024)])
 _AMPLITUDE = np.array([-(2.0 ** (-j / 2.0)) for j in range(1024)])
 
@@ -232,40 +227,33 @@ def structure(block: PathBlock) -> tuple[np.ndarray, list[int]]:
     return split, e.tolist()
 
 
-def ladders(block: PathBlock, hi: list[int]) -> Ladders:
-    """The scales j < hi[p] of the finite coefficient ladder of each path p
-    of a block, where hi[p] is at most the path's resolution.
+def ladders(block: PathBlock, hi: list[int], split: np.ndarray) -> np.ndarray:
+    """The values of the scales j < hi[p] of the finite coefficient ladder
+    of each path p of a block, path-major and in atom-index order, where
+    hi[p] is at most the path's resolution and split is the block's structure.
 
     Every jump time is exactly m * 2^-e with m odd; a path's resolution is
     the largest such e (see structure). At every scale j >= e each jump
     sits alone at the left edge of its own atom, so those coefficients are
     exactly 0.0 and the whole ladder, scales [0, e), holds every nonzero
-    coefficient. Each value is the left-to-right sum, in jump order, of
-    height * tent weight, so a scale's rows are the same whichever prefix
-    or block is built.
+    coefficient. At scale j an atom starts at each jump i with split[i] <=
+    j and holds the jumps up to the next start. Each value is the
+    left-to-right sum, in jump order, of height * tent weight, so a scale's
+    rows are the same whichever prefix or block is built.
     """
     n = block.counts.tolist()
-    ends = list(itertools.accumulate(m * j for m, j in zip(n, hi)))
-    firsts = [0] + ends[:-1]
+    ends = list(itertools.accumulate((m * j for m, j in zip(n, hi)), initial=0))
     # path p's jumps are rows s:s + m of the block's arrays, its cells a:b
     rows = block.bounds.tolist()
-    blocks = [(s, a, b, m, j) for s, a, b, m, j in zip(rows, firsts, ends, n, hi) if b > a]
+    blocks = [(s, a, b, m, j) for s, a, b, m, j in zip(rows, ends, ends[1:], n, hi) if b > a]
     times, heights = block.times, block.heights
     # Each path's cells are a (scale, jump) block of one flat array, written
     # through a view. Temporaries are computed in place and freed early.
-    cells = ends[-1] if ends else 0
-    x = np.empty(cells)
-    for s, a, b, m, j in blocks:  # t * 2^j, exact
+    x, start = np.empty(ends[-1]), np.empty(ends[-1], dtype=bool)
+    for s, a, b, m, j in blocks:  # t * 2^j, exact, and the cells that start an atom
         np.multiply(times[s : s + m], _POW2[:j, None], out=x[a:b].reshape(j, m))
+        np.less_equal(split[s : s + m], _SCALES[:j, None], out=start[a:b].reshape(j, m))
     k = np.floor(x)
-    new = np.empty(cells + 1, dtype=bool)  # past the last cell: the end of the last atom
-    new[-1] = True
-    np.not_equal(k[1:], k[:-1], out=new[1:-1])  # the shift changes: a new atom
-    for s, a, b, m, j in blocks:
-        new[a:b:m] = True  # and every scale of a path starts one
-    edges = np.flatnonzero(new)
-    starts = edges[:-1]
-    shift = k[starts]
     x -= k  # position u within the atom, exact
     np.subtract(1.0, x, out=k)
     np.minimum(x, k, out=x)
@@ -274,25 +262,26 @@ def ladders(block: PathBlock, hi: list[int]) -> Ladders:
         cell = x[a:b].reshape(j, m)
         cell *= _AMPLITUDE[:j, None]
         cell *= heights[s : s + m]
-    count = edges[1:] - starts  # each atom's jumps
+    atom = np.cumsum(start)  # each cell's atom, numbered from 1
     # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
-    # no atoms at all it returns integers, hence the cast
-    atom = np.repeat(np.arange(starts.size), count)
-    value = np.bincount(atom, weights=x, minlength=starts.size).astype(float, copy=False)
-    del x, atom
-    # a path's atoms start at its first cell's
-    return Ladders(np.searchsorted(edges, firsts + [cells]), shift, value, count)
+    # no cells at all it returns integers, hence the cast
+    return np.bincount(atom, weights=x)[1:].astype(float, copy=False)
 
 
 def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:
     """The path's finite coefficient ladder, or only its scales j < hi: the
-    one-path view of ladders, each atom's scale read off the path's
-    structure. `resolution` is the path's whatever the prefix."""
+    one-path view of ladders. Its atoms are read off the path's structure:
+    at scale j one starts at each jump i with split[i] <= j, at shift
+    floor(t_i 2^j), and holds the jumps up to the next start of its scale.
+    `resolution` is the path's whatever the prefix."""
     split, (e,) = structure(path.block)
     hi = e if hi is None else max(0, min(hi, e))
-    lad = ladders(path.block, [hi])
-    per_scale = np.cumsum(np.bincount(split, minlength=hi))[:hi]
-    return Ladder(e, np.repeat(np.arange(hi), per_scale), *lad[1:])
+    n = path.num_jumps
+    scale, first = np.nonzero(split <= _SCALES[:hi, None])
+    # each scale starts at the first jump: an atom's jumps run to the next start
+    count = np.diff(scale * n + first, append=hi * n)
+    shift = np.floor(path.jump_times[first] * _POW2[scale])
+    return Ladder(e, scale, shift, ladders(path.block, [hi], split), count)
 
 
 def nonzero_counts_by_scale(path: CompoundPoissonPath, target: int) -> list[int]:

@@ -132,11 +132,15 @@ class ExperimentConfig:
                 "would overflow (lower sigma0_sq or the jump variance)"
             )
 
+    def process_variance(self) -> float:
+        """lambda * jump variance for cp given a jump variance, else
+        sigma0_sq: the sigma0_sq the run's rows carry."""
+        given = self.process == "cp" and self.jump_variance is not None
+        return self.lam * self.jump_variance if given else self.sigma0_sq
+
     def energy_scale(self) -> float:
         """The run's energy scale, as MAX_ENERGY_SCALE defines it."""
-        scale = self.sigma0_sq
-        if self.process == "cp" and self.jump_variance is not None:
-            scale = self.lam * self.jump_variance
+        scale = self.process_variance()
         if self.dictionary != "haar_analytic":
             scale *= 2.0**self.grid_log2
         return scale
@@ -367,7 +371,7 @@ def _run_curves(
                         scheme=scheme,
                         dictionary=dictionary,
                         lam=config.lam,
-                        sigma0_sq=config.sigma0_sq,
+                        sigma0_sq=config.process_variance(),
                         m=int(m),
                         log2_m=math.log2(m),
                         mse_mean=mean,

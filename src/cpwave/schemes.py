@@ -79,6 +79,8 @@ SCHEMES = ("linear", "greedy", "best")
 
 # Parseval subtraction of nearly equal sums can land a hair below zero;
 # anything further below, relative to the path energy, is an accounting bug.
+# Below 2^-1022 rounding is absolute, so the gate also allows 2^-1074 per
+# rounded term: each kept square and each term of the energy.
 _NEGATIVE_ERROR_TOL = 1e-12
 
 
@@ -264,7 +266,8 @@ def _errors(block: _Block, schemes, m_values) -> np.ndarray:
     with np.errstate(invalid="ignore"):  # inf - inf is nan, as in floats
         err = total - kept
     err[every] = 0.0
-    short = err < -_NEGATIVE_ERROR_TOL * total
+    slack = np.ldexp(counts + block.paths.counts[:, None, None], -1074)
+    short = err < -(_NEGATIVE_ERROR_TOL * total + slack)
     if np.count_nonzero(short):
         p, s, m = np.unravel_index(np.argmax(short), short.shape)
         raise InvariantViolation(
@@ -317,13 +320,14 @@ def _block(paths: PathBlock, schemes, k: int, depth: list[int], split, e: list[i
     kept = np.empty(hi[-1])
     scaling, energy = paths.sums()
     for a, b in _builds((counts * depth).tolist(), _BUILD_CELLS):
-        lad = ladders(paths.take(range(a, b)), depth[a:b].tolist())
         at = _bounds(sizes[a:b])  # the build's candidates, path-major
         scaled = counts[a:b] > 0  # a scaling coefficient comes first, then the ladder
         sq, atoms = np.empty(at[-1]), np.ones(at[-1], dtype=bool)
         sq[at[:-1][scaled]], atoms[at[:-1][scaled]] = scaling[a:b][scaled], False
-        sq[atoms] = lad.value  # raises if the build and the structure disagree on a size
-        del lad, atoms  # each build is freed before the next is made
+        # the ladder's atoms are the structure's, so they fill the rest exactly
+        rows = slice(paths.bounds[a], paths.bounds[b])
+        sq[atoms] = ladders(paths.take(range(a, b)), depth[a:b].tolist(), split[rows])
+        del atoms  # each build is freed before the next is made
         np.square(sq, out=sq)
         part = sq  # each path's first index[p] squares, often all
         if lo[b] - lo[a] < sq.size:

@@ -25,7 +25,7 @@ from cpwave import (
     select,
 )
 from cpwave import schemes as schemes_module
-from cpwave.haar import ladder, nonzero_counts_by_scale, structure, support
+from cpwave.haar import ladder, ladders, nonzero_counts_by_scale, structure, support
 from cpwave.processes import PathBlock
 from cpwave.schemes import linear_errors
 
@@ -227,6 +227,20 @@ def test_coeff_zero_iff_no_jump_in_support():
             assert (c.value == 0.0) == (c.jump_count == 0)
 
 
+def test_coeff_counts_a_jump_past_the_float_grid():
+    # membership is the exact cell floor(t 2^j) == k: past the path's
+    # resolution, 53, the jump sits at its atom's left edge with weight 0,
+    # where (k + 1) 2^-j rounds to the jump time itself
+    path = make_path([0.37], [1.3])
+    num, den = (0.37).as_integer_ratio()
+    for j in range(53, 1024):
+        k = (num << j) // den
+        c = coeff(path, Atom.wavelet(j, k))
+        assert (c.jump_count, c.value) == (1, 0.0)
+        assert jumps_in_support(path, Atom.wavelet(j, k)) == 1
+        assert coeff(path, Atom.wavelet(j, k + 1)).jump_count == 0
+
+
 # ---------------------------------------------------------------------------
 # the coefficient ladder
 
@@ -256,14 +270,40 @@ def hand_paths(draw):
     return make_path(times, heights)
 
 
-@given(hand_paths())
+def structure_paths():
+    """Sampled paths at rates 3, 10 and 500, hand_paths' arbitrary, dyadic
+    and clustered ones, pairs 2^-40 to 2^-50 apart, and times down to 2^-900."""
+    sampled = st.tuples(st.sampled_from([3.0, 10.0, 500.0]), st.integers(0, 2**20)).map(
+        lambda r: sample_path(r[0], JumpLaw.for_rate(r[0]), derive_stream(49, r[1]))
+    )
+    pairs = st.lists(st.tuples(st.floats(0.01, 0.9), st.integers(40, 50)), min_size=1, max_size=5)
+    fine = st.lists(st.tuples(st.integers(1, 2**20 - 1), st.integers(1, 880)), min_size=1, max_size=8)
+    return st.one_of(
+        sampled,
+        hand_paths(),
+        pairs.map(lambda ps: sorted({t for c, d in ps for t in (c, c + 2.0**-d)})).map(
+            lambda ts: make_path(ts, [1.0] * len(ts))
+        ),
+        fine.map(lambda ps: sorted({math.ldexp(m, -20 - x) for m, x in ps})).map(
+            lambda ts: make_path(ts, [1.0] * len(ts))
+        ),
+    )
+
+
+@given(structure_paths())
 @example(make_path([0.37], [1.3]))
 @example(make_path([0.375, 0.5], [1.0, -2.0]))
+@example(make_path([2.0**-900, 2.0**-899, 0.5], [1.0, -1.0, 2.0]))
+@example(make_path([0.3, 0.3 + 2.0**-50, 0.6, 0.6 + 2.0**-40], [1.0, -1.5, 0.7, 2.0]))
 @settings(max_examples=150, deadline=None)
 def test_ladder_equals_per_jump_reference(path):
+    # the ladder reads its atoms off the structure; the floor-based
+    # reference finds them one jump at a time, down to times of 2^-900 and
+    # pairs 2^-40 to 2^-50 apart, where the frexp reading is most delicate
     lad = ladder(path)
     e = lad.resolution
-    assert e == max(float(t).as_integer_ratio()[1].bit_length() - 1 for t in path.jump_times)
+    ratios = (float(t).as_integer_ratio()[1] for t in path.jump_times)
+    assert e == max((d.bit_length() - 1 for d in ratios), default=0)
     for j in range(e):
         ref = scale_table(path, j)
         at = lad.scale == j
@@ -298,6 +338,33 @@ def test_ladder_range_equals_rows_of_whole_ladder(path, depth):
             assert got.tobytes() == full[rows].tobytes()
 
 
+@given(
+    st.lists(
+        st.tuples(st.one_of(structure_paths(), st.just(make_path([], []))), st.integers(0, 2000)),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example([(make_path([], []), 0), (make_path([0.375, 0.5], [1.0, -2.0]), 0),
+          (make_path([0.375, 0.5], [1.0, -2.0]), 2), (make_path([0.3], [1.0]), 7)])
+@settings(max_examples=100, deadline=None)
+def test_ladders_of_a_block_are_its_paths_ladders(drawn):
+    # one build of a block with empty paths, hi = 0 rows and mixed depths
+    # holds each path's ladder values, bit for bit, path after path; and
+    # each path's are the per-jump reference's at its scales below hi
+    paths = [p for p, _ in drawn]
+    block = PathBlock.of(paths)
+    split, e = structure(block)
+    hi = [d % (r + 1) for (_, d), r in zip(drawn, e)]
+    values = ladders(block, hi, split)
+    each = [ladder(p, h).value for p, h in zip(paths, hi)]
+    assert values.dtype == np.float64
+    assert values.tobytes() == np.concatenate(each).tobytes()
+    for path, h, got in zip(paths, hi, each):
+        ref = [v for j in range(h) for _, v, _ in scale_table(path, j)]
+        assert got.tobytes() == np.array(ref, dtype=float).tobytes()
+
+
 def test_ladder_empty_path():
     lad = ladder(make_path([], []))
     assert lad.resolution == 0 and lad.value.size == 0
@@ -310,26 +377,6 @@ def test_ladder_refuses_jumps_finer_than_scale_1023():
     assert ladder(make_path([2.0**-1000, 0.5], [1.0, -1.0])).resolution == 1000
     with pytest.raises(ValueError, match="1023"):
         ladder(make_path([2.0**-1000 + 2.0**-1050, 0.5], [1.0, -1.0]))
-
-
-def structure_paths():
-    """Sampled paths at rates 3, 10 and 500, hand_paths' arbitrary, dyadic
-    and clustered ones, pairs 2^-40 to 2^-50 apart, and times down to 2^-900."""
-    sampled = st.tuples(st.sampled_from([3.0, 10.0, 500.0]), st.integers(0, 2**20)).map(
-        lambda r: sample_path(r[0], JumpLaw.for_rate(r[0]), derive_stream(49, r[1]))
-    )
-    pairs = st.lists(st.tuples(st.floats(0.01, 0.9), st.integers(40, 50)), min_size=1, max_size=5)
-    fine = st.lists(st.tuples(st.integers(1, 2**20 - 1), st.integers(1, 880)), min_size=1, max_size=8)
-    return st.one_of(
-        sampled,
-        hand_paths(),
-        pairs.map(lambda ps: sorted({t for c, d in ps for t in (c, c + 2.0**-d)})).map(
-            lambda ts: make_path(ts, [1.0] * len(ts))
-        ),
-        fine.map(lambda ps: sorted({math.ldexp(m, -20 - x) for m, x in ps})).map(
-            lambda ts: make_path(ts, [1.0] * len(ts))
-        ),
-    )
 
 
 @given(structure_paths())

@@ -136,9 +136,9 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
     calls, verdicts = [], []
     real_ladders, real_certified = schemes.ladders, schemes._certified
 
-    def counting_ladders(block, hi):
+    def counting_ladders(block, hi, split):
         calls.append((paths_of(block), hi))
-        return real_ladders(block, hi)
+        return real_ladders(block, hi, split)
 
     def recording_certified(*args):
         verdicts.append(real_certified(*args))
@@ -902,6 +902,33 @@ def test_cli_gate_scales_with_path_energy(tmp_path):
         "--schemes", "greedy", "--m", "4096", "--trials", "50", "--seed", "1",
         "--out", str(out),
     ) == 0
+
+
+def test_cli_gate_allows_subnormal_energies(tmp_path):
+    # at sigma0^2 = 1e-320 path energies are subnormal, where rounding is
+    # absolute: a remainder one 2^-1074 below zero is rounding, not a bug
+    out = tmp_path / "quiet.csv"
+    assert run_cli(
+        "mse-curve", "--process", "cp", "--lambda", "10", "--m", "4,64", "--trials", "200",
+        "--sigma0-sq", "1e-320", "--seed", "1", "--out", str(out),
+    ) == 0
+
+
+def test_cli_jump_variance_rows_carry_the_process_variance(tmp_path):
+    # sigma0_sq is the process variance, lambda times the jump variance;
+    # the JSON config keeps the inputs as given
+    args = ["mse-curve", "--process", "cp", "--lambda", "10", "--jump-variance", "2",
+            "--schemes", "linear", "--m", "4,64", "--trials", "200", "--seed", "1"]
+    out, doc = tmp_path / "rows.csv", tmp_path / "rows.json"
+    assert run_cli(*args, "--out", str(out)) == 0
+    assert run_cli(*args, "--format", "json", "--out", str(doc)) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[4] for row in rows] == ["20", "20"]
+    config, records = read_json(str(doc))
+    assert (config.sigma0_sq, config.jump_variance) == (1.0, 2.0)
+    assert [r.sigma0_sq for r in records] == [20.0, 20.0]
+    # the linear mean follows the closed form at that variance, not at 1
+    assert abs(float(rows[0][7]) / linear_mse(4, 20.0) - 1.0) < 0.1
 
 
 def test_cli_single_jump_paths_at_m_1024(tmp_path):

@@ -244,6 +244,24 @@ def test_near_zero_error_clamped_not_negative():
     assert 0.0 <= sel.error_sq < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-150])
+def test_errors_refuse_a_path_energy_below_its_kept_energy(monkeypatch, scale):
+    # the accounting gate: a path energy 1e-9 relative below the energy
+    # greedy keeps is an accounting bug, at unit energy as at 1e-300; the
+    # slack for subnormal rounding stays far below it
+    path = make_path([0.25, 0.6, 0.75], [scale, -2.0 * scale, 0.5 * scale])
+    ((err,),) = errors(path, ("greedy",), [2])
+    real = PathBlock.sums
+
+    def forged(block):
+        scaling, energy = real(block)
+        return scaling, (energy - err) * (1.0 - 1e-9)
+
+    monkeypatch.setattr(PathBlock, "sums", forged)
+    with pytest.raises(schemes_module.InvariantViolation, match="kept energy exceeds"):
+        errors(path, ("greedy",), [2])
+
+
 # ---------------------------------------------------------------------------
 # ordering, monotonicity, profiles
 
@@ -368,9 +386,9 @@ def counting_ladders(calls):
     and a re-read asks for the path's resolution."""
     real = schemes_module.ladders
 
-    def counted(block, hi):
+    def counted(block, hi, split):
         calls.append((paths_of(block), hi))
-        return real(block, hi)
+        return real(block, hi, split)
 
     return counted
 
@@ -744,11 +762,11 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
             rejected.append(path)
     assert len(rejected) >= 8
 
-    def freeing_ladders(block, hi):
+    def freeing_ladders(block, hi, split):
         assert all(ref() is None for ref in alive)  # the last build is gone
-        lads = counted(block, hi)
-        alive.append(weakref.ref(lads.value))
-        return lads
+        values = counted(block, hi, split)
+        alive.append(weakref.ref(values))
+        return values
 
     monkeypatch.setattr(schemes_module, "ladders", freeing_ladders)
     calls.clear()
