@@ -176,8 +176,12 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
     b = bisect.bisect_right(times, atom.k, a, key=cell)
     if a == b:
         return Coefficient(atom=atom, value=0.0, jump_count=0)
-    weights = jump_weight_wavelet(atom.j, atom.k, times[a:b])
-    value = float(math.fsum(heights[a:b] * np.atleast_1d(weights)))
+    # each jump's place u = frac(t 2^j) in the support, from the exact cell
+    # remainder: jump_weight_wavelet's tent, without its 2^j past scale 1023
+    u = np.array([(num << atom.j) % den / den for num, den in map(
+        float.as_integer_ratio, times[a:b].tolist())])
+    weights = -(2.0 ** (-atom.j / 2.0)) * np.minimum(u, 1.0 - u)
+    value = float(math.fsum(heights[a:b] * weights))
     return Coefficient(atom=atom, value=value, jump_count=b - a)
 
 

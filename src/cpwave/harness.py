@@ -3,15 +3,20 @@
 Every trial owns a private random stream derived from (master_seed, trial
 index), and per-trial results are reduced in trial order, so curves are
 byte-for-byte reproducible regardless of how many worker processes run the
-trials. Trials run in blocks of consecutive indices. A compound Poisson
-block is one processes.PathBlock (sample_block), read by one
-schemes.errors_rows call or turned into grids by PathBlock.values_at; a
-Brownian block samples one grid per trial. A discrete dictionary transforms
+trials. Trials run in chunks of consecutive indices, each of whole blocks:
+a chunk's streams are seeded in one processes.stream_states call, serially
+or in the pool worker that runs it, and a block sets one generator to each
+of its trials' states in turn. A compound Poisson block is one
+processes.PathBlock (sample_block), read by one schemes.errors_rows call
+or turned into grids by PathBlock.values_at; a Brownian block samples one
+grid per trial. A discrete dictionary transforms
 a block's grids as one array and sums every row's errors in one pass.
 Every sum is exact and correctly rounded, so it does not depend on the
 paths or rows beside it, and blocks change no byte. With several workers,
-whole blocks go to the pool. Scheme-ordering and monotonicity invariants
-are hard-asserted on every trial of every run, one block at a time.
+whole chunks go to the pool. Each curve point's mean and interval come
+from the same exact sums, over all points at once. Scheme-ordering and
+monotonicity invariants are hard-asserted on every trial of every run, one
+block at a time.
 """
 
 from __future__ import annotations
@@ -31,11 +36,14 @@ from .processes import (
     JumpLaw,
     _check_grid_log2,
     _positive,
+    _range_sums,
+    _streams,
     brownian_grid,
     check_expected_jumps,
     derive_stream,
     is_int,
     sample_block,
+    stream_states,
 )
 from .haar import discrete_haar_forward
 from .schemes import SCHEMES, InvariantViolation
@@ -70,6 +78,10 @@ _CI_Z = 1.96  # normal-approximation 95% interval
 # a factor of four of the float max, and energies and squares overflow.
 MAX_ENERGY_SCALE = 2.0**1023
 
+# A run holds every trial's errors as one (trials, curves, M) float64
+# array; one that would pass 2 GiB is refused before anything is sampled.
+MAX_RESULT_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -86,7 +98,9 @@ class ExperimentConfig:
     trials: int = 1000
     master_seed: int = 0
 
-    def validate(self) -> None:
+    def validate(self, dictionaries: int = 1) -> None:
+        """Refuse a run that cannot be made, naming the input; dictionaries
+        is how many dictionaries read each trial (dict-compare reads two)."""
         if self.process not in PROCESSES:
             raise ValueError(f"process must be one of {PROCESSES}, got {self.process!r}")
         if not self.schemes or any(s not in SCHEMES for s in self.schemes):
@@ -130,6 +144,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"energy scale {scale:g} exceeds {MAX_ENERGY_SCALE:g}; path energies "
                 "would overflow (lower sigma0_sq or the jump variance)"
+            )
+        size = 8 * self.trials * dictionaries * len(self.schemes) * len(self.m_values)
+        if size > MAX_RESULT_BYTES:
+            raise ValueError(
+                f"{self.trials} trials of {dictionaries * len(self.schemes)} curves at "
+                f"{len(self.m_values)} M would hold {size / 2**30:.3g} GiB of errors, more "
+                f"than the {MAX_RESULT_BYTES >> 30} GiB a run may hold (lower the trials)"
             )
 
     def process_variance(self) -> float:
@@ -223,24 +244,28 @@ def _block_size(config: ExperimentConfig) -> int:
 
 
 def _trial_errors(
-    config: ExperimentConfig, trials: range, dictionaries: tuple[str, ...] = ()
+    config: ExperimentConfig, trials: range, dictionaries: tuple[str, ...] = (), states=None
 ) -> np.ndarray:
     """Squared errors for a block of trials, as a (trials, curves, M) array:
     one curve per (dictionary, scheme) pair, dictionary-major. The
     dictionaries default to the config's own; all of them read each trial's
-    one path or grid, from its own stream: a cp block is one PathBlock, a
-    bm block one Brownian grid per trial. The analytic dictionary reads the
-    paths in one errors_rows call; a discrete one transforms the grids, for
-    cp the paths' values at i / 2^L, as one (trials, 2^L) array."""
+    one path or grid, from its own stream, whose state is the trial's row of
+    states (by default the block's own stream_states): a cp block is one
+    PathBlock, a bm block one Brownian grid per trial. The analytic
+    dictionary reads the paths in one errors_rows call; a discrete one
+    transforms the grids, for cp the paths' values at i / 2^L, as one
+    (trials, 2^L) array."""
     dictionaries = dictionaries or (config.dictionary,)
     ms, n = config.m_values, 2**config.grid_log2
+    states = stream_states(config.master_seed, trials) if states is None else states
     if config.process == "cp":
-        paths = sample_block(config.lam, config.jump_law(), config.master_seed, trials)
+        paths = sample_block(config.lam, config.jump_law(), config.master_seed, trials, states)
         if dictionaries != ("haar_analytic",):
             grid = paths.values_at(np.arange(n) / n)
     else:
-        streams = [derive_stream(config.master_seed, t) for t in trials]
-        grid = np.stack([brownian_grid(config.sigma0_sq, config.grid_log2, s) for s in streams])
+        grid = np.stack([
+            brownian_grid(config.sigma0_sq, config.grid_log2, s) for s in _streams(states)
+        ])
     blocks = []
     for dictionary in dictionaries:
         if dictionary == "haar_analytic":
@@ -302,30 +327,56 @@ def prepare_process(err: dict) -> dict:
     return np.seterr(**err)
 
 
+# Streams are seeded a chunk of trials at a time (stream_states), at a
+# fixed cost of about 240 us a call: a serial run seeds _SEED_CHUNK trials
+# a call, and a pool hands each worker chunks of at least _MIN_CHUNK, about
+# eight per worker. Chunks hold whole blocks.
+_SEED_CHUNK = 4096
+_MIN_CHUNK = 256
+
+
+def _chunk_errors(config: ExperimentConfig, trials: range, dictionaries) -> np.ndarray:
+    """_trial_errors of a chunk of trials, block by block, from streams
+    seeded for the whole chunk at once."""
+    states = stream_states(config.master_seed, trials)
+    size = _block_size(config)
+    return np.concatenate([
+        _trial_errors(config, trials[i : i + size], dictionaries, states[i : i + size])
+        for i in range(0, len(trials), size)
+    ])
+
+
+def _chunks(config: ExperimentConfig, workers: int) -> list[range]:
+    """The run's trials in consecutive chunks of whole blocks."""
+    step = _SEED_CHUNK
+    if workers > 1:
+        step = min(step, max(_MIN_CHUNK, -(-config.trials // (8 * workers))))
+    step = -(-step // _block_size(config)) * _block_size(config)
+    return [range(t, min(t + step, config.trials)) for t in range(0, config.trials, step)]
+
+
 def _run_trials(
     config: ExperimentConfig, dictionaries: tuple[str, ...], workers: int
 ) -> np.ndarray:
     """Every trial's errors, as a (trials, curves, M) array in trial order,
-    from blocks of trials run in order, or mapped to a pool of workers."""
-    size = _block_size(config)
-    blocks = [range(t, min(t + size, config.trials)) for t in range(0, config.trials, size)]
+    from chunks of trials run in order, or mapped to a pool of workers."""
+    chunks = _chunks(config, workers)
     if workers <= 1:
-        per_block = [_trial_errors(config, block, dictionaries) for block in blocks]
+        per_chunk = [_chunk_errors(config, chunk, dictionaries) for chunk in chunks]
     else:
         # the workers run under the caller's numpy error state and heap
         # set-up, whatever the start method
         with ProcessPoolExecutor(
             max_workers=workers, initializer=prepare_process, initargs=(np.geterr(),)
         ) as pool:
-            n = len(blocks)
-            chunk = max(1, n // (workers * 8))
-            per_block = list(
-                pool.map(_trial_errors, [config] * n, blocks, [dictionaries] * n, chunksize=chunk)
-            )
-    return np.concatenate(per_block)
+            n = len(chunks)
+            per_chunk = list(pool.map(_chunk_errors, [config] * n, chunks, [dictionaries] * n))
+    return np.concatenate(per_chunk)
 
 
 def _mean_ci(values: list[float]) -> tuple[float, float, float]:
+    """The mean of values and its 95% interval, from fsum sums: the one-column
+    view of _mean_ci_columns, which falls back on it where squares overflow."""
     n = len(values)
     mean = math.fsum(values) / n
     if n == 1:
@@ -344,6 +395,44 @@ def _mean_ci(values: list[float]) -> tuple[float, float, float]:
     return mean, mean - half, mean + half
 
 
+# The column statistics hold a few copies of the columns they read; they
+# read about this many values at a time (8 MB).
+_STATS_BLOCK = 2**20
+
+
+def _mean_ci_columns(values: np.ndarray) -> np.ndarray:
+    """_mean_ci of each column of a (trials, points) array of finite values,
+    bit for bit, as a (3, points) array of means, lower and upper ends;
+    raises OverflowError where a column's sum overflows, as fsum does.
+
+    Each column's sum, and then the sum of its squared deviations, is one
+    _range_sums run, with fsum's bits; np.float_power squares each
+    deviation with libm's pow, as Python's ** does (np.power and the
+    product v * v may round a square differently). A column whose squares
+    could pass the float max, alone or summed, where ** or fsum raises,
+    takes _mean_ci itself, with its power-of-two scaled path."""
+    n, points = values.shape
+    out = np.empty((3, points))
+    step = max(1, _STATS_BLOCK // n)
+    for a in range(0, points, step):
+        columns = values[:, a : a + step].T.copy()
+        ends = np.arange(len(columns) + 1) * n
+        mean = _range_sums(columns.ravel(), ends[:-1], ends[1:]) / n
+        out[:, a : a + step] = mean
+        if n == 1:
+            continue
+        with np.errstate(over="ignore"):
+            squares = np.float_power(values[:, a : a + step].T - mean[:, None], 2.0)
+        fit = squares.max(axis=1) <= sys.float_info.max / n
+        var = _range_sums(squares[fit].ravel(), ends[: fit.sum()], ends[1 : fit.sum() + 1]) / (n - 1)
+        half = _CI_Z * np.sqrt(var / n)
+        out[1, a : a + step][fit] = mean[fit] - half
+        out[2, a : a + step][fit] = mean[fit] + half
+        for i in np.flatnonzero(~fit).tolist():
+            out[:, a + i] = _mean_ci(values[:, a + i].tolist())
+    return out
+
+
 def _db(mean: float) -> float:
     return 10.0 * math.log10(mean) if mean > 0.0 else float("-inf")
 
@@ -353,35 +442,43 @@ def _run_curves(
 ) -> list[CurveRecord]:
     """Monte Carlo MSE curves for every (dictionary, scheme, M), in that
     order, with every dictionary read from the same trials."""
-    config.validate()
+    config.validate(len(dictionaries))
     if not is_int(workers) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers}")
-    curves = [(dictionary, scheme) for dictionary in dictionaries for scheme in config.schemes]
-    records = []
+    points = [
+        (dictionary, scheme, m)
+        for dictionary in dictionaries
+        for scheme in config.schemes
+        for m in config.m_values
+    ]
     try:
-        per_trial = _run_trials(config, dictionaries, workers)
-        for ci, (dictionary, scheme) in enumerate(curves):
-            for mi, m in enumerate(config.m_values):
-                mean, ci_lo, ci_hi = _mean_ci(per_trial[:, ci, mi].tolist())
+        values = _run_trials(config, dictionaries, workers).reshape(config.trials, len(points))
+        if not np.isfinite(values).all():
+            # some mean is inf or nan, or a sum overflows: report the first
+            # in curve order, summing column by column as fsum does
+            for (_, scheme, m), column in zip(points, values.T.tolist()):
+                mean = math.fsum(column) / config.trials
                 if not math.isfinite(mean):
                     raise OverflowError(f"the {scheme} mean at M={m} is {mean}")
-                records.append(
-                    CurveRecord(
-                        process=config.process,
-                        scheme=scheme,
-                        dictionary=dictionary,
-                        lam=config.lam,
-                        sigma0_sq=config.process_variance(),
-                        m=int(m),
-                        log2_m=math.log2(m),
-                        mse_mean=mean,
-                        mse_db=_db(mean),
-                        ci_lo=ci_lo,
-                        ci_hi=ci_hi,
-                        trials=config.trials,
-                        seed=int(config.master_seed),
-                    )
-                )
+        stats = _mean_ci_columns(values).T.tolist()
+        records = [
+            CurveRecord(
+                process=config.process,
+                scheme=scheme,
+                dictionary=dictionary,
+                lam=config.lam,
+                sigma0_sq=config.process_variance(),
+                m=int(m),
+                log2_m=math.log2(m),
+                mse_mean=mean,
+                mse_db=_db(mean),
+                ci_lo=ci_lo,
+                ci_hi=ci_hi,
+                trials=config.trials,
+                seed=int(config.master_seed),
+            )
+            for (dictionary, scheme, m), (mean, ci_lo, ci_hi) in zip(points, stats)
+        ]
     except OverflowError as exc:
         # a path below MAX_ENERGY_SCALE can still reach the float max: its
         # squared levels reach tens of times the scale

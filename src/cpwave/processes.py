@@ -5,7 +5,10 @@ plus jump heights, so path evaluation, L2 norms, and minimum jump spacing
 are all computed in closed form rather than from a grid. A PathBlock lays
 the jumps of a block of paths end to end, with per-path bounds, and is
 checked once with array operations; sample_block draws a block of trials
-into one, each from its own stream as sample_path draws it. The running
+into one, each from its own stream as sample_path draws it. A trial's
+stream is derive_stream(seed, trial); stream_states computes the PCG64
+states of a whole chunk of trials at once, bit for bit, and one generator
+is set to each trial's state in turn. The running
 sums of each path's heights give both its values at shared points
 (values_at) and, through one exact pass over the block (_range_sums, the
 package's exact summation kernel), its scaling coefficient and energy.
@@ -28,6 +31,7 @@ __all__ = [
     "CompoundPoissonPath",
     "PathBlock",
     "derive_stream",
+    "stream_states",
     "sample_path",
     "sample_block",
     "sample_grid",
@@ -74,6 +78,67 @@ def derive_stream(master_seed: int, stream_index: int = 0) -> np.random.Generato
             raise ValueError(f"{name} must fit in an unsigned 64-bit integer, got {value}")
     seq = np.random.SeedSequence(int(master_seed), spawn_key=(int(stream_index),))
     return np.random.Generator(np.random.PCG64(seq))  # default_rng(seq)'s bits, built faster
+
+
+_M32 = 0xFFFFFFFF
+
+
+def _hashed(words, init: int, mult: int, k: int, rows: int):
+    """SeedSequence's hashmix of 32-bit words: row r is xored with the
+    (k + r)-th hash constant, init * mult^(k + r) mod 2^32, and multiplied
+    by the next."""
+    c = np.array([init * pow(mult, i, 1 << 32) & _M32 for i in range(k, k + rows + 1)], np.uint64)
+    words = (words ^ c[:-1, None]) * c[1:, None] & _M32
+    return words ^ words >> 16
+
+
+def _mixed(pool, word, k: int):
+    """SeedSequence's mix of one entropy word, hashed with its k-th to
+    (k + 4)-th pool constants, into each of the four pool words."""
+    value = (0xCA01F9DD * pool - 0x4973F715 * _hashed(word, 0x43B0D7E5, 0x931E8875, k, 4)) & _M32
+    return value ^ value >> 16
+
+
+def _mul_hi(a, b):
+    """The high 64 bits of the 128-bit product of uint64 words a and b."""
+    a0, a1, b0, b1 = a & _M32, a >> 32, b & _M32, b >> 32
+    mid = a1 * b0 + (a0 * b0 >> 32)
+    return a1 * b1 + (mid >> 32) + ((mid & _M32) + a0 * b1 >> 32)
+
+
+def stream_states(master_seed: int, trials) -> np.ndarray:
+    """The PCG64 state of derive_stream(master_seed, t) for every trial t at
+    once, as rows (state high, low, inc high, low) of 64-bit words.
+
+    SeedSequence (NEP 19) mixes each spawn key's words, one below 2^32 and
+    two from 2^32 up, into the pool numpy mixes from the seed, and hashes
+    the pool into 128-bit initstate and initseq; PCG64 (O'Neill 2014)
+    starts from inc = 2 initseq + 1 and state = (inc + initstate) MULT +
+    inc mod 2^128. The trials' words are masked uint64 arrays.
+    """
+    t, pool = np.asarray(trials, dtype=np.uint64), np.random.SeedSequence(int(master_seed)).pool
+    pool = _mixed(pool.astype(np.uint64)[:, None], t & _M32, 16)
+    if np.any(t >> 32):
+        pool = np.where(t >> 32 > 0, _mixed(pool, t >> 32, 20), pool)
+    words = _hashed(np.concatenate((pool, pool)), 0x8B51F9DD, 0x58F38DED, 0, 8)
+    hi, lo, seq_hi, seq_lo = words[0::2] | words[1::2] << 32
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo += inc_lo  # (hi, lo) = initstate + inc, with the carry
+    hi += inc_hi + (lo < inc_lo)
+    mult_hi, mult_lo = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # PCG64's multiplier
+    state_lo = lo * mult_lo + inc_lo
+    state_hi = _mul_hi(lo, mult_lo) + hi * mult_lo + lo * mult_hi + inc_hi + (state_lo < inc_lo)
+    return np.stack((state_hi, state_lo, inc_hi, inc_lo), axis=1)
+
+
+def _streams(states: np.ndarray):
+    """One generator, set to each row of stream_states in turn."""
+    stream, inner = np.random.Generator(np.random.PCG64(0)), {}
+    value = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    for state_hi, state_lo, inc_hi, inc_lo in states.tolist():
+        inner["state"], inner["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        stream.bit_generator.state = value
+        yield stream
 
 
 def check_expected_jumps(count: float, name: str = "lambda") -> None:
@@ -304,7 +369,7 @@ _TINY = 2.0**-1022  # the least normal float; every float is a multiple of 2^-10
 _FEW_TERMS = 512
 
 
-def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
+def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The correctly rounded sum of x[lo[i]:hi[i]] for each i, the value
     fsum over those entries gives, for a float array x of either sign that
     is overwritten on the way, from one vectorized loop of error-free
@@ -320,8 +385,8 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
     running sums, are exact, and a run's sum in the round is the
     difference of two of them. Each round scales sigma by 2^(L-53); once
     sigma is 2^-1022 the remainder is below 2^-1075, hence zero. A run's
-    exact sum is the sum of its round sums, a few floats, and fsum rounds
-    them correctly. When the runs hold at most _FEW_TERMS entries in all,
+    exact sum is the sum of its round sums, a few floats, and _nearest
+    rounds them correctly. When the runs hold at most _FEW_TERMS entries in all,
     which fsum sums faster, or the largest magnitude is not finite, or too
     large for sigma to be a float, each run is summed by fsum over its
     entries, which returns inf or nan, or raises OverflowError.
@@ -330,9 +395,9 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
     few = int((hi - lo).sum()) <= _FEW_TERMS
     top = 0.0 if few or not n else max(float(x.max()), -float(x.min()))
     width = (2 * (n + 2) - 1).bit_length()  # L, the least with 2^L >= 2(n + 2)
-    if few or not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
+    if few or not lo.size or not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
         terms = x.tolist()
-        return [math.fsum(terms[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
+        return np.array([math.fsum(terms[a:b]) for a, b in zip(lo.tolist(), hi.tolist())])
     sigma = max(math.ldexp(1.0, math.frexp(top)[1] + width), _TINY)
     shrink = math.ldexp(1.0, width - 53)
     # the run ends in order, without repeats; each segment between two is
@@ -344,7 +409,7 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
     np.not_equal(edges[1:], edges[:-1], out=distinct[1:])
     edges = edges[distinct]
     if edges.size == 1:
-        return [0.0] * lo.size
+        return np.zeros(lo.size)
     p = x[edges[0] : edges[-1]]  # the remainder, in place
     q = np.empty_like(p)
     segments = edges[:-1] - edges[0]
@@ -364,7 +429,44 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[float]:
         sigma = max(sigma * shrink, _TINY)
     running = np.cumsum(rounds[:r], axis=1)
     at = running[:, np.searchsorted(edges, ends)]
-    return list(map(math.fsum, (at[:, lo.size :] - at[:, : lo.size]).T.tolist()))
+    return _nearest(at[:, lo.size :] - at[:, : lo.size])
+
+
+def _nearest(rows: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each column of the round sums of
+    _range_sums, the bits fsum gives, in a few vector passes (Priest, "On
+    properties of floating point arithmetics", 1991; Shewchuk, "Adaptive
+    precision floating-point arithmetic", 1997; Rump, Ogita and Oishi,
+    "Accurate floating-point summation, part II", 2008, NearSum).
+
+    Row k holds multiples of its round's unit u_k = 2^-53 sigma_k, and the
+    rows below it sum to less than sigma_{k+1} <= 2^52 u_k, so u_k is at
+    least the unit in the last place (ulp) of their rounded sum. Adding
+    each row to the sum below, from the last row up, the row is a multiple
+    of the ulp of the sum, which makes Fast2Sum exact in either order of
+    magnitude; and each error is a multiple of the ulp of the sum below,
+    at least twice the error formed there. So the top sum and the errors
+    are a nonoverlapping expansion of the exact sum. Added from the top,
+    the first inexact addition leaves an error lo of at most half a unit,
+    and every later term is below lo's last bit, so it moves nothing: the
+    top is the correctly rounded sum unless lo is exactly half a unit, a
+    tie that the sign of the terms below lo breaks: such a column, rare, is
+    summed again by fsum over its round sums, which breaks it so.
+    """
+    top, err = rows[-1], np.zeros_like(rows)
+    for k in range(len(rows) - 2, -1, -1):
+        s = rows[k] + top
+        np.subtract(top, s - rows[k], out=err[k])
+        top = s
+    for e in err[:-1]:
+        s = top + e
+        e -= s - top
+        top = s
+    lo = err[np.abs(err).argmax(axis=0), np.arange(top.size)]  # the first nonzero error
+    twice = 2.0 * lo
+    for i in np.flatnonzero((top + twice - top == twice) & (lo != 0.0)).tolist():
+        top[i] = math.fsum(rows[:, i].tolist())
+    return top
 
 
 def _bounds(counts) -> np.ndarray:
@@ -415,17 +517,21 @@ def sample_path(lam: float, law: JumpLaw, stream: np.random.Generator) -> Compou
     return CompoundPoissonPath(times, heights)
 
 
-def sample_block(lam: float, law: JumpLaw, master_seed: int, trials) -> PathBlock:
+def sample_block(lam: float, law: JumpLaw, master_seed: int, trials, states=None) -> PathBlock:
     """The paths of the given trials as one block, each with the bits
     sample_path draws from derive_stream(master_seed, trial).
 
-    Each trial makes its draws with no check; one pass over the block then
-    finds the trials with a 0.0 time, a tie or a 0.0 height (about 1e-13
-    per trial), and each of those is drawn again whole by sample_path from
-    a fresh stream, so that its redrawn bits are sample_path's too.
+    The trials' streams are states, their rows of stream_states(master_seed,
+    trials), which a caller seeds for many blocks at once; by default the
+    block seeds its own. Each trial makes its draws with no check; one pass
+    over the block then finds the trials with a 0.0 time, a tie or a 0.0
+    height (about 1e-13 per trial), and each of those is drawn again whole
+    by sample_path from a fresh derive_stream, so that its redrawn bits are
+    sample_path's too.
     """
     _positive("lam", lam)
-    drawn = [_draw(lam, law, derive_stream(master_seed, t), False) for t in trials]
+    states = stream_states(master_seed, trials) if states is None else states
+    drawn = [_draw(lam, law, stream, False) for stream in _streams(states)]
     block = _laid(drawn)
     bad = _faults(block.times, block.bounds) | (block.heights == 0.0)
     # the faulty trials; np.unique would load numpy.ma inside the run

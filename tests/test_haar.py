@@ -241,6 +241,34 @@ def test_coeff_counts_a_jump_past_the_float_grid():
         assert coeff(path, Atom.wavelet(j, k + 1)).jump_count == 0
 
 
+@pytest.mark.parametrize("j", [1024, 1100, 1127, 2000])
+def test_coeff_counts_a_jump_past_scale_1023(j):
+    # 2.0**j overflows past scale 1023; the tent weight comes from the exact
+    # cell remainder, which is 0 past the jump time's last bit
+    path = make_path([0.37], [1.3])
+    num, den = (0.37).as_integer_ratio()
+    k = (num << j) // den
+    c = coeff(path, Atom.wavelet(j, k))
+    assert (c.jump_count, c.value) == (1, 0.0)
+    assert jumps_in_support(path, Atom.wavelet(j, k)) == 1
+    assert coeff(path, Atom.wavelet(j, k + 1)).jump_count == 0
+
+
+def test_coeff_weights_equal_jump_weight_wavelet():
+    # below scale 1024 the exact remainder gives jump_weight_wavelet's
+    # tent bit for bit; past it, a subnormal jump time still sits inside
+    for path in (make_path([0.1, 0.37, 0.9], [1.3, -0.4, 2.0]), make_path([1e-300, 0.5], [1.0, 3.0])):
+        for j in (0, 1, 5, 52, 60, 997, 1023):
+            cells = [(num << j) // den for num, den in map(float.as_integer_ratio, path.jump_times)]
+            for k in set(cells):
+                c = coeff(path, Atom.wavelet(j, k))
+                weights = jump_weight_wavelet(j, k, path.jump_times)
+                assert c.jump_count == cells.count(k)
+                assert c.value == math.fsum(path.jump_heights * weights)
+    tiny = coeff(make_path([2.0**-1074], [1.3]), Atom.wavelet(1073, 0))
+    assert (tiny.jump_count, tiny.value) == (1, 1.3 * (-(2.0 ** (-1073 / 2.0)) * 0.5))
+
+
 # ---------------------------------------------------------------------------
 # the coefficient ladder
 

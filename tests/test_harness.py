@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cpwave import JumpLaw, cli, derive_stream, harness, processes, sample_path, schemes
 from cpwave.haar import structure
@@ -192,6 +192,46 @@ def test_mean_is_fsum_of_trial_errors():
 
 
 @st.composite
+def stat_columns(draw):
+    """A (trials, points) array: all-zero columns, and columns mixing small
+    values with ones whose squared deviations, or sums, pass the float max."""
+    n, k = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    cell = st.one_of(
+        st.just(0.0), st.floats(0.0, 10.0), st.floats(1e150, 1e160), st.floats(1e300, 1.7e308),
+        st.sampled_from([5e-324, 2.0**-1022, 1e-300]),
+    )
+    column = st.one_of(st.just([0.0] * n), st.lists(cell, min_size=n, max_size=n))
+    return np.array([draw(column) for _ in range(k)]).T.reshape(n, k)
+
+
+@given(stat_columns())
+@example(np.zeros((1, 3)))
+@example(np.array([[2.5, 0.0]]))
+@example(np.array([[1e200, 0.0], [0.0, 1.0], [3e200, 2.0]]))  # squares past the float max
+@example(np.full((4, 2), 1e154))  # the squares' sum past it
+@example(np.random.default_rng(3).lognormal(-10.0, 5.0, (2000, 3)))
+@settings(max_examples=200, deadline=None)
+def test_mean_ci_columns_equal_mean_ci_per_column(values):
+    # as the run reads it, and forced through the exact sums' vector rounds,
+    # which they skip for few terms
+    try:
+        expected = [[v.hex() for v in harness._mean_ci(c)] for c in values.T.tolist()]
+    except OverflowError:
+        expected = None
+    few = processes._FEW_TERMS
+    try:
+        for processes._FEW_TERMS in (few, -1):
+            if expected is None:
+                with pytest.raises(OverflowError):
+                    harness._mean_ci_columns(values)
+            else:
+                got = harness._mean_ci_columns(values)
+                assert [[float(v).hex() for v in c] for c in got.T] == expected
+    finally:
+        processes._FEW_TERMS = few
+
+
+@st.composite
 def discrete_runs(draw):
     """A small discrete-dictionary config, the dictionaries its trials read,
     and a block length: 1, 3, 16 or every trial."""
@@ -230,6 +270,26 @@ def test_trial_blocks_give_the_rows_of_single_trials(run):
         for rows in _trial_errors(config, range(start, min(start + size, trials)), dictionaries)
     ]
     assert row_bits(blocked) == row_bits(single)
+
+
+def test_runs_seed_their_streams_a_chunk_at_a_time(monkeypatch):
+    # chunks hold whole blocks: _SEED_CHUNK trials serially, and for a pool
+    # about eight a worker, of at least _MIN_CHUNK (grids of 2^10: blocks of 16)
+    grid = dict(process="bm", dictionary="dct", schemes=("best",), m_values=(4,), lam=None)
+    assert harness._chunks(small_config(trials=300, **grid), 1) == [range(300)]
+    assert harness._chunks(small_config(trials=300, **grid), 2) == [range(256), range(256, 300)]
+    assert [len(c) for c in harness._chunks(small_config(trials=20_000, **grid), 2)] == [1264] * 15 + [1040]
+    assert {len(c) for c in harness._chunks(small_config(trials=10**6, **grid), 3)} == {4096, 576}
+    assert [len(c) for c in harness._chunks(small_config(trials=9000), 1)] == [4096, 4096, 808]
+    # one stream_states call per chunk, and the rows do not depend on the chunks
+    seeded, real = [], harness.stream_states
+    monkeypatch.setattr(harness, "stream_states", lambda seed, t: seeded.append(t) or real(seed, t))
+    cfg = small_config(trials=100)
+    whole = harness._run_trials(cfg, (cfg.dictionary,), 1)
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 20)  # rounded up to two blocks
+    chunked = harness._run_trials(cfg, (cfg.dictionary,), 1)
+    assert seeded == [range(100), range(32), range(32, 64), range(64, 96), range(96, 100)]
+    assert chunked.tobytes() == whole.tobytes()
 
 
 def test_block_size_follows_the_sample_budget():
@@ -547,9 +607,21 @@ def test_dict_compare_samples_once_per_process_and_trial(monkeypatch):
 
         return wrapped
 
-    # cp streams are derived inside sample_block, bm streams by the harness
+    def counting_streams(fn):
+        def wrapped(states):
+            for stream in fn(states):
+                calls.append("stream")
+                yield stream
+
+        return wrapped
+
+    # the harness seeds each process's trials at once; the cp streams are
+    # set inside sample_block, the bm streams by the harness, and no trial
+    # derives a stream of its own
     for module in (processes, harness):
         monkeypatch.setattr(module, "derive_stream", counting("derive_stream", module.derive_stream))
+        monkeypatch.setattr(module, "stream_states", counting("stream_states", module.stream_states))
+        monkeypatch.setattr(module, "_streams", counting_streams(module._streams))
     monkeypatch.setattr(harness, "sample_block", counting("sample_block", harness.sample_block))
     monkeypatch.setattr(harness, "brownian_grid", counting("brownian_grid", harness.brownian_grid, grids))
     monkeypatch.setattr(PathBlock, "values_at", counting("values_at", PathBlock.values_at, grids))
@@ -562,8 +634,8 @@ def test_dict_compare_samples_once_per_process_and_trial(monkeypatch):
     # one stream and one path or grid per (process, trial): the five cp
     # trials are one block, sampled by one call and evaluated on the grid
     # by one more
-    assert calls == (["sample_block"] + ["derive_stream"] * 5 + ["values_at"]
-                     + ["derive_stream"] * 5 + ["brownian_grid"] * 5)
+    assert calls == (["stream_states", "sample_block"] + ["stream"] * 5 + ["values_at"]
+                     + ["stream_states"] + ["stream", "brownian_grid"] * 5)
     # both dictionaries read the same grids, one row per trial
     cp_grid, bm_grids = grids[0], grids[1:]
     assert read[0] is read[1] and read[2] is read[3]
@@ -664,11 +736,37 @@ def test_cli_refuses_energy_scales_near_float_max(monkeypatch, capsys, argv):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the energy scale was checked")
 
-    for module, name in ((harness, "sample_block"), (harness, "derive_stream"),
-                         (processes, "derive_stream")):
+    for module, name in ((harness, "sample_block"), (harness, "stream_states"),
+                         (processes, "stream_states"), (processes, "derive_stream")):
         monkeypatch.setattr(module, name, no_sampling)
     assert run_cli(*argv) == 2
     assert "energy scale" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mse-curve", "--process", "cp", "--lambda", "10", "--trials", "1000000000000",
+         "--m", "4"],
+        ["mse-curve", "--process", "bm", "--dictionary", "dct", "--schemes", "linear,best",
+         "--m", "1,4,16,64", "--trials", "40000000"],
+        # 3.2e8 errors with both dictionaries; 1.6e8 (1.2 GiB) would be run
+        ["dict-compare", "--lambda", "10", "--m", "16,32,64,128,256", "--trials", "32000000"],
+    ],
+    ids=["mse-curve-1e12", "mse-curve-bm", "dict-compare-two-dictionaries"],
+)
+def test_cli_refuses_results_past_2_gib(monkeypatch, capsys, argv):
+    # 1e12 trials once built 6e10 block ranges and died of a MemoryError
+    # (exit 1); refused before sampling
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the result size was checked")
+
+    for module, name in ((harness, "sample_block"), (harness, "stream_states"),
+                         (processes, "stream_states"), (processes, "derive_stream")):
+        monkeypatch.setattr(module, name, no_sampling)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "GiB of errors" in err and "lower the trials" in err
 
 
 @pytest.mark.parametrize("seed", ["1", "6"])
@@ -1044,16 +1142,22 @@ def test_cli_dict_compare(tmp_path):
 
 
 def test_analytic_block_draws_each_trial_once_and_builds_no_path(monkeypatch):
-    # an analytic block is sampled straight into one PathBlock: one
-    # derive_stream call per trial, and no CompoundPoissonPath is made
+    # an analytic block is sampled straight into one PathBlock: each
+    # trial's stream seeded once, none derived on its own, and no
+    # CompoundPoissonPath is made
     from cpwave import processes
 
     streams, made = [], []
     real_derive, real_init = processes.derive_stream, processes.CompoundPoissonPath.__post_init__
+    real_states = processes.stream_states
 
     def counting_derive(seed, index):
         streams.append(index)
         return real_derive(seed, index)
+
+    def counting_states(seed, trials):
+        streams.extend(trials)
+        return real_states(seed, trials)
 
     def counting_init(self):
         made.append(self)
@@ -1061,6 +1165,7 @@ def test_analytic_block_draws_each_trial_once_and_builds_no_path(monkeypatch):
 
     for module in (processes, harness):
         monkeypatch.setattr(module, "derive_stream", counting_derive)
+        monkeypatch.setattr(module, "stream_states", counting_states)
     monkeypatch.setattr(processes.CompoundPoissonPath, "__post_init__", counting_init)
     for cfg in (small_config(), small_config(lam=500.0, m_values=(4, 64, 1024))):
         streams.clear()

@@ -17,7 +17,7 @@ from cpwave import (
     sample_path,
 )
 from cpwave import processes
-from cpwave.processes import MAX_EXPECTED_JUMPS, PathBlock, sample_block
+from cpwave.processes import MAX_EXPECTED_JUMPS, PathBlock, sample_block, stream_states
 
 LAW10 = JumpLaw(variance=0.1)
 
@@ -92,6 +92,28 @@ def test_derive_stream_draws_equal_default_rng(seed, index):
     assert ours.random(16).tobytes() == reference.random(16).tobytes()
     assert ours.poisson(10.0, 16).tolist() == reference.poisson(10.0, 16).tolist()
     assert ours.bit_generator.state == reference.bit_generator.state
+
+
+# one spawn-key word below 2^32, two from 2^32 up
+STREAM_INDICES = [0, 1, 77, 2**31, 2**32 - 1, 2**32, 2**32 + 5, 2**40, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**31 + 7, 2**40 + 3, 2**64 - 1])
+def test_stream_states_equal_derive_stream(seed):
+    states = stream_states(seed, STREAM_INDICES)
+    assert states.dtype == np.uint64 and states.shape == (len(STREAM_INDICES), 4)
+    streams = processes._streams(states)
+    for index, words, stream in zip(STREAM_INDICES, states.tolist(), streams):
+        reference = derive_stream(seed, index)
+        state = reference.bit_generator.state
+        assert stream.bit_generator.state == state
+        assert words == [w >> s & (2**64 - 1) for w in state["state"].values() for s in (64, 0)]
+        assert stream.random(8).tobytes() == reference.random(8).tobytes()
+        assert stream.normal(0.0, 1.0, 8).tobytes() == reference.normal(0.0, 1.0, 8).tobytes()
+    # a range seeds its indices, as a list of them does; no trial, no row
+    near = range(2**32 - 3, 2**32 + 3)
+    assert stream_states(seed, near).tobytes() == stream_states(seed, list(near)).tobytes()
+    assert stream_states(seed, range(0)).shape == (0, 4)
 
 
 def test_sample_path_deterministic_per_stream():
@@ -340,12 +362,24 @@ def test_sample_path_and_block_redraw_a_fault(monkeypatch, fault):
     assert np.all(path.jump_heights != 0.0)
 
     streams = []
+    real_streams = processes._streams
 
     def derive(seed, index):
         streams.append(index)
         return InjectedGenerator(fault, seed, index) if index == 2 else derive_stream(seed, index)
 
+    def seeded(seed, trials):
+        streams.extend(trials)
+        return stream_states(seed, trials)
+
+    def injected(states):
+        # the block's streams, trial 2's with the fault put in
+        for t, stream in enumerate(real_streams(states)):
+            yield InjectedGenerator(fault, 21, 2) if t == 2 else stream
+
     monkeypatch.setattr(processes, "derive_stream", derive)
+    monkeypatch.setattr(processes, "stream_states", seeded)
+    monkeypatch.setattr(processes, "_streams", injected)
     block = sample_block(10.0, LAW10, 21, range(5))
     assert streams == [0, 1, 2, 3, 4, 2]
     expected = PathBlock.of([sample_path(10.0, LAW10, derive(21, t)) for t in range(5)])

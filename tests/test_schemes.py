@@ -957,6 +957,9 @@ def runs_over(draw):
 @given(runs_over())
 @example((np.array([1.0, 1.0, 1.0, 0.0]), np.array([0, 0, 1, 4]), np.array([4, 4, 3, 4])))
 @example((np.array([2.0**-1074, 2.0**-1074, 2.0**1000]), np.array([0, 0]), np.array([2, 3])))
+# exact half-unit ties: 2^53 + 1 goes to the even 2^53, and a remainder
+# below the half unit, 2^-60, breaks it away
+@example((np.array([2.0**53, 1.0, 2.0**-60, 3.0, 1.0]), np.array([0, 0, 3, 0]), np.array([2, 3, 5, 5])))
 @settings(max_examples=200, deadline=None)
 def test_range_sums_equal_fsum_per_run(run):
     x, lo, hi = run
@@ -968,6 +971,9 @@ def test_range_sums_equal_fsum_per_run(run):
 @given(runs_over(), st.lists(st.booleans(), min_size=60, max_size=60))
 @example((np.array([1.0, -1.0, 2.0**-60, -(2.0**-60)]), np.array([0, 0, 1]), np.array([2, 4, 3])), [False] * 60)
 @example((np.array([1e300, -1e300, 5e-324]), np.array([0, 0]), np.array([2, 3])), [False] * 60)
+# ties of either sign, with a remainder of the other sign or none
+@example((np.array([-(2.0**53), -1.0, 2.0**-60, 2.0**53 + 2, 1.0, -(2.0**-70)]),
+          np.array([0, 0, 3, 3]), np.array([2, 3, 5, 6])), [False] * 60)
 @settings(max_examples=200, deadline=None)
 def test_range_sums_of_either_sign_equal_fsum_per_run(run, negative):
     # signed runs, as a path's scaling coefficient sums them
