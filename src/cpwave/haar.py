@@ -141,12 +141,13 @@ def jump_weight_wavelet(j: int, k: int, t):
     coefficient: a downward tent over the atom's support, zero outside it,
     with peak magnitude 2^(-j/2 - 1) at the support midpoint.
     """
-    atom = Atom.wavelet(j, k)  # validates (j, k)
+    Atom.wavelet(j, k)  # validates (j, k)
     ts = _check_unit_interval(t)
-    u = ts * 2.0**j - k  # position within the support, in [0, 1)
-    inside = (u >= 0.0) & (u < 1.0)
+    # u = frac(t 2^j) in cell k, -1 outside it, from exact integers as in coeff
+    u = np.array([(num << j) % den / den if (num << j) // den == k else -1.0 for num, den in map(
+        float.as_integer_ratio, ts.ravel().tolist())]).reshape(ts.shape)
     tent = np.minimum(u, 1.0 - u)
-    out = np.where(inside, -(2.0 ** (-j / 2.0)) * tent, 0.0)
+    out = np.where(u >= 0.0, -(2.0 ** (-j / 2.0)) * tent, 0.0)
     return float(out) if np.isscalar(t) or ts.ndim == 0 else out
 
 
@@ -177,7 +178,7 @@ def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
     if a == b:
         return Coefficient(atom=atom, value=0.0, jump_count=0)
     # each jump's place u = frac(t 2^j) in the support, from the exact cell
-    # remainder: jump_weight_wavelet's tent, without its 2^j past scale 1023
+    # remainder: jump_weight_wavelet's tent
     u = np.array([(num << atom.j) % den / den for num, den in map(
         float.as_integer_ratio, times[a:b].tolist())])
     weights = -(2.0 ** (-atom.j / 2.0)) * np.minimum(u, 1.0 - u)

@@ -3,20 +3,21 @@
 Every trial owns a private random stream derived from (master_seed, trial
 index), and per-trial results are reduced in trial order, so curves are
 byte-for-byte reproducible regardless of how many worker processes run the
-trials. Trials run in chunks of consecutive indices, each of whole blocks:
-a chunk's streams are seeded in one processes.stream_states call, serially
-or in the pool worker that runs it, and a block sets one generator to each
-of its trials' states in turn. A compound Poisson block is one
-processes.PathBlock (sample_block), read by one schemes.errors_rows call
-or turned into grids by PathBlock.values_at; a Brownian block samples one
-grid per trial. A discrete dictionary transforms
-a block's grids as one array and sums every row's errors in one pass.
-Every sum is exact and correctly rounded, so it does not depend on the
-paths or rows beside it, and blocks change no byte. With several workers,
-whole chunks go to the pool. Each curve point's mean and interval come
-from the same exact sums, over all points at once. Scheme-ordering and
-monotonicity invariants are hard-asserted on every trial of every run, one
-block at a time.
+trials. Trials run in chunks of consecutive indices, each of whole blocks
+or part of one: a chunk's streams are seeded in one
+processes.stream_states call, serially or in the pool worker that runs it,
+and a block sets one generator to each of its trials' states in turn. A
+discrete block is sized by its grids' samples, an analytic one by its
+expected jumps. A compound Poisson block is one processes.PathBlock
+(sample_block), read by one schemes.errors_rows call or turned into grids
+by PathBlock.values_at; a Brownian block samples one grid per trial. A
+discrete dictionary transforms a block's grids as one array and sums every
+row's errors in one pass. Every sum is exact and correctly rounded, so it
+does not depend on the paths or rows beside it, and blocks change no byte.
+With several workers, whole chunks go to the pool. Each curve point's mean
+and interval come from the same exact sums, over all points at once.
+Scheme-ordering and monotonicity invariants are hard-asserted on every
+trial of every run, one block at a time.
 """
 
 from __future__ import annotations
@@ -231,15 +232,19 @@ class SpacingCheckResult:
 # a block's grids as one array, in blocks of _BLOCK_SAMPLES >> grid_log2
 # trials (at least one): 16 of a 2^10 grid, one from 2^14 up, so the
 # block's grids, coefficients and sorted squares stay within a few MB.
-# Analytic blocks sample no grid and hold _ANALYTIC_BLOCK trials, whose
-# paths schemes.errors_rows reads in builds it sizes itself.
+# Analytic blocks sample no grid and hold the largest power of two of trials
+# within _BLOCK_JUMPS expected jumps, at least _ANALYTIC_BLOCK: 512 at lambda
+# = 10, so few errors_rows calls (about 0.4 ms fixed cost each) read sparse
+# paths, and 16 from 500 up; errors_rows sizes its own builds.
 _BLOCK_SAMPLES = 2**14
+_BLOCK_JUMPS = 2**13
 _ANALYTIC_BLOCK = 16
 
 
 def _block_size(config: ExperimentConfig) -> int:
     if config.dictionary == "haar_analytic":
-        return _ANALYTIC_BLOCK
+        per_block = _BLOCK_JUMPS / max(config.lam, 1.0)
+        return max(_ANALYTIC_BLOCK, 2 ** (math.frexp(per_block)[1] - 1))
     return max(1, _BLOCK_SAMPLES >> config.grid_log2)
 
 
@@ -330,7 +335,7 @@ def prepare_process(err: dict) -> dict:
 # Streams are seeded a chunk of trials at a time (stream_states), at a
 # fixed cost of about 240 us a call: a serial run seeds _SEED_CHUNK trials
 # a call, and a pool hands each worker chunks of at least _MIN_CHUNK, about
-# eight per worker. Chunks hold whole blocks.
+# eight per worker. Chunks hold whole blocks, or part of a larger one.
 _SEED_CHUNK = 4096
 _MIN_CHUNK = 256
 
@@ -347,11 +352,12 @@ def _chunk_errors(config: ExperimentConfig, trials: range, dictionaries) -> np.n
 
 
 def _chunks(config: ExperimentConfig, workers: int) -> list[range]:
-    """The run's trials in consecutive chunks of whole blocks."""
+    """The run's trials in consecutive chunks of whole blocks, or of part of one."""
     step = _SEED_CHUNK
     if workers > 1:
         step = min(step, max(_MIN_CHUNK, -(-config.trials // (8 * workers))))
-    step = -(-step // _block_size(config)) * _block_size(config)
+    size = min(_block_size(config), step)
+    step = -(-step // size) * size
     return [range(t, min(t + step, config.trials)) for t in range(0, config.trials, step)]
 
 

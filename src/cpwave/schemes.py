@@ -280,13 +280,14 @@ def _errors(block: _Block, schemes, m_values) -> np.ndarray:
 
 
 # A build holds n * d (scale, jump) cells of a path with n jumps built to
-# depth d, about five arrays of them; at M up to 1024 a 16-path block is one
-# build at lambda = 10 and about five at 500, where one build of all 16 took
-# 6 MB more peak RSS and slowed ladders as its arrays left the cache.
+# depth d, about five arrays of them; at M up to 1024 a block is one build
+# at lambda = 10 and about five at 500, where one build of a 16-path block
+# took 6 MB more peak RSS and slowed ladders as its arrays left the cache.
 _BUILD_CELLS = 2**15
 # A block holds its paths' jumps and reads, n + 2 min(n * d + 1, k + 1)
 # terms a path at first depth d; errors_rows blocks consecutive paths
-# within _BLOCK_TERMS, so a 16-path block is one up to M = 1024 and rate 2000.
+# within _BLOCK_TERMS: up to M = 1024, about 60 paths at lambda = 10, and
+# 16, the harness's whole block, at rates from 500 to 2000.
 _BLOCK_TERMS = 2**16
 _MAX_K = 2**62  # more than any path's candidates: see errors_rows
 

@@ -138,6 +138,39 @@ def test_jump_weight_wavelet_vanishes_at_support_edges():
     assert jump_weight_wavelet(2, 0, 0.25) == 0.0  # right edge is outside
 
 
+@given(st.integers(min_value=0, max_value=1023), st.floats(min_value=0.0, max_value=1.0), st.data())
+@example(1023, 1.0, None)
+@example(1023, 2.0**-1074, None)
+@settings(max_examples=300)
+def test_jump_weight_wavelet_keeps_its_bits_to_scale_1023(j, t, data):
+    # the tent from t 2^j - k, as it was taken below scale 1024
+    num, den = t.as_integer_ratio()
+    cell = min((num << j) // den, 2**j - 1)
+    shifts = [cell, max(cell - 1, 0), min(cell + 1, 2**j - 1), 0, 2**j - 1]
+    if data is not None:
+        shifts.append(data.draw(st.integers(min_value=0, max_value=2**j - 1)))
+    for k in shifts:
+        u = np.float64(t) * 2.0**j - k
+        old = float(np.where((u >= 0.0) & (u < 1.0), -(2.0 ** (-j / 2.0)) * np.minimum(u, 1.0 - u), 0.0))
+        new = jump_weight_wavelet(j, k, t)
+        assert new == old
+        if k < 2**53:  # a larger k rounds to a float that may be t 2^j, with u = -0.0
+            assert new.hex() == old.hex()
+    assert jump_weight_wavelet(j, cell, [t, t]).tolist() == [jump_weight_wavelet(j, cell, t)] * 2
+
+
+@pytest.mark.parametrize("j, t", [(1100, 0.37), (1100, 2.0**-1074), (1050, 3 * 2.0**-1074)])
+def test_jump_weight_wavelet_past_scale_1023_is_coeffs_weight(j, t):
+    # 2^j overflowed there; the weight is coeff's on a one-jump, unit-height path
+    num, den = t.as_integer_ratio()
+    k = (num << j) // den
+    weight = jump_weight_wavelet(j, k, t)
+    assert weight == coeff(make_path([t], [1.0]), Atom.wavelet(j, k)).value
+    assert jump_weight_wavelet(j, k + 1, t) == 0.0
+    if j == 1050:  # t 2^j = 3 / 2^24 is a place in the cell, not its edge
+        assert weight == -(2.0 ** (-j / 2.0)) * 3 * 2.0**-24 != 0.0
+
+
 def test_jump_weights_refuse_nan():
     # nan fails every comparison, so a range test written as t < 0 or t > 1 lets it through
     for weigh in (jump_weight_scaling, lambda t: jump_weight_wavelet(0, 0, t)):

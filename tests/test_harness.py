@@ -272,6 +272,36 @@ def test_trial_blocks_give_the_rows_of_single_trials(run):
     assert row_bits(blocked) == row_bits(single)
 
 
+@st.composite
+def analytic_runs(draw):
+    """A small analytic config of all three schemes and a block length: 1,
+    3, 16, 512 (lambda = 10's harness block) or every trial."""
+    ms = sorted(draw(st.sets(st.integers(min_value=1, max_value=2048), max_size=4)) | {1})
+    config = small_config(
+        m_values=tuple(ms),
+        lam=draw(st.sampled_from([0.5, 3.0, 10.0, 500.0])),
+        trials=draw(st.integers(min_value=1, max_value=40)),
+        master_seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    return config, draw(st.sampled_from([1, 3, 16, 512, config.trials]))
+
+
+@given(analytic_runs())
+# more trials than a 512-trial block, at M to 1024: several errors_rows blocks in each
+@example((small_config(m_values=(4, 64, 1024), trials=600, master_seed=3), 512))
+@settings(max_examples=40, deadline=None)
+def test_analytic_trial_blocks_give_the_rows_of_single_trials(run):
+    config, size = run
+    trials = config.trials
+    single = [_trial_errors(config, range(t, t + 1))[0] for t in range(trials)]
+    blocked = [
+        rows
+        for start in range(0, trials, size)
+        for rows in _trial_errors(config, range(start, min(start + size, trials)))
+    ]
+    assert row_bits(blocked) == row_bits(single)
+
+
 def test_runs_seed_their_streams_a_chunk_at_a_time(monkeypatch):
     # chunks hold whole blocks: _SEED_CHUNK trials serially, and for a pool
     # about eight a worker, of at least _MIN_CHUNK (grids of 2^10: blocks of 16)
@@ -286,17 +316,31 @@ def test_runs_seed_their_streams_a_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(harness, "stream_states", lambda seed, t: seeded.append(t) or real(seed, t))
     cfg = small_config(trials=100)
     whole = harness._run_trials(cfg, (cfg.dictionary,), 1)
-    monkeypatch.setattr(harness, "_SEED_CHUNK", 20)  # rounded up to two blocks
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 20)  # within lambda = 10's 512-trial block
     chunked = harness._run_trials(cfg, (cfg.dictionary,), 1)
-    assert seeded == [range(100), range(32), range(32, 64), range(64, 96), range(96, 100)]
+    assert seeded == [range(100)] + [range(t, t + 20) for t in range(0, 100, 20)]
     assert chunked.tobytes() == whole.tobytes()
+    # rounded up to two blocks of 16 at lambda = 500
+    assert [len(c) for c in harness._chunks(small_config(trials=100, lam=500.0), 1)] == [32] * 3 + [4]
+
+
+def test_analytic_blocks_never_widen_a_chunk():
+    # a pool's chunks stay at about eight a worker, and a serial run's at
+    # _SEED_CHUNK, whatever the block
+    assert [len(c) for c in harness._chunks(small_config(trials=1000), 2)] == [256] * 3 + [232]
+    assert harness._block_size(small_config(lam=1.0)) == 8192
+    for lam in (0.01, 0.5, 1.0):
+        assert [len(c) for c in harness._chunks(small_config(trials=9000, lam=lam), 1)] == [4096, 4096, 808]
 
 
 def test_block_size_follows_the_sample_budget():
     blocks = [small_config(dictionary=d, grid_log2=g) for d in ("haar_discrete", "haar_analytic")
               for g in (1, 10, 13, 14, 20)]
-    # analytic runs sample no grid: 16-trial blocks whatever grid_log2 is
-    assert [harness._block_size(cfg) for cfg in blocks] == [2**13, 16, 2, 1, 1] + [16] * 5
+    # analytic runs sample no grid: their blocks do not depend on grid_log2
+    assert [harness._block_size(cfg) for cfg in blocks] == [2**13, 16, 2, 1, 1] + [512] * 5
+    # but on lambda: the largest power of two within 2^13 expected jumps, at least 16
+    rates = (0.5, 10.0, 100.0, 500.0, 513.0, 2000.0)
+    assert [harness._block_size(small_config(lam=lam)) for lam in rates] == [8192, 512, 64, 16, 16, 16]
 
 
 def forged_block(trials, fault):
@@ -330,10 +374,10 @@ def test_invariants_raise_the_message_of_the_lowest_failing_trial(chosen, fault,
 
 
 def test_cli_multi_block_analytic_run_is_worker_invariant(tmp_path):
-    # lambda = 100 reads each 16-trial block in two builds; 40 trials make
-    # three blocks, the last one short
+    # lambda = 100 runs in 64-trial blocks, each read in several
+    # errors_rows blocks; 150 trials make three, the last one short
     args = ["mse-curve", "--process", "cp", "--lambda", "100", "--schemes", "linear,greedy,best",
-            "--m", "4,64,1024", "--trials", "40", "--seed", "11"]
+            "--m", "4,64,1024", "--trials", "150", "--seed", "11"]
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
     assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
@@ -341,7 +385,7 @@ def test_cli_multi_block_analytic_run_is_worker_invariant(tmp_path):
 
 
 def test_analytic_csv_does_not_depend_on_grid_log2(tmp_path):
-    # the analytic dictionary samples no grid: its blocks hold 16 trials
+    # the analytic dictionary samples no grid: its blocks follow lambda,
     # whatever --grid-log2 is, and its bytes do not move
     args = ["mse-curve", "--process", "cp", "--lambda", "10", "--dictionary", "haar",
             "--schemes", "linear,greedy,best", "--m", "4,64,1024", "--trials", "40", "--seed", "3"]

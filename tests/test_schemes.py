@@ -735,8 +735,9 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
     calls, alive = [], []
     counted = counting_ladders(calls)
     monkeypatch.setattr(schemes_module, "ladders", counted)
-    # the benchmark's traffic, M up to 1024: the harness's 16-trial block is
-    # one build at lambda = 10 and several at lambda = 500, none a re-read
+    # the benchmark's traffic, M up to 1024: 16 paths are one build at
+    # lambda = 10 and several at lambda = 500, the harness's block there,
+    # none a re-read
     for lam, several in ((10.0, False), (500.0, True)):
         block = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(1, t)) for t in range(16)]
         calls.clear()

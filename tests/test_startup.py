@@ -41,6 +41,23 @@ assert cpwave.cli.main(json.loads(sys.argv[1]) + ["--seed", "1", "--out", sys.ar
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
+PEAK_SCRIPT = """
+import json, sys, tracemalloc
+import cpwave.cli
+from cpwave import harness
+peaks, run = [], harness._run_trials
+def traced(*args):
+    tracemalloc.start()
+    try:
+        return run(*args)
+    finally:
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+harness._run_trials = traced
+assert cpwave.cli.main(json.loads(sys.argv[1]) + ["--seed", "1", "--out", sys.argv[2]]) == 0
+print(json.dumps(peaks))
+"""
+
 
 def run_fresh(script, *args):
     done = subprocess.run(
@@ -73,3 +90,17 @@ def test_cli_run_keeps_its_heap(tmp_path):
     argv = ["dict-compare", "--lambda", "10", "--m", "16,32,64,128,256", "--grid-log2", "10",
             "--trials", "1000"]
     assert run_fresh(FAULTS_SCRIPT, json.dumps(argv), str(tmp_path / "out.csv")) < 2000
+
+
+@pytest.mark.parametrize("argv", [
+    ["mse-curve", "--process", "cp", "--lambda", "10", "--schemes", "linear,greedy,best",
+     "--m", M_SPARSE, "--trials", "300"],
+    ["mse-curve", "--process", "cp", "--lambda", "500", "--schemes", "linear,greedy,best",
+     "--m", M_SPARSE, "--trials", "40"],
+], ids=["cp_sparse", "cp_dense"])
+def test_analytic_trials_hold_little_memory(tmp_path, argv):
+    # the benchmark's cp runs: a 512-trial block at lambda = 10 is read in
+    # errors_rows blocks within _BLOCK_TERMS, so the trials' peak of traced
+    # allocations was 1.7 MB there and 1.4 MB at lambda = 500
+    peaks = run_fresh(PEAK_SCRIPT, json.dumps(argv), str(tmp_path / "out.csv"))
+    assert len(peaks) == 1 and peaks[0] < 2.5 * 2**20
