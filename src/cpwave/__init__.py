@@ -21,35 +21,16 @@ from .processes import (
     sample_grid,
     sample_path,
 )
-from .haar import (
-    SCALING,
-    Atom,
-    Coefficient,
-    atom_from_index,
-    atom_index,
-    coeff,
-    discrete_haar_forward,
-    discrete_haar_inverse,
-    jump_weight_scaling,
-    jump_weight_wavelet,
-    jumps_in_support,
-)
-from .schemes import (
-    InvariantViolation,
-    Selection,
-    select,
-    select_discrete,
-)
+from .haar import discrete_haar_forward
+from .schemes import InvariantViolation
 from .theory import (
     TheoryPoint,
     expected_two_pow,
     greedy_mse_envelope,
     linear_mse,
-    nonzero_scale_bounds,
     spacing_survival,
-    tail_energy,
 )
-from .dct import DctCoeffs, dct2_forward, dct2_inverse
+from .dct import DctCoeffs, dct2_forward
 from .harness import (
     CurveRecord,
     ExperimentConfig,

@@ -10,9 +10,8 @@ two dimensions", IEEE Trans. ASSP 28(1), 1980): a length-n DCT-II is one
 real FFT of the reordered signal v (the even samples, then the odd samples
 reversed), whose bin k, turned by exp(-i pi k / 2n) and scaled, holds
 coefficient k in its real part and coefficient n - k in its negated
-imaginary part. The inverse runs the same steps backwards. Every row goes
-through its own 1-D FFT, so a row of a 2-D call has the bits of its own
-1-D call.
+imaginary part. Every row goes through its own 1-D FFT, so a row of a
+2-D call has the bits of its own 1-D call.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # loaded at import, not inside the first transform
 
-from .haar import dyadic_row, dyadic_rows
+from .haar import dyadic_rows
 
-__all__ = ["DctCoeffs", "dct2_forward", "dct2_inverse"]
+__all__ = ["DctCoeffs", "dct2_forward"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,23 +72,3 @@ def dct2_forward(samples) -> DctCoeffs:
     row of a (..., 2^L) array along its last axis."""
     values, grid_log2 = dyadic_rows(samples, "signal")
     return DctCoeffs(values=_dct2(values), grid_log2=grid_log2)
-
-
-def dct2_inverse(coeffs: DctCoeffs) -> np.ndarray:
-    """Inverse of dct2_forward on one row of coefficients: the samples, as
-    a read-only array."""
-    values, _ = dyadic_row(coeffs, "coefficient")
-    n = values.shape[-1]
-    h = n // 2
-    # bin k of the forward FFT, turned: coefficient k - i coefficient n - k
-    # (no imaginary part at k = 0); unturning divides by a_k^2 = 2/n, or
-    # 1/n at k = 0, which with the unscaled inverse FFT leaves 1/2 or 1
-    unturn = _twiddle(n).conj()
-    unturn[1:] *= 0.5
-    tail = np.concatenate((np.zeros(values.shape[:-1] + (1,)), values[..., : h - 1 : -1]), axis=-1)
-    v = np.fft.irfft((values[..., : h + 1] - 1j * tail) * unturn, n=n, axis=-1, norm="forward")
-    out = np.empty(values.shape)
-    out[..., ::2] = v[..., : n - h]
-    out[..., 1::2] = v[..., : n - h - 1 : -1]
-    out.setflags(write=False)
-    return out

@@ -1,5 +1,5 @@
-"""Haar basis bookkeeping on [0, 1] and exact wavelet coefficients of
-piecewise-constant paths.
+"""Exact Haar coefficient ladders of piecewise-constant paths on [0, 1],
+and the discrete Haar transform of grids.
 
 A coefficient of a compound Poisson path is a finite sum over its jumps:
 integrating the path against a Haar atom by parts turns the step path into
@@ -19,15 +19,16 @@ structure too. Every atom off the ladder holds no jump or sits past the
 resolution, and its coefficient is exactly 0.0.
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
-2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j.
+2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j; a ladder
+lists its atoms in that order, and the discrete transform lays out its
+coefficients so. One atom's coefficient by itself, and the inverse
+transform, are test references (tests/reference.py): no run reads them.
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -35,155 +36,13 @@ import numpy as np
 from .processes import CompoundPoissonPath, PathBlock
 
 __all__ = [
-    "Atom",
-    "SCALING",
-    "Coefficient",
-    "atom_index",
-    "atom_from_index",
-    "support",
-    "jump_weight_scaling",
-    "jump_weight_wavelet",
-    "jumps_in_support",
-    "coeff",
     "Ladder",
     "ladder",
     "ladders",
     "structure",
     "nonzero_counts_by_scale",
     "discrete_haar_forward",
-    "discrete_haar_inverse",
 ]
-
-@dataclass(frozen=True)
-class Atom:
-    """A Haar atom: the scaling function, or the wavelet at (scale j, shift k)."""
-
-    kind: str  # "scaling" | "wavelet"
-    j: int = 0
-    k: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind == "scaling":
-            if (self.j, self.k) != (0, 0):
-                raise ValueError("the scaling atom carries no scale/shift")
-        elif self.kind == "wavelet":
-            if self.j < 0:
-                raise ValueError(f"scale must be nonnegative, got {self.j}")
-            if not (0 <= self.k <= 2**self.j - 1):
-                raise ValueError(f"shift {self.k} out of range for scale {self.j}")
-        else:
-            raise ValueError(f"unknown atom kind {self.kind!r}")
-
-    @staticmethod
-    def wavelet(j: int, k: int) -> "Atom":
-        return Atom(kind="wavelet", j=j, k=k)
-
-
-SCALING = Atom(kind="scaling")
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """An atom together with its exact coefficient value and the number of
-    path jumps inside the atom's support (total jump count for scaling)."""
-
-    atom: Atom
-    value: float
-    jump_count: int
-
-
-def atom_index(atom: Atom) -> int:
-    """Position of the atom in the canonical enumeration: scaling first,
-    then scales in increasing order and shifts left to right."""
-    if atom.kind == "scaling":
-        return 0
-    return (1 << atom.j) + atom.k
-
-
-def atom_from_index(index: int) -> Atom:
-    """Inverse of atom_index."""
-    if index < 0:
-        raise ValueError(f"atom index must be nonnegative, got {index}")
-    if index == 0:
-        return SCALING
-    j = index.bit_length() - 1
-    return Atom.wavelet(j, index - (1 << j))
-
-
-def support(atom: Atom) -> tuple[float, float]:
-    """Half-open support [lo, hi) of the atom on [0, 1]."""
-    if atom.kind == "scaling":
-        return (0.0, 1.0)
-    width = 2.0 ** (-atom.j)
-    return (atom.k * width, (atom.k + 1) * width)
-
-
-def _check_unit_interval(t) -> np.ndarray:
-    ts = np.asarray(t, dtype=float)
-    if ts.size and not (ts.min() >= 0.0 and ts.max() <= 1.0):  # nan fails both
-        raise ValueError("argument must lie in [0, 1]")
-    return ts
-
-
-def jump_weight_scaling(t):
-    """Weight a jump at position t contributes to the scaling coefficient.
-
-    A unit jump at t adds (1 - t) to the integral of the path against the
-    scaling function.
-    """
-    ts = _check_unit_interval(t)
-    out = 1.0 - ts
-    return float(out) if np.isscalar(t) or ts.ndim == 0 else out
-
-
-def jump_weight_wavelet(j: int, k: int, t):
-    """Weight a jump at position t contributes to the (j, k) wavelet
-    coefficient: a downward tent over the atom's support, zero outside it,
-    with peak magnitude 2^(-j/2 - 1) at the support midpoint.
-    """
-    Atom.wavelet(j, k)  # validates (j, k)
-    ts = _check_unit_interval(t)
-    # u = frac(t 2^j) in cell k, -1 outside it, from exact integers as in coeff
-    u = np.array([(num << j) % den / den if (num << j) // den == k else -1.0 for num, den in map(
-        float.as_integer_ratio, ts.ravel().tolist())]).reshape(ts.shape)
-    tent = np.minimum(u, 1.0 - u)
-    out = np.where(u >= 0.0, -(2.0 ** (-j / 2.0)) * tent, 0.0)
-    return float(out) if np.isscalar(t) or ts.ndim == 0 else out
-
-
-def jumps_in_support(path: CompoundPoissonPath, atom: Atom) -> int:
-    """Number of jumps inside the atom's half-open support."""
-    return coeff(path, atom).jump_count
-
-
-def coeff(path: CompoundPoissonPath, atom: Atom) -> Coefficient:
-    """Exact coefficient of the path against one atom.
-
-    The value is a sum over the jumps in the atom's support only, so it is
-    exactly 0.0 whenever that support contains no jump. A jump at t lies in
-    the support of atom (j, k) when its exact cell floor(t 2^j) is k.
-    """
-    times = path.jump_times
-    heights = path.jump_heights
-    if atom.kind == "scaling":
-        value = float(path.block.sums()[0][0])
-        return Coefficient(atom=atom, value=value, jump_count=path.num_jumps)
-
-    def cell(t) -> int:  # floor(t 2^j) in exact integers, at any j
-        num, den = float(t).as_integer_ratio()
-        return (num << atom.j) // den
-
-    a = bisect.bisect_left(times, atom.k, key=cell)
-    b = bisect.bisect_right(times, atom.k, a, key=cell)
-    if a == b:
-        return Coefficient(atom=atom, value=0.0, jump_count=0)
-    # each jump's place u = frac(t 2^j) in the support, from the exact cell
-    # remainder: jump_weight_wavelet's tent
-    u = np.array([(num << atom.j) % den / den for num, den in map(
-        float.as_integer_ratio, times[a:b].tolist())])
-    weights = -(2.0 ** (-atom.j / 2.0)) * np.minimum(u, 1.0 - u)
-    value = float(math.fsum(heights[a:b] * weights))
-    return Coefficient(atom=atom, value=value, jump_count=b - a)
 
 
 class Ladder(NamedTuple):
@@ -330,14 +189,6 @@ def dyadic_rows(x, what: str) -> tuple[np.ndarray, int]:
     return values, n.bit_length() - 1
 
 
-def dyadic_row(x, what: str) -> tuple[np.ndarray, int]:
-    """dyadic_rows(x) of a single row; a block of rows is refused."""
-    values, log2 = dyadic_rows(x, what)
-    if values.ndim != 1:
-        raise ValueError(f"expected one {what} row, got shape {values.shape}")
-    return values, log2
-
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -365,18 +216,3 @@ def discrete_haar_forward(samples) -> np.ndarray:
         cur, nxt, half = nxt, cur, half // 2
     out[..., 0] = cur[..., 0]
     return out
-
-
-def discrete_haar_inverse(coeffs) -> np.ndarray:
-    """Inverse of discrete_haar_forward on one length-2^L coefficient list."""
-    c, _ = dyadic_row(coeffs, "coefficient")
-    n = c.size
-    cur = np.array([c[0]])
-    while cur.size < n:
-        half = cur.size
-        detail = c[half : 2 * half]
-        nxt = np.empty(2 * half)
-        nxt[0::2] = (cur + detail) * _INV_SQRT2
-        nxt[1::2] = (cur - detail) * _INV_SQRT2
-        cur = nxt
-    return cur

@@ -1,10 +1,10 @@
 """Exact simulation of compound Poisson paths and Brownian motion on [0, 1].
 
 Compound Poisson trajectories are stored exactly as sorted jump locations
-plus jump heights, so path evaluation, L2 norms, and minimum jump spacing
-are all computed in closed form rather than from a grid. A PathBlock lays
-the jumps of a block of paths end to end, with per-path bounds, and is
-checked once with array operations; sample_block draws a block of trials
+plus jump heights, so path evaluation and L2 norms are computed in
+closed form rather than from a grid. A PathBlock lays the jumps of a
+block of paths end to end, with per-path bounds, and is checked once
+with array operations; sample_block draws a block of trials
 into one, each from its own stream as sample_path draws it. A trial's
 stream is derive_stream(seed, trial); stream_states computes the PCG64
 states of a whole chunk of trials at once, bit for bit, and one generator
@@ -164,10 +164,15 @@ class JumpLaw:
     @classmethod
     def for_rate(cls, lam: float, sigma0_sq: float = 1.0, variance: float | None = None) -> JumpLaw:
         """The jump law of a rate-lam process: the given variance, or by
-        default sigma0_sq / lam, which gives the process variance sigma0_sq."""
+        default sigma0_sq / lam, which gives the process variance sigma0_sq.
+        Each is refused by the name it was given under."""
         _positive("lambda", lam)
         check_expected_jumps(lam)
-        return cls(variance=sigma0_sq / lam if variance is None else variance)
+        _positive("sigma0_sq", sigma0_sq)
+        if variance is None:
+            variance = sigma0_sq / lam
+            _positive("sigma0_sq / lambda", variance)
+        return cls(variance=variance)
 
     def sample(self, rng: np.random.Generator, n: int, redraw: bool = True) -> np.ndarray:
         """Draw n i.i.d. heights. Exact float zeros are redrawn unless redraw
@@ -211,13 +216,6 @@ class CompoundPoissonPath:
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized value_at: the one-path view of PathBlock.values_at."""
         return self.block.values_at(ts)[0]
-
-    def min_spacing(self) -> float:
-        """Minimum gap between consecutive jumps, counting a virtual jump at 0.
-
-        Equals 1 for a jump-free path, and never exceeds 1/N otherwise.
-        """
-        return float(np.diff(self.jump_times, prepend=0.0).min(initial=1.0))
 
     def l2_norm_sq(self) -> float:
         """The integral of s(t)^2 over [0, 1], segment by segment: the
@@ -363,10 +361,6 @@ class PathBlock:
 
 
 _TINY = 2.0**-1022  # the least normal float; every float is a multiple of 2^-1074
-# Below about this many terms in all, fsum over list slices is faster than
-# the vector rounds' fixed cost (numpy 2.4, 2-core x86-64 VM: 9 against 31
-# us for 160 terms in 16 runs, 63 against 37 for 1500 in 3).
-_FEW_TERMS = 512
 
 
 def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -386,16 +380,14 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     difference of two of them. Each round scales sigma by 2^(L-53); once
     sigma is 2^-1022 the remainder is below 2^-1075, hence zero. A run's
     exact sum is the sum of its round sums, a few floats, and _nearest
-    rounds them correctly. When the runs hold at most _FEW_TERMS entries in all,
-    which fsum sums faster, or the largest magnitude is not finite, or too
+    rounds them correctly. When the largest magnitude is not finite, or too
     large for sigma to be a float, each run is summed by fsum over its
     entries, which returns inf or nan, or raises OverflowError.
     """
     n = x.size
-    few = int((hi - lo).sum()) <= _FEW_TERMS
-    top = 0.0 if few or not n else max(float(x.max()), -float(x.min()))
+    top = max(float(x.max()), -float(x.min())) if n else 0.0
     width = (2 * (n + 2) - 1).bit_length()  # L, the least with 2^L >= 2(n + 2)
-    if few or not lo.size or not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
+    if not lo.size or not math.isfinite(top) or math.frexp(top)[1] + width > 1023:
         terms = x.tolist()
         return np.array([math.fsum(terms[a:b]) for a, b in zip(lo.tolist(), hi.tolist())])
     sigma = max(math.ldexp(1.0, math.frexp(top)[1] + width), _TINY)

@@ -12,12 +12,12 @@ Three ways of keeping M coefficients of the Haar expansion:
 
 errors_rows(paths, schemes, m_values) reads every requested scheme's
 errors of a processes.PathBlock, or of a list of paths through
-PathBlock.of; errors(path, ...) is its one-path view, and select(path,
-scheme, m) takes one selection's error from it and lists the kept
-candidates from the path's whole ladder (haar.ladder). A path's
+PathBlock.of; errors(path, ...) is its one-path view. A path's
 candidates are its scaling coefficient and then its ladder in index
 order; a scheme is an order over their squares and a kept count per M.
-Every other atom a scheme keeps holds no jump, so it is exactly 0.0.
+Every other atom a scheme keeps holds no jump, so it is exactly 0.0, and
+only the errors are read: the listing of the kept atoms themselves is a
+test reference (tests/reference.py).
 
 errors_rows finds every path's time structure (haar.structure) once and
 reads consecutive paths in blocks. The structure lays a block out before
@@ -34,12 +34,12 @@ certificate fails, which sampled paths rarely do, are read again as a
 block of their own, built to their resolution, where the ladder is
 whole, and their rows replace the first. errors_discrete_rows reads
 every row of a block of finite coefficient lists with one sort;
-errors_discrete and select_discrete read one row. Squared errors of
-exact paths come from Parseval: path energy minus kept energy (exactly
-0.0 once every candidate of the whole ladder is kept), so an error is
-exact only up to about 1e-16 times the energy; those of a finite
-coefficient list are sums of its dropped squares. Both are sums of runs of one array from
-one exact kernel, processes._range_sums: errors_rows lays every path's
+errors_discrete reads one row. Squared errors of exact paths come from
+Parseval: path energy minus kept energy (exactly 0.0 once every
+candidate of the whole ladder is kept), so an error is exact only up to
+about 1e-16 times the energy; those of a finite coefficient list are
+sums of its dropped squares. Both are sums of runs of one array from one
+exact kernel, processes._range_sums: errors_rows lays every path's
 kept prefixes end to end, errors_discrete_rows each row's dropped tails.
 Every sum is the correctly rounded sum of its multiset, so no path or row
 changes a bit of the ones beside it, and no prefix or tail is summed
@@ -49,22 +49,17 @@ greedy <= linear, and each scheme's error is non-increasing in M.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .haar import SCALING, Atom, as_rows, atom_from_index, atom_index, ladder, ladders, structure
+from .haar import as_rows, ladders, structure
 from .processes import CompoundPoissonPath, PathBlock, _bounds, _range_sums, is_int
 
 __all__ = [
     "SCHEMES",
-    "Selection",
     "InvariantViolation",
-    "select",
-    "select_discrete",
     "errors",
     "errors_rows",
     "errors_discrete",
@@ -86,22 +81,6 @@ _NEGATIVE_ERROR_TOL = 1e-12
 
 class InvariantViolation(RuntimeError):
     """An internal exactness or ordering guarantee failed."""
-
-
-@dataclass(frozen=True)
-class Selection:
-    """The result of one approximation choice.
-
-    kept holds the (atom, value) pairs of the kept candidates, in
-    atom-index order: every other atom the scheme keeps holds no jump and
-    has value exactly 0.0, so it is not listed. error_sq is the squared L2
-    error of the reconstruction from exactly those values.
-    """
-
-    scheme: str
-    m: int
-    kept: tuple[tuple[Atom, float], ...]
-    error_sq: float
 
 
 def _check_m(m: int) -> None:
@@ -384,33 +363,6 @@ def errors(path: CompoundPoissonPath, schemes, m_values) -> list[list[float]]:
     return errors_rows(path.block, schemes, m_values)[0].tolist()
 
 
-def select(path: CompoundPoissonPath, scheme: str, m: int) -> Selection:
-    """The candidates the scheme keeps at M = m, listed from the path's
-    whole ladder (haar.ladder), and the exact squared error from errors.
-    Linear keeps the candidates of index below m; greedy the first m
-    candidates; best the m largest magnitudes, ties to the smaller index.
-    Every other atom a scheme keeps holds no jump, so its coefficient is
-    exactly 0.0, and it is not listed: a selection costs what its path
-    costs, whatever m."""
-    ((error,),) = errors(path, (scheme,), [m])
-    lad = ladder(path)
-    scaled = int(path.num_jumps > 0)
-    values = np.append(path.block.sums()[0], lad.value) if scaled else lad.value
-
-    def atom(p: int) -> Atom:  # candidate p: the scaling atom, then the ladder's
-        q = p - scaled
-        return Atom.wavelet(int(lad.scale[q]), int(lad.shift[q])) if q >= 0 else SCALING
-
-    if scheme == "linear":  # candidates lie in index order; Python ints compare exactly
-        picked = range(bisect.bisect_left(range(values.size), m, key=lambda p: atom_index(atom(p))))
-    elif scheme == "greedy":
-        picked = range(min(m, values.size))
-    else:  # a stable sort sends ties to the smaller index
-        picked = np.sort(np.argsort(-np.abs(values), kind="stable")[: min(m, values.size)]).tolist()
-    kept = tuple((atom(p), float(values[p])) for p in picked)
-    return Selection(scheme=scheme, m=m, kept=kept, error_sq=error)
-
-
 def linear_errors(path: CompoundPoissonPath, m_values) -> list[float]:
     """Exact linear squared errors at each M; perfbench/child.py calls it."""
     return errors(path, ("linear",), m_values)[0]
@@ -486,26 +438,6 @@ def errors_discrete(coeffs, schemes, m_values) -> list[list[float]]:
     ordering between schemes and the monotonicity in M survive in floating
     point."""
     return errors_discrete_rows(as_rows(coeffs)[np.newaxis], schemes, m_values)[0].tolist()
-
-
-def select_discrete(coeffs, scheme: str, m: int) -> Selection:
-    """Keep m entries of a finite coefficient list: the first m (linear),
-    the first m that are not exactly zero (greedy), or the m largest
-    magnitudes, ties to the smaller index (best); error_sq is the sum of
-    the dropped squares, from errors_discrete."""
-    c = as_rows(coeffs)
-    _check_m(m)
-    if m > c.size:
-        raise ValueError(f"M={m} exceeds the number of coefficients {c.size}")
-    ((error,),) = errors_discrete(c, (scheme,), [m])
-    if scheme == "linear":
-        picked = range(m)
-    elif scheme == "greedy":
-        picked = np.flatnonzero(c != 0.0)[:m]
-    else:
-        picked = np.sort(np.argsort(-np.abs(c), kind="stable")[:m])
-    kept = tuple((atom_from_index(int(i)), float(c[i])) for i in picked)
-    return Selection(scheme=scheme, m=m, kept=kept, error_sq=error)
 
 
 def best_errors_discrete(coeffs, m_values) -> list[float]:

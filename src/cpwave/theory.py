@@ -2,9 +2,8 @@
 
 Everything here is deterministic arithmetic: the exact linear mean squared
 error, the survival law of the minimum jump spacing, the Poisson
-expectation of 2^(-M/N) with a certified truncation bound, the two-sided
-envelope for the greedy MSE, and integer bounds on the scale at which the
-M-th nonzero coefficient appears.
+expectation of 2^(-M/N) with a certified truncation bound, and the
+two-sided envelope for the greedy MSE.
 """
 
 from __future__ import annotations
@@ -20,10 +19,6 @@ __all__ = [
     "spacing_survival",
     "expected_two_pow",
     "greedy_mse_envelope",
-    "nonzero_scale_bounds",
-    "tail_energy",
-    "poly_weighted_decay",
-    "exp_weighted_decay",
     "MAX_ENVELOPE_LAMBDA",
 ]
 
@@ -108,7 +103,8 @@ def greedy_mse_envelope(
         c_lower * E[2^(-M/N)] / M  <=  MSE  <=  c_upper * M * E[2^(-M/N)]
 
     with c_upper = (2 sigma0^2 / 3 lam)(1 + e^(2 lam)) and
-    c_lower = sigma0^2 / (48 e lam (1 + e^(2 lam))).
+    c_lower = sigma0^2 / (48 e lam (1 + e^(2 lam))). Refused unless both
+    constants are positive and finite doubles and neither end is nan.
     """
     m = _integer("M", m, 1)
     if lam > MAX_ENVELOPE_LAMBDA:
@@ -121,55 +117,23 @@ def greedy_mse_envelope(
     growth = 1.0 + math.exp(2.0 * lam)
     c_upper = (2.0 * sigma0_sq / (3.0 * lam)) * growth
     c_lower = sigma0_sq / (48.0 * math.e * lam * growth)
+    for name, c in (("c_lower", c_lower), ("c_upper", c_upper)):
+        if not (math.isfinite(c) and c > 0.0):
+            raise ValueError(
+                f"envelope constant {name} = {c} at lambda={lam}, sigma0_sq={sigma0_sq} "
+                "leaves the positive double range"
+            )
     mean, tail = expected_two_pow(lam, m, tol)
+    lo, hi = c_lower * mean / m, c_upper * m * mean
+    if math.isnan(hi):  # c_upper * M overflows while the mean underflows to 0
+        raise ValueError(f"envelope_hi at M={m}, lambda={lam} is inf * 0: out of double range")
     return TheoryPoint(
         m=m,
         linear_mse=linear_mse(m, sigma0_sq),
         two_pow_mean=mean,
         two_pow_tail=tail,
-        envelope_lo=c_lower * mean / m,
-        envelope_hi=c_upper * m * mean,
+        envelope_lo=lo,
+        envelope_hi=hi,
         c_lower=c_lower,
         c_upper=c_upper,
     )
-
-
-def nonzero_scale_bounds(m: int, n: int, delta: float) -> tuple[int, int]:
-    """Integer bounds on the scale at which the m-th structurally nonzero
-    coefficient appears, for a path with n >= 1 jumps and minimum spacing
-    delta: ceil((m-2)/n) <= scale <= floor((m-1)/n + log2(1/delta))."""
-    m = _integer("M", m, 2)
-    n = _integer("n", n, 1)
-    if not (0.0 < delta <= 1.0 / n):
-        raise ValueError(f"delta must lie in (0, 1/n] for n={n}, got {delta}")
-    lower = max(0, math.ceil((m - 2) / n))
-    upper = math.floor((m - 1) / n + math.log2(1.0 / delta))
-    return lower, upper
-
-
-def tail_energy(scale: int, sigma0_sq: float) -> float:
-    """Expected coefficient energy strictly beyond the given scale:
-    the geometric sum sigma0^2 * 2^-(scale+1) / 6."""
-    scale = _integer("scale", scale, 0)
-    _positive("sigma0_sq", sigma0_sq)
-    return sigma0_sq * 2.0 ** -(scale + 1) / 6.0
-
-
-def poly_weighted_decay(lam: float, k: int, m_values) -> list[float]:
-    """M^k * E[2^(-M/N)] along m_values; eventually strictly decreasing for
-    every fixed k, which is the super-polynomial signature of the decay."""
-    k = _integer("k", k, 0)
-    return [m**k * expected_two_pow(lam, m)[0] for m in m_values]
-
-
-def exp_weighted_decay(lam: float, alpha: float, m_values) -> list[float]:
-    """exp(alpha * M) * E[2^(-M/N)] along m_values; eventually strictly
-    increasing for every alpha > 0, the sub-exponential signature."""
-    _positive("alpha", alpha)
-    out = []
-    for m in m_values:
-        mean, _ = expected_two_pow(lam, m)
-        # combine in log space: exp(alpha * m) alone can overflow long before
-        # the weighted product does
-        out.append(math.exp(alpha * m + math.log(mean)) if mean > 0.0 else 0.0)
-    return out

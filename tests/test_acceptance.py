@@ -12,7 +12,7 @@ import numpy as np
 
 import cpwave as cw
 from cpwave import cli
-from cpwave.haar import SCALING, atom_index, coeff, discrete_haar_forward, ladder
+from cpwave.haar import discrete_haar_forward, ladder
 from cpwave.harness import (
     ExperimentConfig,
     run_dict_compare,
@@ -20,14 +20,19 @@ from cpwave.harness import (
     run_mse_curve,
     run_spacing_check,
 )
-from cpwave.schemes import select, select_discrete
-from cpwave.theory import (
+from cpwave.theory import linear_mse
+
+from reference import (
+    SCALING,
+    atom_index,
+    coeff,
     exp_weighted_decay,
-    linear_mse,
+    min_spacing,
     nonzero_scale_bounds,
     poly_weighted_decay,
+    select,
+    select_discrete,
 )
-
 from test_haar import scale_table
 
 SEED = 20250810
@@ -167,7 +172,7 @@ def test_criterion_6_zero_structure_and_scale_bounds():
         if n == 0:
             continue
         paths += 1
-        delta = path.min_spacing()
+        delta = min_spacing(path)
         counts = cw.haar.nonzero_counts_by_scale(path, 128)
         total = 0
         j_of_m = {}

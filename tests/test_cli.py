@@ -140,3 +140,33 @@ def test_the_top_level_parser_lists_every_subcommand(argv, capsys):
     assert (exc.value.code, capsys.readouterr()) == full
     text = full[1].out + full[1].err
     assert all(name in text for name in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--lambda", "10", "--sigma0-sq", "-1"], "sigma0_sq must be positive and finite, got -1.0"),
+    (["simulate", "--lambda", "10", "--sigma0-sq", "-1", "--jump-variance", "1"],
+     "sigma0_sq must be positive and finite, got -1.0"),
+    (["simulate", "--lambda", "1e-320"], "sigma0_sq / lambda must be positive and finite, got inf"),
+    (["mse-curve", "--process", "cp", "--lambda", "1e-320", "--trials", "1"],
+     "sigma0_sq / lambda must be positive and finite, got inf"),
+    (["simulate", "--lambda", "10", "--jump-variance", "-1"], "jump variance must be positive and finite, got -1.0"),
+])
+def test_a_refused_variance_is_named_as_it_was_given(argv, message, capsys):
+    # the default jump variance is sigma0_sq / lambda: a user who gave no
+    # jump variance is told which of their values is out of range
+    assert cli.main(argv + ["--out", "-"]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--lambda", "350", "--m", "4"],
+    ["--lambda", "1e-320", "--m", "4"],
+    ["--lambda", "10", "--sigma0-sq", "1e308", "--m", "4"],
+    ["--lambda", "350", "--m", str(2**60)],
+    ["--lambda", "340", "--m", str(2**60)],
+])
+def test_theory_table_refuses_an_envelope_out_of_double_range(argv, capsys):
+    # each once printed a 0, inf or nan constant or envelope end, with exit 0
+    assert cli.main(["theory-table", *argv, "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("configuration error: ")

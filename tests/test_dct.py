@@ -10,14 +10,14 @@ from cpwave import (
     DctCoeffs,
     JumpLaw,
     dct2_forward,
-    dct2_inverse,
     derive_stream,
     discrete_haar_forward,
-    discrete_haar_inverse,
     sample_grid,
     sample_path,
 )
 from cpwave.schemes import errors_discrete
+
+from reference import dct2_inverse, discrete_haar_inverse
 
 
 def dct_best_errors(x, ms):

@@ -6,29 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cpwave import (
+from cpwave import JumpLaw, derive_stream, discrete_haar_forward, sample_grid, sample_path
+from cpwave import schemes as schemes_module
+from cpwave.haar import ladder, ladders, nonzero_counts_by_scale, structure
+from cpwave.processes import PathBlock
+from cpwave.schemes import linear_errors
+
+from reference import (
     SCALING,
     Atom,
     Coefficient,
-    JumpLaw,
     atom_from_index,
     atom_index,
     coeff,
-    derive_stream,
-    discrete_haar_forward,
     discrete_haar_inverse,
     jump_weight_scaling,
     jump_weight_wavelet,
     jumps_in_support,
-    sample_grid,
-    sample_path,
+    min_spacing,
     select,
+    support,
 )
-from cpwave import schemes as schemes_module
-from cpwave.haar import ladder, ladders, nonzero_counts_by_scale, structure, support
-from cpwave.processes import PathBlock
-from cpwave.schemes import linear_errors
-
 from test_processes import make_path
 
 LAW10 = JumpLaw(variance=0.1)
@@ -543,7 +541,7 @@ def test_per_scale_counts_exact_bounds():
         n = path.num_jumps
         if n == 0:
             continue
-        spacing = path.min_spacing()
+        spacing = min_spacing(path)
         for j in range(1, 14):
             n_j = len(ladder_at(path, j))
             assert n_j <= n
@@ -563,7 +561,7 @@ def test_per_scale_counts_typical_lower_bound():
         if n == 0:
             continue
         total += 1
-        spacing = path.min_spacing()
+        spacing = min_spacing(path)
         ok += all(
             len(ladder_at(path, j)) >= n * min(1.0, 2.0**j * spacing) - 1e-12
             for j in range(1, 14)

@@ -212,23 +212,16 @@ def stat_columns(draw):
 @example(np.random.default_rng(3).lognormal(-10.0, 5.0, (2000, 3)))
 @settings(max_examples=200, deadline=None)
 def test_mean_ci_columns_equal_mean_ci_per_column(values):
-    # as the run reads it, and forced through the exact sums' vector rounds,
-    # which they skip for few terms
     try:
         expected = [[v.hex() for v in harness._mean_ci(c)] for c in values.T.tolist()]
     except OverflowError:
         expected = None
-    few = processes._FEW_TERMS
-    try:
-        for processes._FEW_TERMS in (few, -1):
-            if expected is None:
-                with pytest.raises(OverflowError):
-                    harness._mean_ci_columns(values)
-            else:
-                got = harness._mean_ci_columns(values)
-                assert [[float(v).hex() for v in c] for c in got.T] == expected
-    finally:
-        processes._FEW_TERMS = few
+    if expected is None:
+        with pytest.raises(OverflowError):
+            harness._mean_ci_columns(values)
+    else:
+        got = harness._mean_ci_columns(values)
+        assert [[float(v).hex() for v in c] for c in got.T] == expected
 
 
 @st.composite
@@ -381,6 +374,28 @@ def test_cli_multi_block_analytic_run_is_worker_invariant(tmp_path):
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
     assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["mse-curve", "--process", "cp", "--lambda", "10", "--schemes", "linear,greedy,best",
+     "--m", "4,64,1024", "--trials", "40", "--seed", "12"],
+    ["dict-compare", "--lambda", "10", "--m", "4,16,64", "--grid-log2", "6", "--trials", "40",
+     "--seed", "12"],
+], ids=["analytic", "grid"])
+def test_cli_multi_chunk_pool_run_writes_the_serial_bytes(tmp_path, monkeypatch, args):
+    # at the pool's least chunk, 256 trials, a small run is one chunk; with
+    # chunks of 4 trials the pool maps ten of them to its two workers
+    monkeypatch.setattr(harness, "_MIN_CHUNK", 4)
+    chunked, real = [], harness._chunks
+    monkeypatch.setattr(harness, "_chunks", lambda config, workers: chunked.append(
+        (workers, real(config, workers))) or chunked[-1][1])
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
+    assert [len(chunks) for _, chunks in chunked] == [1] * len(chunked)
+    chunked.clear()
+    assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
+    assert chunked and all(w == 2 and len(chunks) == 10 for w, chunks in chunked)
     assert one.read_bytes() == two.read_bytes()
 
 

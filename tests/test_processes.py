@@ -19,6 +19,8 @@ from cpwave import (
 from cpwave import processes
 from cpwave.processes import MAX_EXPECTED_JUMPS, PathBlock, sample_block, stream_states
 
+from reference import exact_energy, min_spacing
+
 LAW10 = JumpLaw(variance=0.1)
 
 
@@ -161,20 +163,20 @@ def test_evaluation_refuses_nan_points():
 
 def test_min_spacing_empty_path_is_one():
     path = CompoundPoissonPath(np.array([]), np.array([]))
-    assert path.min_spacing() == 1.0
+    assert min_spacing(path) == 1.0
     assert path.l2_norm_sq() == 0.0
 
 
 def test_min_spacing_counts_gap_from_zero():
-    assert make_path([0.3, 0.5], [1.0, 1.0]).min_spacing() == pytest.approx(0.2)
-    assert make_path([0.1, 0.9], [1.0, 1.0]).min_spacing() == pytest.approx(0.1)
+    assert min_spacing(make_path([0.3, 0.5], [1.0, 1.0])) == pytest.approx(0.2)
+    assert min_spacing(make_path([0.1, 0.9], [1.0, 1.0])) == pytest.approx(0.1)
 
 
 def test_min_spacing_bound_on_sampled_paths():
     for t in range(2000):
         path = sample_path(10.0, LAW10, derive_stream(10, t))
         if path.num_jumps:
-            assert path.min_spacing() <= 1.0 / path.num_jumps
+            assert min_spacing(path) <= 1.0 / path.num_jumps
 
 
 def test_min_spacing_conditional_survival():
@@ -188,7 +190,7 @@ def test_min_spacing_conditional_survival():
             while times[0] == 0.0 or np.any(np.diff(times) == 0.0):
                 times = np.sort(rng.random(n))
             path = make_path(times, rng.normal(0.0, 1.0, n))
-            deltas.append(path.min_spacing())
+            deltas.append(min_spacing(path))
         deltas = np.array(deltas)
         for d in (0.05, 0.1, 1.0 / (2 * n)):
             exact = (1.0 - n * d) ** n
@@ -503,19 +505,6 @@ def test_path_block_values_at_equal_the_per_path_running_sums(grid_log2):
     for bad in ([0.5, 1.5], [-0.25]):
         with pytest.raises(ValueError, match="evaluation points"):
             uneven.values_at(bad)
-
-
-def exact_energy(path):
-    """The path's energy and the sum of S_i^2 * length_i, as rationals:
-    L_i and S_i are the running sums of h and |h| up to the i-th jump."""
-    ends = [Fraction(t) for t in path.jump_times.tolist()] + [Fraction(1)]
-    level = running = energy = scale = Fraction(0)
-    for i, h in enumerate(path.jump_heights.tolist()):
-        level += Fraction(h)
-        running += abs(Fraction(h))
-        energy += level * level * (ends[i + 1] - ends[i])
-        scale += running * running * (ends[i + 1] - ends[i])
-    return energy, scale
 
 
 def test_l2_norm_sq_keeps_its_stated_error_bound():

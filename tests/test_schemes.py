@@ -9,19 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cpwave import (
-    Atom,
-    JumpLaw,
-    SCALING,
-    atom_index,
-    derive_stream,
-    sample_path,
-    select,
-    select_discrete,
-)
+from cpwave import JumpLaw, derive_stream, sample_path
 from cpwave import haar as haar_module
 from cpwave import schemes as schemes_module
-from cpwave.haar import atom_from_index, coeff, ladder, support
+from cpwave.haar import ladder
 from cpwave.processes import PathBlock, sample_block
 from cpwave.schemes import (
     SCHEMES,
@@ -33,8 +24,19 @@ from cpwave.schemes import (
     greedy_errors,
     linear_errors,
 )
-from cpwave.theory import nonzero_scale_bounds
 
+from reference import (
+    SCALING,
+    Atom,
+    atom_from_index,
+    atom_index,
+    coeff,
+    min_spacing,
+    nonzero_scale_bounds,
+    select,
+    select_discrete,
+    support,
+)
 from test_haar import hand_paths, scale_table
 from test_processes import make_path
 from test_startup import run_fresh
@@ -143,7 +145,7 @@ def test_greedy_scale_of_mth_nonzero_within_bounds():
         n = path.num_jumps
         if n == 0:
             continue
-        delta = path.min_spacing()
+        delta = min_spacing(path)
         for m in (2, 5, 16, 64):
             sel = select(path, "greedy", m)
             last_atom = sel.kept[-1][0]
@@ -927,18 +929,8 @@ def fsum_runs(x, lo, hi):
 
 
 def kernel_sums(x, lo, hi):
-    """_range_sums of x, as it runs, and forced through its vector rounds,
-    which it skips for few terms; both must give the same sums."""
-    from cpwave import processes
-
-    default = schemes_module._range_sums(x.copy(), lo, hi)
-    few, processes._FEW_TERMS = processes._FEW_TERMS, -1
-    try:
-        rounds = schemes_module._range_sums(x.copy(), lo, hi)
-    finally:
-        processes._FEW_TERMS = few
-    assert [v.hex() for v in default] == [v.hex() for v in rounds]
-    return rounds
+    """_range_sums of a copy of x, which it overwrites."""
+    return schemes_module._range_sums(x.copy(), lo, hi)
 
 
 @st.composite
@@ -1208,8 +1200,8 @@ def test_discrete_ordering_and_profiles(coeffs, data):
 def test_errors_rows_of_a_path_block_equal_the_list_and_one_path_calls(monkeypatch):
     # a PathBlock of jump-free paths, one-jump paths and the +-10^6 pair,
     # whose ladder is read again whole, gives the bits of the list call and
-    # of each path's own call; and reading a block calls neither
-    # l2_norm_sq nor coeff
+    # of each path's own call; and reading a block calls no l2_norm_sq,
+    # and the package holds no per-atom coeff to call
     from cpwave.processes import CompoundPoissonPath, PathBlock
 
     spiked = make_path([0.3, 0.3 + 2.0**-45, 0.6], [1e6, -1e6, 1.0])
@@ -1223,7 +1215,7 @@ def test_errors_rows_of_a_path_block_equal_the_list_and_one_path_calls(monkeypat
         raise AssertionError("a block is read without per-path calls")
 
     monkeypatch.setattr(CompoundPoissonPath, "l2_norm_sq", refuse)
-    monkeypatch.setattr(haar_module, "coeff", refuse)
+    assert not hasattr(haar_module, "coeff")
     calls = []
     monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
     for (chosen, ms), one, rows in zip(runs, single, listed):

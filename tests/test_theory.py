@@ -16,13 +16,12 @@ from cpwave import (
     expected_two_pow,
     greedy_mse_envelope,
     linear_mse,
-    nonzero_scale_bounds,
     sample_grid,
     sample_path,
     spacing_survival,
-    tail_energy,
 )
-from cpwave.theory import exp_weighted_decay, poly_weighted_decay
+
+from reference import exp_weighted_decay, nonzero_scale_bounds, poly_weighted_decay, tail_energy
 
 
 def reference_two_pow(lam, m, terms=None):
@@ -175,6 +174,28 @@ def test_envelope_ordering(m, lam):
 def test_envelope_overflow_guard():
     with pytest.raises(ValueError):
         greedy_mse_envelope(4, 400.0)
+
+
+@pytest.mark.parametrize("m, lam, sigma0_sq, message", [
+    (4, 350.0, 1.0, "c_lower = 0.0"),  # its denominator overflows
+    (4, 1e-320, 1.0, "c_lower = inf"),  # and c_upper is inf too
+    (4, 10.0, 1e308, "c_upper = inf"),
+    (2**60, 350.0, 1.0, "c_lower = 0.0"),
+    (2**60, 340.0, 1.0, r"envelope_hi .* inf \* 0"),  # c_upper M overflows, the mean underflows
+])
+def test_envelope_refuses_constants_and_ends_a_double_cannot_hold(m, lam, sigma0_sq, message):
+    with pytest.raises(ValueError, match=message):
+        greedy_mse_envelope(m, lam, sigma0_sq)
+
+
+def test_envelope_keeps_every_representable_point():
+    # below the refused ranges both constants are positive doubles, and a
+    # mean that underflows to 0 leaves both ends 0, not nan
+    for m, lam, sigma0_sq in ((4, 340.0, 1.0), (2**60, 10.0, 1.0), (4, 1e-300, 1.0), (4, 10.0, 1e300)):
+        point = greedy_mse_envelope(m, lam, sigma0_sq)
+        assert 0.0 < point.c_lower < math.inf and 0.0 < point.c_upper < math.inf
+        assert 0.0 <= point.envelope_lo <= point.envelope_hi < math.inf
+    assert greedy_mse_envelope(2**60, 10.0).envelope_hi == 0.0
 
 
 # ---------------------------------------------------------------------------
