@@ -65,31 +65,6 @@ _M = ("--m", {"type": _parse_ints, "default": (4, 8, 16, 32, 64, 128, 256)})
 _GRID = ("--grid-log2", {"type": int, "default": 10})
 _RUNS = [("--trials", {"type": int, "default": 1000}), ("--workers", {"type": int, "default": 1})]
 
-# Each subcommand's help line and arguments, in the order --help lists
-# them; every subcommand also takes the common ones.
-_SUBCOMMANDS = {
-    "simulate": ("dump one path's jump locations and heights", [_LAMBDA, _SIGMA0_SQ, _VARIANCE]),
-    "mse-curve": ("Monte Carlo MSE curve", [
-        ("--process", {"choices": ("cp", "bm"), "required": True}),
-        ("--lambda", {"dest": "lam", "type": float, "default": None}), _SIGMA0_SQ, _VARIANCE,
-        ("--schemes", {"type": _parse_schemes, "default": ("linear", "greedy", "best")}),
-        ("--dictionary", {"choices": sorted(_DICTIONARY_ALIASES), "default": "haar"}), _M, _GRID,
-    ] + _RUNS),
-    "lemma-check": ("minimum-spacing law, empirical vs exact", [
-        ("--lambda", {"dest": "lam", "type": float, "default": 10.0}),
-        ("--n", {"type": _parse_ints, "default": (1, 2, 5)}),
-        ("--delta", {"type": _parse_floats, "default": None}),
-        ("--samples", {"type": int, "default": 100_000}),
-    ]),
-    "theorem1-check": ("greedy MSE vs closed-form envelope", [_LAMBDA, _SIGMA0_SQ, _M] + _RUNS),
-    "dict-compare": ("Haar vs cosine dictionary, best-M", [
-        ("--lambda", {"dest": "lam", "type": float, "default": 10.0}), _SIGMA0_SQ,
-        ("--m", {"type": _parse_ints, "default": (16, 32, 64, 128, 256)}), _GRID,
-    ] + _RUNS),
-    "theory-table": ("closed-form quantities per M", [
-        _LAMBDA, _SIGMA0_SQ, _M, ("--tol", {"type": float, "default": 1e-12}),
-    ]),
-}
 _COMMON = [
     ("--seed", {"type": int, "default": 0, "help": "64-bit master seed"}),
     ("--out", {"default": "-", "help": "output path ('-' writes to stdout)"}),
@@ -111,7 +86,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, arguments) in _SUBCOMMANDS.items():
+    for name, (text, arguments, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=text)
         if command in (None, name):
             for flag, options in arguments + _COMMON:
@@ -229,13 +204,32 @@ def _cmd_theory_table(args) -> int:
     return _EXIT_OK
 
 
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "mse-curve": _cmd_mse_curve,
-    "lemma-check": _cmd_lemma_check,
-    "theorem1-check": _cmd_theorem1_check,
-    "dict-compare": _cmd_dict_compare,
-    "theory-table": _cmd_theory_table,
+# Each subcommand's help line, arguments in the order --help lists them,
+# and handler; every subcommand also takes the common ones.
+_SUBCOMMANDS = {
+    "simulate": ("dump one path's jump locations and heights",
+                 [_LAMBDA, _SIGMA0_SQ, _VARIANCE], _cmd_simulate),
+    "mse-curve": ("Monte Carlo MSE curve", [
+        ("--process", {"choices": ("cp", "bm"), "required": True}),
+        ("--lambda", {"dest": "lam", "type": float, "default": None}), _SIGMA0_SQ, _VARIANCE,
+        ("--schemes", {"type": _parse_schemes, "default": ("linear", "greedy", "best")}),
+        ("--dictionary", {"choices": sorted(_DICTIONARY_ALIASES), "default": "haar"}), _M, _GRID,
+    ] + _RUNS, _cmd_mse_curve),
+    "lemma-check": ("minimum-spacing law, empirical vs exact", [
+        ("--lambda", {"dest": "lam", "type": float, "default": 10.0}),
+        ("--n", {"type": _parse_ints, "default": (1, 2, 5)}),
+        ("--delta", {"type": _parse_floats, "default": None}),
+        ("--samples", {"type": int, "default": 100_000}),
+    ], _cmd_lemma_check),
+    "theorem1-check": ("greedy MSE vs closed-form envelope",
+                       [_LAMBDA, _SIGMA0_SQ, _M] + _RUNS, _cmd_theorem1_check),
+    "dict-compare": ("Haar vs cosine dictionary, best-M", [
+        ("--lambda", {"dest": "lam", "type": float, "default": 10.0}), _SIGMA0_SQ,
+        ("--m", {"type": _parse_ints, "default": (16, 32, 64, 128, 256)}), _GRID,
+    ] + _RUNS, _cmd_dict_compare),
+    "theory-table": ("closed-form quantities per M", [
+        _LAMBDA, _SIGMA0_SQ, _M, ("--tol", {"type": float, "default": 1e-12}),
+    ], _cmd_theory_table),
 }
 
 
@@ -246,7 +240,7 @@ def main(argv=None) -> int:
     # warning would only repeat it, so it is silenced for the run
     saved = harness.prepare_process({**np.geterr(), "over": "ignore"})
     try:
-        return _COMMANDS[args.command](args)
+        return _SUBCOMMANDS[args.command][2](args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return _EXIT_INVARIANT

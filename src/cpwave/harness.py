@@ -602,8 +602,8 @@ def run_envelope_check(
         trials=int(trials),
         master_seed=int(seed),
     )
-    # the envelope refuses some inputs (lambda past MAX_ENVELOPE_LAMBDA), so
-    # evaluate it before any trial runs
+    # the envelope refuses a constant that is not a normal double (lambda
+    # past about 348.8 at sigma0_sq = 1), so evaluate it before any trial runs
     points = [theory.greedy_mse_envelope(m, lam, sigma0_sq) for m in config.m_values]
     records = run_mse_curve(config, workers=workers)
     rows = []

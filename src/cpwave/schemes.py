@@ -266,7 +266,11 @@ _BUILD_CELLS = 2**15
 # A block holds its paths' jumps and reads, n + 2 min(n * d + 1, k + 1)
 # terms a path at first depth d; errors_rows blocks consecutive paths
 # within _BLOCK_TERMS: up to M = 1024, about 60 paths at lambda = 10, and
-# 16, the harness's whole block, at rates from 500 to 2000.
+# 16, the harness's whole block, at rates from 500 to 2000. Both simpler
+# layouts cost more on the cp_sparse benchmark argv (2-core VM): reading
+# a harness block of 512 paths in one pass took the tracemalloc peak of
+# harness._run_trials from 1.7 to 7.6 MB, and 64-trial harness blocks
+# lost 11 % of throughput, slower in 12 of 12 interleaved rounds.
 _BLOCK_TERMS = 2**16
 _MAX_K = 2**62  # more than any path's candidates: see errors_rows
 

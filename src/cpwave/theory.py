@@ -9,6 +9,7 @@ two-sided envelope for the greedy MSE.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .processes import _positive, is_int
@@ -19,10 +20,7 @@ __all__ = [
     "spacing_survival",
     "expected_two_pow",
     "greedy_mse_envelope",
-    "MAX_ENVELOPE_LAMBDA",
 ]
-
-MAX_ENVELOPE_LAMBDA = 350.0  # exp(2 * lam) overflows a double soon after this
 
 
 def _integer(name: str, value, least: int) -> int:
@@ -57,15 +55,12 @@ def linear_mse(m: int, sigma0_sq: float) -> float:
     return (sigma0_sq / 12.0) * 2.0**-big_j * (2.0 - rem * 2.0**-big_j)
 
 
-def spacing_survival(n: int, delta: float, interval_length: float = 1.0) -> float:
-    """P(minimum spacing >= delta | N = n) = (1 - n * delta / length)^n."""
+def spacing_survival(n: int, delta: float) -> float:
+    """P(minimum spacing >= delta | N = n) = (1 - n * delta)^n on [0, 1]."""
     n = _integer("n", n, 1)
-    _positive("interval_length", interval_length)
-    if not (0.0 <= delta <= interval_length / n):
-        raise ValueError(
-            f"delta must lie in [0, {interval_length / n}] for n={n}, got {delta}"
-        )
-    return (1.0 - n * delta / interval_length) ** n
+    if not (0.0 <= delta <= 1.0 / n):
+        raise ValueError(f"delta must lie in [0, {1.0 / n}] for n={n}, got {delta}")
+    return (1.0 - n * delta) ** n
 
 
 def _poisson_log_pmf(lam: float, n: int) -> float:
@@ -103,25 +98,25 @@ def greedy_mse_envelope(
         c_lower * E[2^(-M/N)] / M  <=  MSE  <=  c_upper * M * E[2^(-M/N)]
 
     with c_upper = (2 sigma0^2 / 3 lam)(1 + e^(2 lam)) and
-    c_lower = sigma0^2 / (48 e lam (1 + e^(2 lam))). Refused unless both
-    constants are positive and finite doubles and neither end is nan.
+    c_lower = sigma0^2 / (48 e lam (1 + e^(2 lam))). Refused, before the
+    series runs, unless both constants are normal doubles (finite and at
+    least sys.float_info.min: about lam < 348.8 at sigma0^2 = 1), and
+    refused when an end is nan.
     """
     m = _integer("M", m, 1)
-    if lam > MAX_ENVELOPE_LAMBDA:
-        raise ValueError(
-            f"lam={lam} exceeds {MAX_ENVELOPE_LAMBDA}: exp(2*lam) overflows double "
-            "precision and log-space envelope evaluation is out of scope"
-        )
     _positive("lam", lam)
     _positive("sigma0_sq", sigma0_sq)
-    growth = 1.0 + math.exp(2.0 * lam)
+    try:
+        growth = 1.0 + math.exp(2.0 * lam)
+    except OverflowError:  # lam > 354.9; c_lower is then 0 and refused below
+        growth = math.inf
     c_upper = (2.0 * sigma0_sq / (3.0 * lam)) * growth
     c_lower = sigma0_sq / (48.0 * math.e * lam * growth)
     for name, c in (("c_lower", c_lower), ("c_upper", c_upper)):
-        if not (math.isfinite(c) and c > 0.0):
+        if not (sys.float_info.min <= c < math.inf):
             raise ValueError(
                 f"envelope constant {name} = {c} at lambda={lam}, sigma0_sq={sigma0_sq} "
-                "leaves the positive double range"
+                "is not a normal double"
             )
     mean, tail = expected_two_pow(lam, m, tol)
     lo, hi = c_lower * mean / m, c_upper * m * mean

@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cpwave import cli, harness
+from cpwave import cli, harness, theory
 
 # each option's values: (valid, invalid); a draw picks a valid value nine
 # times in ten, so most runs get past validation and reach the trials
@@ -170,3 +170,39 @@ def test_theory_table_refuses_an_envelope_out_of_double_range(argv, capsys):
     assert cli.main(["theory-table", *argv, "--out", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("configuration error: ")
+
+
+def test_theory_table_keeps_the_last_normal_lambda(capsys):
+    assert cli.main(["theory-table", "--lambda", "348.8", "--m", "4", "--out", "-"]) == 0
+    assert capsys.readouterr().out == (
+        "M,linear_mse,two_pow_mean,two_pow_tail,envelope_lo,envelope_hi,c_lower,c_upper\n"
+        "4,0.041666666666666664,0.99205992565993917,9.6823822908606756e-13,"
+        "5.9229101441056875e-309,6.9784783960366669e+300,2.388125955260472e-308,"
+        "1.7585828777919934e+300\n"
+    )
+
+
+@pytest.mark.parametrize("lam, message", [
+    ("349.2", "envelope constant c_lower = 1.07"),  # subnormal: exit 0 once
+    ("352", "envelope constant c_lower = 0.0"),
+    ("1e9", "envelope constant c_lower = 0.0"),
+    ("inf", "lam must be positive and finite"),
+])
+def test_theory_table_refuses_a_large_lambda_before_the_series(lam, message, monkeypatch, capsys):
+    def no_series(*args, **kwargs):
+        raise AssertionError("the series ran")
+
+    monkeypatch.setattr(theory, "expected_two_pow", no_series)
+    assert cli.main(["theory-table", "--lambda", lam, "--m", "4", "--out", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"configuration error: {message}")
+
+
+def test_theorem1_check_refuses_a_subnormal_c_lower_before_any_trial(monkeypatch, capsys):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("trials ran before the envelope was evaluated")
+
+    monkeypatch.setattr(harness, "run_mse_curve", no_trials)
+    argv = ["theorem1-check", "--lambda", "349.2", "--m", "4", "--trials", "2", "--out", "-"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error: envelope constant c_lower = 1.07")

@@ -617,7 +617,7 @@ def test_envelope_check_refuses_before_simulating(monkeypatch):
         raise AssertionError("trials ran before the envelope was evaluated")
 
     monkeypatch.setattr(harness, "run_mse_curve", no_trials)
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="c_lower = 0.0"):
         run_envelope_check(400.0, m_values=(4, 16), trials=10, seed=1)
 
 

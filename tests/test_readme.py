@@ -1,7 +1,10 @@
 """The README's code runs as written."""
 
 import re
+import shlex
 from pathlib import Path
+
+from cpwave import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -11,3 +14,21 @@ def test_readme_python_blocks_run():
     assert blocks
     for source in blocks:
         exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+def readme_commands() -> list[list[str]]:
+    """The argv of every `cpwave ...` line of the Command line section's
+    shell block, continuation lines joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("cpwave ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # a stale flag in the README fails here, not for its reader
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(cli._SUBCOMMANDS)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv

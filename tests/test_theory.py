@@ -2,6 +2,7 @@
 and Monte Carlo oracles."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -88,7 +89,7 @@ def test_spacing_survival_values():
     assert spacing_survival(1, 0.5) == pytest.approx(0.5)
     assert spacing_survival(2, 0.5) == 0.0
     assert spacing_survival(3, 0.0) == 1.0
-    assert spacing_survival(2, 0.25, interval_length=1.0) == pytest.approx(0.25)
+    assert spacing_survival(2, 0.25) == pytest.approx(0.25)
 
 
 def test_spacing_survival_domain():
@@ -182,6 +183,10 @@ def test_envelope_overflow_guard():
     (4, 10.0, 1e308, "c_upper = inf"),
     (2**60, 350.0, 1.0, "c_lower = 0.0"),
     (2**60, 340.0, 1.0, r"envelope_hi .* inf \* 0"),  # c_upper M overflows, the mean underflows
+    (4, 348.84, 1.0, "c_lower = 2.2.*e-308 .* not a normal double"),  # subnormal
+    (4, 349.2, 1.0, "c_lower = 1.07.*e-308"),
+    (4, 1e9, 1.0, "c_lower = 0.0"),  # e^(2 lambda) itself overflows
+    (4, 10.0, 1e-300, "c_lower = 1.57.*e-312"),
 ])
 def test_envelope_refuses_constants_and_ends_a_double_cannot_hold(m, lam, sigma0_sq, message):
     with pytest.raises(ValueError, match=message):
@@ -189,11 +194,13 @@ def test_envelope_refuses_constants_and_ends_a_double_cannot_hold(m, lam, sigma0
 
 
 def test_envelope_keeps_every_representable_point():
-    # below the refused ranges both constants are positive doubles, and a
+    # below the refused ranges both constants are normal doubles, and a
     # mean that underflows to 0 leaves both ends 0, not nan
-    for m, lam, sigma0_sq in ((4, 340.0, 1.0), (2**60, 10.0, 1.0), (4, 1e-300, 1.0), (4, 10.0, 1e300)):
+    for m, lam, sigma0_sq in ((4, 340.0, 1.0), (2**60, 10.0, 1.0), (4, 1e-300, 1.0), (4, 10.0, 1e300),
+                              (4, 348.8, 1.0)):
         point = greedy_mse_envelope(m, lam, sigma0_sq)
-        assert 0.0 < point.c_lower < math.inf and 0.0 < point.c_upper < math.inf
+        for c in (point.c_lower, point.c_upper):
+            assert sys.float_info.min <= c < math.inf
         assert 0.0 <= point.envelope_lo <= point.envelope_hi < math.inf
     assert greedy_mse_envelope(2**60, 10.0).envelope_hi == 0.0
 
