@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -371,32 +372,35 @@ def _run_trials(
         per_chunk = [_chunk_errors(config, chunk, dictionaries) for chunk in chunks]
     else:
         # the workers run under the caller's numpy error state and heap
-        # set-up, whatever the start method
+        # set-up, whatever the start method; a fork pool starts every worker
+        # at once, so it holds no more than the chunks or the CPUs
+        n = len(chunks)
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=prepare_process, initargs=(np.geterr(),)
+            max_workers=min(workers, n, os.cpu_count() or 1),
+            initializer=prepare_process, initargs=(np.geterr(),),
         ) as pool:
-            n = len(chunks)
             per_chunk = list(pool.map(_chunk_errors, [config] * n, chunks, [dictionaries] * n))
     return np.concatenate(per_chunk)
 
 
-def _mean_ci(values: list[float]) -> tuple[float, float, float]:
-    """The mean of values and its 95% interval, from fsum sums: the one-column
-    view of _mean_ci_columns, which falls back on it where squares overflow."""
+def _mean_ci(values) -> tuple[float, float, float]:
+    """The mean of values, floats or a numpy column, and its 95% interval,
+    from fsum sums: the one-column view of _mean_ci_columns, which falls
+    back on it, column in place, where squares overflow."""
     n = len(values)
     mean = math.fsum(values) / n
     if n == 1:
         return mean, mean, mean
     try:
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+        var = math.fsum((float(v) - mean) ** 2 for v in values) / (n - 1)
         half = _CI_Z * math.sqrt(var / n)
     except OverflowError:
         # a squared deviation or their sum passed the float max: scale the
         # deviations into [1/2, 1) by a power of two, which is exact for
         # normal values, as is the square root of its square
-        top = max(abs(v - mean) for v in values)
+        top = max(abs(float(v) - mean) for v in values)
         scale = math.ldexp(1.0, -math.frexp(top)[1])
-        var = math.fsum(((v - mean) * scale) ** 2 for v in values) / (n - 1)
+        var = math.fsum(((float(v) - mean) * scale) ** 2 for v in values) / (n - 1)
         half = _CI_Z * math.sqrt(var / n) / scale
     return mean, mean - half, mean + half
 
@@ -435,7 +439,7 @@ def _mean_ci_columns(values: np.ndarray) -> np.ndarray:
         out[1, a : a + step][fit] = mean[fit] - half
         out[2, a : a + step][fit] = mean[fit] + half
         for i in np.flatnonzero(~fit).tolist():
-            out[:, a + i] = _mean_ci(values[:, a + i].tolist())
+            out[:, a + i] = _mean_ci(values[:, a + i])
     return out
 
 
@@ -461,8 +465,8 @@ def _run_curves(
         values = _run_trials(config, dictionaries, workers).reshape(config.trials, len(points))
         if not np.isfinite(values).all():
             # some mean is inf or nan, or a sum overflows: report the first
-            # in curve order, summing column by column as fsum does
-            for (_, scheme, m), column in zip(points, values.T.tolist()):
+            # in curve order, summing each column in place as fsum does
+            for (_, scheme, m), column in zip(points, values.T):
                 mean = math.fsum(column) / config.trials
                 if not math.isfinite(mean):
                     raise OverflowError(f"the {scheme} mean at M={m} is {mean}")

@@ -349,7 +349,7 @@ def errors_rows(paths, schemes, m_values) -> np.ndarray:
         block = _block(paths.take(range(a, b)), schemes, k, first[a:b],
                        split[paths.bounds[a] : paths.bounds[b]], e[a:b])
         # the certificate reads kept before _errors sums over it in place
-        held = block.whole if block.whole.all() else _certified(block, schemes)
+        held = _certified(block, schemes)
         rows[a:b] = _errors(block, schemes, m_values)
         rejected = np.flatnonzero(~held).tolist()
         if rejected:  # once at most: a whole ladder is certified

@@ -1,12 +1,15 @@
 """Tests for the Monte Carlo harness, file output, and the CLI."""
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -168,7 +171,7 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
             assert jumps(paths) == jumps(sampled) and len(rest) <= 1
             e = structure(PathBlock.of(paths))[1]
             assert built == [min(schemes._first_depth(p.num_jumps, k), r) for p, r in zip(paths, e)]
-            held = verdicts[0] if verdicts else [True] * 4
+            (held,) = verdicts  # one certificate per block, whole ladders too
             rejected = [i for i in range(4) if not held[i]]
             if rest:
                 ((again, whole),) = rest
@@ -222,6 +225,33 @@ def test_mean_ci_columns_equal_mean_ci_per_column(values):
     else:
         got = harness._mean_ci_columns(values)
         assert [[float(v).hex() for v in c] for c in got.T] == expected
+
+
+# peaks when each column was read as a list: 67 and 50 MB; read in place,
+# 2.1 MB, and 34 MB from the column statistics' vector passes
+@pytest.mark.parametrize("fault, most", [("inf", 2**22), ("overflowing squares", 40 * 2**20)])
+def test_non_finite_and_overflow_columns_are_read_in_place(monkeypatch, fault, most):
+    # 2^20 trials of two points: 16 MB of errors, and as many Python floats
+    # if their columns were read as lists
+    values = np.ones((2**20, 1, 2))
+    if fault == "inf":
+        values[-1, 0, 0] = np.inf
+    else:
+        values[::2, 0, 1] = 1e300  # deviations of 5e299, whose squares overflow
+    monkeypatch.setattr(harness, "_run_trials", lambda config, dictionaries, workers: values)
+    cfg = small_config(schemes=("greedy",), m_values=(2, 8), trials=len(values))
+    refused = pytest.raises(ValueError, match=r"on these paths \(the greedy mean at M=2 is inf\)")
+    tracemalloc.start()
+    try:
+        with refused if fault == "inf" else contextlib.nullcontext():
+            records = run_mse_curve(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < most, peak
+    if fault != "inf":  # the scaled fallback's bits, as from a list
+        assert [(r.mse_mean, r.ci_lo, r.ci_hi) for r in records] == [
+            (1.0, 1.0, 1.0), harness._mean_ci(values[:, 0, 1].tolist())]
 
 
 @st.composite
@@ -397,6 +427,23 @@ def test_cli_multi_chunk_pool_run_writes_the_serial_bytes(tmp_path, monkeypatch,
     assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
     assert chunked and all(w == 2 and len(chunks) == 10 for w, chunks in chunked)
     assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.parametrize("workers, trials, cpus, size", [
+    (2, 100, 8, 1),  # one chunk
+    (1_000_000, 1000, 3, 3),  # four chunks, three CPUs
+    (1_000_000, 1000, None, 1),  # os.cpu_count() cannot tell
+])
+def test_pool_holds_no_more_workers_than_chunks_or_cpus(monkeypatch, workers, trials, cpus, size):
+    # a fork pool starts all its workers at the first submit; the stand-in
+    # records the size asked for and maps in this process, so none starts
+    sizes = []
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers, **_: sizes.append(
+        max_workers) or contextlib.nullcontext(SimpleNamespace(map=map)))
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = small_config(trials=trials)
+    assert run_mse_curve(cfg, workers=workers) == run_mse_curve(cfg)
+    assert sizes == [size]
 
 
 def test_analytic_csv_does_not_depend_on_grid_log2(tmp_path):

@@ -17,11 +17,10 @@ def test_readme_python_blocks_run():
 
 
 def readme_commands() -> list[list[str]]:
-    """The argv of every `cpwave ...` line of the Command line section's
-    shell block, continuation lines joined."""
-    section = README.read_text().split("## Command line", 1)[1]
-    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
-    lines = block.replace("\\\n", " ").splitlines()
+    """The argv of every `cpwave ...` line of the README's shell blocks,
+    continuation lines joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
     return [shlex.split(line)[1:] for line in lines if line.startswith("cpwave ")]
 
 
