@@ -59,8 +59,9 @@ def _twiddle(n: int) -> np.ndarray:
 def _dct2(x: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     h = n // 2
-    v = np.concatenate((x[..., ::2], x[..., 1::2][..., ::-1]), axis=-1)
-    y = np.fft.rfft(v, axis=-1) * _twiddle(n)
+    # the reordered signal is freed once the FFT has read it
+    y = np.fft.rfft(np.concatenate((x[..., ::2], x[..., 1::2][..., ::-1]), axis=-1), axis=-1)
+    y *= _twiddle(n)
     out = np.empty(x.shape)
     out[..., : h + 1] = y.real
     np.negative(y.imag[..., h - 1 : 0 : -1], out=out[..., h + 1 :])

@@ -7,12 +7,14 @@ trials. Trials run in chunks of consecutive indices, each of whole blocks
 or part of one: a chunk's streams are seeded in one
 processes.stream_states call, serially or in the pool worker that runs it,
 and a block sets one generator to each of its trials' states in turn. A
-discrete block is sized by its grids' samples, an analytic one by its
-expected jumps. A compound Poisson block is one processes.PathBlock
-(sample_block), read by one schemes.errors_rows call or turned into grids
-by PathBlock.values_at; a Brownian block samples one grid per trial. A
-discrete dictionary transforms a block's grids as one array and sums every
-row's errors in one pass. Every sum is exact and correctly rounded, so it
+discrete block is sized by its grids' samples, and a compound Poisson
+block, discrete or analytic, by its expected jumps too. A compound Poisson
+block is one processes.PathBlock (sample_block), read by one
+schemes.errors_rows call or turned into grids by PathBlock.values_at; a
+Brownian block is one array of grids, each trial's row drawn from its own
+stream with processes.brownian_grid's bits. A discrete dictionary
+transforms a block's grids as one array and sums every row's errors in
+one pass. Every sum is exact and correctly rounded, so it
 does not depend on the paths or rows beside it, and blocks change no byte.
 With several workers, whole chunks go to the pool. Each curve point's mean
 and interval come from the same exact sums, over all points at once.
@@ -40,7 +42,6 @@ from .processes import (
     _positive,
     _range_sums,
     _streams,
-    brownian_grid,
     check_expected_jumps,
     derive_stream,
     is_int,
@@ -231,22 +232,42 @@ class SpacingCheckResult:
 
 # A block samples its trials back to back. A discrete dictionary transforms
 # a block's grids as one array, in blocks of _BLOCK_SAMPLES >> grid_log2
-# trials (at least one): 16 of a 2^10 grid, one from 2^14 up, so the
-# block's grids, coefficients and sorted squares stay within a few MB.
-# Analytic blocks sample no grid and hold the largest power of two of trials
-# within _BLOCK_JUMPS expected jumps, at least _ANALYTIC_BLOCK: 512 at lambda
-# = 10, so few errors_rows calls (about 0.4 ms fixed cost each) read sparse
-# paths, and 16 from 500 up; errors_rows sizes its own builds.
-_BLOCK_SAMPLES = 2**14
+# trials (at least one): 64 of a 2^10 grid, one from 2^16 up. A 1000-trial
+# dict-compare at 2^10 then peaks at about 2.2 MB of traced allocations in
+# _run_trials (0.9 MB in blocks of 16), and the transforms and sums run in
+# a quarter as many calls. A compound Poisson block, grid or analytic,
+# holds at most the largest power of two of trials within _BLOCK_JUMPS
+# expected jumps, at least _ANALYTIC_BLOCK: 512 at lambda = 10, so few
+# errors_rows calls (about 0.4 ms fixed cost each) read sparse paths, and
+# 16 past 256, so a grid block's jump arrays do not grow with lambda;
+# errors_rows sizes its own builds.
+_BLOCK_SAMPLES = 2**16
 _BLOCK_JUMPS = 2**13
 _ANALYTIC_BLOCK = 16
 
 
 def _block_size(config: ExperimentConfig) -> int:
-    if config.dictionary == "haar_analytic":
+    sizes = []
+    if config.dictionary != "haar_analytic":
+        sizes.append(max(1, _BLOCK_SAMPLES >> config.grid_log2))
+    if config.process == "cp":
         per_block = _BLOCK_JUMPS / max(config.lam, 1.0)
-        return max(_ANALYTIC_BLOCK, 2 ** (math.frexp(per_block)[1] - 1))
-    return max(1, _BLOCK_SAMPLES >> config.grid_log2)
+        sizes.append(max(_ANALYTIC_BLOCK, 2 ** (math.frexp(per_block)[1] - 1)))
+    return min(sizes)
+
+
+def _brownian_block(sigma0_sq: float, grid_log2: int, states: np.ndarray) -> np.ndarray:
+    """brownian_grid of each row of stream_states, bit for bit, as one
+    (trials, 2^L) array: each trial's stream fills its own row, and one
+    scaling and one cumsum turn the block into paths. numpy's normal draws
+    0.0 + scale * z; the leading 0.0 of a row does that sum, so a -0.0
+    from scale * z adds up to 0.0 in both."""
+    n = 2**grid_log2
+    grid = np.zeros((len(states), n))
+    for row, stream in zip(grid, _streams(states)):
+        stream.standard_normal(out=row[1:])
+    grid *= math.sqrt(sigma0_sq / n)
+    return np.cumsum(grid, axis=1, out=grid)
 
 
 def _trial_errors(
@@ -257,7 +278,7 @@ def _trial_errors(
     dictionaries default to the config's own; all of them read each trial's
     one path or grid, from its own stream, whose state is the trial's row of
     states (by default the block's own stream_states): a cp block is one
-    PathBlock, a bm block one Brownian grid per trial. The analytic
+    PathBlock, a bm block one array of Brownian grids. The analytic
     dictionary reads the paths in one errors_rows call; a discrete one
     transforms the grids, for cp the paths' values at i / 2^L, as one
     (trials, 2^L) array."""
@@ -269,9 +290,7 @@ def _trial_errors(
         if dictionaries != ("haar_analytic",):
             grid = paths.values_at(np.arange(n) / n)
     else:
-        grid = np.stack([
-            brownian_grid(config.sigma0_sq, config.grid_log2, s) for s in _streams(states)
-        ])
+        grid = _brownian_block(config.sigma0_sq, config.grid_log2, states)
     blocks = []
     for dictionary in dictionaries:
         if dictionary == "haar_analytic":
@@ -283,6 +302,7 @@ def _trial_errors(
                 else dct_mod.dct2_forward(grid).values
             )
             block = schemes.errors_discrete_rows(coeffs, config.schemes, ms) / n
+            del coeffs  # freed before the next dictionary's transform
         _assert_invariants(config, trials, block)
         blocks.append(block)
     return np.concatenate(blocks, axis=1)

@@ -553,7 +553,9 @@ def sample_grid(path: CompoundPoissonPath, grid_log2: int) -> np.ndarray:
 def brownian_grid(sigma0_sq: float, grid_log2: int, stream: np.random.Generator) -> np.ndarray:
     """Brownian motion samples on the dyadic grid {i / 2^L : 0 <= i < 2^L},
     as a read-only array, built from cumulative independent Gaussian
-    increments of variance sigma0_sq / 2^L each."""
+    increments of variance sigma0_sq / 2^L each. The harness draws a block
+    of trials' grids as one array with these bits; the benchmark's traced
+    replay samples one grid at a time through this call."""
     _positive("sigma0_sq", sigma0_sq)
     _check_grid_log2(grid_log2)
     n = 2**int(grid_log2)

@@ -424,7 +424,11 @@ def errors_discrete_rows(coeffs, schemes, m_values) -> np.ndarray:
     ends = {s: np.broadcast_to(first + n, (rows, kept.size)) for s in runs}
     if "best" in schemes:
         offset = sum(a.size for a in arrays)
-        arrays.append(np.sort(sq, axis=-1).ravel())
+        if arrays:
+            sq = np.sort(sq, axis=-1)
+        else:
+            sq.sort(axis=-1)  # no other run reads the squares in index order
+        arrays.append(sq.ravel())
         runs["best"] = np.broadcast_to(offset + first, (rows, kept.size))
         ends["best"] = offset + first + (n - kept)
     lo = np.stack([runs[s] for s in schemes], axis=1)

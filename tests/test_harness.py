@@ -295,6 +295,29 @@ def test_trial_blocks_give_the_rows_of_single_trials(run):
     assert row_bits(blocked) == row_bits(single)
 
 
+@given(
+    sigma0_sq=st.floats(min_value=5e-324, max_value=1e300),
+    grid_log2=st.sampled_from([1, 6, 10]),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    first=st.integers(min_value=0, max_value=2**40),
+    trials=st.integers(min_value=1, max_value=5),
+)
+# at 5e-324, sigma0_sq / 2^L underflows to 0 and scale * z is -0.0 for every
+# negative z; at 1e-300 the increments are tiny but normal
+@example(sigma0_sq=5e-324, grid_log2=10, seed=5, first=0, trials=5)
+@example(sigma0_sq=1e-300, grid_log2=10, seed=5, first=0, trials=5)
+@settings(max_examples=60, deadline=None)
+def test_brownian_block_rows_have_brownian_grid_bits(sigma0_sq, grid_log2, seed, first, trials):
+    block = harness._brownian_block(
+        sigma0_sq, grid_log2, processes.stream_states(seed, range(first, first + trials))
+    )
+    expected = [
+        processes.brownian_grid(sigma0_sq, grid_log2, derive_stream(seed, t)).tobytes()
+        for t in range(first, first + trials)
+    ]
+    assert [row.tobytes() for row in block] == expected
+
+
 @st.composite
 def analytic_runs(draw):
     """A small analytic config of all three schemes and a block length: 1,
@@ -327,11 +350,11 @@ def test_analytic_trial_blocks_give_the_rows_of_single_trials(run):
 
 def test_runs_seed_their_streams_a_chunk_at_a_time(monkeypatch):
     # chunks hold whole blocks: _SEED_CHUNK trials serially, and for a pool
-    # about eight a worker, of at least _MIN_CHUNK (grids of 2^10: blocks of 16)
+    # about eight a worker, of at least _MIN_CHUNK (grids of 2^10: blocks of 64)
     grid = dict(process="bm", dictionary="dct", schemes=("best",), m_values=(4,), lam=None)
     assert harness._chunks(small_config(trials=300, **grid), 1) == [range(300)]
     assert harness._chunks(small_config(trials=300, **grid), 2) == [range(256), range(256, 300)]
-    assert [len(c) for c in harness._chunks(small_config(trials=20_000, **grid), 2)] == [1264] * 15 + [1040]
+    assert [len(c) for c in harness._chunks(small_config(trials=20_000, **grid), 2)] == [1280] * 15 + [800]
     assert {len(c) for c in harness._chunks(small_config(trials=10**6, **grid), 3)} == {4096, 576}
     assert [len(c) for c in harness._chunks(small_config(trials=9000), 1)] == [4096, 4096, 808]
     # one stream_states call per chunk, and the rows do not depend on the chunks
@@ -354,16 +377,27 @@ def test_analytic_blocks_never_widen_a_chunk():
     assert harness._block_size(small_config(lam=1.0)) == 8192
     for lam in (0.01, 0.5, 1.0):
         assert [len(c) for c in harness._chunks(small_config(trials=9000, lam=lam), 1)] == [4096, 4096, 808]
+    # nor does a grid block: 64 trials of 2^10, or 2^15 of 2^1
+    bm = dict(process="bm", dictionary="dct", schemes=("best",), m_values=(2,), lam=None)
+    assert [len(c) for c in harness._chunks(small_config(trials=1000, **bm), 2)] == [256] * 3 + [232]
+    for config in (small_config(trials=9000, grid_log2=1, **bm),
+                   small_config(trials=9000, grid_log2=1, lam=1.0, dictionary="dct", m_values=(2,))):
+        assert harness._block_size(config) >= 8192
+        assert [len(c) for c in harness._chunks(config, 1)] == [4096, 4096, 808]
 
 
 def test_block_size_follows_the_sample_budget():
     blocks = [small_config(dictionary=d, grid_log2=g) for d in ("haar_discrete", "haar_analytic")
               for g in (1, 10, 13, 14, 20)]
     # analytic runs sample no grid: their blocks do not depend on grid_log2
-    assert [harness._block_size(cfg) for cfg in blocks] == [2**13, 16, 2, 1, 1] + [512] * 5
+    assert [harness._block_size(cfg) for cfg in blocks] == [512, 64, 8, 4, 1] + [512] * 5
     # but on lambda: the largest power of two within 2^13 expected jumps, at least 16
     rates = (0.5, 10.0, 100.0, 500.0, 513.0, 2000.0)
     assert [harness._block_size(small_config(lam=lam)) for lam in rates] == [8192, 512, 64, 16, 16, 16]
+    # a cp grid block keeps within both: 64 grids of 2^10 at lambda = 10,
+    # and 16 where the jumps are dense
+    grids = [small_config(dictionary="dct", lam=lam) for lam in (10.0, 600.0, 20000.0)]
+    assert [harness._block_size(cfg) for cfg in grids] == [64, 16, 16]
 
 
 def forged_block(trials, fault):
@@ -729,7 +763,6 @@ def test_dict_compare_samples_once_per_process_and_trial(monkeypatch):
         monkeypatch.setattr(module, "stream_states", counting("stream_states", module.stream_states))
         monkeypatch.setattr(module, "_streams", counting_streams(module._streams))
     monkeypatch.setattr(harness, "sample_block", counting("sample_block", harness.sample_block))
-    monkeypatch.setattr(harness, "brownian_grid", counting("brownian_grid", harness.brownian_grid, grids))
     monkeypatch.setattr(PathBlock, "values_at", counting("values_at", PathBlock.values_at, grids))
     monkeypatch.setattr(harness, "discrete_haar_forward", reading(harness.discrete_haar_forward))
     monkeypatch.setattr(dct, "dct2_forward", reading(dct.dct2_forward))
@@ -739,13 +772,14 @@ def test_dict_compare_samples_once_per_process_and_trial(monkeypatch):
     ]
     # one stream and one path or grid per (process, trial): the five cp
     # trials are one block, sampled by one call and evaluated on the grid
-    # by one more
+    # by one more, and the five bm trials one block of grids, a row per stream
     assert calls == (["stream_states", "sample_block"] + ["stream"] * 5 + ["values_at"]
-                     + ["stream_states"] + ["stream", "brownian_grid"] * 5)
+                     + ["stream_states"] + ["stream"] * 5)
     # both dictionaries read the same grids, one row per trial
-    cp_grid, bm_grids = grids[0], grids[1:]
+    (cp_grid,) = grids
     assert read[0] is read[1] and read[2] is read[3]
     assert read[0] is cp_grid and cp_grid.shape == (5, 64)
+    bm_grids = [processes.brownian_grid(1.0, 6, derive_stream(3, t)) for t in range(5)]
     assert [row.tobytes() for row in read[2]] == [g.tobytes() for g in bm_grids]
 
 

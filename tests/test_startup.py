@@ -106,3 +106,20 @@ def test_analytic_trials_hold_little_memory(tmp_path, argv):
     # allocations was 1.7 MB there and 1.4 MB at lambda = 500
     peaks = run_fresh(PEAK_SCRIPT, json.dumps(argv), str(tmp_path / "out.csv"))
     assert len(peaks) == 1 and peaks[0] < 2.5 * 2**20
+
+
+@pytest.mark.parametrize("argv, most_mb", [
+    (["dict-compare", "--lambda", "10", "--m", "16,32,64,128,256", "--grid-log2", "10",
+      "--trials", "1000"], 2.5),
+    (["dict-compare", "--lambda", "20000", "--m", "16,32,64,128,256", "--grid-log2", "10",
+      "--trials", "128"], 17.2 * 1.1),
+], ids=["grid_compare", "dense_grid"])
+def test_grid_trials_hold_little_memory(tmp_path, argv, most_mb):
+    # the benchmark's grid run reads 64-trial blocks of 2^10 grids: each
+    # process's trials peaked at 2.2 MB of traced allocations; 2.7 MB with
+    # a sorted copy of the squares beside them, or with both the Haar
+    # coefficients and the DCT's reordered signal alive across the FFT. At
+    # lambda = 20000 a cp block holds 16 trials, within 2^13 expected
+    # jumps: 17.2 MB, as with 16-trial blocks of 2^14 samples
+    peaks = run_fresh(PEAK_SCRIPT, json.dumps(argv), str(tmp_path / "out.csv"))
+    assert len(peaks) == 2 and max(peaks) < most_mb * 2**20
