@@ -73,10 +73,10 @@ _COMMON = [
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The cpwave parser. It lists every subcommand, but when command is
-    given, only the sub-parser it names, if any, gets its arguments: a
-    command line that starts with command reads no other sub-parser, so
-    its help, usage errors and options are the full parser's."""
+    """The cpwave parser. When command names a subcommand, it holds only
+    that sub-parser: a command line that starts with command reads no
+    other, so its help, usage errors and options are the full parser's.
+    Otherwise it holds every subcommand."""
     parser = argparse.ArgumentParser(
         prog="cpwave",
         description=(
@@ -85,12 +85,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             "approximation errors against closed-form predictions."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, arguments, _) in _SUBCOMMANDS.items():
+    # the metavar lists every subcommand in the usage line either way
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        text, arguments, _ = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=text)
-        if command in (None, name):
-            for flag, options in arguments + _COMMON:
-                p.add_argument(flag, **options)
+        for flag, options in arguments + _COMMON:
+            p.add_argument(flag, **options)
     return parser
 
 

@@ -12,11 +12,12 @@ nonzero coefficients are also finitely many: they sit at the scales below
 the path's dyadic resolution. Which atoms are occupied follows from the
 times alone, and `structure` reads it for a processes.PathBlock. `ladders`
 reads where atoms start from that structure and returns only the values
-of the scales a caller asks for, in one vectorized pass over every path's
-(scale, jump) cells, path-major, with no per-path object; `ladder`, its
-one-path view, reads each atom's scale, shift and jump count off the
-structure too. Every atom off the ladder holds no jump or sits past the
-resolution, and its coefficient is exactly 0.0.
+of the scales a caller asks for, path-major, from one (jump, scale) array
+per build, with no loop or object per path: one labelling pass, from
+each path's atom count per scale (`scale_counts`), puts the atoms
+path-major. `ladder`, its one-path view, reads each atom's scale, shift
+and jump count off the structure too. Every atom off the ladder holds no
+jump or sits past the resolution, and its coefficient is exactly 0.0.
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j; a ladder
@@ -27,13 +28,12 @@ transform, are test references (tests/reference.py): no run reads them.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .processes import CompoundPoissonPath, PathBlock
+from .processes import CompoundPoissonPath, PathBlock, _bounds
 
 __all__ = [
     "Ladder",
@@ -91,10 +91,24 @@ def structure(block: PathBlock) -> tuple[np.ndarray, list[int]]:
     return split, e.tolist()
 
 
-def ladders(block: PathBlock, hi: list[int], split: np.ndarray) -> np.ndarray:
+def scale_counts(split: np.ndarray, counts: np.ndarray, d: int) -> np.ndarray:
+    """Each path's atoms at each scale j < d, #{i : split[i] <= j} over its
+    jumps, as a (paths, d) array, for a block of paths with the given jump
+    counts and structure split."""
+    own = np.repeat(np.arange(0, counts.size * (d + 1), d + 1), counts)
+    c = np.bincount(own + np.minimum(split, d), minlength=counts.size * (d + 1))
+    return c.reshape(counts.size, d + 1).cumsum(1)[:, :d]
+
+
+def ladders(
+    block: PathBlock, hi: list[int], split: np.ndarray, scaling=None, atoms=None
+) -> np.ndarray:
     """The values of the scales j < hi[p] of the finite coefficient ladder
     of each path p of a block, path-major and in atom-index order, where
     hi[p] is at most the path's resolution and split is the block's structure.
+    Given scaling, the block's scaling coefficients, each path with jumps
+    starts with its own, the coefficient of atom 0. Given atoms, the block's
+    scale_counts to at least the largest hi, they are not counted again.
 
     Every jump time is exactly m * 2^-e with m odd; a path's resolution is
     the largest such e (see structure). At every scale j >= e each jump
@@ -103,33 +117,51 @@ def ladders(block: PathBlock, hi: list[int], split: np.ndarray) -> np.ndarray:
     coefficient. At scale j an atom starts at each jump i with split[i] <=
     j and holds the jumps up to the next start. Each value is the
     left-to-right sum, in jump order, of height * tent weight, so a scale's
-    rows are the same whichever prefix or block is built.
+    values are the same whichever prefix or block is built.
+
+    The block is built as one (jump, scale) array of D columns, D the
+    largest hi, each step one broadcast over it; path p's columns j >=
+    hi[p] are built too, and their sums dropped. Each cell's label is its
+    atom's place in the result: a running count of the cells that start
+    an atom, down each column, numbers a scale's atoms, and a step added at
+    each path's first jump, from the per-(path, scale) atom counts, moves
+    them to their place; one bincount sums each atom there.
     """
-    n = block.counts.tolist()
-    ends = list(itertools.accumulate((m * j for m, j in zip(n, hi)), initial=0))
-    # path p's jumps are rows s:s + m of the block's arrays, its cells a:b
-    rows = block.bounds.tolist()
-    blocks = [(s, a, b, m, j) for s, a, b, m, j in zip(rows, ends, ends[1:], n, hi) if b > a]
-    times, heights = block.times, block.heights
-    # Each path's cells are a (scale, jump) block of one flat array, written
-    # through a view. Temporaries are computed in place and freed early.
-    x, start = np.empty(ends[-1]), np.empty(ends[-1], dtype=bool)
-    for s, a, b, m, j in blocks:  # t * 2^j, exact, and the cells that start an atom
-        np.multiply(times[s : s + m], _POW2[:j, None], out=x[a:b].reshape(j, m))
-        np.less_equal(split[s : s + m], _SCALES[:j, None], out=start[a:b].reshape(j, m))
+    held = block.counts > 0
+    firsts = block.bounds[:-1][held]  # each starts an atom at every scale
+    hi = np.array(hi, dtype=np.int64)
+    d = int(hi.max(initial=0))
+    c = (scale_counts(split, block.counts, d) if atoms is None else atoms)[held, :d]
+    within = _SCALES[:d] < hi[held, None]
+    kept = c * within
+    lead = 0 if scaling is None else 1
+    at = _bounds(kept.sum(1) + lead)  # where each path's values start
+    size = int(at[-1])
+    # each (path, scale)'s first label: its atoms follow the path's lower
+    # scales, and those at scales past hi[p] go to the bins from size on,
+    # which are dropped; the step is from the label after the path before
+    first = np.where(within, np.cumsum(kept, axis=1) - kept + (at[:-1] + lead)[:, None], size)
+    step = first - np.concatenate((np.ones((1, d), dtype=np.int64), (first + c)[:-1]))
+    # t * 2^j, exact; its offset u in the atom, exact; the tent min(u, 1 - u)
+    x = np.multiply(block.times[:, None], _POW2[:d])
     k = np.floor(x)
-    x -= k  # position u within the atom, exact
+    x -= k
     np.subtract(1.0, x, out=k)
     np.minimum(x, k, out=x)
-    del k
-    for s, a, b, m, j in blocks:
-        cell = x[a:b].reshape(j, m)
-        cell *= _AMPLITUDE[:j, None]
-        cell *= heights[s : s + m]
-    atom = np.cumsum(start)  # each cell's atom, numbered from 1
+    del k  # freed before the labels are made
+    x *= _AMPLITUDE[:d]
+    x *= block.heights[:, None]
+    label = np.empty(x.shape, dtype=np.int64)
+    np.less_equal(split[:, None], _SCALES[:d], out=label)
+    label[firsts] += step
+    np.cumsum(label, axis=0, out=label)
     # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
     # no cells at all it returns integers, hence the cast
-    return np.bincount(atom, weights=x)[1:].astype(float, copy=False)
+    values = np.bincount(label.reshape(-1), weights=x.reshape(-1), minlength=size)
+    values = values[:size].astype(float, copy=False)
+    if lead:
+        values[at[:-1]] = scaling[held]
+    return values
 
 
 def ladder(path: CompoundPoissonPath, hi: int | None = None) -> Ladder:

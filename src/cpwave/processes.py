@@ -416,7 +416,7 @@ def _range_sums(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             rounds = np.concatenate((rounds, np.zeros_like(rounds)))
         np.add.reduceat(q, segments, out=rounds[r, 1:])
         r += 1
-        if not np.count_nonzero(p):
+        if not p.any():  # -0.0 counts as zero, as in count_nonzero
             break
         sigma = max(sigma * shrink, _TINY)
     running = np.cumsum(rounds[:r], axis=1)

@@ -23,16 +23,18 @@ errors_rows finds every path's time structure (haar.structure) once and
 reads consecutive paths in blocks. The structure lays a block out before
 it is built: each path's candidate count below its first depth d, under
 its dyadic resolution, fixes where each scheme's squares go. Builds of
-consecutive paths within a fixed number of cells then make their ladders
-(haar.ladders) and write their squares there, each freed before the
-next; the block's sums (PathBlock.sums), the certificate (_certified)
-that the scales below d give every scheme its exact kept atoms up to max
-M, the kept counts and the kept energies run once, with array
-operations. The structure also gives linear's exact count of atoms of
-index below every M (_linear) and the certificate's bound. Paths whose
-certificate fails, which sampled paths rarely do, are read again as a
-block of their own, built to their resolution, where the ladder is
-whole, and their rows replace the first. errors_discrete_rows reads
+consecutive paths within a fixed number of (scale, jump) cells, counted
+to each build's largest depth, then make their ladders (haar.ladders),
+each after its path's scaling coefficient, square them in place and
+write them there, each freed before the next; the block's sums
+(PathBlock.sums), the certificate (_certified) that the scales below d
+give every scheme its exact kept atoms up to max M, the kept counts and
+the kept energies run once, with array operations. The structure also
+gives linear's exact count of atoms of index below every M (_linear)
+and the certificate's bound. Paths whose certificate fails, which
+sampled paths rarely do, are read again as a block of their own, built
+to their resolution, where the ladder is whole, and their rows replace
+the first. errors_discrete_rows reads
 every row of a block of finite coefficient lists with one sort;
 errors_discrete reads one row. Squared errors of exact paths come from
 Parseval: path energy minus kept energy (exactly 0.0 once every
@@ -54,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .haar import as_rows, ladders, structure
+from .haar import as_rows, ladders, scale_counts, structure
 from .processes import CompoundPoissonPath, PathBlock, _bounds, _range_sums, is_int
 
 __all__ = [
@@ -131,13 +133,11 @@ class _Block(NamedTuple):
     resolution: np.ndarray
 
 
-def _sizes(split: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Each path's candidates below depth[p], from its structure: the
-    scaling coefficient when it has jumps, and #{i : split[i] <= j} atoms
-    at each scale j < depth[p], that is, sum_i max(0, depth[p] - split[i])."""
-    below = np.maximum(np.repeat(depth, counts) - split, 0)
-    path = np.repeat(np.arange(counts.size), counts)
-    return (counts > 0) + np.bincount(path, weights=below, minlength=counts.size).astype(np.int64)
+def _sizes(atoms: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
+    """Each path's candidates below depth[p], from its per-scale atom
+    counts (haar.scale_counts): the scaling coefficient when it has jumps,
+    and its atoms at each scale j < depth[p]."""
+    return (counts > 0) + (atoms * (np.arange(atoms.shape[1]) < depth[:, None])).sum(1)
 
 
 def _most_jumps(split: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -199,8 +199,7 @@ def _linear(block: _Block, m_values) -> np.ndarray:
         lim.append(math.ldexp(r if float(r) >= r else math.nextafter(r, math.inf), -j))
     big_j, lim, rows = np.array(big_j), np.array(lim), np.arange(n.size)
     # the atoms at scales below d, from one count of the scales the jumps split at
-    splits = np.bincount(np.repeat(rows * (top + 1), n) + split, minlength=n.size * (top + 1))
-    per_scale = splits.reshape(n.size, -1).cumsum(1)
+    per_scale = scale_counts(split, n, top + 1)
     counts = (per_scale.cumsum(1) - per_scale)[rows[:, None], np.minimum(big_j, e[:, None])]
     part = np.flatnonzero(lim)  # the M with r > 0 keep part of scale J
     if part.size:
@@ -258,10 +257,13 @@ def _errors(block: _Block, schemes, m_values) -> np.ndarray:
     return np.maximum(err, 0.0, out=err)
 
 
-# A build holds n * d (scale, jump) cells of a path with n jumps built to
-# depth d, about five arrays of them; at M up to 1024 a block is one build
-# at lambda = 10 and about five at 500, where one build of a 16-path block
-# took 6 MB more peak RSS and slowed ladders as its arrays left the cache.
+# A build of paths with N jumps in all, built to depths up to D, holds
+# N * D (scale, jump) cells, its arrays' shape, and two 8-byte arrays of
+# them at a time; at M up to 1024 a block is one build at lambda = 10 and
+# six at 500, where one build of a 16-path block took 6 MB more peak RSS
+# and slowed ladders as its arrays left the cache. At lambda = 500, 2^14
+# and 2^16 cells took 260 and 325-334 us per trial of errors_rows, 2^15
+# 229-248 (2-core VM, one interpreter); lambda = 10 and 100 moved < 10 %.
 _BUILD_CELLS = 2**15
 # A block holds its paths' jumps and reads, n + 2 min(n * d + 1, k + 1)
 # terms a path at first depth d; errors_rows blocks consecutive paths
@@ -275,27 +277,30 @@ _BLOCK_TERMS = 2**16
 _MAX_K = 2**62  # more than any path's candidates: see errors_rows
 
 
-def _builds(sizes: list[int], budget: int):
-    """(start, stop) runs of consecutive paths whose sizes sum within budget, or of one."""
-    start, total = 0, 0
-    for i, size in enumerate(sizes):
-        if total + size > budget and i > start:
+def _builds(sizes: list[int], budget: int, depths: list[int] | None = None):
+    """(start, stop) runs of consecutive paths whose sizes sum within budget,
+    or of one; given depths, the sum times the run's largest depth."""
+    start, total, deepest = 0, 0, 0
+    for i, (size, depth) in enumerate(zip(sizes, depths or [1] * len(sizes))):
+        if (total + size) * max(deepest, depth) > budget and i > start:
             yield start, i
-            start, total = i, 0
-        total += size
+            start, total, deepest = i, 0, 0
+        total, deepest = total + size, max(deepest, depth)
     if sizes:
         yield start, len(sizes)
 
 
 def _block(paths: PathBlock, schemes, k: int, depth: list[int], split, e: list[int]) -> _Block:
     """A block read for M <= k with structure (split, e), each path built
-    below depth[p]: the structure lays out every candidate count and each
-    scheme's part of kept, the first k + 1 squares in index order for
-    linear and greedy and the k largest, largest first, for best; then
-    builds of consecutive paths within _BUILD_CELLS cells (or of one path)
-    write their squares there. The sums run once."""
+    below depth[p]: the structure's per-scale atom counts, made once, lay
+    out every candidate count and each scheme's part of kept, the first
+    k + 1 squares in index order for linear and greedy and the k largest,
+    largest first, for best; then builds of consecutive paths within
+    _BUILD_CELLS cells, every path counted to the build's largest depth
+    (or of one path), write their squares there. The sums run once."""
     counts, depth = paths.counts, np.array(depth, dtype=np.int64)
-    sizes = _sizes(split, counts, depth)
+    atoms = scale_counts(split, counts, int(depth.max(initial=0)))
+    sizes = _sizes(atoms, counts, depth)
     index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
     top = np.minimum(sizes, k if "best" in schemes else 0)
     lo = _bounds(index)
@@ -303,15 +308,11 @@ def _block(paths: PathBlock, schemes, k: int, depth: list[int], split, e: list[i
     heads = np.stack([(hi if s == "best" else lo)[:-1] for s in schemes], axis=1)
     kept = np.empty(hi[-1])
     scaling, energy = paths.sums()
-    for a, b in _builds((counts * depth).tolist(), _BUILD_CELLS):
+    for a, b in _builds(counts.tolist(), _BUILD_CELLS, depth.tolist()):
         at = _bounds(sizes[a:b])  # the build's candidates, path-major
-        scaled = counts[a:b] > 0  # a scaling coefficient comes first, then the ladder
-        sq, atoms = np.empty(at[-1]), np.ones(at[-1], dtype=bool)
-        sq[at[:-1][scaled]], atoms[at[:-1][scaled]] = scaling[a:b][scaled], False
-        # the ladder's atoms are the structure's, so they fill the rest exactly
-        rows = slice(paths.bounds[a], paths.bounds[b])
-        sq[atoms] = ladders(paths.take(range(a, b)), depth[a:b].tolist(), split[rows])
-        del atoms  # each build is freed before the next is made
+        # each path's scaling coefficient, then its ladder
+        sq = ladders(paths.take(range(a, b)), depth[a:b].tolist(),
+                     split[paths.bounds[a] : paths.bounds[b]], scaling[a:b], atoms[a:b])
         np.square(sq, out=sq)
         part = sq  # each path's first index[p] squares, often all
         if lo[b] - lo[a] < sq.size:

@@ -7,6 +7,7 @@ when a grid is asked for, lambda at most 50, jump counts at most 5, no
 worker pool, and the spacing check's sample size capped at 2000.
 """
 
+import argparse
 from unittest import mock
 
 import pytest
@@ -116,7 +117,7 @@ def outcome(parser, argv, capsys):
 
 @pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
 def test_a_subcommand_parser_reads_as_the_full_parser(command, capsys):
-    # main builds only the named subcommand's arguments; its help, its
+    # main builds only the named subcommand's parser; its help, its
     # usage errors, their exit codes and what it parses are the full
     # parser's
     argvs = [[command, "--help"], [command], [command, "--no-such-option"],
@@ -124,6 +125,9 @@ def test_a_subcommand_parser_reads_as_the_full_parser(command, capsys):
              [command, "--seed", "3", "--out", "x.csv"]]
     for argv in argvs:
         assert outcome(cli.build_parser(command), argv, capsys) == outcome(cli.build_parser(), argv, capsys)
+    # and it builds that one sub-parser alone
+    (sub,) = [a for a in cli.build_parser(command)._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == [command]
     asked = []
     real = cli.build_parser
     with mock.patch.object(cli, "build_parser", lambda name=None: asked.append(name) or real(name)):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cpwave import JumpLaw, derive_stream, discrete_haar_forward, sample_grid, sample_path
 from cpwave import schemes as schemes_module
-from cpwave.haar import ladder, ladders, nonzero_counts_by_scale, structure
+from cpwave.haar import ladder, ladders, nonzero_counts_by_scale, scale_counts, structure
 from cpwave.processes import PathBlock
 from cpwave.schemes import linear_errors
 
@@ -456,7 +456,8 @@ def test_structure_counts_the_ladders_atoms(path):
     # coefficient, when the path has jumps, and the ladder's atoms
     n = path.num_jumps
     for d in range(e + 1):
-        sizes = schemes_module._sizes(split, np.array([n]), np.array([d]))
+        atoms = scale_counts(split, np.array([n]), d)
+        sizes = schemes_module._sizes(atoms, np.array([n]), np.array([d]))
         assert sizes.tolist() == [(n > 0) + ladder(path, d).value.size]
     tables = [scale_table(path, j) for j in range(e)]
     for j, table in enumerate(tables):

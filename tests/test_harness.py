@@ -139,9 +139,9 @@ def test_trial_builds_one_ladder_for_every_scheme(monkeypatch):
     calls, verdicts = [], []
     real_ladders, real_certified = schemes.ladders, schemes._certified
 
-    def counting_ladders(block, hi, split):
+    def counting_ladders(block, hi, split, *rest):
         calls.append((paths_of(block), hi))
-        return real_ladders(block, hi, split)
+        return real_ladders(block, hi, split, *rest)
 
     def recording_certified(*args):
         verdicts.append(real_certified(*args))
@@ -1018,6 +1018,11 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
 # where linear keeps part of scale J. The mse-curve-reread digest, taken
 # while a block's rejected paths were still laid out with its first reads,
 # pins paths whose certificate fails: 3 of its 64, in 3 of its 4 blocks.
+# The mse-curve-sparse and mse-curve-mixed-depths digests were taken while
+# a ladder build still looped over its paths: the first is the cp_sparse
+# benchmark's argv, read in several builds; in the second, first depths of
+# 24 to 28 share one build, so its (jump, scale) array holds scales past
+# some paths' depths.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -1043,9 +1048,16 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
         (["mse-curve", "--process", "cp", "--lambda", "3", "--m", "2,4,8,16,32,64", "--trials", "64",
           "--seed", "39"],
          "c31084f1a0ed064a5cb0a7474f39922de405736b1f29fe3e179af940e70ecf5e"),
+        (["mse-curve", "--process", "cp", "--lambda", "10", "--schemes", "linear,greedy,best",
+          "--m", "4,8,16,32,64,128,256,512,1024", "--trials", "300", "--seed", "1"],
+         "d7ed6000b3f384232576aea4950b6b9ba9e85f569ed6a37debf53aaf78b2b9a8"),
+        (["mse-curve", "--process", "cp", "--lambda", "100", "--schemes", "linear,greedy,best",
+          "--m", "4,8,16,32,64,128,256,512,1024", "--trials", "64", "--seed", "2"],
+         "3922a2fff4a00ce4bee55fd33ce4927eda23c6952c73d7f31a0a6f0d1fc790aa"),
     ],
     ids=["lemma-check", "theorem1-check", "theory-table", "dict-compare", "mse-curve-json",
-         "simulate", "simulate-json", "mse-curve-partial", "mse-curve-reread"],
+         "simulate", "simulate-json", "mse-curve-partial", "mse-curve-reread",
+         "mse-curve-sparse", "mse-curve-mixed-depths"],
 )
 def test_cli_subcommand_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "golden.out"

@@ -3,6 +3,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -388,9 +389,9 @@ def counting_ladders(calls):
     and a re-read asks for the path's resolution."""
     real = schemes_module.ladders
 
-    def counted(block, hi, split):
+    def counted(block, hi, split, *rest):
         calls.append((paths_of(block), hi))
-        return real(block, hi, split)
+        return real(block, hi, split, *rest)
 
     return counted
 
@@ -709,13 +710,17 @@ def split_passes(calls, paths):
 
 
 def assert_within_budget(builds, budget):
-    """Each build holds at most budget (scale, jump) cells or is one path,
-    and takes every path that fits."""
-    cells = [[p.num_jumps * d for p, d in zip(group, hi)] for group, hi in builds]
-    for build, after in zip(cells, cells[1:] + [[]]):
-        assert len(build) == 1 or sum(build) <= budget
-        assert not after or sum(build) + after[0] > budget
-    return cells
+    """Each build holds at most budget (scale, jump) cells, every path's
+    jumps counted to the build's deepest, or is one path, and takes every
+    path that fits; each build's path count and cells."""
+    held = []
+    for (group, hi), after in zip(builds, builds[1:] + [([], [])]):
+        n = sum(p.num_jumps for p in group)
+        held.append((len(group), n * max(hi)))
+        assert len(group) == 1 or held[-1][1] <= budget
+        if after[0]:  # the next build's first path did not fit
+            assert (n + after[0][0].num_jumps) * max(hi + after[1][:1]) > budget
+    return held
 
 
 def spiked_sample(lam, seed):
@@ -730,7 +735,8 @@ def spiked_sample(lam, seed):
 
 def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch):
     # errors_rows sizes its own builds: consecutive paths whose first builds
-    # hold at most _BUILD_CELLS (scale, jump) cells, or one path past it;
+    # hold at most _BUILD_CELLS (scale, jump) cells, every path counted to
+    # the build's largest depth, or one path past it;
     # then the rejected paths of the call, to their resolution, within the
     # budget too; each build's arrays are freed before the next is
     # allocated; and each row keeps the bits of the path's one-path call
@@ -765,9 +771,9 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
             rejected.append(path)
     assert len(rejected) >= 8
 
-    def freeing_ladders(block, hi, split):
+    def freeing_ladders(block, hi, split, *rest):
         assert all(ref() is None for ref in alive)  # the last build is gone
-        values = counted(block, hi, split)
+        values = counted(block, hi, split, *rest)
         alive.append(weakref.ref(values))
         return values
 
@@ -778,10 +784,38 @@ def test_errors_rows_builds_consecutive_paths_within_the_cell_budget(monkeypatch
     assert jumps(p for group, _ in firsts for p in group) == jumps(paths)
     assert jumps(p for group, _ in rereads for p in group) == jumps(rejected)
     assert all(hi == [ladder(p).resolution for p in group] for group, hi in rereads)
-    for cells in (assert_within_budget(firsts, budget), assert_within_budget(rereads, budget)):
-        assert any(len(build) > 1 for build in cells)
-        assert any(sum(build) > budget for build in cells)
+    for held in (assert_within_budget(firsts, budget), assert_within_budget(rereads, budget)):
+        assert any(size > 1 for size, _ in held)
+        assert any(cells > budget for _, cells in held)
     assert row_bits(rows.reshape(-1, len(ms))) == row_bits(sum(single, []))
+
+
+def test_a_deep_path_keeps_its_build_within_the_cell_budget(monkeypatch):
+    # a time of 2^-1000 needs 1000 scales, and with 2 jumps the path is first
+    # built to 522 at M <= 1024, mid-block among lambda = 10 paths. A build
+    # is counted as every path's jumps times its largest depth, the shape of
+    # its (jump, scale) arrays, so it stays within _BUILD_CELLS, and the
+    # block's traced peak stays near that of the block without the path
+    paths = [sample_path(10.0, JumpLaw.for_rate(10.0), derive_stream(3, t)) for t in range(64)]
+    deep = make_path([2.0**-1000, 0.5], [1.0, -1.0])
+    mixed = paths[:32] + [deep] + paths[32:]
+    errors_rows(mixed, SCHEMES, M_1024)  # so that no first-call set-up lands in a peak
+    peaks = []
+    for block in (paths, mixed):
+        tracemalloc.start()
+        try:
+            errors_rows(block, SCHEMES, M_1024)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    calls = []
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    errors_rows(mixed, SCHEMES, M_1024)
+    firsts, _ = split_passes(calls, mixed)
+    ((group, hi),) = [(group, hi) for group, hi in firsts if jumps([deep])[0] in jumps(group)]
+    assert hi[jumps(group).index(jumps([deep])[0])] == first_depth(deep, 1024) == 522
+    assert sum(p.num_jumps for p in group) * max(hi) <= schemes_module._BUILD_CELLS
 
 
 def test_errors_rows_and_select_do_not_depend_on_the_build_budget(monkeypatch):
@@ -967,6 +1001,12 @@ def test_range_sums_equal_fsum_per_run(run):
 # ties of either sign, with a remainder of the other sign or none
 @example((np.array([-(2.0**53), -1.0, 2.0**-60, 2.0**53 + 2, 1.0, -(2.0**-70)]),
           np.array([0, 0, 3, 3]), np.array([2, 3, 5, 6])), [False] * 60)
+# signed zeros, on which the rounds stop as on 0.0: -0.0 beside other
+# terms, a run of -0.0 alone, and a span of zeros only
+@example((np.array([-0.0, 1.0, -0.0, 2.0**-60, -0.0]), np.array([0, 0, 2, 4]), np.array([5, 1, 3, 5])),
+         [False] * 60)
+@example((np.array([-0.0, -0.0, -0.0]), np.array([0, 1]), np.array([3, 2])), [False] * 60)
+@example((np.array([0.0, -0.0, 0.0]), np.array([0, 0]), np.array([3, 1])), [False] * 60)
 @settings(max_examples=200, deadline=None)
 def test_range_sums_of_either_sign_equal_fsum_per_run(run, negative):
     # signed runs, as a path's scaling coefficient sums them
