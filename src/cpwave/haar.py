@@ -13,11 +13,15 @@ the path's dyadic resolution. Which atoms are occupied follows from the
 times alone, and `structure` reads it for a processes.PathBlock. `ladders`
 reads where atoms start from that structure and returns only the values
 of the scales a caller asks for, path-major, from one (jump, scale) array
-per build, with no loop or object per path: one labelling pass, from
-each path's atom count per scale (`scale_counts`), puts the atoms
-path-major. `ladder`, its one-path view, reads each atom's scale, shift
-and jump count off the structure too. Every atom off the ladder holds no
-jump or sits past the resolution, and its coefficient is exactly 0.0.
+per build, with no loop or object per path: each jump's start flags are
+gathered from a small table, and a running count of them, stepped at
+each path's first jump, labels every cell with its atom's place. The
+steps come from each path's atom count per scale (`scale_counts`), laid
+out once for a whole block of builds (`layout`), so a build pays for its
+cells and not for numpy calls per path or scale. `ladder`, its one-path
+view, reads each atom's scale, shift and jump count off the structure
+too. Every atom off the ladder holds no jump or sits past the
+resolution, and its coefficient is exactly 0.0.
 
 Atoms are enumerated by a single index: 0 for the scaling function, and
 2^j + k for the wavelet at scale j >= 0 and shift 0 <= k < 2^j; a ladder
@@ -77,7 +81,9 @@ def structure(block: PathBlock) -> tuple[np.ndarray, list[int]]:
     # highest bit their bits differ in, else the later (t >= 2^(x-1)) at 1 - x
     mantissa, x = np.frexp(times)
     bits = (mantissa * 2.0**53).astype(np.int64)
-    split = np.zeros(times.size, dtype=np.int64)
+    # a split is at most 54 + 1073, so int16 holds it in a quarter of the
+    # bytes errors_rows keeps through a harness block
+    split = np.zeros(times.size, dtype=np.int16)
     split[1:] = np.where(x[1:] == x[:-1], 54 - x[1:] - np.frexp(bits[1:] ^ bits[:-1])[1], 1 - x[1:])
     split[block.bounds[:-1][counts > 0]] = 0
     e = np.zeros(counts.size, dtype=int)
@@ -100,15 +106,56 @@ def scale_counts(split: np.ndarray, counts: np.ndarray, d: int) -> np.ndarray:
     return c.reshape(counts.size, d + 1).cumsum(1)[:, :d]
 
 
+def layout(
+    atoms: np.ndarray, counts: np.ndarray, hi: np.ndarray, lead: int = 0, starts=(0,)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Where ladders puts the values of a block of paths with the given jump
+    counts and per-scale atom counts (scale_counts, to the largest hi),
+    each built below hi[p], in builds of consecutive paths that begin at
+    the paths in starts, each path with jumps led by lead values (its
+    scaling coefficient, or none): each path's value count, and, one row
+    per path with jumps, the step its first jump adds to its labels at
+    each scale j below the largest hi.
+
+    A cell's label is its atom's place in its build's result. Down each
+    column the running count of cells that start an atom numbers a scale's
+    atoms, and the step moves them to their place: past the path's values
+    at lower scales, or, at the scales past hi[p], to bins past the end of
+    its build's values, which are dropped. It is taken from the label after
+    the path with jumps before it in its build, or from 1 at its build's
+    first. The (paths, scale) arrays are made in place, two at a time."""
+    held = counts > 0
+    within = _SCALES[: atoms.shape[1]] < hi[:, None]
+    kept = atoms * within
+    sizes = kept.sum(1) + lead * held
+    at = _bounds(sizes)
+    ends = np.append(starts, counts.size)
+    build = np.repeat(np.arange(len(starts)), np.diff(ends))  # each path's
+    # each (path, scale)'s first label: the path's values at lower scales
+    # come before it, and the bins from its build's end on after
+    step = np.cumsum(kept, axis=1)
+    step -= kept
+    del kept
+    step += (at[:-1] + lead - at[ends[:-1]][build])[:, None]
+    np.copyto(step, (at[ends[1:]] - at[ends[:-1]])[build, None], where=~within)
+    step, after, build = step[held], atoms[held], build[held]
+    after += step
+    after[:-1][build[1:] != build[:-1]] = 1  # a build's first path steps from 1
+    step[1:] -= after[:-1]
+    step[:1] -= 1
+    return sizes, step
+
+
 def ladders(
-    block: PathBlock, hi: list[int], split: np.ndarray, scaling=None, atoms=None
+    block: PathBlock, hi: list[int], split: np.ndarray, scaling=None, placed=None
 ) -> np.ndarray:
     """The values of the scales j < hi[p] of the finite coefficient ladder
     of each path p of a block, path-major and in atom-index order, where
     hi[p] is at most the path's resolution and split is the block's structure.
     Given scaling, the block's scaling coefficients, each path with jumps
-    starts with its own, the coefficient of atom 0. Given atoms, the block's
-    scale_counts to at least the largest hi, they are not counted again.
+    starts with its own, the coefficient of atom 0. Given placed, the bounds
+    of each path's values in the result and the build's rows of the step
+    of a layout made with its hi and scaling, they are not laid out again.
 
     Every jump time is exactly m * 2^-e with m odd; a path's resolution is
     the largest such e (see structure). At every scale j >= e each jump
@@ -120,47 +167,41 @@ def ladders(
     values are the same whichever prefix or block is built.
 
     The block is built as one (jump, scale) array of D columns, D the
-    largest hi, each step one broadcast over it; path p's columns j >=
-    hi[p] are built too, and their sums dropped. Each cell's label is its
-    atom's place in the result: a running count of the cells that start
-    an atom, down each column, numbers a scale's atoms, and a step added at
-    each path's first jump, from the per-(path, scale) atom counts, moves
-    them to their place; one bincount sums each atom there.
+    largest hi, each step one pass over it; path p's columns j >= hi[p]
+    are built too, and their sums dropped. The tent min(u, 1 - u) of
+    t * 2^j is |t * 2^j - rint(t * 2^j)|, exactly. Each jump's start flags
+    are its row of a 0/1 table with one row per split value the build
+    has; a running count down each column, with the layout's step at each
+    path's first jump, labels each cell with its atom's place (layout), and
+    one bincount sums each atom there.
     """
     held = block.counts > 0
-    firsts = block.bounds[:-1][held]  # each starts an atom at every scale
-    hi = np.array(hi, dtype=np.int64)
-    d = int(hi.max(initial=0))
-    c = (scale_counts(split, block.counts, d) if atoms is None else atoms)[held, :d]
-    within = _SCALES[:d] < hi[held, None]
-    kept = c * within
+    d = max(hi, default=0)
     lead = 0 if scaling is None else 1
-    at = _bounds(kept.sum(1) + lead)  # where each path's values start
+    if placed is None:
+        sizes, step = layout(scale_counts(split, block.counts, d), block.counts, np.array(hi), lead)
+        placed = _bounds(sizes), step
+    at, step = placed
     size = int(at[-1])
-    # each (path, scale)'s first label: its atoms follow the path's lower
-    # scales, and those at scales past hi[p] go to the bins from size on,
-    # which are dropped; the step is from the label after the path before
-    first = np.where(within, np.cumsum(kept, axis=1) - kept + (at[:-1] + lead)[:, None], size)
-    step = first - np.concatenate((np.ones((1, d), dtype=np.int64), (first + c)[:-1]))
-    # t * 2^j, exact; its offset u in the atom, exact; the tent min(u, 1 - u)
+    # t * 2^j and its distance to the nearest integer, both exact
     x = np.multiply(block.times[:, None], _POW2[:d])
-    k = np.floor(x)
+    k = np.rint(x)
     x -= k
-    np.subtract(1.0, x, out=k)
-    np.minimum(x, k, out=x)
+    np.abs(x, out=x)
     del k  # freed before the labels are made
     x *= _AMPLITUDE[:d]
     x *= block.heights[:, None]
-    label = np.empty(x.shape, dtype=np.int64)
-    np.less_equal(split[:, None], _SCALES[:d], out=label)
-    label[firsts] += step
+    has = np.bincount(split) > 0  # the split values of the build's jumps
+    flags = np.less_equal.outer(np.flatnonzero(has), _SCALES[:d]).astype(np.int64)
+    label = np.take(flags, (np.cumsum(has) - 1)[split], axis=0)
+    label[block.bounds[:-1][held]] += step[:, :d]
     np.cumsum(label, axis=0, out=label)
     # bincount adds each atom's terms in order from 0.0, unlike reduceat; with
     # no cells at all it returns integers, hence the cast
     values = np.bincount(label.reshape(-1), weights=x.reshape(-1), minlength=size)
     values = values[:size].astype(float, copy=False)
     if lead:
-        values[at[:-1]] = scaling[held]
+        values[at[:-1][held]] = scaling[held]
     return values
 
 

@@ -237,12 +237,16 @@ class SpacingCheckResult:
 # _run_trials (0.9 MB in blocks of 16), and the transforms and sums run in
 # a quarter as many calls. A compound Poisson block, grid or analytic,
 # holds at most the largest power of two of trials within _BLOCK_JUMPS
-# expected jumps, at least _ANALYTIC_BLOCK: 512 at lambda = 10, so few
-# errors_rows calls (about 0.4 ms fixed cost each) read sparse paths, and
-# 16 past 256, so a grid block's jump arrays do not grow with lambda;
-# errors_rows sizes its own builds.
+# expected jumps, at least _ANALYTIC_BLOCK: 2048 at lambda = 10, 256 at
+# 100, 64 at 500 and 16 past 1024, so few errors_rows calls (about 0.4 ms
+# fixed cost each) read a run, one reads whole _BLOCK_TERMS blocks of 25
+# paths at lambda = 500, and a grid block's jump arrays do not grow with
+# lambda; errors_rows sizes its own builds. At 2^13 a lambda = 500 block
+# held 16 trials, and 640 trials took 1.11x as long (12 of 12 interleaved
+# rounds, 2-core VM); the cp_dense benchmark argv's 40 trials peaked at
+# 1.1 MB of traced allocations, against 1.5 MB at 2^15.
 _BLOCK_SAMPLES = 2**16
-_BLOCK_JUMPS = 2**13
+_BLOCK_JUMPS = 2**15
 _ANALYTIC_BLOCK = 16
 
 

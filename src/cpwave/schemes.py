@@ -22,8 +22,9 @@ test reference (tests/reference.py).
 errors_rows finds every path's time structure (haar.structure) once and
 reads consecutive paths in blocks. The structure lays a block out before
 it is built: each path's candidate count below its first depth d, under
-its dyadic resolution, fixes where each scheme's squares go. Builds of
-consecutive paths within a fixed number of (scale, jump) cells, counted
+its dyadic resolution, fixes where each scheme's squares go, and where
+every build's cells go (haar.layout), laid out once for the block. Builds
+of consecutive paths within a fixed number of (scale, jump) cells, counted
 to each build's largest depth, then make their ladders (haar.ladders),
 each after its path's scaling coefficient, square them in place and
 write them there, each freed before the next; the block's sums
@@ -56,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .haar import as_rows, ladders, scale_counts, structure
+from .haar import as_rows, ladders, layout, scale_counts, structure
 from .processes import CompoundPoissonPath, PathBlock, _bounds, _range_sums, is_int
 
 __all__ = [
@@ -131,13 +132,6 @@ class _Block(NamedTuple):
     heads: np.ndarray
     split: np.ndarray
     resolution: np.ndarray
-
-
-def _sizes(atoms: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
-    """Each path's candidates below depth[p], from its per-scale atom
-    counts (haar.scale_counts): the scaling coefficient when it has jumps,
-    and its atoms at each scale j < depth[p]."""
-    return (counts > 0) + (atoms * (np.arange(atoms.shape[1]) < depth[:, None])).sum(1)
 
 
 def _most_jumps(split: np.ndarray, counts: np.ndarray, depth: np.ndarray) -> np.ndarray:
@@ -260,15 +254,18 @@ def _errors(block: _Block, schemes, m_values) -> np.ndarray:
 # A build of paths with N jumps in all, built to depths up to D, holds
 # N * D (scale, jump) cells, its arrays' shape, and two 8-byte arrays of
 # them at a time; at M up to 1024 a block is one build at lambda = 10 and
-# six at 500, where one build of a 16-path block took 6 MB more peak RSS
-# and slowed ladders as its arrays left the cache. At lambda = 500, 2^14
-# and 2^16 cells took 260 and 325-334 us per trial of errors_rows, 2^15
-# 229-248 (2-core VM, one interpreter); lambda = 10 and 100 moved < 10 %.
+# eight or nine of about 3 paths at 500, where one build of a 16-path
+# block took 6 MB more peak RSS and slowed ladders as its arrays left the
+# cache. At lambda = 500, 2^14 and 2^16 cells took 260 and 325-334 us per
+# trial of errors_rows, 2^15 229-248 (2-core VM, one interpreter); lambda
+# = 10 and 100 moved < 10 %. With a block's labels laid out once, 2^14
+# still took 1.13x as long as 2^15 at lambda = 500.
 _BUILD_CELLS = 2**15
 # A block holds its paths' jumps and reads, n + 2 min(n * d + 1, k + 1)
 # terms a path at first depth d; errors_rows blocks consecutive paths
-# within _BLOCK_TERMS: up to M = 1024, about 60 paths at lambda = 10, and
-# 16, the harness's whole block, at rates from 500 to 2000. Both simpler
+# within _BLOCK_TERMS: up to M = 1024, about 60 paths at lambda = 10, 25
+# at 500, where a 64-trial harness block is read in three, and 16 at
+# 2000, the harness's whole block. Both simpler
 # layouts cost more on the cp_sparse benchmark argv (2-core VM): reading
 # a harness block of 512 paths in one pass took the tracemalloc peak of
 # harness._run_trials from 1.7 to 7.6 MB, and 64-trial harness blocks
@@ -293,14 +290,18 @@ def _builds(sizes: list[int], budget: int, depths: list[int] | None = None):
 def _block(paths: PathBlock, schemes, k: int, depth: list[int], split, e: list[int]) -> _Block:
     """A block read for M <= k with structure (split, e), each path built
     below depth[p]: the structure's per-scale atom counts, made once, lay
-    out every candidate count and each scheme's part of kept, the first
-    k + 1 squares in index order for linear and greedy and the k largest,
-    largest first, for best; then builds of consecutive paths within
-    _BUILD_CELLS cells, every path counted to the build's largest depth
-    (or of one path), write their squares there. The sums run once."""
+    out every candidate count, each scheme's part of kept, the first k + 1
+    squares in index order for linear and greedy and the k largest,
+    largest first, for best, and every build's labels (haar.layout); then
+    builds of consecutive paths within _BUILD_CELLS cells, every path
+    counted to the build's largest depth (or of one path), each take their
+    rows of the labels and write their squares there. The sums run once."""
     counts, depth = paths.counts, np.array(depth, dtype=np.int64)
+    builds = list(_builds(counts.tolist(), _BUILD_CELLS, depth.tolist()))
     atoms = scale_counts(split, counts, int(depth.max(initial=0)))
-    sizes = _sizes(atoms, counts, depth)
+    sizes, step = layout(atoms, counts, depth, 1, [a for a, _ in builds])
+    rows = _bounds(counts > 0)  # each build's rows of step
+    del atoms  # freed before the builds
     index = np.minimum(sizes, k + 1 if "linear" in schemes or "greedy" in schemes else 0)
     top = np.minimum(sizes, k if "best" in schemes else 0)
     lo = _bounds(index)
@@ -308,11 +309,12 @@ def _block(paths: PathBlock, schemes, k: int, depth: list[int], split, e: list[i
     heads = np.stack([(hi if s == "best" else lo)[:-1] for s in schemes], axis=1)
     kept = np.empty(hi[-1])
     scaling, energy = paths.sums()
-    for a, b in _builds(counts.tolist(), _BUILD_CELLS, depth.tolist()):
+    for a, b in builds:
         at = _bounds(sizes[a:b])  # the build's candidates, path-major
         # each path's scaling coefficient, then its ladder
         sq = ladders(paths.take(range(a, b)), depth[a:b].tolist(),
-                     split[paths.bounds[a] : paths.bounds[b]], scaling[a:b], atoms[a:b])
+                     split[paths.bounds[a] : paths.bounds[b]], scaling[a:b],
+                     (at, step[rows[a] : rows[b]]))
         np.square(sq, out=sq)
         part = sq  # each path's first index[p] squares, often all
         if lo[b] - lo[a] < sq.size:

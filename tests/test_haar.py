@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cpwave import JumpLaw, derive_stream, discrete_haar_forward, sample_grid, sample_path
 from cpwave import schemes as schemes_module
-from cpwave.haar import ladder, ladders, nonzero_counts_by_scale, scale_counts, structure
+from cpwave.haar import ladder, ladders, layout, nonzero_counts_by_scale, scale_counts, structure
 from cpwave.processes import PathBlock
 from cpwave.schemes import linear_errors
 
@@ -424,6 +424,33 @@ def test_ladders_of_a_block_are_its_paths_ladders(drawn):
         assert got.tobytes() == np.array(ref, dtype=float).tobytes()
 
 
+# a sampled time is a multiple of 2^-53; a dyadic one an odd multiple of
+# any 2^-e down to 2^-1074, subnormal included
+SAMPLED_TIMES = st.integers(1, 2**53 - 1).map(lambda m: m * 2.0**-53)
+DYADIC_TIMES = st.tuples(st.integers(0, 2**52 - 1), st.integers(1, 1074)).map(
+    lambda me: math.ldexp(2 * me[0] + 1, -me[1])).filter(lambda t: t < 1.0)
+
+
+@given(st.one_of(SAMPLED_TIMES, DYADIC_TIMES))
+@example(0.5)
+@example(2.0**-1000)
+@example(1.0 - 2.0**-53)
+@example(0.5 + 2.0**-53)
+@example(0.5 - 2.0**-53)
+@example(2.0**-53)
+@example(3 * 2.0**-53)
+@example((2**53 - 3) * 2.0**-53)
+@settings(max_examples=300, deadline=None)
+def test_the_tent_is_the_distance_to_the_nearest_integer(t):
+    # ladders takes the tent min(u, 1 - u), u = frac(t 2^j), as
+    # |t 2^j - rint(t 2^j)|: the same bits at every scale j < 1024, also
+    # where t 2^j >= 2^52 is an integer and where u is 1/2, a rint tie
+    x = np.ldexp(t, np.arange(1024))
+    u = x - np.floor(x)
+    tent = np.minimum(u, 1.0 - u)
+    assert np.abs(x - np.rint(x)).view(np.int64).tolist() == tent.view(np.int64).tolist()
+
+
 def test_ladder_empty_path():
     lad = ladder(make_path([], []))
     assert lad.resolution == 0 and lad.value.size == 0
@@ -457,7 +484,7 @@ def test_structure_counts_the_ladders_atoms(path):
     n = path.num_jumps
     for d in range(e + 1):
         atoms = scale_counts(split, np.array([n]), d)
-        sizes = schemes_module._sizes(atoms, np.array([n]), np.array([d]))
+        sizes, _ = layout(atoms, np.array([n]), np.array([d]), 1)
         assert sizes.tolist() == [(n > 0) + ladder(path, d).value.size]
     tables = [scale_table(path, j) for j in range(e)]
     for j, table in enumerate(tables):

@@ -362,19 +362,20 @@ def test_runs_seed_their_streams_a_chunk_at_a_time(monkeypatch):
     monkeypatch.setattr(harness, "stream_states", lambda seed, t: seeded.append(t) or real(seed, t))
     cfg = small_config(trials=100)
     whole = harness._run_trials(cfg, (cfg.dictionary,), 1)
-    monkeypatch.setattr(harness, "_SEED_CHUNK", 20)  # within lambda = 10's 512-trial block
+    monkeypatch.setattr(harness, "_SEED_CHUNK", 20)  # within lambda = 10's 2048-trial block
     chunked = harness._run_trials(cfg, (cfg.dictionary,), 1)
     assert seeded == [range(100)] + [range(t, t + 20) for t in range(0, 100, 20)]
     assert chunked.tobytes() == whole.tobytes()
-    # rounded up to two blocks of 16 at lambda = 500
-    assert [len(c) for c in harness._chunks(small_config(trials=100, lam=500.0), 1)] == [32] * 3 + [4]
+    # rounded up to two blocks of 16 at lambda = 2000, and part of a 64-trial block at 500
+    assert [len(c) for c in harness._chunks(small_config(trials=100, lam=2000.0), 1)] == [32] * 3 + [4]
+    assert [len(c) for c in harness._chunks(small_config(trials=100, lam=500.0), 1)] == [20] * 5
 
 
 def test_analytic_blocks_never_widen_a_chunk():
     # a pool's chunks stay at about eight a worker, and a serial run's at
     # _SEED_CHUNK, whatever the block
     assert [len(c) for c in harness._chunks(small_config(trials=1000), 2)] == [256] * 3 + [232]
-    assert harness._block_size(small_config(lam=1.0)) == 8192
+    assert harness._block_size(small_config(lam=1.0)) == 32768
     for lam in (0.01, 0.5, 1.0):
         assert [len(c) for c in harness._chunks(small_config(trials=9000, lam=lam), 1)] == [4096, 4096, 808]
     # nor does a grid block: 64 trials of 2^10, or 2^15 of 2^1
@@ -390,14 +391,14 @@ def test_block_size_follows_the_sample_budget():
     blocks = [small_config(dictionary=d, grid_log2=g) for d in ("haar_discrete", "haar_analytic")
               for g in (1, 10, 13, 14, 20)]
     # analytic runs sample no grid: their blocks do not depend on grid_log2
-    assert [harness._block_size(cfg) for cfg in blocks] == [512, 64, 8, 4, 1] + [512] * 5
-    # but on lambda: the largest power of two within 2^13 expected jumps, at least 16
+    assert [harness._block_size(cfg) for cfg in blocks] == [2048, 64, 8, 4, 1] + [2048] * 5
+    # but on lambda: the largest power of two within 2^15 expected jumps, at least 16
     rates = (0.5, 10.0, 100.0, 500.0, 513.0, 2000.0)
-    assert [harness._block_size(small_config(lam=lam)) for lam in rates] == [8192, 512, 64, 16, 16, 16]
+    assert [harness._block_size(small_config(lam=lam)) for lam in rates] == [32768, 2048, 256, 64, 32, 16]
     # a cp grid block keeps within both: 64 grids of 2^10 at lambda = 10,
-    # and 16 where the jumps are dense
+    # and fewer where the jumps are dense
     grids = [small_config(dictionary="dct", lam=lam) for lam in (10.0, 600.0, 20000.0)]
-    assert [harness._block_size(cfg) for cfg in grids] == [64, 16, 16]
+    assert [harness._block_size(cfg) for cfg in grids] == [64, 32, 16]
 
 
 def forged_block(trials, fault):
@@ -431,10 +432,25 @@ def test_invariants_raise_the_message_of_the_lowest_failing_trial(chosen, fault,
 
 
 def test_cli_multi_block_analytic_run_is_worker_invariant(tmp_path):
-    # lambda = 100 runs in 64-trial blocks, each read in several
-    # errors_rows blocks; 150 trials make three, the last one short
+    # lambda = 100 runs in 256-trial blocks, each read in several
+    # errors_rows blocks; 600 trials make three, the last one short
     args = ["mse-curve", "--process", "cp", "--lambda", "100", "--schemes", "linear,greedy,best",
-            "--m", "4,64,1024", "--trials", "150", "--seed", "11"]
+            "--m", "4,64,1024", "--trials", "600", "--seed", "11"]
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
+    assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+# lambda = 500 runs in 64-trial blocks, each read in three errors_rows
+# blocks and built about 3 paths at a time; 150 trials make three blocks,
+# the last one short
+DENSE_ARGV = ["mse-curve", "--process", "cp", "--lambda", "500", "--schemes", "linear,greedy,best",
+              "--m", "4,8,16,32,64,128,256,512,1024", "--trials", "150", "--seed", "1"]
+
+
+def test_cli_multi_block_dense_run_is_worker_invariant(tmp_path):
+    args = DENSE_ARGV
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     assert run_cli(*args, "--out", str(one), "--workers", "1") == 0
     assert run_cli(*args, "--out", str(two), "--workers", "2") == 0
@@ -1022,7 +1038,9 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
 # a ladder build still looped over its paths: the first is the cp_sparse
 # benchmark's argv, read in several builds; in the second, first depths of
 # 24 to 28 share one build, so its (jump, scale) array holds scales past
-# some paths' depths.
+# some paths' depths. The mse-curve-dense digest, of DENSE_ARGV, was taken
+# while a lambda = 500 run still read 16-trial blocks and each build laid
+# out its own labels.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -1054,10 +1072,11 @@ def test_cli_mse_curve_golden_bytes(tmp_path, lam, digest):
         (["mse-curve", "--process", "cp", "--lambda", "100", "--schemes", "linear,greedy,best",
           "--m", "4,8,16,32,64,128,256,512,1024", "--trials", "64", "--seed", "2"],
          "3922a2fff4a00ce4bee55fd33ce4927eda23c6952c73d7f31a0a6f0d1fc790aa"),
+        (DENSE_ARGV, "0325385a9b81fc5b25845cdc7249e32ebb4295ef6f0913d1a5a1b8324df51f34"),
     ],
     ids=["lemma-check", "theorem1-check", "theory-table", "dict-compare", "mse-curve-json",
          "simulate", "simulate-json", "mse-curve-partial", "mse-curve-reread",
-         "mse-curve-sparse", "mse-curve-mixed-depths"],
+         "mse-curve-sparse", "mse-curve-mixed-depths", "mse-curve-dense"],
 )
 def test_cli_subcommand_golden_bytes(tmp_path, argv, digest):
     out = tmp_path / "golden.out"

@@ -844,6 +844,33 @@ def test_errors_rows_and_select_do_not_depend_on_the_build_budget(monkeypatch):
     assert len(rows) == 1 and len(selections) == 1
 
 
+@pytest.mark.parametrize("lam", [3.0, 100.0, 500.0])
+def test_errors_rows_bytes_do_not_depend_on_the_build_boundaries(monkeypatch, lam):
+    # _block lays out a block's labels once, and each build only takes its
+    # rows: a budget of one cell builds each path with jumps alone, 2^40 the
+    # whole errors_rows block at once. The block holds empty paths and
+    # mixes first depths: sampled paths' and the 42 or 522 of a path with a
+    # time of 2^-1000
+    paths = [sample_path(lam, JumpLaw.for_rate(lam), derive_stream(47, t)) for t in range(3)]
+    paths[1:1] = [make_path([2.0**-1000, 0.5], [1.0, -1.0]), make_path([], [])]
+    paths += [make_path([], []), sample_path(lam, JumpLaw.for_rate(lam), derive_stream(47, 3))]
+    with_jumps = sum(p.num_jumps > 0 for p in paths)
+    calls = []
+    monkeypatch.setattr(schemes_module, "ladders", counting_ladders(calls))
+    for ms in ([1, 4, 64], M_1024):
+        rows = []
+        for budget in (1, 2**40):
+            monkeypatch.setattr(schemes_module, "_BUILD_CELLS", budget)
+            calls.clear()
+            rows.append(errors_rows(paths, SCHEMES, ms).tobytes())
+            firsts, _ = split_passes(calls, paths)
+            held = [sum(p.num_jumps > 0 for p in group) for group, _ in firsts]
+            assert max(held) == 1 if budget == 1 else len(held) == 1
+            assert sum(held) == with_jumps
+            assert len({d for _, hi in firsts for d in hi}) > 2
+        assert rows[0] == rows[1]
+
+
 def test_errors_rows_reads_a_block_once_and_builds_it_in_parts(monkeypatch):
     # one lambda = 500 block of 16 paths makes its ladders in several builds
     # within the cell budget, but sums its scaling coefficients and

@@ -101,9 +101,10 @@ def test_cli_run_keeps_its_heap(tmp_path):
      "--m", M_SPARSE, "--trials", "40"],
 ], ids=["cp_sparse", "cp_dense"])
 def test_analytic_trials_hold_little_memory(tmp_path, argv):
-    # the benchmark's cp runs: a 512-trial block at lambda = 10 is read in
-    # errors_rows blocks within _BLOCK_TERMS, so the trials' peak of traced
-    # allocations was 1.7 MB there and 1.4 MB at lambda = 500
+    # the benchmark's cp runs are one harness block each, of up to 2048
+    # trials at lambda = 10 and 64 at 500, read in errors_rows blocks
+    # within _BLOCK_TERMS, so the trials' peak of traced allocations was
+    # 1.6 MB at lambda = 10 and 1.5 MB at 500
     peaks = run_fresh(PEAK_SCRIPT, json.dumps(argv), str(tmp_path / "out.csv"))
     assert len(peaks) == 1 and peaks[0] < 2.5 * 2**20
 
